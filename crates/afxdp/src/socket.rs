@@ -361,7 +361,12 @@ impl XskSocket {
                 break;
             }
             sent += 1;
-            if self.opt.prealloc_metadata() {
+            // O4's metadata array holds one descriptor per umem frame;
+            // a socket that transmits more than it receives drops the
+            // surplus instead of growing the pool without bound.
+            if self.opt.prealloc_metadata()
+                && self.meta_pool.available() < self.pool.nframes() as usize
+            {
                 self.meta_pool.put(pkt);
             }
         }
@@ -507,6 +512,27 @@ mod tests {
         }
         assert_eq!(sock.stats.rx_packets, 400);
         assert_eq!(sock.stats.tx_packets, 400);
+    }
+
+    #[test]
+    fn tx_only_socket_keeps_metadata_pool_bounded() {
+        // A socket that only transmits (an uplink toward a peer that
+        // never answers) returns every sent descriptor to the pool and
+        // takes none: the pool must stop at `nframes`, not grow.
+        let (mut k, mut sock, _eth0) = setup(OptLevel::O5);
+        let nframes = sock.pool.nframes() as usize;
+        let mut sent = 0;
+        for _ in 0..10 * nframes / 8 {
+            let batch: PacketBatch = (0..8).map(|_| DpPacket::from_data(&frame())).collect();
+            sent += sock.tx_burst(&mut k, 1, batch);
+            assert!(
+                sock.meta_pool.available() <= nframes,
+                "metadata pool grew to {} descriptors (nframes {nframes})",
+                sock.meta_pool.available()
+            );
+        }
+        assert_eq!(sent, 10 * nframes);
+        assert_eq!(sock.stats.rx_packets, 0);
     }
 
     #[test]

@@ -318,9 +318,9 @@ impl<V> Classifier<V> {
             self.since_rank = 0;
             self.sort_subtables();
         }
-        let mut found: Vec<Option<(usize, Miniflow)>> = vec![None; keys.len()];
+        let mut found: Vec<Option<&Rule<V>>> = vec![None; keys.len()];
         let mut remaining: Vec<usize> = (0..keys.len()).collect();
-        for (si, st) in self.subtables.iter_mut().enumerate() {
+        for st in self.subtables.iter_mut() {
             if remaining.is_empty() {
                 break;
             }
@@ -328,26 +328,24 @@ impl<V> Classifier<V> {
             self.stats.subtables_probed += n;
             self.stats.lane_keys += n;
             self.stats.lane_steps += remaining.len().div_ceil(lane) as u64;
-            remaining.retain(|&ki| {
-                let masked = st.mini_mask.apply(&keys[ki]);
-                if st.rules.contains_key(&masked) {
-                    st.hits += 1;
-                    found[ki] = Some((si, masked));
+            let Subtable {
+                mini_mask,
+                rules,
+                hits,
+                ..
+            } = st;
+            let rules = &*rules;
+            remaining.retain(|&ki| match rules.get(&mini_mask.apply(&keys[ki])) {
+                Some(bucket) => {
+                    *hits += 1;
+                    // Buckets are sorted by descending priority.
+                    found[ki] = Some(&bucket[0]);
                     false
-                } else {
-                    true
                 }
+                None => true,
             });
         }
         found
-            .into_iter()
-            .map(|f| {
-                f.map(|(si, masked)| {
-                    // Buckets are sorted by descending priority.
-                    &self.subtables[si].rules[&masked][0]
-                })
-            })
-            .collect()
     }
 
     /// Union of every subtable mask — the conservative wildcard a miss

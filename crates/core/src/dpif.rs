@@ -160,11 +160,25 @@ struct BurstPkt {
 /// `packet_batch_per_flow`. Packets of the same megaflow pay the batch
 /// fixed cost once instead of once per packet.
 struct FlowBatch {
-    /// The megaflow the packets hit, when they hit one (upcalls at the
-    /// flow limit execute one-off actions with no backing flow).
-    entry: Option<Rc<MegaflowEntry<Vec<DpAction>>>>,
-    actions: Rc<Vec<DpAction>>,
+    actions: BatchActions,
     pkts: Vec<BurstPkt>,
+}
+
+/// What a [`FlowBatch`] executes.
+enum BatchActions {
+    /// The actions of the megaflow the packets hit, shared, not copied.
+    Flow(Rc<MegaflowEntry<Vec<DpAction>>>),
+    /// An upcall at the flow limit: one-off actions with no backing flow.
+    OneOff(Vec<DpAction>),
+}
+
+impl BatchActions {
+    fn as_slice(&self) -> &[DpAction] {
+        match self {
+            BatchActions::Flow(e) => &e.actions,
+            BatchActions::OneOff(a) => a,
+        }
+    }
 }
 
 /// Per-egress-port accumulated output. Packets queue here during action
@@ -1739,8 +1753,7 @@ megaflows installed: {}
                     t.note("cache: EMC hit (exact match)");
                 }
                 e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                let actions = Rc::new(e.actions.clone());
-                self.enqueue_classified(batches, Some(&e), actions, bp);
+                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
                 continue;
             }
             let c = kernel.sim.costs.emc_mini_hit_ns;
@@ -1762,8 +1775,7 @@ megaflows installed: {}
                     e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
                     // SMC hits feed the EMC, like dpcls hits.
                     self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                    let actions = Rc::new(e.actions.clone());
-                    self.enqueue_classified(batches, Some(&e), actions, bp);
+                    self.enqueue_classified(batches, BatchActions::Flow(e), bp);
                     continue;
                 }
                 coverage!("smc_miss");
@@ -1801,8 +1813,7 @@ megaflows installed: {}
                     t.note("cache: EMC hit (exact match)");
                 }
                 e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                let actions = Rc::new(e.actions.clone());
-                self.enqueue_classified(batches, Some(&e), actions, bp);
+                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
                 continue;
             }
             if self.smc_enable {
@@ -1814,8 +1825,7 @@ megaflows installed: {}
                     }
                     e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
                     self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                    let actions = Rc::new(e.actions.clone());
-                    self.enqueue_classified(batches, Some(&e), actions, bp);
+                    self.enqueue_classified(batches, BatchActions::Flow(e), bp);
                     continue;
                 }
             }
@@ -1886,8 +1896,7 @@ megaflows installed: {}
                     self.smc.insert(hash, Rc::clone(&e));
                 }
                 self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                let actions = Rc::new(e.actions.clone());
-                self.enqueue_classified(batches, Some(&e), actions, bp);
+                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
                 continue;
             }
 
@@ -1955,19 +1964,13 @@ megaflows installed: {}
                     .megaflow
                     .install_at(key, t.mask, t.actions.clone(), now);
                 self.stats.flows_installed += 1;
-                self.revalidator.register(Ukey::new(
-                    masked,
-                    t.mask,
-                    t.actions.clone(),
-                    t.rules,
-                    now,
-                ));
+                self.revalidator
+                    .register(Ukey::new(masked, t.mask, t.actions, t.rules, now));
                 if self.smc_enable {
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
                 self.emc.maybe_insert(mf, hash, Rc::clone(&entry));
-                let actions = Rc::new(t.actions);
-                self.enqueue_classified(batches, Some(&entry), actions, bp);
+                self.enqueue_classified(batches, BatchActions::Flow(entry), bp);
             } else {
                 // At the dynamic flow limit: forward without installing
                 // (OVS upcall handlers do the same).
@@ -1979,8 +1982,7 @@ megaflows installed: {}
                         self.revalidator.flow_limit
                     ));
                 }
-                let actions = Rc::new(t.actions);
-                self.enqueue_classified(batches, None, actions, bp);
+                self.enqueue_classified(batches, BatchActions::OneOff(t.actions), bp);
             }
         }
     }
@@ -1990,11 +1992,10 @@ megaflows installed: {}
     fn enqueue_classified(
         &mut self,
         batches: &mut Vec<FlowBatch>,
-        entry: Option<&Rc<MegaflowEntry<Vec<DpAction>>>>,
-        actions: Rc<Vec<DpAction>>,
+        actions: BatchActions,
         bp: BurstPkt,
     ) {
-        if actions.is_empty() {
+        if actions.as_slice().is_empty() {
             self.stats.dropped += 1;
             coverage!("dpif_drop");
             if let Some(t) = self.trace.as_mut() {
@@ -2003,17 +2004,16 @@ megaflows installed: {}
             }
             return;
         }
-        if let Some(e) = entry {
+        if let BatchActions::Flow(e) = &actions {
             if let Some(b) = batches
                 .iter_mut()
-                .find(|b| b.entry.as_ref().is_some_and(|be| Rc::ptr_eq(be, e)))
+                .find(|b| matches!(&b.actions, BatchActions::Flow(be) if Rc::ptr_eq(be, e)))
             {
                 b.pkts.push(bp);
                 return;
             }
         }
         batches.push(FlowBatch {
-            entry: entry.cloned(),
             actions,
             pkts: vec![bp],
         });
@@ -2037,13 +2037,13 @@ megaflows installed: {}
             kernel.sim.charge(core, Context::User, c);
             timer.mark(Stage::Batch, core_ns(kernel, core));
             coverage!("batch_flush");
-            let actions = b.actions;
+            let actions = b.actions.as_slice();
             for bp in b.pkts {
                 if let Some(t) = self.trace.as_mut() {
                     t.note(format!("Datapath actions: {actions:?}"));
                 }
                 let pass = bp.pass;
-                if let Some(p) = self.execute_actions(kernel, bp.pkt, &actions, core, timer, tx) {
+                if let Some(p) = self.execute_actions(kernel, bp.pkt, actions, core, timer, tx) {
                     next.push(BurstPkt {
                         pkt: p,
                         pass: pass + 1,
@@ -2245,8 +2245,7 @@ megaflows installed: {}
                     // Everything up to here was generic action work;
                     // the conntrack pass gets its own stage.
                     timer.mark(Stage::Actions, core_ns(kernel, core));
-                    let mut tmp = DpPacket::from_data(pkt.data());
-                    let key = extract_miniflow(&mut tmp);
+                    let key = extract_miniflow(&mut pkt);
                     let ck = ConnKey {
                         zone: *zone,
                         src_ip: key.nw_src_v4(),
@@ -2440,7 +2439,7 @@ megaflows installed: {}
         &mut self,
         kernel: &mut Kernel,
         port: PortNo,
-        pkt: DpPacket,
+        mut pkt: DpPacket,
         core: usize,
         tx: &mut TxAccum,
     ) {
@@ -2474,8 +2473,7 @@ megaflows installed: {}
                 return;
             };
             meta.src = cfg.local_ip;
-            let mut tmp = DpPacket::from_data(pkt.data());
-            let entropy = extract_miniflow(&mut tmp).rss_hash() as u16;
+            let entropy = extract_miniflow(&mut pkt).rss_hash() as u16;
             let c = kernel.sim.costs.userspace_tunnel_ns;
             kernel.sim.charge(core, Context::User, c);
             let dev_macs: Vec<(u32, MacAddr)> = self
@@ -2568,14 +2566,12 @@ megaflows installed: {}
     ) {
         // ERSPAN mirroring: copy watched traffic toward its collector
         // before normal transmission.
-        let mirror_jobs: Vec<(usize, PortNo)> = self
-            .mirrors
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.watch_port == port && m.out_port != port)
-            .map(|(i, m)| (i, m.out_port))
-            .collect();
-        for (i, out) in mirror_jobs {
+        // Indexed, because sending the copy needs `&mut self`.
+        for i in 0..self.mirrors.len() {
+            let out = self.mirrors[i].out_port;
+            if self.mirrors[i].watch_port != port || out == port {
+                continue;
+            }
             let wrapped = self.mirrors[i].encapsulate(pkt.data());
             let c = kernel.sim.costs.userspace_tunnel_ns + kernel.sim.costs.copy_ns(pkt.len());
             kernel.sim.charge(core, Context::User, c);

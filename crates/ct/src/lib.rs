@@ -29,6 +29,7 @@
 
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::ct_state;
+use std::hash::{Hash, Hasher};
 
 pub mod expiry;
 pub mod limits;
@@ -40,7 +41,7 @@ pub use shard::Conn;
 use shard::Shard;
 
 /// A direction-oriented 5-tuple plus zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ConnKey {
     pub zone: u16,
     pub src_ip: [u8; 4],
@@ -89,6 +90,23 @@ impl ConnKey {
         h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
         h ^= h >> 33;
         h
+    }
+}
+
+/// Shard maps hash the key as two packed words instead of one write per
+/// field. The packing is injective, so it agrees with the derived `Eq`;
+/// the maps keep std's keyed `RandomState`, because the tuples are
+/// attacker-chosen (Csikor et al.'s tuple-space explosion).
+impl Hash for ConnKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let addrs = (u64::from(u32::from_be_bytes(self.src_ip)) << 32)
+            | u64::from(u32::from_be_bytes(self.dst_ip));
+        let rest = (u64::from(self.src_port) << 48)
+            | (u64::from(self.dst_port) << 32)
+            | (u64::from(self.zone) << 16)
+            | u64::from(self.proto);
+        state.write_u64(addrs);
+        state.write_u64(rest);
     }
 }
 
@@ -364,17 +382,17 @@ impl CtTable {
 
         // Original direction?
         if let Some(mut v) = self.probe(si, &key, false, tcp_flags, now_ns) {
-            if action.commit {
-                // Commit on an existing connection refreshes mark/NAT
-                // metadata only when previously unset (OVS semantics:
-                // first commit wins).
-                let conn = self.shards[si].conns.get_mut(&key).expect("probed live");
-                if conn.mark == 0 {
-                    if let Some(m) = action.mark {
-                        conn.mark = m;
-                        v.mark = m;
-                    }
-                }
+            // Commit on an existing connection sets the mark only when
+            // previously unset (OVS semantics: first commit wins); the
+            // verdict carries the stored mark, so only a mark to set
+            // costs a second lookup.
+            if let (true, Some(m), 0) = (action.commit, action.mark, v.mark) {
+                self.shards[si]
+                    .conns
+                    .get_mut(&key)
+                    .expect("probed live")
+                    .mark = m;
+                v.mark = m;
             }
             return v;
         }
@@ -476,18 +494,13 @@ impl CtTable {
         tcp_flags: Option<u8>,
         now_ns: u64,
     ) -> Option<CtVerdict> {
-        let timeouts = self.timeouts;
-        let expired = match self.shards[si].conns.get(key) {
-            None => return None,
-            Some(c) => now_ns.saturating_sub(c.last_seen_ns) > c.state.timeout(&timeouts),
-        };
-        if expired {
+        let conn = self.shards[si].conns.get_mut(key)?;
+        if now_ns.saturating_sub(conn.last_seen_ns) > conn.state.timeout(&self.timeouts) {
             self.remove_conn(key);
             self.stats.expired += 1;
             coverage!("ct_lazy_expire");
             return None;
         }
-        let conn = self.shards[si].conns.get_mut(key).expect("checked above");
         conn.last_seen_ns = now_ns;
         conn.referenced = true;
         conn.packets += 1;
@@ -497,7 +510,6 @@ impl CtTable {
             self.stats.established += 1;
             coverage!("ct_established");
         }
-        let conn = self.shards[si].conns.get(key).expect("checked above");
         self.stats.hits += 1;
         coverage!("ct_hit");
         let mut bits = ct_state::TRACKED

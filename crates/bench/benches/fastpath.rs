@@ -1,6 +1,6 @@
-//! Wall-clock cost of the two-phase batched receive path: scalar
-//! `process_packet` vs `process_burst` vs `process_burst` with the SMC
-//! tier, each driving the full NSX pipeline (DFW conntrack ×2
+//! Wall-clock cost of the two-phase batched receive path:
+//! `process_burst` with and without the SMC tier, at bursts of 1, 8 and
+//! 32, each driving the full NSX pipeline (DFW conntrack ×2
 //! recirculations plus Geneve encap). Complements the simulated-cycle
 //! ablation in `repro --fastpath`: criterion measures what the *host*
 //! pays to classify, batch, and flush; the simulation measures what the
@@ -17,11 +17,7 @@ fn bench_fastpath(c: &mut Criterion) {
     // stays in the low milliseconds.
     g.sample_size(10);
     for burst in [1usize, 8, 32] {
-        for mode in [
-            FastpathMode::Scalar,
-            FastpathMode::Batched,
-            FastpathMode::BatchedSmc,
-        ] {
+        for mode in [FastpathMode::Batched, FastpathMode::BatchedSmc] {
             g.bench_with_input(
                 BenchmarkId::new(mode.label(), burst),
                 &(mode, burst),

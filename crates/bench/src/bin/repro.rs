@@ -9,14 +9,20 @@
 //!        --fig8c --fig9 --table4 --fig10 --fig11 --table5 --fig12
 //!        --scaling --ablation --churn --fastpath --faults --latency
 //!        --conntrack --restart --chains
+//!
+//! `--fig12` and `--scaling` select the same section: the Fig 12 grid
+//! and the scheduler policy ablation, written to `BENCH_scaling.json`.
 
 use ovs_afxdp::OptLevel;
 use ovs_bench::fig1;
+use ovs_bench::json::Json;
+use ovs_core::health::quiet_simulated_panics;
 use ovs_kernel::dev::{DeviceKind, NetDevice, XdpMode};
 use ovs_kernel::{tools, Kernel};
 use ovs_nsx::ruleset::{self, NsxConfig, NsxPorts};
 use ovs_nsx::topology::{DatapathKind, VmAttachment};
 use ovs_packet::MacAddr;
+use ovs_sim::Percentiles;
 use ovs_tgen::iperf::{self, CcMode, Offloads};
 use ovs_tgen::measure::RateMeasurement;
 use ovs_tgen::netperf::{self, RrConfig};
@@ -76,10 +82,7 @@ fn main() {
     if want("--table5") {
         table5();
     }
-    if want("--fig12") {
-        fig12();
-    }
-    if want("--scaling") {
+    if want("--fig12") || want("--scaling") {
         scaling();
     }
     if want("--ablation") {
@@ -112,17 +115,7 @@ fn chains() {
     section("Extension — ovs-nfv: per-tenant NF service chains on the PMD scheduler");
     // NF worker panics are caught at the manager's unwind boundary; keep
     // their backtraces out of the report (anything else still prints).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let simulated = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("simulated datapath bug"))
-            .unwrap_or(false);
-        if !simulated {
-            default_hook(info);
-        }
-    }));
+    quiet_simulated_panics();
     const SEED: u64 = 0x5EED;
 
     // Tenant-scaling sweep: the same soak at 64/256/1024 tenants. The
@@ -188,76 +181,50 @@ fn chains() {
         }
     }
 
-    // Machine-readable results for CI (hand-rolled JSON; deterministic
-    // for a given seed, so CI can diff runs byte-for-byte).
-    let mut json = format!(
-        "{{\n  \"bench\": \"chains\",\n  \"seed\": {},\n  \"tenants\": {},\n  \
-         \"nf_instances\": {},\n  \"frames_offered\": {},\n  \"delivered\": {},\n  \
-         \"counted_drops\": {},\n  \"unaccounted\": {},\n  \"nf_crashes\": {},\n  \
-         \"nf_restarts\": {},\n  \"crash_drops\": {},\n  \"verdict_drops\": {},\n  \
-         \"ring_full_drops\": {},\n  \"fail_closed_drops\": {},\n  \"steered\": {},\n  \
-         \"pool_reuses\": {},\n  \"lb_improvement_pct\": {},\n  \"lb_rebalances\": {},\n  \
-         \"probe_sent\": {},\n  \"probe_delivered\": {},\n  \"forwarding_resumed\": {},\n",
-        r.seed,
-        r.tenants,
-        r.nf_instances,
-        r.frames_offered,
-        r.delivered,
-        r.counted_drops,
-        r.unaccounted,
-        r.nf_crashes,
-        r.nf_restarts,
-        r.crash_drops,
-        r.verdict_drops,
-        r.ring_full_drops,
-        r.fail_closed_drops,
-        r.steered,
-        r.pool_reuses,
-        r.lb_improvement_pct,
-        r.lb_rebalances,
-        r.probe_sent,
-        r.probe_delivered,
-        r.forwarding_resumed,
+    // Deterministic for a given seed, so CI diffs it byte for byte.
+    let scale_row = |rep: &scenarios::ChainsReport| {
+        Json::row([
+            ("tenants", rep.tenants.into()),
+            ("nf_instances", rep.nf_instances.into()),
+            ("offered", rep.frames_offered.into()),
+            ("delivered", rep.delivered.into()),
+            ("counted_drops", rep.counted_drops.into()),
+            ("unaccounted", rep.unaccounted.into()),
+        ])
+    };
+    let chain_cost = r
+        .chain_ns_per_pkt
+        .iter()
+        .map(|(len, ns)| (len.to_string(), Json::float(*ns, 1)));
+    write_bench(
+        "chains",
+        Json::obj([
+            ("bench", "chains".into()),
+            ("seed", r.seed.into()),
+            ("tenants", r.tenants.into()),
+            ("nf_instances", r.nf_instances.into()),
+            ("frames_offered", r.frames_offered.into()),
+            ("delivered", r.delivered.into()),
+            ("counted_drops", r.counted_drops.into()),
+            ("unaccounted", r.unaccounted.into()),
+            ("nf_crashes", r.nf_crashes.into()),
+            ("nf_restarts", r.nf_restarts.into()),
+            ("crash_drops", r.crash_drops.into()),
+            ("verdict_drops", r.verdict_drops.into()),
+            ("ring_full_drops", r.ring_full_drops.into()),
+            ("fail_closed_drops", r.fail_closed_drops.into()),
+            ("steered", r.steered.into()),
+            ("pool_reuses", r.pool_reuses.into()),
+            ("lb_improvement_pct", r.lb_improvement_pct.into()),
+            ("lb_rebalances", r.lb_rebalances.into()),
+            ("probe_sent", r.probe_sent.into()),
+            ("probe_delivered", r.probe_delivered.into()),
+            ("forwarding_resumed", r.forwarding_resumed.into()),
+            ("chain_ns_per_pkt", Json::obj(chain_cost)),
+            ("tenant_scaling", Json::lines(reports.iter().map(scale_row))),
+            ("drops_by_counter", counts(&r.drops_by_counter)),
+        ]),
     );
-    json.push_str("  \"chain_ns_per_pkt\": {\n");
-    for (i, (len, ns)) in r.chain_ns_per_pkt.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{len}\": {ns:.1}{}\n",
-            if i + 1 == r.chain_ns_per_pkt.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    json.push_str("  },\n  \"tenant_scaling\": [\n");
-    for (i, rep) in reports.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"tenants\": {}, \"nf_instances\": {}, \"offered\": {}, \
-             \"delivered\": {}, \"counted_drops\": {}, \"unaccounted\": {} }}{}\n",
-            rep.tenants,
-            rep.nf_instances,
-            rep.frames_offered,
-            rep.delivered,
-            rep.counted_drops,
-            rep.unaccounted,
-            if i + 1 == reports.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"drops_by_counter\": {\n");
-    for (i, (label, n)) in r.drops_by_counter.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{label}\": {n}{}\n",
-            if i + 1 == r.drops_by_counter.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_chains.json", &json).expect("write BENCH_chains.json");
-    println!("  wrote BENCH_chains.json");
 
     for rep in &reports {
         assert_eq!(
@@ -353,56 +320,46 @@ fn restart() {
     };
     println!("  secure / standalone goodput  {ratio:>9.2}x");
 
-    // Machine-readable results for CI (hand-rolled JSON; deterministic
-    // for a given seed).
-    let outage_json = |o: &scenarios::OutageReport| {
-        format!(
-            "{{\"fail_mode\": \"{}\", \"legit_offered\": {}, \"legit_delivered\": {}, \
-             \"flood_offered\": {}, \"outage_core_ns\": {:.0}, \
-             \"goodput_per_core_sec\": {:.1}, \"fail_secure_drops\": {}, \
-             \"megaflows_after\": {}, \"reconnects\": {}, \"forwarding_resumed\": {}}}",
-            o.fail_mode,
-            o.legit_offered,
-            o.legit_delivered,
-            o.flood_offered,
-            o.outage_core_ns,
-            o.goodput_per_core_sec,
-            o.fail_secure_drops,
-            o.megaflows_after,
-            o.reconnects,
-            o.forwarding_resumed,
-        )
+    let outage_row = |o: &scenarios::OutageReport| {
+        Json::row([
+            ("fail_mode", o.fail_mode.into()),
+            ("legit_offered", o.legit_offered.into()),
+            ("legit_delivered", o.legit_delivered.into()),
+            ("flood_offered", o.flood_offered.into()),
+            ("outage_core_ns", Json::float(o.outage_core_ns, 0)),
+            (
+                "goodput_per_core_sec",
+                Json::float(o.goodput_per_core_sec, 1),
+            ),
+            ("fail_secure_drops", o.fail_secure_drops.into()),
+            ("megaflows_after", o.megaflows_after.into()),
+            ("reconnects", o.reconnects.into()),
+            ("forwarding_resumed", o.forwarding_resumed.into()),
+        ])
     };
-    let json = format!(
-        "{{\n  \"bench\": \"restart\",\n  \"seed\": {},\n  \"frames_offered\": {},\n  \
-         \"delivered\": {},\n  \"counted_drops\": {},\n  \"unaccounted\": {},\n  \
-         \"graceful_restarts\": {},\n  \"crash_restarts\": {},\n  \
-         \"restored_flows\": {},\n  \"restored_conns\": {},\n  \
-         \"gated_upcalls\": {},\n  \"gated_forwarded\": {},\n  \
-         \"adopted\": {},\n  \"orphaned\": {},\n  \"reconvergence_ms\": {:.3},\n  \
-         \"forwarding_resumed\": {},\n  \"outage\": [\n    {},\n    {}\n  ],\n  \
-         \"secure_vs_standalone_goodput\": {:.3}\n}}\n",
-        r.seed,
-        r.frames_offered,
-        r.delivered,
-        r.counted_drops,
-        r.unaccounted,
-        r.graceful_restarts,
-        r.crash_restarts,
-        r.restored_flows,
-        r.restored_conns,
-        r.gated_upcalls,
-        r.gated_forwarded,
-        r.adopted,
-        r.orphaned,
-        r.reconvergence_ms,
-        r.forwarding_resumed,
-        outage_json(&sec),
-        outage_json(&sta),
-        ratio,
+    write_bench(
+        "restart",
+        Json::obj([
+            ("bench", "restart".into()),
+            ("seed", r.seed.into()),
+            ("frames_offered", r.frames_offered.into()),
+            ("delivered", r.delivered.into()),
+            ("counted_drops", r.counted_drops.into()),
+            ("unaccounted", r.unaccounted.into()),
+            ("graceful_restarts", r.graceful_restarts.into()),
+            ("crash_restarts", r.crash_restarts.into()),
+            ("restored_flows", r.restored_flows.into()),
+            ("restored_conns", r.restored_conns.into()),
+            ("gated_upcalls", r.gated_upcalls.into()),
+            ("gated_forwarded", r.gated_forwarded.into()),
+            ("adopted", r.adopted.into()),
+            ("orphaned", r.orphaned.into()),
+            ("reconvergence_ms", Json::float(r.reconvergence_ms, 3)),
+            ("forwarding_resumed", r.forwarding_resumed.into()),
+            ("outage", Json::lines([outage_row(&sec), outage_row(&sta)])),
+            ("secure_vs_standalone_goodput", Json::float(ratio, 3)),
+        ]),
     );
-    std::fs::write("BENCH_restart.json", &json).expect("write BENCH_restart.json");
-    println!("  wrote BENCH_restart.json");
 
     // CI gates: the robustness acceptance bar.
     assert_eq!(
@@ -485,55 +442,48 @@ fn conntrack() {
         );
     }
 
-    let tse_json = |r: &ctb::CtTseReport| -> String {
-        format!(
-            "{{\"defended\": {}, \"legit_offered\": {}, \"legit_delivered\": {}, \
-             \"legit_mpps\": {:.4}, \"attack_offered\": {}, \"attack_delivered\": {}, \
-             \"ct_limit_drops\": {}, \"ct_full_drops\": {}, \"ct_invalid_drops\": {}, \
-             \"other_drops\": {}, \"established_surviving\": {}, \"ct_occupancy\": {}, \
-             \"unaccounted\": {}}}",
-            r.defended,
-            r.legit_offered,
-            r.legit_delivered,
-            r.legit_mpps,
-            r.attack_offered,
-            r.attack_delivered,
-            r.ct_limit_drops,
-            r.ct_full_drops,
-            r.ct_invalid_drops,
-            r.other_drops,
-            r.established_surviving,
-            r.ct_occupancy,
-            r.unaccounted
-        )
+    let tse_row = |r: &ctb::CtTseReport| {
+        Json::row([
+            ("defended", r.defended.into()),
+            ("legit_offered", r.legit_offered.into()),
+            ("legit_delivered", r.legit_delivered.into()),
+            ("legit_mpps", Json::float(r.legit_mpps, 4)),
+            ("attack_offered", r.attack_offered.into()),
+            ("attack_delivered", r.attack_delivered.into()),
+            ("ct_limit_drops", r.ct_limit_drops.into()),
+            ("ct_full_drops", r.ct_full_drops.into()),
+            ("ct_invalid_drops", r.ct_invalid_drops.into()),
+            ("other_drops", r.other_drops.into()),
+            ("established_surviving", r.established_surviving.into()),
+            ("ct_occupancy", r.ct_occupancy.into()),
+            ("unaccounted", r.unaccounted.into()),
+        ])
     };
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"churn\": {{\"peak_conns\": {}, \"sustained_conns\": {}, \"offered_commits\": {}, \
-         \"commits\": {}, \"nat_commits\": {}, \"established\": {}, \"refused_zone\": {}, \
-         \"refused_full\": {}, \"refused_invalid\": {}, \"expired\": {}, \"evicted\": {}, \
-         \"setup_rate_cps\": {:.0}, \"ct_ops\": {}, \"unaccounted\": {}, \"accounting_ok\": {}}},\n",
-        churn.peak_conns,
-        churn.sustained_conns,
-        churn.offered_commits,
-        churn.commits,
-        churn.nat_commits,
-        churn.established,
-        churn.refused_zone,
-        churn.refused_full,
-        churn.refused_invalid,
-        churn.expired,
-        churn.evicted,
-        churn.setup_rate_cps,
-        churn.ct_ops,
-        churn.unaccounted,
-        churn.accounting_ok
-    ));
-    json.push_str(&format!("  \"tse_undefended\": {},\n", tse_json(&undef)));
-    json.push_str(&format!("  \"tse_defended\": {}\n", tse_json(&def)));
-    json.push_str("}\n");
-    std::fs::write("BENCH_conntrack.json", &json).expect("write BENCH_conntrack.json");
-    println!("  wrote BENCH_conntrack.json");
+    let churn_row = Json::row([
+        ("peak_conns", churn.peak_conns.into()),
+        ("sustained_conns", churn.sustained_conns.into()),
+        ("offered_commits", churn.offered_commits.into()),
+        ("commits", churn.commits.into()),
+        ("nat_commits", churn.nat_commits.into()),
+        ("established", churn.established.into()),
+        ("refused_zone", churn.refused_zone.into()),
+        ("refused_full", churn.refused_full.into()),
+        ("refused_invalid", churn.refused_invalid.into()),
+        ("expired", churn.expired.into()),
+        ("evicted", churn.evicted.into()),
+        ("setup_rate_cps", Json::float(churn.setup_rate_cps, 0)),
+        ("ct_ops", churn.ct_ops.into()),
+        ("unaccounted", churn.unaccounted.into()),
+        ("accounting_ok", churn.accounting_ok.into()),
+    ]);
+    write_bench(
+        "conntrack",
+        Json::obj([
+            ("churn", churn_row),
+            ("tse_undefended", tse_row(&undef)),
+            ("tse_defended", tse_row(&def)),
+        ]),
+    );
 
     // CI gates.
     assert!(
@@ -591,17 +541,7 @@ fn latency() {
     section("Extension — tail latency: rx->tx sweeps, empirical delay model, jitter transients");
     // The crash transient's injected panic is caught by the supervisor;
     // keep its backtrace out of the report.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let simulated = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("simulated datapath bug"))
-            .unwrap_or(false);
-        if !simulated {
-            default_hook(info);
-        }
-    }));
+    quiet_simulated_panics();
 
     const N_PKTS: usize = 2048;
     let points = lat::run_latency_sweep(N_PKTS);
@@ -682,88 +622,89 @@ fn latency() {
         );
     }
 
-    // Machine-readable results for CI (hand-rolled JSON — the workspace
-    // deliberately carries no serde dependency).
-    let mut json = String::from("{\n  \"bench\": \"latency\",\n  \"sweep\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"burst\": {}, \"flows\": {}, \"rules\": {}, \"samples\": {}, \
-             \"p50_ns\": {:.1}, \"p90_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}, \
-             \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"mean_ns\": {:.1}, \
-             \"pred_p50_ns\": {:.1}, \"pred_p99_ns\": {:.1}}}{}\n",
-            p.burst,
-            p.n_flows,
-            p.rules,
-            p.samples,
-            p.lat_ns.p50,
-            p.lat_ns.p90,
-            p.lat_ns.p99,
-            p.lat_ns.p999,
-            p.lat_ns.min,
-            p.lat_ns.max,
-            p.lat_ns.mean,
-            models.p50.predict(p.burst, p.n_flows, p.rules),
-            models.p99.predict(p.burst, p.n_flows, p.rules),
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"model\": {{\n    \"features\": [\"1\", \"burst\", \"log2_flows\", \"log2_rules\"],\n    \
-         \"p50_coef\": [{:.3}, {:.3}, {:.3}, {:.3}],\n    \
-         \"p99_coef\": [{:.3}, {:.3}, {:.3}, {:.3}],\n    \
-         \"p50_max_rel_err\": {:.4},\n    \"p99_max_rel_err\": {:.4}\n  }},\n",
-        models.p50.coef[0],
-        models.p50.coef[1],
-        models.p50.coef[2],
-        models.p50.coef[3],
-        models.p99.coef[0],
-        models.p99.coef[1],
-        models.p99.coef[2],
-        models.p99.coef[3],
-        models.p50_max_rel_err,
-        models.p99_max_rel_err,
-    ));
-    json.push_str("  \"rr_under_flood_afxdp\": [\n");
-    for (i, (load, r)) in flood_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"load\": {:.2}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}, \"tps\": {:.0}}}{}\n",
-            load,
-            r.latency_us.p50,
-            r.latency_us.p99,
-            r.latency_us.p999,
-            r.tps,
-            if i + 1 == flood_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"interrupt_ablation\": {{\n    \
-         \"busy_poll\": {{\"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}}},\n    \
-         \"interrupt\": {{\"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}}}\n  }},\n",
-        busy.p50, busy.p99, busy.p999, irq.p50, irq.p99, irq.p999
-    ));
-    let windows_json = |name: &str, windows: &[lat::LatencyWindow], last: bool| -> String {
-        let mut s = format!("  \"{name}\": [\n");
-        for (i, w) in windows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"window\": \"{}\", \"events\": {}, \"samples\": {}, \
-                 \"p50_ns\": {:.1}, \"p99_ns\": {:.1}, \"p999_ns\": {:.1}}}{}\n",
-                w.label,
-                w.events,
-                w.samples,
-                w.lat_ns.p50,
-                w.lat_ns.p99,
-                w.lat_ns.p999,
-                if i + 1 == windows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str(&format!("  ]{}\n", if last { "" } else { "," }));
-        s
+    let ns = |v: f64| Json::float(v, 1);
+    let sweep_row = |p: &lat::LatencyPoint| {
+        Json::row([
+            ("burst", p.burst.into()),
+            ("flows", p.n_flows.into()),
+            ("rules", p.rules.into()),
+            ("samples", p.samples.into()),
+            ("p50_ns", ns(p.lat_ns.p50)),
+            ("p90_ns", ns(p.lat_ns.p90)),
+            ("p99_ns", ns(p.lat_ns.p99)),
+            ("p999_ns", ns(p.lat_ns.p999)),
+            ("min_ns", ns(p.lat_ns.min)),
+            ("max_ns", ns(p.lat_ns.max)),
+            ("mean_ns", ns(p.lat_ns.mean)),
+            (
+                "pred_p50_ns",
+                ns(models.p50.predict(p.burst, p.n_flows, p.rules)),
+            ),
+            (
+                "pred_p99_ns",
+                ns(models.p99.predict(p.burst, p.n_flows, p.rules)),
+            ),
+        ])
     };
-    json.push_str(&windows_json("autolb_transient", &autolb, false));
-    json.push_str(&windows_json("crash_transient", &crash, true));
-    json.push_str("}\n");
-    std::fs::write("BENCH_latency.json", &json).expect("write BENCH_latency.json");
-    println!("  wrote BENCH_latency.json");
+    let coef = |c: &[f64; 4]| Json::arr(c.iter().map(|&v| Json::float(v, 3)));
+    let model = Json::obj([
+        (
+            "features",
+            Json::arr(["1", "burst", "log2_flows", "log2_rules"].map(Json::from)),
+        ),
+        ("p50_coef", coef(&models.p50.coef)),
+        ("p99_coef", coef(&models.p99.coef)),
+        ("p50_max_rel_err", Json::float(models.p50_max_rel_err, 4)),
+        ("p99_max_rel_err", Json::float(models.p99_max_rel_err, 4)),
+    ]);
+    let flood_row = |(load, r): &(f64, netperf::RrResult)| {
+        Json::row([
+            ("load", Json::float(*load, 2)),
+            ("p50_us", Json::float(r.latency_us.p50, 1)),
+            ("p99_us", Json::float(r.latency_us.p99, 1)),
+            ("p999_us", Json::float(r.latency_us.p999, 1)),
+            ("tps", Json::float(r.tps, 0)),
+        ])
+    };
+    let tail = |l: &Percentiles| {
+        [
+            ("p50_ns", ns(l.p50)),
+            ("p99_ns", ns(l.p99)),
+            ("p999_ns", ns(l.p999)),
+        ]
+    };
+    let window_row = |w: &lat::LatencyWindow| {
+        let head = [
+            ("window", w.label.as_str().into()),
+            ("events", w.events.into()),
+            ("samples", w.samples.into()),
+        ];
+        Json::row(head.into_iter().chain(tail(&w.lat_ns)))
+    };
+    write_bench(
+        "latency",
+        Json::obj([
+            ("bench", "latency".into()),
+            ("sweep", Json::lines(points.iter().map(sweep_row))),
+            ("model", model),
+            (
+                "rr_under_flood_afxdp",
+                Json::lines(flood_rows.iter().map(flood_row)),
+            ),
+            (
+                "interrupt_ablation",
+                Json::obj([
+                    ("busy_poll", Json::row(tail(&busy))),
+                    ("interrupt", Json::row(tail(&irq))),
+                ]),
+            ),
+            (
+                "autolb_transient",
+                Json::lines(autolb.iter().map(window_row)),
+            ),
+            ("crash_transient", Json::lines(crash.iter().map(window_row))),
+        ]),
+    );
 
     // CI gates. Uncontended baseline: the smallest burst / fewest flows
     // / fewest rules point must not have a pathological tail.
@@ -794,17 +735,7 @@ fn faults() {
     section("Extension — seeded fault-injection soak (six fault classes over the 2-host NSX deployment)");
     // The injected datapath panic is caught by the supervisor; keep its
     // backtrace out of the report (anything else still prints).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let simulated = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("simulated datapath bug"))
-            .unwrap_or(false);
-        if !simulated {
-            default_hook(info);
-        }
-    }));
+    quiet_simulated_panics();
     const SEED: u64 = 0xC0FFEE;
     let r = scenarios::run_faults(SEED);
     println!("  schedule seed                {:>#10x}", r.seed);
@@ -841,52 +772,30 @@ fn faults() {
         }
     }
 
-    // Machine-readable results for CI (hand-rolled JSON; deterministic
-    // for a given seed, so CI can diff runs byte-for-byte).
-    let mut json = format!(
-        "{{\n  \"bench\": \"robustness\",\n  \"seed\": {},\n  \"frames_offered\": {},\n  \
-         \"delivered\": {},\n  \"counted_drops\": {},\n  \"unaccounted\": {},\n  \
-         \"crashes\": {},\n  \"restarts\": {},\n  \"mean_recovery_ms\": {:.3},\n  \
-         \"vhost_reconnects\": {},\n  \"degraded_mode\": {},\n  \
-         \"native_ns_per_pkt\": {:.2},\n  \"degraded_ns_per_pkt\": {:.2},\n  \
-         \"probe_sent\": {},\n  \"probe_delivered\": {},\n  \"forwarding_resumed\": {},\n",
-        r.seed,
-        r.frames_offered,
-        r.delivered,
-        r.counted_drops,
-        r.unaccounted,
-        r.crashes,
-        r.restarts,
-        r.mean_recovery_ms,
-        r.vhost_reconnects,
-        r.degraded_mode,
-        r.native_ns_per_pkt,
-        r.degraded_ns_per_pkt,
-        r.probe_sent,
-        r.probe_delivered,
-        r.forwarding_resumed,
+    // Deterministic for a given seed, so CI diffs it byte for byte.
+    write_bench(
+        "robustness",
+        Json::obj([
+            ("bench", "robustness".into()),
+            ("seed", r.seed.into()),
+            ("frames_offered", r.frames_offered.into()),
+            ("delivered", r.delivered.into()),
+            ("counted_drops", r.counted_drops.into()),
+            ("unaccounted", r.unaccounted.into()),
+            ("crashes", r.crashes.into()),
+            ("restarts", r.restarts.into()),
+            ("mean_recovery_ms", Json::float(r.mean_recovery_ms, 3)),
+            ("vhost_reconnects", r.vhost_reconnects.into()),
+            ("degraded_mode", r.degraded_mode.into()),
+            ("native_ns_per_pkt", Json::float(r.native_ns_per_pkt, 2)),
+            ("degraded_ns_per_pkt", Json::float(r.degraded_ns_per_pkt, 2)),
+            ("probe_sent", r.probe_sent.into()),
+            ("probe_delivered", r.probe_delivered.into()),
+            ("forwarding_resumed", r.forwarding_resumed.into()),
+            ("injected_by_class", counts(&r.per_class)),
+            ("drops_by_counter", counts(&r.drops_by_counter)),
+        ]),
     );
-    json.push_str("  \"injected_by_class\": {\n");
-    for (i, (label, n)) in r.per_class.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{label}\": {n}{}\n",
-            if i + 1 == r.per_class.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  },\n  \"drops_by_counter\": {\n");
-    for (i, (label, n)) in r.drops_by_counter.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{label}\": {n}{}\n",
-            if i + 1 == r.drops_by_counter.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_robustness.json", &json).expect("write BENCH_robustness.json");
-    println!("  wrote BENCH_robustness.json");
     assert_eq!(
         r.unaccounted, 0,
         "fault soak lost packets without counting them"
@@ -899,16 +808,12 @@ fn faults() {
 
 fn fastpath() {
     use ovs_tgen::scenarios::FastpathMode;
-    section("Extension — batched fast path ablation (scalar vs dfc batching vs batching+SMC)");
+    section("Extension — batched fast path ablation (dfc batching vs batching+SMC, bursts of 1 / 8 / 32)");
     const N_FLOWS: usize = 512;
     const N_PKTS: usize = 4096;
     let mut rows = Vec::new();
     for burst in [1usize, 8, 32] {
-        for mode in [
-            FastpathMode::Scalar,
-            FastpathMode::Batched,
-            FastpathMode::BatchedSmc,
-        ] {
+        for mode in [FastpathMode::Batched, FastpathMode::BatchedSmc] {
             let r = scenarios::run_fastpath(mode, burst, N_FLOWS, N_PKTS);
             println!(
                 "  {:<12} burst {:>2}: {:>7.1} ns/pkt  {:>5.2} Mpps  \
@@ -934,52 +839,45 @@ fn fastpath() {
             rows.push(r);
         }
     }
-    let scalar32 = rows
-        .iter()
-        .find(|r| r.mode == "scalar" && r.burst == 32)
-        .unwrap();
-    let smc32 = rows
-        .iter()
-        .find(|r| r.mode == "batched_smc" && r.burst == 32)
-        .unwrap();
-    let speedup = scalar32.ns_per_pkt / smc32.ns_per_pkt;
-    println!("  batched+SMC speedup over scalar at burst 32: {speedup:.2}x");
+    let find = |mode: &str, burst: usize| {
+        rows.iter()
+            .find(|r| r.mode == mode && r.burst == burst)
+            .expect("every mode ran at every burst")
+    };
+    let (single, smc32) = (find("batched", 1), find("batched_smc", 32));
+    let speedup = single.ns_per_pkt / smc32.ns_per_pkt;
+    println!("  batched+SMC at burst 32 over batched at burst 1: {speedup:.2}x");
 
-    // Machine-readable results for CI trend tracking (hand-rolled JSON —
-    // the workspace deliberately carries no serde dependency).
-    let mut json = String::from("{\n  \"bench\": \"fastpath\",\n  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"burst\": {}, \"n_flows\": {}, \"n_pkts\": {}, \
-             \"ns_per_pkt\": {:.2}, \"mpps\": {:.4}, \"emc_hits\": {}, \"smc_hits\": {}, \
-             \"megaflow_hits\": {}, \"upcalls\": {}, \"lane_steps\": {}, \"lane_keys\": {}, \
-             \"lane_width\": {}, \"lane_occupancy\": {:.3}, \"miniflow_expands\": {}}}{}\n",
-            r.mode,
-            r.burst,
-            r.n_flows,
-            r.n_pkts,
-            r.ns_per_pkt,
-            r.mpps,
-            r.emc_hits,
-            r.smc_hits,
-            r.megaflow_hits,
-            r.upcalls,
-            r.lane_steps,
-            r.lane_keys,
-            r.lane_width,
-            r.lane_occupancy(),
-            r.miniflow_expands,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"speedup_smc_vs_scalar_burst32\": {speedup:.3}\n}}\n"
-    ));
-    std::fs::write("BENCH_fastpath.json", &json).expect("write BENCH_fastpath.json");
-    println!("  wrote BENCH_fastpath.json");
+    let row = |r: &scenarios::FastpathReport| {
+        Json::row([
+            ("mode", r.mode.into()),
+            ("burst", r.burst.into()),
+            ("n_flows", r.n_flows.into()),
+            ("n_pkts", r.n_pkts.into()),
+            ("ns_per_pkt", Json::float(r.ns_per_pkt, 2)),
+            ("mpps", Json::float(r.mpps, 4)),
+            ("emc_hits", r.emc_hits.into()),
+            ("smc_hits", r.smc_hits.into()),
+            ("megaflow_hits", r.megaflow_hits.into()),
+            ("upcalls", r.upcalls.into()),
+            ("lane_steps", r.lane_steps.into()),
+            ("lane_keys", r.lane_keys.into()),
+            ("lane_width", r.lane_width.into()),
+            ("lane_occupancy", Json::float(r.lane_occupancy(), 3)),
+            ("miniflow_expands", r.miniflow_expands.into()),
+        ])
+    };
+    write_bench(
+        "fastpath",
+        Json::obj([
+            ("bench", "fastpath".into()),
+            ("results", Json::lines(rows.iter().map(row))),
+            ("speedup_smc_burst32_vs_burst1", Json::float(speedup, 3)),
+        ]),
+    );
     assert!(
         speedup >= 1.5,
-        "batched+SMC must beat scalar by >= 1.5x at burst 32 (got {speedup:.2}x)"
+        "batched+SMC at burst 32 must beat bursts of one by >= 1.5x (got {speedup:.2}x)"
     );
     // Absolute floor on the headline configuration: the sparse-key +
     // wide-lane rework landed batched+SMC at ~758 ns/pkt (from 820);
@@ -1039,6 +937,18 @@ fn section(title: &str) {
     println!("\n================================================================");
     println!("{title}");
     println!("================================================================");
+}
+
+/// Write `BENCH_<name>.json` to the working directory.
+fn write_bench(name: &str, json: Json) {
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, json.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("  wrote {path}");
+}
+
+/// Named counters as one object, in the given order.
+fn counts(by_name: &[(&str, u64)]) -> Json {
+    Json::obj(by_name.iter().map(|&(name, n)| (name, n.into())))
 }
 
 fn rate_row(label: &str, m: &RateMeasurement) {
@@ -1345,7 +1255,7 @@ fn table5() {
 
 fn scaling() {
     use ovs_core::AssignmentPolicy;
-    section("Extension — PMD scheduler scaling baseline (BENCH_scaling.json)");
+    section("Figure 12 — multi-queue P2P scaling on 25 GbE through the PMD scheduler (BENCH_scaling.json)");
 
     // Multi-queue grid, all driven through the PMD scheduler.
     struct Cell {
@@ -1406,40 +1316,38 @@ fn scaling() {
         );
     }
 
-    // Machine-readable results for CI (hand-rolled JSON; byte-stable
-    // across runs because the whole pipeline is deterministic).
-    let mut json = String::from("{\n  \"bench\": \"scaling\",\n  \"grid\": [\n");
-    for (i, c) in grid.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"dp\": \"{}\", \"queues\": {}, \"frame_len\": {}, \"mpps\": {:.4}, \
-             \"gbps\": {:.4}, \"line_limited\": {}}}{}\n",
-            c.dp,
-            c.queues,
-            c.frame_len,
-            c.m.mpps,
-            c.m.gbps,
-            c.m.line_limited,
-            if i + 1 == grid.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"policy_ablation\": [\n");
-    for (i, r) in ablation.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"est_mpps\": {:.4}, \"pmd_busy_ns\": [{}], \"n_pkts\": {}}}{}\n",
-            r.policy.label(),
-            r.est_mpps,
-            r.pmd_busy_ns
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            r.n_pkts,
-            if i + 1 == ablation.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    println!("  wrote BENCH_scaling.json");
+    let cell_row = |c: &Cell| {
+        Json::row([
+            ("dp", c.dp.into()),
+            ("queues", c.queues.into()),
+            ("frame_len", c.frame_len.into()),
+            ("mpps", Json::float(c.m.mpps, 4)),
+            ("gbps", Json::float(c.m.gbps, 4)),
+            ("line_limited", c.m.line_limited.into()),
+        ])
+    };
+    let policy_row = |r: &scenarios::PolicyReport| {
+        Json::row([
+            ("policy", r.policy.label().into()),
+            ("est_mpps", Json::float(r.est_mpps, 4)),
+            (
+                "pmd_busy_ns",
+                Json::arr(r.pmd_busy_ns.iter().map(|&n| n.into())),
+            ),
+            ("n_pkts", r.n_pkts.into()),
+        ])
+    };
+    write_bench(
+        "scaling",
+        Json::obj([
+            ("bench", "scaling".into()),
+            ("grid", Json::lines(grid.iter().map(cell_row))),
+            (
+                "policy_ablation",
+                Json::lines(ablation.iter().map(policy_row)),
+            ),
+        ]),
+    );
 
     // CI gates: the Fig 12 headline and the load-aware-policy win.
     let afxdp_6q_1518 = grid
@@ -1460,29 +1368,4 @@ fn scaling() {
         cy.est_mpps,
         gr.est_mpps
     );
-}
-
-fn fig12() {
-    section("Figure 12 — multi-queue P2P scaling on 25 GbE (Gbps of 64B / 1518B traffic)");
-    println!(
-        "  {:<9} {:>14} {:>14} {:>14} {:>14}",
-        "queues", "AF_XDP 64B", "DPDK 64B", "AF_XDP 1518B", "DPDK 1518B"
-    );
-    for q in [1usize, 2, 4, 6] {
-        let r = |dp: DpKind, len: usize| {
-            scenarios::run(&ScenarioConfig {
-                queues: q,
-                frame_len: len,
-                ..ScenarioConfig::micro(dp, PathKind::P2p, 1000)
-            })
-        };
-        let a64 = r(DpKind::Afxdp(OptLevel::O5), 64);
-        let d64 = r(DpKind::Dpdk, 64);
-        let a1518 = r(DpKind::Afxdp(OptLevel::O5), 1518);
-        let d1518 = r(DpKind::Dpdk, 1518);
-        println!(
-            "  {q:<9} {:>9.2} Gbps {:>9.2} Gbps {:>9.2} Gbps {:>9.2} Gbps",
-            a64.gbps, d64.gbps, a1518.gbps, d1518.gbps
-        );
-    }
 }

@@ -10,5 +10,7 @@
 //!   i.e. the ablations DESIGN.md §4 calls out.
 //! * [`fig1`] embeds the paper's Figure 1 dataset (out-of-tree kernel
 //!   module churn), which is repository-history data, not a measurement.
+//! * [`json::Json`] writes every `BENCH_*.json` report `repro` emits.
 
 pub mod fig1;
+pub mod json;

@@ -452,7 +452,7 @@ impl<A> MegaflowCache<A> {
 
     /// Look up one sparse key.
     pub fn lookup_mini(&mut self, key: &Miniflow) -> Option<Rc<MegaflowEntry<A>>> {
-        match self.cls.lookup_mini(key) {
+        match self.cls.lookup_mini(key, None) {
             Some(r) => {
                 self.hits += 1;
                 let e = Rc::clone(&r.value);

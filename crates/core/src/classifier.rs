@@ -220,13 +220,24 @@ impl<V> Classifier<V> {
     /// subtables were probed (the classifier's work metric), and feeds
     /// the hit-count ranking that periodically re-sorts the vector.
     pub fn lookup(&mut self, key: &FlowKey) -> Option<&Rule<V>> {
-        self.lookup_mini(&Miniflow::from_key(key))
+        self.lookup_mini(&Miniflow::from_key(key), None)
     }
 
     /// [`Classifier::lookup`] on an already-extracted sparse key — the
     /// fast-path entry point; every per-subtable probe masks and compares
     /// only the subtable's populated slots.
-    pub fn lookup_mini(&mut self, key: &Miniflow) -> Option<&Rule<V>> {
+    ///
+    /// With `wc`, the mask of **every subtable probed** is united into
+    /// it — the wildcard tracking translation needs: a megaflow must be
+    /// as specific as every rule the lookup *examined*, not just the one
+    /// it matched, or two packets that diverge on an examined-but-missed
+    /// rule would share a megaflow (and overlapping megaflows make the
+    /// dpcls winner probe-order dependent).
+    pub fn lookup_mini(
+        &mut self,
+        key: &Miniflow,
+        mut wc: Option<&mut FlowMask>,
+    ) -> Option<&Rule<V>> {
         self.stats.lookups += 1;
         self.maybe_rerank();
         let mut best: Option<(usize, i32)> = None;
@@ -237,6 +248,9 @@ impl<V> Classifier<V> {
                 }
             }
             self.stats.subtables_probed += 1;
+            if let Some(wc) = wc.as_deref_mut() {
+                wc.unite(&st.mask);
+            }
             let masked = st.mini_mask.apply(key);
             if let Some(bucket) = st.rules.get(&masked) {
                 // Buckets are sorted by descending priority.
@@ -251,44 +265,6 @@ impl<V> Classifier<V> {
         self.subtables[i].hits += 1;
         let st = &self.subtables[i];
         let masked = st.mini_mask.apply(key);
-        st.rules
-            .get(&masked)
-            .and_then(|b| b.iter().find(|r| r.priority == prio))
-    }
-
-    /// [`Classifier::lookup`] that also unites the mask of **every
-    /// subtable probed** into `wc` — the wildcard tracking translation
-    /// needs: a megaflow must be as specific as every rule the lookup
-    /// *examined*, not just the one it matched, or two packets that
-    /// diverge on an examined-but-missed rule would share a megaflow
-    /// (and overlapping megaflows make the dpcls winner probe-order
-    /// dependent).
-    pub fn lookup_wc(&mut self, key: &FlowKey, wc: &mut FlowMask) -> Option<&Rule<V>> {
-        self.stats.lookups += 1;
-        self.maybe_rerank();
-        let mf = Miniflow::from_key(key);
-        let mut best: Option<(usize, i32)> = None;
-        for (i, st) in self.subtables.iter().enumerate() {
-            if let Some((_, bp)) = best {
-                if st.max_priority <= bp {
-                    break; // no remaining subtable can outrank the match
-                }
-            }
-            self.stats.subtables_probed += 1;
-            wc.unite(&st.mask);
-            let masked = st.mini_mask.apply(&mf);
-            if let Some(bucket) = st.rules.get(&masked) {
-                let r = &bucket[0];
-                match best {
-                    Some((_, bp)) if bp >= r.priority => {}
-                    _ => best = Some((i, r.priority)),
-                }
-            }
-        }
-        let (i, prio) = best?;
-        self.subtables[i].hits += 1;
-        let st = &self.subtables[i];
-        let masked = st.mini_mask.apply(&mf);
         st.rules
             .get(&masked)
             .and_then(|b| b.iter().find(|r| r.priority == prio))
@@ -607,7 +583,9 @@ mod tests {
         for ip in [[10, 1, 2, 3], [10, 9, 9, 9], [8, 8, 8, 8]] {
             let k = key_dst(ip);
             let scalar = c.lookup(&k).map(|r| r.value);
-            let mini = c.lookup_mini(&Miniflow::from_key(&k)).map(|r| r.value);
+            let mini = c
+                .lookup_mini(&Miniflow::from_key(&k), None)
+                .map(|r| r.value);
             assert_eq!(scalar, mini, "ip {ip:?}");
         }
     }

@@ -629,11 +629,6 @@ impl DpifNetdev {
         self.megaflow.len()
     }
 
-    /// dpcls subtables probed since start (classifier work metric).
-    pub fn subtables_probed(&self) -> u64 {
-        self.megaflow.subtables_probed()
-    }
-
     /// Wide-lane bulk dpcls steps issued since start — each step is one
     /// lane-wide signature compare against one subtable.
     pub fn lane_steps(&self) -> u64 {
@@ -1740,25 +1735,17 @@ megaflows installed: {}
             }
 
             // Level 1: EMC. Hit or miss, the probe is paid here.
-            if let Some(e) = self.emc.lookup(&mf, hash) {
-                self.stats.emc_hits += 1;
-                coverage!("dpif_emc_hit");
-                let mut c = kernel.sim.costs.emc_mini_hit_ns;
-                if self.emc.len() > kernel.sim.costs.emc_pressure_threshold {
-                    c += kernel.sim.costs.emc_pressure_ns;
-                }
-                kernel.sim.charge(core, Context::User, c);
-                timer.mark(Stage::EmcLookup, core_ns(kernel, core));
-                if let Some(t) = self.trace.as_mut() {
-                    t.note("cache: EMC hit (exact match)");
-                }
-                e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
-                continue;
+            let hit = self.emc.lookup(&mf, hash);
+            let mut c = kernel.sim.costs.emc_mini_hit_ns;
+            if hit.is_some() && self.emc.len() > kernel.sim.costs.emc_pressure_threshold {
+                c += kernel.sim.costs.emc_pressure_ns;
             }
-            let c = kernel.sim.costs.emc_mini_hit_ns;
             kernel.sim.charge(core, Context::User, c);
             timer.mark(Stage::EmcLookup, core_ns(kernel, core));
+            if let Some(e) = hit {
+                self.emc_hit(batches, e, bp, kernel.sim.clock.now_ns());
+                continue;
+            }
 
             // Level 2: signature match cache, when enabled.
             if self.smc_enable {
@@ -1767,21 +1754,53 @@ megaflows installed: {}
                 let hit = self.smc.lookup(&mf, hash);
                 timer.mark(Stage::SmcLookup, core_ns(kernel, core));
                 if let Some(e) = hit {
-                    self.stats.smc_hits += 1;
-                    coverage!("smc_hit");
-                    if let Some(t) = self.trace.as_mut() {
-                        t.note(format!("cache: SMC hit (mask {} bits)", e.mask.bit_count()));
-                    }
-                    e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                    // SMC hits feed the EMC, like dpcls hits.
-                    self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                    self.enqueue_classified(batches, BatchActions::Flow(e), bp);
+                    self.smc_hit(batches, e, bp, mf, hash, kernel.sim.clock.now_ns());
                     continue;
                 }
                 coverage!("smc_miss");
             }
             misses.push((bp, mf));
         }
+    }
+
+    /// Count an EMC hit and queue the packet on its flow's batch. The
+    /// caller charges the probe.
+    fn emc_hit(
+        &mut self,
+        batches: &mut Vec<FlowBatch>,
+        e: Rc<MegaflowEntry<Vec<DpAction>>>,
+        bp: BurstPkt,
+        now_ns: u64,
+    ) {
+        self.stats.emc_hits += 1;
+        coverage!("dpif_emc_hit");
+        if let Some(t) = self.trace.as_mut() {
+            t.note("cache: EMC hit (exact match)");
+        }
+        e.note_use(bp.pkt.len(), now_ns);
+        self.enqueue_classified(batches, BatchActions::Flow(e), bp);
+    }
+
+    /// Count an SMC hit, promote the flow into the EMC (SMC hits feed the
+    /// EMC, like dpcls hits) and queue the packet on its flow's batch.
+    /// The caller charges the probe.
+    fn smc_hit(
+        &mut self,
+        batches: &mut Vec<FlowBatch>,
+        e: Rc<MegaflowEntry<Vec<DpAction>>>,
+        bp: BurstPkt,
+        mf: Miniflow,
+        hash: u64,
+        now_ns: u64,
+    ) {
+        self.stats.smc_hits += 1;
+        coverage!("smc_hit");
+        if let Some(t) = self.trace.as_mut() {
+            t.note(format!("cache: SMC hit (mask {} bits)", e.mask.bit_count()));
+        }
+        e.note_use(bp.pkt.len(), now_ns);
+        self.emc.maybe_insert(mf, hash, Rc::clone(&e));
+        self.enqueue_classified(batches, BatchActions::Flow(e), bp);
     }
 
     /// Phase two: resolve the dfc misses through the megaflow classifier
@@ -1806,26 +1825,14 @@ megaflows installed: {}
                 .pkt
                 .flow_hash
                 .expect("flow_hash cached by dfc_processing");
+            let now = kernel.sim.clock.now_ns();
             if let Some(e) = self.emc.lookup(&mf, hash) {
-                self.stats.emc_hits += 1;
-                coverage!("dpif_emc_hit");
-                if let Some(t) = self.trace.as_mut() {
-                    t.note("cache: EMC hit (exact match)");
-                }
-                e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
+                self.emc_hit(batches, e, bp, now);
                 continue;
             }
             if self.smc_enable {
                 if let Some(e) = self.smc.lookup(&mf, hash) {
-                    self.stats.smc_hits += 1;
-                    coverage!("smc_hit");
-                    if let Some(t) = self.trace.as_mut() {
-                        t.note(format!("cache: SMC hit (mask {} bits)", e.mask.bit_count()));
-                    }
-                    e.note_use(bp.pkt.len(), kernel.sim.clock.now_ns());
-                    self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                    self.enqueue_classified(batches, BatchActions::Flow(e), bp);
+                    self.smc_hit(batches, e, bp, mf, hash, now);
                     continue;
                 }
             }

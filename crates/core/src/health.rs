@@ -23,6 +23,27 @@ use ovs_kernel::Kernel;
 use ovs_obs::coverage;
 use ovs_sim::FaultKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Once;
+
+/// Keep the backtraces of injected panics (the datapath bug below, NF
+/// worker bugs) out of the output. Installs, once per process, a panic
+/// hook that drops panics whose `&str` payload names a simulated bug and
+/// passes every other panic to the hook it replaced.
+pub fn quiet_simulated_panics() {
+    static ONCE: Once = Once::new();
+    ONCE.call_once(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let simulated = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|s| s.contains("simulated datapath bug"));
+            if !simulated {
+                default_hook(info);
+            }
+        }));
+    });
+}
 
 /// Supervisor state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

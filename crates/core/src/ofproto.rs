@@ -13,7 +13,7 @@
 use crate::classifier::{Classifier, Rule};
 use crate::dpif::{DpAction, PortNo};
 use ovs_packet::flow::fields;
-use ovs_packet::{FlowKey, FlowMask, MacAddr};
+use ovs_packet::{FlowKey, FlowMask, MacAddr, Miniflow};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -263,7 +263,8 @@ impl Ofproto {
                 }
                 break;
             };
-            let (entry, rule_mask) = match cls.lookup_wc(&work_key, &mut wc) {
+            let mf = Miniflow::from_key(&work_key);
+            let (entry, rule_mask) = match cls.lookup_mini(&mf, Some(&mut wc)) {
                 Some(r) => (Rc::clone(&r.value), r.mask),
                 None => {
                     // A miss must be as specific as anything that could

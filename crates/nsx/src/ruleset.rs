@@ -94,6 +94,20 @@ pub fn vm_ip(host: u8, vm: usize, iface: usize) -> [u8; 4] {
     [10, 100 + host, (vm * 2 + iface) as u8, 2]
 }
 
+/// The 200 B UDP datagram (port 3333 → 4444) from VM 0 interface 0 on
+/// hypervisor `src` to VM 0 interface 0 on hypervisor `dst`.
+pub fn vm_udp_frame(src: u8, dst: u8) -> Vec<u8> {
+    ovs_packet::builder::udp_ipv4_frame(
+        vm_mac(src, 0, 0),
+        vm_mac(dst, 0, 0),
+        vm_ip(src, 0, 0),
+        vm_ip(dst, 0, 0),
+        3333,
+        4444,
+        200,
+    )
+}
+
 /// The VNI used for logical switch `i`.
 pub fn vni_of(i: usize) -> u64 {
     5000 + i as u64

@@ -85,6 +85,16 @@ impl HostConfig {
             guest_core_base: 8,
         }
     }
+
+    /// [`HostConfig::nsx_default`] scaled down for tests and soaks: 2 VMs,
+    /// 4 Geneve tunnels, 800 rules.
+    pub fn nsx_small(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> Self {
+        let mut cfg = Self::nsx_default(id, datapath, attachment);
+        cfg.nsx.vms = 2;
+        cfg.nsx.tunnels = 4;
+        cfg.nsx.target_rules = 800;
+        cfg
+    }
 }
 
 /// Everything needed to (re)construct the userspace datapath from
@@ -464,83 +474,116 @@ impl Host {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ovs_packet::builder;
+/// The §5.1 testbed: host 1 and host 2 wired back to back, each VTEP
+/// peered with the other's.
+pub struct HostPair {
+    /// Host 1, built from `cfg(1)`.
+    pub h1: Host,
+    /// Host 2, built from `cfg(2)`.
+    pub h2: Host,
+    wired_1to2: u64,
+}
 
-    fn small_nsx(id: u8) -> NsxConfig {
-        NsxConfig {
-            vms: 2,
-            tunnels: 4,
-            target_rules: 800,
-            local_vtep: [172, 16, 0, id],
-            ..NsxConfig::default()
+impl HostPair {
+    /// Build host 1 from `cfg(1)` and host 2 from `cfg(2)`, then peer
+    /// their VTEPs.
+    pub fn new(cfg: impl Fn(u8) -> HostConfig) -> HostPair {
+        let (c1, c2) = (cfg(1), cfg(2));
+        let mut h1 = Host::build(&c1);
+        let mut h2 = Host::build(&c2);
+        h1.peer(c2.vtep_ip, h2.uplink_mac());
+        h2.peer(c1.vtep_ip, h1.uplink_mac());
+        HostPair {
+            h1,
+            h2,
+            wired_1to2: 0,
         }
     }
 
-    fn small_host(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> Host {
-        let mut cfg = HostConfig::nsx_default(id, datapath, attachment);
-        cfg.nsx = small_nsx(id);
-        Host::build(&cfg)
+    /// Carry every frame on the wire to the other host, host 1's first.
+    /// Returns the frames carried.
+    fn wire(&mut self) -> usize {
+        let mut moved = 0;
+        for f in self.h1.wire_take() {
+            self.h2.wire_inject(f);
+            moved += 1;
+        }
+        self.wired_1to2 += moved as u64;
+        for f in self.h2.wire_take() {
+            self.h1.wire_inject(f);
+            moved += 1;
+        }
+        moved
     }
 
-    fn vm_frame(src_host: u8, dst_host: u8) -> Vec<u8> {
-        builder::udp_ipv4_frame(
-            ruleset::vm_mac(src_host, 0, 0),
-            ruleset::vm_mac(dst_host, 0, 0),
-            ruleset::vm_ip(src_host, 0, 0),
-            ruleset::vm_ip(dst_host, 0, 0),
-            3333,
-            4444,
-            200,
-        )
+    /// One soak round: pump both hosts, carry the wire, pump both again.
+    /// Returns the work the four pumps reported.
+    pub fn shuttle(&mut self) -> usize {
+        let moved = self.h1.pump() + self.h2.pump();
+        self.wire();
+        moved + self.h1.pump() + self.h2.pump()
     }
 
-    /// Wire two hosts back to back and pump until quiet.
-    fn run_pair(a: &mut Host, b: &mut Host) {
+    /// Pump both hosts and carry the wire until neither moves anything
+    /// (at most 32 rounds). Each round pumps once, unlike
+    /// [`HostPair::shuttle`]; goldens count PMD iterations, so the two
+    /// are not interchangeable.
+    pub fn settle(&mut self) {
         for _ in 0..32 {
-            let mut moved = a.pump() + b.pump();
-            for f in a.wire_take() {
-                b.wire_inject(f);
-                moved += 1;
-            }
-            for f in b.wire_take() {
-                a.wire_inject(f);
-                moved += 1;
-            }
-            if moved == 0 {
+            let moved = self.h1.pump() + self.h2.pump();
+            if moved + self.wire() == 0 {
                 break;
             }
         }
     }
 
+    /// Frames carried from host 1 to host 2 since the pair was built.
+    pub fn wired_1to2(&self) -> u64 {
+        self.wired_1to2
+    }
+
+    /// Advance both hosts' virtual clocks.
+    pub fn advance(&mut self, ns: u64) {
+        self.h1.kernel.sim.clock.advance(ns);
+        self.h2.kernel.sim.clock.advance(ns);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ovs_packet::builder;
+
+    const AFXDP: DatapathKind = DatapathKind::UserspaceAfxdp {
+        opt: OptLevel::O5,
+        interrupt_mode: false,
+    };
+
     #[test]
     fn cross_host_vm_traffic_userspace_datapath() {
-        let dpk = DatapathKind::UserspaceAfxdp {
-            opt: OptLevel::O5,
-            interrupt_mode: false,
-        };
-        let mut h1 = small_host(1, dpk, VmAttachment::VhostUser);
-        let mut h2 = small_host(2, dpk, VmAttachment::VhostUser);
-        h1.peer([172, 16, 0, 2], h2.uplink_mac());
-        h2.peer([172, 16, 0, 1], h1.uplink_mac());
+        let mut pair =
+            HostPair::new(|id| HostConfig::nsx_small(id, AFXDP, VmAttachment::VhostUser));
 
         // VM0 on host 1 sends to VM0 on host 2.
-        let g = h1.guest_of_vif[0];
-        h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-        run_pair(&mut h1, &mut h2);
+        let g = pair.h1.guest_of_vif[0];
+        pair.h1.kernel.guests[g]
+            .tx_ring
+            .push_back(ruleset::vm_udp_frame(1, 2));
+        pair.settle();
+        let (h1, h2) = (&pair.h1, &pair.h2);
 
         let dp1 = h1.dp.as_ref().unwrap();
         assert!(dp1.stats.tunnel_encaps >= 1, "egress was tunnelled");
         let dp2 = h2.dp.as_ref().unwrap();
         assert!(dp2.stats.tunnel_decaps >= 1, "ingress was decapsulated");
-        // The destination guest received the frame (echo also replied).
+        // The destination guest received the frame, and its echo reply
+        // came back across the overlay.
         let g2 = h2.guest_of_vif[0];
         assert!(
             h2.kernel.guests[g2].rx_count >= 1,
             "remote VM got the packet"
         );
+        assert!(h1.kernel.guests[g].rx_count >= 1, "sender got the reply");
         // Firewall tracked the connection on both hosts.
         assert!(!dp1.ct.is_empty());
         assert!(dp1.stats.recirculations >= 2, "three datapath passes");
@@ -548,14 +591,15 @@ mod tests {
 
     #[test]
     fn cross_host_vm_traffic_kernel_datapath() {
-        let mut h1 = small_host(1, DatapathKind::Kernel, VmAttachment::Tap);
-        let mut h2 = small_host(2, DatapathKind::Kernel, VmAttachment::Tap);
-        h1.peer([172, 16, 0, 2], h2.uplink_mac());
-        h2.peer([172, 16, 0, 1], h1.uplink_mac());
+        let mut pair =
+            HostPair::new(|id| HostConfig::nsx_small(id, DatapathKind::Kernel, VmAttachment::Tap));
 
-        let g = h1.guest_of_vif[0];
-        h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-        run_pair(&mut h1, &mut h2);
+        let g = pair.h1.guest_of_vif[0];
+        pair.h1.kernel.guests[g]
+            .tx_ring
+            .push_back(ruleset::vm_udp_frame(1, 2));
+        pair.settle();
+        let (h1, h2) = (&pair.h1, &pair.h2);
 
         assert!(
             h1.kernel.ovs.stats.tunnel_encaps >= 1,
@@ -571,15 +615,12 @@ mod tests {
             h2.kernel.guests[g2].rx_count >= 1,
             "remote VM got the packet"
         );
+        assert!(h1.kernel.guests[g].rx_count >= 1, "sender got the reply");
     }
 
     #[test]
     fn intra_host_vm_to_vm() {
-        let dpk = DatapathKind::UserspaceAfxdp {
-            opt: OptLevel::O5,
-            interrupt_mode: false,
-        };
-        let mut h1 = small_host(1, dpk, VmAttachment::VhostUser);
+        let mut h1 = Host::build(&HostConfig::nsx_small(1, AFXDP, VmAttachment::VhostUser));
         // VM0 iface0 -> VM0 iface1 (both local).
         let f = builder::udp_ipv4_frame(
             ruleset::vm_mac(1, 0, 0),

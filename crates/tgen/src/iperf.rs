@@ -12,8 +12,8 @@ use ovs_afxdp::OptLevel;
 use ovs_kernel::guest::GuestRole;
 use ovs_kernel::namespace::ContainerRole;
 use ovs_kernel::Kernel;
-use ovs_nsx::ruleset::{self, NsxConfig};
-use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_nsx::ruleset;
+use ovs_nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_packet::tcp::flags;
 use ovs_packet::{builder, MacAddr};
 
@@ -62,17 +62,6 @@ const TSO_PAYLOAD: usize = 44 * 1460;
 /// Plain-MTU payload.
 const MTU_PAYLOAD: usize = 1460;
 
-fn small_nsx(id: u8) -> NsxConfig {
-    NsxConfig {
-        vms: 2,
-        tunnels: 8,
-        target_rules: 2_000,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    }
-}
-
 fn bulk_frames(src_host: u8, dst_host: u8, payload: usize) -> Vec<Vec<u8>> {
     let data = vec![0x42u8; payload];
     (0..WRITES)
@@ -93,18 +82,23 @@ fn bulk_frames(src_host: u8, dst_host: u8, payload: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-fn host(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> Host {
+fn config(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> HostConfig {
     let mut cfg = HostConfig::nsx_default(id, datapath, attachment);
-    cfg.nsx = small_nsx(id);
+    cfg.nsx.vms = 2;
+    cfg.nsx.tunnels = 8;
+    cfg.nsx.target_rules = 2_000;
     cfg.guest_role = GuestRole::Sink;
-    Host::build(&cfg)
+    cfg
 }
 
-fn drive_pair(h1: &mut Host, h2: &mut Host, frames: Vec<Vec<u8>>) {
+/// Offer `frames` from host 1's VM one at a time, pumping host 1, then
+/// host 2, then host 1 again after each, so rings never grow without
+/// bound. This order sets Fig 8a's numbers.
+fn drive_pair(pair: &mut HostPair, frames: Vec<Vec<u8>>) {
+    let HostPair { h1, h2, .. } = pair;
     let g = h1.guest_of_vif[0];
     for f in frames {
         h1.kernel.guests[g].tx_ring.push_back(f);
-        // Pump as we go so rings don't grow unboundedly.
         h1.pump();
         for w in h1.wire_take() {
             h2.wire_inject(w);
@@ -148,49 +142,20 @@ fn throughput(h1: &Host, h2: &Host, payload_bytes: usize, link_gbps: Option<f64>
 /// MTU-sized segments in every variant, as the paper's bar set implies
 /// (8a has interrupt/polling/vhostuser/checksum variants, no TSO bar).
 pub fn fig8a_cross_host(datapath: DatapathKind, attachment: VmAttachment) -> TcpThroughput {
-    let mut h1 = host(1, datapath, attachment);
-    let mut h2 = host(2, datapath, attachment);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
+    let mut pair = HostPair::new(|id| config(id, datapath, attachment));
     let frames = bulk_frames(1, 2, MTU_PAYLOAD);
     let payload = WRITES * MTU_PAYLOAD;
-    drive_pair(&mut h1, &mut h2, frames);
+    drive_pair(&mut pair, frames);
     // Without end-to-end checksum offload the switch checksums in
     // software; charge it where the datapath runs.
     if let DatapathKind::UserspaceAfxdp { opt, .. } = datapath {
         if !opt.csum_offload() {
             let ns = payload as f64 * SW_CSUM_NS_PER_BYTE;
-            let core = h2.switch_core;
-            h2.kernel.sim.charge(core, ovs_sim::Context::User, ns);
+            let core = pair.h2.switch_core;
+            pair.h2.kernel.sim.charge(core, ovs_sim::Context::User, ns);
         }
     }
-    throughput(&h1, &h2, payload, Some(10.0))
-}
-
-/// Diagnostic: per-core busy breakdown of the 8a AF_XDP poll+tap run.
-pub fn fig8a_debug(datapath: DatapathKind, attachment: VmAttachment) {
-    let mut h1 = host(1, datapath, attachment);
-    let mut h2 = host(2, datapath, attachment);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    let frames = bulk_frames(1, 2, MTU_PAYLOAD);
-    drive_pair(&mut h1, &mut h2, frames);
-    for (name, h) in [("h1", &h1), ("h2", &h2)] {
-        for core in 0..16 {
-            let c = h.kernel.sim.cpus.core(core);
-            if c.total_ns() > 0.0 {
-                println!(
-                    "  {name} core{core}: user={:.0} sys={:.0} softirq={:.0} guest={:.0} (us total {:.0})",
-                    c.ns(ovs_sim::Context::User) / 1000.0,
-                    c.ns(ovs_sim::Context::System) / 1000.0,
-                    c.ns(ovs_sim::Context::Softirq) / 1000.0,
-                    c.ns(ovs_sim::Context::Guest) / 1000.0,
-                    c.total_ns() / 1000.0
-                );
-            }
-        }
-        println!("  {name} dp stats: {:?}", h.dp.as_ref().map(|d| d.stats));
-    }
+    throughput(&pair.h1, &pair.h2, payload, Some(10.0))
 }
 
 /// Fig 8(b): VM→VM within one host.
@@ -199,7 +164,7 @@ pub fn fig8b_intra_host(
     attachment: VmAttachment,
     offloads: Offloads,
 ) -> TcpThroughput {
-    let mut h1 = host(1, datapath, attachment);
+    let mut h1 = Host::build(&config(1, datapath, attachment));
     let payload = if offloads.tso {
         TSO_PAYLOAD
     } else {

@@ -69,22 +69,15 @@ pub fn run_latency_point(
     rules: usize,
     n_pkts: usize,
 ) -> LatencyPoint {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
+    use ovs_nsx::ruleset as nsx_ruleset;
     use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
 
     let dpk = DatapathKind::UserspaceAfxdp {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut cfg = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg.nsx = NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: rules,
-        local_vtep: [172, 16, 0, 1],
-        remote_vtep: [172, 16, 0, 2],
-        ..NsxConfig::default()
-    };
+    let mut cfg = HostConfig::nsx_small(1, dpk, VmAttachment::VhostUser);
+    cfg.nsx.target_rules = rules;
     let mut h = Host::build(&cfg);
     h.peer([172, 16, 0, 2], MacAddr::new(2, 0, 0, 0, 0, 0xEE));
     let core = h.switch_core;

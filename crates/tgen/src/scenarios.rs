@@ -27,6 +27,8 @@ use ovs_kernel::guest::{Guest, GuestRole, VirtioBackend};
 use ovs_kernel::namespace::ContainerRole;
 use ovs_kernel::ovs_module::{KAction, Vport};
 use ovs_kernel::Kernel;
+use ovs_nsx::ruleset::{self as nsx_ruleset, vm_udp_frame};
+use ovs_nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_packet::flow::{fields, FlowKey, FlowMask};
 use ovs_packet::MacAddr;
 
@@ -95,6 +97,24 @@ const PMD_BASE: usize = 8;
 const GUEST_CORE: usize = 14;
 /// Hyperthread for vhost-net/host-stack work.
 const HOST_CORE: usize = 6;
+
+/// The NSX hosts' datapath: userspace over AF_XDP at the top rung.
+const NSX_AFXDP: DatapathKind = DatapathKind::UserspaceAfxdp {
+    opt: OptLevel::O5,
+    interrupt_mode: false,
+};
+
+/// The small NSX pair with a sink VM on host 2: the rig of the fault,
+/// restart and outage soaks.
+fn sink_pair() -> HostPair {
+    HostPair::new(|id| {
+        let mut cfg = HostConfig::nsx_small(id, NSX_AFXDP, VmAttachment::VhostUser);
+        if id == 2 {
+            cfg.guest_role = GuestRole::Sink;
+        }
+        cfg
+    })
+}
 
 const NIC0_MAC: MacAddr = flood::GEN_DST_MAC;
 const NIC1_MAC: MacAddr = MacAddr([2, 0, 0, 0, 0, 0xCC]);
@@ -834,22 +854,7 @@ pub struct ChurnReport {
 /// traffic interleaved with the churn must keep flowing, and the final
 /// sweep after the churn stops must drain the table.
 pub fn run_churn(n_flows: usize, flow_limit: usize) -> ChurnReport {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-    use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
-
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let mut cfg = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg.nsx = NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, 1],
-        remote_vtep: [172, 16, 0, 2],
-        ..NsxConfig::default()
-    };
+    let cfg = HostConfig::nsx_small(1, NSX_AFXDP, VmAttachment::VhostUser);
     let mut h = Host::build(&cfg);
     h.peer([172, 16, 0, 2], MacAddr::new(2, 0, 0, 0, 0, 0xEE));
     {
@@ -939,15 +944,12 @@ pub fn run_churn(n_flows: usize, flow_limit: usize) -> ChurnReport {
 }
 
 // ----------------------------------------------------------------------
-// Batched fast path ablation (scalar vs batched vs batched+SMC)
+// Batched fast path ablation (batched vs batched+SMC, by burst size)
 // ----------------------------------------------------------------------
 
 /// How the datapath receive path is driven in [`run_fastpath`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastpathMode {
-    /// One packet at a time through `process_packet` — every packet pays
-    /// the full per-batch fixed cost (the pre-batching shape).
-    Scalar,
     /// Whole bursts through `process_burst` — per-megaflow batches
     /// amortize the fixed cost.
     Batched,
@@ -958,7 +960,6 @@ pub enum FastpathMode {
 impl FastpathMode {
     pub fn label(self) -> &'static str {
         match self {
-            FastpathMode::Scalar => "scalar",
             FastpathMode::Batched => "batched",
             FastpathMode::BatchedSmc => "batched_smc",
         }
@@ -979,8 +980,6 @@ pub struct FastpathReport {
     pub smc_hits: u64,
     pub megaflow_hits: u64,
     pub upcalls: u64,
-    /// dpcls subtables probed during the measured window.
-    pub subtables_probed: u64,
     /// Wide-lane bulk dpcls steps (lane-wide signature compares) during
     /// the window — the headline classifier work metric now that probes
     /// are batched.
@@ -998,7 +997,7 @@ pub struct FastpathReport {
 
 impl FastpathReport {
     /// Fraction of bulk-probe lane slots actually filled (0 when no
-    /// bulk probes ran, e.g. pure scalar mode).
+    /// bulk probes ran, e.g. every EMC miss served by the SMC).
     pub fn lane_occupancy(&self) -> f64 {
         if self.lane_steps == 0 {
             return 0.0;
@@ -1013,31 +1012,17 @@ impl FastpathReport {
 /// arranged in short runs so bursts share megaflows — the flow locality
 /// per-megaflow batching exploits. The flow set exceeds the EMC
 /// pressure threshold and EMC insertion keeps its default 1/100
-/// probability, so the scalar and plain-batched paths lean on dpcls
-/// while `BatchedSmc` serves the same misses from the SMC.
+/// probability, so the plain-batched path leans on dpcls while
+/// `BatchedSmc` serves the same misses from the SMC.
 pub fn run_fastpath(
     mode: FastpathMode,
     burst: usize,
     n_flows: usize,
     n_pkts: usize,
 ) -> FastpathReport {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-    use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
     use ovs_packet::DpPacket;
 
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let mut cfg = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg.nsx = NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, 1],
-        remote_vtep: [172, 16, 0, 2],
-        ..NsxConfig::default()
-    };
+    let cfg = HostConfig::nsx_small(1, NSX_AFXDP, VmAttachment::VhostUser);
     let mut h = Host::build(&cfg);
     h.peer([172, 16, 0, 2], MacAddr::new(2, 0, 0, 0, 0, 0xEE));
     let core = h.switch_core;
@@ -1074,12 +1059,11 @@ pub fn run_fastpath(
     let _ = h.wire_take();
 
     // Measured window.
-    let (t0, s0, probed0, steps0, keys0, expands0) = {
+    let (t0, s0, steps0, keys0, expands0) = {
         let dp = h.dp.as_ref().expect("userspace datapath");
         (
             h.kernel.sim.cpus.core(core).total_ns(),
             dp.stats,
-            dp.subtables_probed(),
             dp.lane_steps(),
             dp.lane_keys(),
             dp.miniflow_stats.expands,
@@ -1096,16 +1080,7 @@ pub fn run_fastpath(
             sent += 1;
         }
         let dp = h.dp.as_mut().expect("userspace datapath");
-        match mode {
-            FastpathMode::Scalar => {
-                for p in chunk {
-                    dp.process_packet(&mut h.kernel, p, core);
-                }
-            }
-            FastpathMode::Batched | FastpathMode::BatchedSmc => {
-                dp.process_burst(&mut h.kernel, chunk, core);
-            }
-        }
+        dp.process_burst(&mut h.kernel, chunk, core);
         // Keep the uplink ring drained so tx never stalls the window.
         let _ = h.wire_take();
     }
@@ -1128,7 +1103,6 @@ pub fn run_fastpath(
         smc_hits: s1.smc_hits - s0.smc_hits,
         megaflow_hits: s1.megaflow_hits - s0.megaflow_hits,
         upcalls: s1.upcalls - s0.upcalls,
-        subtables_probed: dp.subtables_probed() - probed0,
         lane_steps: dp.lane_steps() - steps0,
         lane_keys: dp.lane_keys() - keys0,
         lane_width: dp.lane_width(),
@@ -1160,6 +1134,40 @@ pub const DROP_COUNTERS: [&str; 14] = [
     "nf_crash_drop",
     "nf_fail_closed",
 ];
+
+/// Frames in the forwarding probe a soak sends once its schedule clears.
+const PROBE: u64 = 32;
+
+/// The forwarding probe closing the two-host soaks: [`PROBE`] frames from
+/// VM0 on host 1, shuttled until quiet (at most 64 rounds of
+/// `round_ns`). Returns the probe frames host 2's sink VM consumed.
+fn probe_forwarding(pair: &mut HostPair, round_ns: u64) -> u64 {
+    let (sender, sink) = (pair.h1.guest_of_vif[0], pair.h2.guest_of_vif[0]);
+    let before = pair.h2.kernel.guests[sink].rx_count;
+    for _ in 0..PROBE {
+        pair.h1.kernel.guests[sender]
+            .tx_ring
+            .push_back(vm_udp_frame(1, 2));
+    }
+    for _ in 0..64 {
+        let moved = pair.shuttle();
+        pair.advance(round_ns);
+        if moved == 0 {
+            break;
+        }
+    }
+    pair.h2.kernel.guests[sink].rx_count - before
+}
+
+/// Every [`DROP_COUNTERS`] value, in order, and their sum.
+pub fn counted_drops() -> (Vec<(&'static str, u64)>, u64) {
+    let by_counter: Vec<(&'static str, u64)> = DROP_COUNTERS
+        .iter()
+        .map(|&n| (n, ovs_obs::coverage::total(n)))
+        .collect();
+    let total = by_counter.iter().map(|(_, v)| v).sum();
+    (by_counter, total)
+}
 
 /// Outcome of a [`run_faults`] soak.
 #[derive(Debug)]
@@ -1221,40 +1229,17 @@ pub struct FaultsReport {
 /// may lose packets, but never silently — and forwarding resumes once
 /// the schedule clears.
 pub fn run_faults(seed: u64) -> FaultsReport {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-    use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
     use ovs_sim::{FaultKind, FaultPlan, SimRng};
 
     ovs_obs::coverage::reset();
-
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let small = |id: u8| NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    let mut cfg1 = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg1.nsx = small(1);
-    let mut cfg2 = HostConfig::nsx_default(2, dpk, VmAttachment::VhostUser);
-    cfg2.nsx = small(2);
-    cfg2.guest_role = GuestRole::Sink;
-    let mut h1 = Host::build(&cfg1);
-    let mut h2 = Host::build(&cfg2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
+    let mut pair = sink_pair();
 
     // Supervise the sender's datapath: 2 ms initial backoff so the
     // restart lands well inside the soak horizon. The sender also holds
     // a controller session in `secure` fail mode for the scheduled
     // controller outage.
-    h1.enable_supervision(2_000_000, 8);
-    h1.connect_controller(ovs_core::FailMode::Secure);
+    pair.h1.enable_supervision(2_000_000, 8);
+    pair.h1.connect_controller(ovs_core::FailMode::Secure);
 
     // --- The seeded schedule: six classes across the two hosts. -------
     const HORIZON_NS: u64 = 20_000_000; // 20 ms of virtual time
@@ -1268,7 +1253,7 @@ pub fn run_faults(seed: u64) -> FaultsReport {
         .event(
             panic_at - 200_000,
             FaultKind::XdpAttachFail,
-            h1.uplink_if,
+            pair.h1.uplink_if,
             1,
             6_000_000,
         )
@@ -1276,11 +1261,11 @@ pub fn run_faults(seed: u64) -> FaultsReport {
         .event(
             jitter(10_000_000),
             FaultKind::RxRingStall,
-            h1.uplink_if,
+            pair.h1.uplink_if,
             0,
             jitter(1_500_000),
         );
-    let sink_guest = h2.guest_of_vif[0];
+    let sink_guest = pair.h2.guest_of_vif[0];
     let h2_plan = FaultPlan::new(seed)
         .event(
             jitter(8_000_000),
@@ -1292,14 +1277,14 @@ pub fn run_faults(seed: u64) -> FaultsReport {
         .event(
             jitter(12_500_000),
             FaultKind::UmemExhaust,
-            h2.uplink_if,
+            pair.h2.uplink_if,
             0,
             jitter(1_500_000),
         )
         .event(
             jitter(15_500_000),
             FaultKind::CarrierFlap,
-            h2.uplink_if,
+            pair.h2.uplink_if,
             0,
             jitter(1_200_000),
         );
@@ -1325,37 +1310,11 @@ pub fn run_faults(seed: u64) -> FaultsReport {
             0,
             jitter(1_000_000),
         );
-    h1.kernel.sim.faults.arm(h1_plan);
-    h2.kernel.sim.faults.arm(h2_plan);
+    pair.h1.kernel.sim.faults.arm(h1_plan);
+    pair.h2.kernel.sim.faults.arm(h2_plan);
 
-    let sender = h1.guest_of_vif[0];
-    let core = h1.switch_core;
-    let frame = || {
-        ovs_packet::builder::udp_ipv4_frame(
-            nsx_ruleset::vm_mac(1, 0, 0),
-            nsx_ruleset::vm_mac(2, 0, 0),
-            nsx_ruleset::vm_ip(1, 0, 0),
-            nsx_ruleset::vm_ip(2, 0, 0),
-            3333,
-            4444,
-            200,
-        )
-    };
-
-    // One shuttle round: pump both hosts, move the wire both ways.
-    fn shuttle(h1: &mut Host, h2: &mut Host) -> (usize, usize) {
-        let moved = h1.pump() + h2.pump();
-        let mut wire1 = 0;
-        for f in h1.wire_take() {
-            wire1 += 1;
-            h2.wire_inject(f);
-        }
-        for f in h2.wire_take() {
-            h1.wire_inject(f);
-        }
-        let moved = moved + h1.pump() + h2.pump();
-        (moved, wire1)
-    }
+    let sender = pair.h1.guest_of_vif[0];
+    let core = pair.h1.switch_core;
 
     // --- The soak: 4 frames per 100 µs round across the horizon. ------
     // Per-frame switch cost is measured over *warm* rounds only (caches
@@ -1367,14 +1326,19 @@ pub fn run_faults(seed: u64) -> FaultsReport {
     let mut degraded = (0.0f64, 0u64); // post-restart, warm, copy mode
     let mut degraded_seen = false;
     let mut rounds_up = 0u32; // rounds since the current datapath came up
-    let mut last_busy = h1.kernel.sim.cpus.core(core).total_ns();
+    let mut last_busy = pair.h1.kernel.sim.cpus.core(core).total_ns();
     let rounds = (HORIZON_NS / ROUND_NS) as usize;
     for _ in 0..rounds {
         for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(frame());
+            pair.h1.kernel.guests[sender]
+                .tx_ring
+                .push_back(vm_udp_frame(1, 2));
             offered += 1;
         }
-        let (_, wire1) = shuttle(&mut h1, &mut h2);
+        let wired = pair.wired_1to2();
+        pair.shuttle();
+        let wire1 = pair.wired_1to2() - wired;
+        let h1 = &pair.h1;
         let busy = h1.kernel.sim.cpus.core(core).total_ns();
         let crashed = h1
             .health
@@ -1400,53 +1364,38 @@ pub fn run_faults(seed: u64) -> FaultsReport {
         if rounds_up > WARMUP_ROUNDS {
             if !crashed {
                 native.0 += busy - last_busy;
-                native.1 += wire1 as u64;
+                native.1 += wire1;
             } else if restarted && uplink_degraded {
                 degraded.0 += busy - last_busy;
-                degraded.1 += wire1 as u64;
+                degraded.1 += wire1;
             }
         }
         last_busy = busy;
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        pair.advance(ROUND_NS);
     }
 
     // --- Drain: run past the horizon until both schedules are clear and
     // the pipes are empty (pending guest tx counts as movement, so quiet
     // means nothing is parked anywhere).
     for _ in 0..256 {
-        let (moved, _) = shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
-        if moved == 0 && h1.kernel.sim.faults.all_clear() && h2.kernel.sim.faults.all_clear() {
+        let moved = pair.shuttle();
+        pair.advance(ROUND_NS);
+        if moved == 0
+            && pair.h1.kernel.sim.faults.all_clear()
+            && pair.h2.kernel.sim.faults.all_clear()
+        {
             break;
         }
     }
 
     // --- Forwarding probe after the all-clear. -------------------------
-    let sink_before = h2.kernel.guests[sink_guest].rx_count;
-    const PROBE: u64 = 32;
-    for _ in 0..PROBE {
-        h1.kernel.guests[sender].tx_ring.push_back(frame());
-        offered += 1;
-    }
-    for _ in 0..64 {
-        let (moved, _) = shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
-        if moved == 0 {
-            break;
-        }
-    }
-    let probe_delivered = h2.kernel.guests[sink_guest].rx_count - sink_before;
+    let probe_delivered = probe_forwarding(&mut pair, ROUND_NS);
+    offered += PROBE;
 
     // --- The balance sheet. -------------------------------------------
+    let (h1, h2) = (&pair.h1, &pair.h2);
     let delivered = h2.kernel.guests[sink_guest].rx_count;
-    let drops_by_counter: Vec<(&'static str, u64)> = DROP_COUNTERS
-        .iter()
-        .map(|&n| (n, ovs_obs::coverage::total(n)))
-        .collect();
-    let counted_drops: u64 = drops_by_counter.iter().map(|(_, v)| v).sum();
+    let (drops_by_counter, counted_drops) = counted_drops();
     let health = h1.health.as_ref().expect("supervised");
     let per_class: Vec<(&'static str, u64)> = FaultKind::ALL
         .iter()
@@ -1546,39 +1495,17 @@ pub struct RestartReport {
 /// `restart_round: None` runs the identical schedule with no restart —
 /// the control run the parity test compares against.
 pub fn run_restart_at(seed: u64, restart_round: Option<usize>) -> RestartReport {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-    use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
     use ovs_sim::FaultKind;
 
     ovs_obs::coverage::reset();
-
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let small = |id: u8| NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    let mut cfg1 = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg1.nsx = small(1);
-    let mut cfg2 = HostConfig::nsx_default(2, dpk, VmAttachment::VhostUser);
-    cfg2.nsx = small(2);
-    cfg2.guest_role = GuestRole::Sink;
-    let mut h1 = Host::build(&cfg1);
-    let mut h2 = Host::build(&cfg2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
+    let mut pair = sink_pair();
 
     // Supervised with a tight restart policy: 0.5 ms rebuild window,
     // 2 ms flow-restore-wait gate, so reconvergence completes well
     // inside the soak horizon.
-    h1.enable_supervision(2_000_000, 8);
-    h1.health
+    pair.h1.enable_supervision(2_000_000, 8);
+    pair.h1
+        .health
         .as_mut()
         .unwrap()
         .set_restart_policy(500_000, 2_000_000);
@@ -1586,114 +1513,71 @@ pub fn run_restart_at(seed: u64, restart_round: Option<usize>) -> RestartReport 
     const HORIZON_NS: u64 = 20_000_000;
     const ROUND_NS: u64 = 100_000;
     let rounds = (HORIZON_NS / ROUND_NS) as usize;
-    let sender = h1.guest_of_vif[0];
-    let sink_guest = h2.guest_of_vif[0];
-    let frame = || {
-        ovs_packet::builder::udp_ipv4_frame(
-            nsx_ruleset::vm_mac(1, 0, 0),
-            nsx_ruleset::vm_mac(2, 0, 0),
-            nsx_ruleset::vm_ip(1, 0, 0),
-            nsx_ruleset::vm_ip(2, 0, 0),
-            3333,
-            4444,
-            200,
-        )
+    let sender = pair.h1.guest_of_vif[0];
+    let sink_guest = pair.h2.guest_of_vif[0];
+    // Reconvergence: gate lifted and no restored flow left pending.
+    let reconverged = |h: &Host| {
+        h.dp.as_ref().is_some_and(|dp| {
+            !dp.restore.wait
+                && dp.restore.restored_at_ns > 0
+                && dp.revalidator.restored_count() == 0
+        })
     };
-    fn shuttle(h1: &mut Host, h2: &mut Host) -> usize {
-        let moved = h1.pump() + h2.pump();
-        for f in h1.wire_take() {
-            h2.wire_inject(f);
-        }
-        for f in h2.wire_take() {
-            h1.wire_inject(f);
-        }
-        moved + h1.pump() + h2.pump()
-    }
 
     let mut offered = 0u64;
     let mut restart_at_ns: Option<u64> = None;
     let mut reconverged_ns: Option<u64> = None;
     for round in 0..rounds {
         if Some(round) == restart_round {
-            h1.kernel.inject_fault(FaultKind::DaemonRestart, 0, 0, 0);
-            restart_at_ns = Some(h1.kernel.sim.clock.now_ns());
+            pair.h1
+                .kernel
+                .inject_fault(FaultKind::DaemonRestart, 0, 0, 0);
+            restart_at_ns = Some(pair.h1.kernel.sim.clock.now_ns());
         }
         for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(frame());
+            pair.h1.kernel.guests[sender]
+                .tx_ring
+                .push_back(vm_udp_frame(1, 2));
             offered += 1;
         }
-        shuttle(&mut h1, &mut h2);
+        pair.shuttle();
         // The revalidator rides its usual cadence: every 10 rounds
         // (1 ms), pushing stats, sweeping lifecycle, and — after a
         // restore — reconciling restored flows against the rule table.
         if round.is_multiple_of(10) {
-            h1.revalidate();
+            pair.h1.revalidate();
         }
-        // Reconvergence: gate lifted and no restored flow left pending.
-        if reconverged_ns.is_none() && restart_at_ns.is_some() {
-            if let Some(dp) = h1.dp.as_ref() {
-                if !dp.restore.wait
-                    && dp.restore.restored_at_ns > 0
-                    && dp.revalidator.restored_count() == 0
-                {
-                    reconverged_ns = Some(h1.kernel.sim.clock.now_ns());
-                }
-            }
+        if reconverged_ns.is_none() && restart_at_ns.is_some() && reconverged(&pair.h1) {
+            reconverged_ns = Some(pair.h1.kernel.sim.clock.now_ns());
         }
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        pair.advance(ROUND_NS);
     }
 
     // Drain until quiet, still sweeping the revalidator.
     for i in 0..256u32 {
-        let moved = shuttle(&mut h1, &mut h2);
+        let moved = pair.shuttle();
         if i.is_multiple_of(10) {
-            h1.revalidate();
+            pair.h1.revalidate();
         }
-        if reconverged_ns.is_none() && restart_at_ns.is_some() {
-            if let Some(dp) = h1.dp.as_ref() {
-                if !dp.restore.wait
-                    && dp.restore.restored_at_ns > 0
-                    && dp.revalidator.restored_count() == 0
-                {
-                    reconverged_ns = Some(h1.kernel.sim.clock.now_ns());
-                }
-            }
+        if reconverged_ns.is_none() && restart_at_ns.is_some() && reconverged(&pair.h1) {
+            reconverged_ns = Some(pair.h1.kernel.sim.clock.now_ns());
         }
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        pair.advance(ROUND_NS);
         if moved == 0
-            && h1.kernel.sim.faults.all_clear()
+            && pair.h1.kernel.sim.faults.all_clear()
             && (reconverged_ns.is_some() || restart_at_ns.is_none())
         {
             break;
         }
     }
 
-    // Forwarding probe.
-    let sink_before = h2.kernel.guests[sink_guest].rx_count;
-    const PROBE: u64 = 32;
-    for _ in 0..PROBE {
-        h1.kernel.guests[sender].tx_ring.push_back(frame());
-        offered += 1;
-    }
-    for _ in 0..64 {
-        let moved = shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
-        if moved == 0 {
-            break;
-        }
-    }
-    let probe_delivered = h2.kernel.guests[sink_guest].rx_count - sink_before;
+    let probe_delivered = probe_forwarding(&mut pair, ROUND_NS);
+    offered += PROBE;
 
-    let delivered = h2.kernel.guests[sink_guest].rx_count;
-    let counted_drops: u64 = DROP_COUNTERS
-        .iter()
-        .map(|&n| ovs_obs::coverage::total(n))
-        .sum();
-    let health = h1.health.as_ref().expect("supervised");
-    let dp = h1.dp.as_ref().expect("datapath back up");
+    let delivered = pair.h2.kernel.guests[sink_guest].rx_count;
+    let (_, counted_drops) = counted_drops();
+    let health = pair.h1.health.as_ref().expect("supervised");
+    let dp = pair.h1.dp.as_ref().expect("datapath back up");
     let grec = health.graceful.last();
     RestartReport {
         seed,
@@ -1769,50 +1653,16 @@ pub struct OutageReport {
 /// switch-core-second over the outage window; the robustness acceptance
 /// bar is secure ≥ 2× standalone.
 pub fn run_outage(fail_mode: ovs_core::FailMode) -> OutageReport {
-    use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-    use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
     use ovs_sim::FaultKind;
 
     ovs_obs::coverage::reset();
-
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let small = |id: u8| NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    let mut cfg1 = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg1.nsx = small(1);
-    let mut cfg2 = HostConfig::nsx_default(2, dpk, VmAttachment::VhostUser);
-    cfg2.nsx = small(2);
-    cfg2.guest_role = GuestRole::Sink;
-    let mut h1 = Host::build(&cfg1);
-    let mut h2 = Host::build(&cfg2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    h1.connect_controller(fail_mode);
+    let mut pair = sink_pair();
+    pair.h1.connect_controller(fail_mode);
 
     const ROUND_NS: u64 = 100_000;
-    let sender = h1.guest_of_vif[0];
-    let flooder = h1.guest_of_vif[1];
-    let sink_guest = h2.guest_of_vif[0];
-    let legit = || {
-        ovs_packet::builder::udp_ipv4_frame(
-            nsx_ruleset::vm_mac(1, 0, 0),
-            nsx_ruleset::vm_mac(2, 0, 0),
-            nsx_ruleset::vm_ip(1, 0, 0),
-            nsx_ruleset::vm_ip(2, 0, 0),
-            3333,
-            4444,
-            200,
-        )
-    };
+    let sender = pair.h1.guest_of_vif[0];
+    let flooder = pair.h1.guest_of_vif[1];
+    let sink_guest = pair.h2.guest_of_vif[0];
     // TSE flood: every frame a fresh destination MAC, so each one is a
     // distinct tuple the fallback tables would install a megaflow for.
     let flood = |n: u64| {
@@ -1833,55 +1683,49 @@ pub fn run_outage(fail_mode: ovs_core::FailMode) -> OutageReport {
             200,
         )
     };
-    fn shuttle(h1: &mut Host, h2: &mut Host) -> usize {
-        let moved = h1.pump() + h2.pump();
-        for f in h1.wire_take() {
-            h2.wire_inject(f);
-        }
-        for f in h2.wire_take() {
-            h1.wire_inject(f);
-        }
-        moved + h1.pump() + h2.pump()
-    }
 
     // Warm-up under controller policy: caches hot, connection committed.
     for _ in 0..20 {
         for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(legit());
+            pair.h1.kernel.guests[sender]
+                .tx_ring
+                .push_back(vm_udp_frame(1, 2));
         }
-        shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        pair.shuttle();
+        pair.advance(ROUND_NS);
     }
 
     // The outage window: 8 ms of controller silence under flood.
     const OUTAGE_NS: u64 = 8_000_000;
     let outage_rounds = (OUTAGE_NS / ROUND_NS) as usize;
-    h1.kernel
+    pair.h1
+        .kernel
         .inject_fault(FaultKind::ControllerDisconnect, 0, 0, OUTAGE_NS);
-    let core = h1.switch_core;
-    let busy0 = h1.kernel.sim.cpus.core(core).total_ns();
-    let sink0 = h2.kernel.guests[sink_guest].rx_count;
+    let core = pair.h1.switch_core;
+    let busy0 = pair.h1.kernel.sim.cpus.core(core).total_ns();
+    let sink0 = pair.h2.kernel.guests[sink_guest].rx_count;
     let mut legit_offered = 0u64;
     let mut flood_offered = 0u64;
     for _ in 0..outage_rounds {
         for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(legit());
+            pair.h1.kernel.guests[sender]
+                .tx_ring
+                .push_back(vm_udp_frame(1, 2));
             legit_offered += 1;
         }
         for _ in 0..16 {
-            h1.kernel.guests[flooder]
+            pair.h1.kernel.guests[flooder]
                 .tx_ring
                 .push_back(flood(flood_offered));
             flood_offered += 1;
         }
-        shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        pair.shuttle();
+        pair.advance(ROUND_NS);
     }
-    let outage_core_ns = h1.kernel.sim.cpus.core(core).total_ns() - busy0;
-    let legit_delivered = h2.kernel.guests[sink_guest].rx_count - sink0;
-    let megaflows_after = h1
+    let outage_core_ns = pair.h1.kernel.sim.cpus.core(core).total_ns() - busy0;
+    let legit_delivered = pair.h2.kernel.guests[sink_guest].rx_count - sink0;
+    let megaflows_after = pair
+        .h1
         .dp
         .as_ref()
         .map(|dp| dp.stats.flows_installed - dp.stats.flows_deleted)
@@ -1889,9 +1733,9 @@ pub fn run_outage(fail_mode: ovs_core::FailMode) -> OutageReport {
 
     // Clear the window, reconnect, drain.
     for _ in 0..256 {
-        let moved = shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        let moved = pair.shuttle();
+        pair.advance(ROUND_NS);
+        let h1 = &pair.h1;
         let reconnected = h1
             .controller
             .as_ref()
@@ -1903,20 +1747,8 @@ pub fn run_outage(fail_mode: ovs_core::FailMode) -> OutageReport {
     }
 
     // Forwarding probe under restored controller policy.
-    let sink_before = h2.kernel.guests[sink_guest].rx_count;
-    const PROBE: u64 = 32;
-    for _ in 0..PROBE {
-        h1.kernel.guests[sender].tx_ring.push_back(legit());
-    }
-    for _ in 0..64 {
-        let moved = shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
-        if moved == 0 {
-            break;
-        }
-    }
-    let probe_delivered = h2.kernel.guests[sink_guest].rx_count - sink_before;
+    let probe_delivered = probe_forwarding(&mut pair, ROUND_NS);
+    let h1 = &pair.h1;
 
     let goodput = if outage_core_ns > 0.0 {
         legit_delivered as f64 / (outage_core_ns / 1e9)
@@ -2292,7 +2124,6 @@ pub fn run_chains(tenants: usize, seed: u64) -> ChainsReport {
     }
 
     // --- Forwarding probe after the all-clear. ------------------------
-    const PROBE: u64 = 32;
     let probe_base = delivered_now(&k);
     for i in 0..PROBE {
         k.receive(nic0, 0, frame((i % 5) as u32, 5000, false));
@@ -2303,11 +2134,7 @@ pub fn run_chains(tenants: usize, seed: u64) -> ChainsReport {
 
     // --- The balance sheet. -------------------------------------------
     let delivered = delivered_now(&k);
-    let drops_by_counter: Vec<(&'static str, u64)> = DROP_COUNTERS
-        .iter()
-        .map(|&n| (n, ovs_obs::coverage::total(n)))
-        .collect();
-    let counted_drops: u64 = drops_by_counter.iter().map(|(_, v)| v).sum();
+    let (drops_by_counter, counted_drops) = counted_drops();
     let totals = dp.nfv.totals();
     let (pool_reuses, pool_fresh) = dp.nfv.pool_stats();
     ChainsReport {
@@ -2480,18 +2307,18 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_batching_and_smc_beat_scalar() {
-        let scalar = run_fastpath(FastpathMode::Scalar, 1, 512, 4096);
+    fn fastpath_batching_and_smc_beat_burst_of_one() {
+        let single = run_fastpath(FastpathMode::Batched, 1, 512, 4096);
         let batched = run_fastpath(FastpathMode::Batched, 32, 512, 4096);
         let smc = run_fastpath(FastpathMode::BatchedSmc, 32, 512, 4096);
-        println!("scalar  {scalar:?}");
+        println!("burst 1 {single:?}");
         println!("batched {batched:?}");
         println!("smc     {smc:?}");
         assert!(
-            batched.ns_per_pkt < scalar.ns_per_pkt,
+            batched.ns_per_pkt < single.ns_per_pkt,
             "batching amortizes per-batch costs: {} vs {}",
             batched.ns_per_pkt,
-            scalar.ns_per_pkt
+            single.ns_per_pkt
         );
         assert!(
             smc.ns_per_pkt < batched.ns_per_pkt,
@@ -2502,14 +2329,14 @@ mod tests {
         assert!(smc.smc_hits > 0, "SMC actually serves traffic");
         assert_eq!(batched.smc_hits, 0, "SMC off by default");
         assert!(
-            scalar.ns_per_pkt / smc.ns_per_pkt >= 1.5,
-            "batched+SMC speedup over scalar: {:.2}x",
-            scalar.ns_per_pkt / smc.ns_per_pkt
+            single.ns_per_pkt / smc.ns_per_pkt >= 1.5,
+            "batched+SMC speedup over bursts of one: {:.2}x",
+            single.ns_per_pkt / smc.ns_per_pkt
         );
 
         // With every flow warmed the window is pure cache hits, and the
         // sparse fast path never expands a full FlowKey on a hit.
-        for r in [&scalar, &batched, &smc] {
+        for r in [&single, &batched, &smc] {
             assert_eq!(r.upcalls, 0, "{}: warm window upcalled", r.mode);
             assert_eq!(
                 r.miniflow_expands, 0,
@@ -2526,10 +2353,10 @@ mod tests {
             "each step carries at least one key"
         );
         assert!(
-            batched.lane_occupancy() > scalar.lane_occupancy(),
+            batched.lane_occupancy() > single.lane_occupancy(),
             "bursts fill probe lanes: {:.2} vs {:.2}",
             batched.lane_occupancy(),
-            scalar.lane_occupancy()
+            single.lane_occupancy()
         );
     }
 

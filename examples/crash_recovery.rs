@@ -15,7 +15,7 @@
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::{DpifNetdev, PortType};
-use ovs_core::health::HealthMonitor;
+use ovs_core::health::{quiet_simulated_panics, HealthMonitor};
 use ovs_core::ofproto::{OfAction, OfRule};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
@@ -53,17 +53,7 @@ fn start_ovs(kernel: &mut Kernel, eth0: u32, eth1: u32) -> DpifNetdev {
 fn main() {
     // The supervisor catches the injected panic; keep its backtrace out
     // of the demo output (any other panic still prints).
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let simulated = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains("simulated datapath bug"))
-            .unwrap_or(false);
-        if !simulated {
-            default_hook(info);
-        }
-    }));
+    quiet_simulated_panics();
 
     let mut kernel = Kernel::new(4);
     let eth0 = kernel.add_device(NetDevice::new(

@@ -7,8 +7,8 @@
 
 use ovs_afxdp::OptLevel;
 use ovs_kernel::guest::GuestRole;
-use ovs_nsx::ruleset::{self, NsxConfig};
-use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_nsx::ruleset;
+use ovs_nsx::topology::{DatapathKind, HostConfig, HostPair, VmAttachment};
 use ovs_packet::builder;
 
 fn main() {
@@ -16,35 +16,26 @@ fn main() {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let build = |id: u8| {
+    // Both hosts, with the underlay peering the physical fabric's
+    // control plane would provide.
+    let mut pair = HostPair::new(|id| {
         let mut cfg = HostConfig::nsx_default(id, datapath, VmAttachment::VhostUser);
-        cfg.guest_role = GuestRole::Echo;
-        cfg.nsx = NsxConfig {
-            vms: 4,
-            tunnels: 16,
-            target_rules: 2_000,
-            local_vtep: [172, 16, 0, id],
-            remote_vtep: [172, 16, 0, 3 - id],
-            ..NsxConfig::default()
-        };
-        Host::build(&cfg)
-    };
-    let mut h1 = build(1);
-    let mut h2 = build(2);
+        cfg.nsx.vms = 4;
+        cfg.nsx.tunnels = 16;
+        cfg.nsx.target_rules = 2_000;
+        cfg
+    });
+    let rs = &pair.h1.ruleset;
     println!(
         "host1 rule set: {} rules, {} tables, {} match fields",
-        h1.ruleset.rules, h1.ruleset.tables, h1.ruleset.matching_fields
+        rs.rules, rs.tables, rs.matching_fields
     );
-
-    // Underlay peering (what the physical fabric's control plane does).
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
 
     // VM0 on host 1 talks to VM0 on host 2; the echo role answers, so we
     // see the full request/response over the overlay. The sender absorbs
     // replies (a Sink) so the exchange terminates.
-    let sender = h1.guest_of_vif[0];
-    h1.kernel.guests[sender].role = GuestRole::Sink;
+    let sender = pair.h1.guest_of_vif[0];
+    pair.h1.kernel.guests[sender].role = GuestRole::Sink;
     for seq in 0..50u16 {
         let frame = builder::udp_ipv4(
             ruleset::vm_mac(1, 0, 0),
@@ -55,21 +46,11 @@ fn main() {
             7,
             format!("request {seq}").as_bytes(),
         );
-        h1.kernel.guests[sender].tx_ring.push_back(frame);
-        // Run both hosts and shuttle the wire.
-        for _ in 0..8 {
-            h1.pump();
-            for f in h1.wire_take() {
-                h2.wire_inject(f);
-            }
-            h2.pump();
-            for f in h2.wire_take() {
-                h1.wire_inject(f);
-            }
-        }
+        pair.h1.kernel.guests[sender].tx_ring.push_back(frame);
+        pair.settle();
     }
-    h1.pump();
 
+    let (h1, h2) = (&pair.h1, &pair.h2);
     let dp1 = h1.dp.as_ref().unwrap();
     let dp2 = h2.dp.as_ref().unwrap();
     println!("\nhost1 datapath:");

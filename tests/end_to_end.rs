@@ -5,38 +5,24 @@
 
 use ovs_afxdp::OptLevel;
 use ovs_afxdp_repro::kernel::guest::GuestRole;
-use ovs_afxdp_repro::nsx::ruleset::{self, NsxConfig};
-use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_afxdp_repro::nsx::ruleset;
+use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_afxdp_repro::packet::{builder, ipv4, udp, EthernetFrame};
 
-fn build_host(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> Host {
+fn config(id: u8, datapath: DatapathKind, attachment: VmAttachment) -> HostConfig {
     let mut cfg = HostConfig::nsx_default(id, datapath, attachment);
-    cfg.nsx = NsxConfig {
-        vms: 3,
-        tunnels: 6,
-        target_rules: 1_200,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    Host::build(&cfg)
+    cfg.nsx.vms = 3;
+    cfg.nsx.tunnels = 6;
+    cfg.nsx.target_rules = 1_200;
+    cfg
 }
 
-fn wire(h1: &mut Host, h2: &mut Host) {
-    for _ in 0..24 {
-        let mut moved = h1.pump() + h2.pump();
-        for f in h1.wire_take() {
-            h2.wire_inject(f);
-            moved += 1;
-        }
-        for f in h2.wire_take() {
-            h1.wire_inject(f);
-            moved += 1;
-        }
-        if moved == 0 {
-            break;
-        }
-    }
+/// The pair with host 1's sending VM absorbing the echo replies.
+fn pair(datapath: DatapathKind, attachment: VmAttachment) -> HostPair {
+    let mut pair = HostPair::new(|id| config(id, datapath, attachment));
+    let sender = pair.h1.guest_of_vif[0];
+    pair.h1.kernel.guests[sender].role = GuestRole::Sink;
+    pair
 }
 
 fn request(seq: u16) -> Vec<u8> {
@@ -57,17 +43,15 @@ fn afxdp_overlay_round_trip_with_firewall() {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut h1 = build_host(1, dpk, VmAttachment::VhostUser);
-    let mut h2 = build_host(2, dpk, VmAttachment::VhostUser);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    let sender = h1.guest_of_vif[0];
-    h1.kernel.guests[sender].role = GuestRole::Sink;
-
+    let mut pair = pair(dpk, VmAttachment::VhostUser);
+    let sender = pair.h1.guest_of_vif[0];
     for seq in 0..20 {
-        h1.kernel.guests[sender].tx_ring.push_back(request(seq));
+        pair.h1.kernel.guests[sender]
+            .tx_ring
+            .push_back(request(seq));
     }
-    wire(&mut h1, &mut h2);
+    pair.settle();
+    let (h1, h2) = (&pair.h1, &pair.h2);
 
     // Every request was answered across the overlay.
     assert_eq!(h1.kernel.guests[sender].rx_count, 20);
@@ -93,20 +77,17 @@ fn afxdp_overlay_round_trip_with_firewall() {
 
 #[test]
 fn kernel_datapath_overlay_round_trip() {
-    let mut h1 = build_host(1, DatapathKind::Kernel, VmAttachment::Tap);
-    let mut h2 = build_host(2, DatapathKind::Kernel, VmAttachment::Tap);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    let sender = h1.guest_of_vif[0];
-    h1.kernel.guests[sender].role = GuestRole::Sink;
+    let mut pair = pair(DatapathKind::Kernel, VmAttachment::Tap);
+    let sender = pair.h1.guest_of_vif[0];
 
     // Ten packets of ONE flow, sent one at a time (as a real stream
     // arrives): the first installs the megaflows, the rest must ride the
     // kernel fast path.
     for _ in 0..10 {
-        h1.kernel.guests[sender].tx_ring.push_back(request(0));
-        wire(&mut h1, &mut h2);
+        pair.h1.kernel.guests[sender].tx_ring.push_back(request(0));
+        pair.settle();
     }
+    let (h1, h2) = (&pair.h1, &pair.h2);
 
     assert_eq!(h1.kernel.guests[sender].rx_count, 10);
     assert!(h1.kernel.ovs.stats.tunnel_encaps >= 10);
@@ -125,13 +106,8 @@ fn outer_frames_on_the_wire_are_valid_geneve() {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut h1 = build_host(1, dpk, VmAttachment::VhostUser);
-    let mut h2 = build_host(2, dpk, VmAttachment::VhostUser);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
+    let h1 = &mut pair(dpk, VmAttachment::VhostUser).h1;
     let sender = h1.guest_of_vif[0];
-    h1.kernel.guests[sender].role = GuestRole::Sink;
-
     h1.kernel.guests[sender].tx_ring.push_back(request(0));
     h1.pump();
     let outers = h1.wire_take();
@@ -156,7 +132,7 @@ fn intra_host_traffic_never_touches_the_tunnel() {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut h1 = build_host(1, dpk, VmAttachment::VhostUser);
+    let mut h1 = Host::build(&config(1, dpk, VmAttachment::VhostUser));
     let sender = h1.guest_of_vif[0];
     h1.kernel.guests[sender].role = GuestRole::Sink;
     // VM0 -> VM1 on the same host.

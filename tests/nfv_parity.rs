@@ -13,34 +13,15 @@
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::PortType;
+use ovs_core::health::quiet_simulated_panics;
 use ovs_core::{AssignmentPolicy, DpifNetdev, PmdSet};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
 use ovs_nfv::{ChainPolicy, FwRule, Ingress, NfManager, NfSpec};
 use ovs_packet::{builder, DpPacket, MacAddr};
-use ovs_tgen::scenarios::DROP_COUNTERS;
+use ovs_tgen::scenarios::counted_drops;
 
 use proptest::prelude::*;
-
-/// Keep the injected NF panic's backtrace out of the test output; any
-/// other panic still reports normally.
-fn quiet_simulated_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let simulated = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("simulated datapath bug"))
-                .unwrap_or(false);
-            if !simulated {
-                default_hook(info);
-            }
-        }));
-    });
-}
 
 fn udp_frame(sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
     builder::udp_ipv4(
@@ -418,10 +399,7 @@ proptest! {
             }
         }
         let delivered = (k.device(nic1).tx_wire.len() + k.device(nic2).tx_wire.len()) as u64;
-        let counted: u64 = DROP_COUNTERS
-            .iter()
-            .map(|&n| ovs_obs::coverage::total(n))
-            .sum();
+        let (_, counted) = counted_drops();
         prop_assert_eq!(
             offered,
             delivered + counted,

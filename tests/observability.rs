@@ -10,8 +10,8 @@
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_afxdp_repro::kernel::tools;
-use ovs_afxdp_repro::nsx::ruleset::{self, NsxConfig};
-use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_afxdp_repro::nsx::ruleset;
+use ovs_afxdp_repro::nsx::topology::{DatapathKind, HostConfig, HostPair, VmAttachment};
 use ovs_afxdp_repro::obs::coverage;
 use ovs_afxdp_repro::ovs::appctl;
 use ovs_afxdp_repro::packet::builder;
@@ -25,52 +25,21 @@ use ovs_sim::FaultKind;
 
 use proptest::prelude::*;
 
-/// The deterministic 2-VM NSX host pair on the userspace AF_XDP datapath.
-fn build_host(id: u8) -> Host {
+/// The deterministic 2-VM NSX host pair on the userspace AF_XDP datapath,
+/// after VM0 on host 1 sent one UDP datagram to VM0 on host 2 and the
+/// echo guests bounced it across the overlay until the pair settled.
+fn settled_pair() -> HostPair {
     let dpk = DatapathKind::UserspaceAfxdp {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut cfg = HostConfig::nsx_default(id, dpk, VmAttachment::VhostUser);
-    cfg.nsx = NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    Host::build(&cfg)
-}
-
-fn vm_frame(src_host: u8, dst_host: u8) -> Vec<u8> {
-    builder::udp_ipv4_frame(
-        ruleset::vm_mac(src_host, 0, 0),
-        ruleset::vm_mac(dst_host, 0, 0),
-        ruleset::vm_ip(src_host, 0, 0),
-        ruleset::vm_ip(dst_host, 0, 0),
-        3333,
-        4444,
-        200,
-    )
-}
-
-/// Shuttle frames between the two hosts until quiescent.
-fn run_pair(a: &mut Host, b: &mut Host) {
-    for _ in 0..32 {
-        let mut moved = a.pump() + b.pump();
-        for f in a.wire_take() {
-            b.wire_inject(f);
-            moved += 1;
-        }
-        for f in b.wire_take() {
-            a.wire_inject(f);
-            moved += 1;
-        }
-        if moved == 0 {
-            break;
-        }
-    }
+    let mut pair = HostPair::new(|id| HostConfig::nsx_small(id, dpk, VmAttachment::VhostUser));
+    let g = pair.h1.guest_of_vif[0];
+    pair.h1.kernel.guests[g]
+        .tx_ring
+        .push_back(ruleset::vm_udp_frame(1, 2));
+    pair.settle();
+    pair
 }
 
 const GOLDEN_COVERAGE: &str = "\
@@ -177,16 +146,7 @@ pass 3: flow in_port=2,eth_type=0x0800,nw_src=10.101.0.2,nw_dst=10.102.0.2,nw_pr
 #[test]
 fn golden_observability_two_host_nsx() {
     coverage::reset();
-    let mut h1 = build_host(1);
-    let mut h2 = build_host(2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-
-    // VM0 on host 1 sends one UDP datagram to VM0 on host 2; the echo
-    // guest answers, so the flow crosses the overlay in both directions.
-    let g = h1.guest_of_vif[0];
-    h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-    run_pair(&mut h1, &mut h2);
+    let mut h1 = settled_pair().h1;
 
     // --- pmd-perf-show: exact stage attribution --------------------
     let dp1 = h1.dp.as_ref().unwrap();
@@ -214,7 +174,12 @@ fn golden_observability_two_host_nsx() {
     h1.kernel.capture_start(h1.uplink_if);
     let dp1 = h1.dp.as_mut().unwrap();
     let vif0 = h1.ports.vifs[0];
-    let trace = dp1.ofproto_trace(&mut h1.kernel, &vm_frame(1, 2), vif0, h1.switch_core);
+    let trace = dp1.ofproto_trace(
+        &mut h1.kernel,
+        &ruleset::vm_udp_frame(1, 2),
+        vif0,
+        h1.switch_core,
+    );
     assert_eq!(
         trace, GOLDEN_TRACE,
         "ofproto/trace golden drifted:\n{trace}"
@@ -303,13 +268,7 @@ rx-to-tx latency histogram (ns):
 
 #[test]
 fn golden_latency_two_host_nsx() {
-    let mut h1 = build_host(1);
-    let mut h2 = build_host(2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    let g = h1.guest_of_vif[0];
-    h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-    run_pair(&mut h1, &mut h2);
+    let mut h1 = settled_pair().h1;
 
     // The decomposition invariant: the per-stage latency attribution is
     // exact (sums to the delivered-weighted poll total), and the
@@ -522,13 +481,7 @@ sweeps:0 shards-swept:0 pmd-affinity hits:44 migrations:0
 
 #[test]
 fn golden_conntrack_introspection_two_host_nsx() {
-    let mut h1 = build_host(1);
-    let mut h2 = build_host(2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    let g = h1.guest_of_vif[0];
-    h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-    run_pair(&mut h1, &mut h2);
+    let mut h1 = settled_pair().h1;
 
     // The NSX firewall tracks the VM flow in both its zones; the dump
     // is sorted and fully deterministic under the virtual clock.

@@ -5,63 +5,28 @@
 //! through a planned restart plus a controller outage.
 
 use ovs_core::FailMode;
-use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_nsx::ruleset::vm_udp_frame;
+use ovs_nsx::topology::{DatapathKind, HostConfig, HostPair, VmAttachment};
 use ovs_sim::FaultKind;
-use ovs_tgen::scenarios::{run_restart_at, DROP_COUNTERS};
+use ovs_tgen::scenarios::{counted_drops, run_restart_at};
 
 use ovs_afxdp::OptLevel;
 use proptest::prelude::*;
 
-fn small_nsx(id: u8) -> NsxConfig {
-    NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 400,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    }
-}
-
-fn host_pair() -> (Host, Host) {
+/// The small pair (400 rules) with a sink VM on host 2.
+fn host_pair() -> HostPair {
     let dpk = DatapathKind::UserspaceAfxdp {
         opt: OptLevel::O5,
         interrupt_mode: false,
     };
-    let mut cfg1 = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg1.nsx = small_nsx(1);
-    let mut cfg2 = HostConfig::nsx_default(2, dpk, VmAttachment::VhostUser);
-    cfg2.nsx = small_nsx(2);
-    cfg2.guest_role = ovs_kernel::GuestRole::Sink;
-    let mut h1 = Host::build(&cfg1);
-    let mut h2 = Host::build(&cfg2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    (h1, h2)
-}
-
-fn soak_frame() -> Vec<u8> {
-    ovs_packet::builder::udp_ipv4_frame(
-        nsx_ruleset::vm_mac(1, 0, 0),
-        nsx_ruleset::vm_mac(2, 0, 0),
-        nsx_ruleset::vm_ip(1, 0, 0),
-        nsx_ruleset::vm_ip(2, 0, 0),
-        3333,
-        4444,
-        200,
-    )
-}
-
-fn shuttle(h1: &mut Host, h2: &mut Host) -> usize {
-    let moved = h1.pump() + h2.pump();
-    for f in h1.wire_take() {
-        h2.wire_inject(f);
-    }
-    for f in h2.wire_take() {
-        h1.wire_inject(f);
-    }
-    moved + h1.pump() + h2.pump()
+    HostPair::new(|id| {
+        let mut cfg = HostConfig::nsx_small(id, dpk, VmAttachment::VhostUser);
+        cfg.nsx.target_rules = 400;
+        if id == 2 {
+            cfg.guest_role = ovs_kernel::GuestRole::Sink;
+        }
+        cfg
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -168,51 +133,55 @@ flow-restore: complete (gate lifted at 0.004s)
 #[test]
 fn golden_restart_and_outage_surfaces() {
     const ROUND_NS: u64 = 100_000;
-    let (mut h1, mut h2) = host_pair();
-    h1.enable_supervision(2_000_000, 8);
-    h1.health
+    let mut pair = host_pair();
+    pair.h1.enable_supervision(2_000_000, 8);
+    pair.h1
+        .health
         .as_mut()
         .unwrap()
         .set_restart_policy(500_000, 2_000_000);
-    h1.connect_controller(FailMode::Secure);
+    pair.h1.connect_controller(FailMode::Secure);
+    let sender = pair.h1.guest_of_vif[0];
+    let send_round = |pair: &mut HostPair| {
+        for _ in 0..4 {
+            pair.h1.kernel.guests[sender]
+                .tx_ring
+                .push_back(vm_udp_frame(1, 2));
+        }
+        pair.shuttle();
+    };
 
     // Warm: one steady flow across 20 rounds.
-    let sender = h1.guest_of_vif[0];
     for _ in 0..20 {
-        for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(soak_frame());
-        }
-        shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        send_round(&mut pair);
+        pair.advance(ROUND_NS);
     }
 
     // Planned restart; pump through the 0.5 ms rebuild window.
-    h1.kernel.inject_fault(FaultKind::DaemonRestart, 0, 0, 0);
+    pair.h1
+        .kernel
+        .inject_fault(FaultKind::DaemonRestart, 0, 0, 0);
     for _ in 0..8 {
-        for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(soak_frame());
-        }
-        shuttle(&mut h1, &mut h2);
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        send_round(&mut pair);
+        pair.advance(ROUND_NS);
     }
-    let show = h1.appctl("flow-restore/show", &[]).unwrap();
+    let show = pair.h1.appctl("flow-restore/show", &[]).unwrap();
     assert_eq!(
         show, GOLDEN_RESTORE_WAITING,
         "flow-restore/show golden drifted:\n{show}"
     );
-    let show = h1.appctl("health/show", &[]).unwrap();
+    let show = pair.h1.appctl("health/show", &[]).unwrap();
     assert_eq!(
         show, GOLDEN_HEALTH_HITLESS,
         "health/show golden drifted:\n{show}"
     );
 
     // Controller outage opens mid-gate; secure mode holds the line.
-    h1.kernel
+    pair.h1
+        .kernel
         .inject_fault(FaultKind::ControllerDisconnect, 0, 0, 2_000_000);
-    shuttle(&mut h1, &mut h2);
-    let show = h1.appctl("fail-mode/show", &[]).unwrap();
+    pair.shuttle();
+    let show = pair.h1.appctl("fail-mode/show", &[]).unwrap();
     assert_eq!(
         show, GOLDEN_FAILMODE_DOWN,
         "fail-mode/show golden drifted:\n{show}"
@@ -220,14 +189,11 @@ fn golden_restart_and_outage_surfaces() {
 
     // Ride out the outage and the gate; reconcile restored flows.
     for _ in 0..40 {
-        for _ in 0..4 {
-            h1.kernel.guests[sender].tx_ring.push_back(soak_frame());
-        }
-        shuttle(&mut h1, &mut h2);
-        h1.revalidate();
-        h1.kernel.sim.clock.advance(ROUND_NS);
-        h2.kernel.sim.clock.advance(ROUND_NS);
+        send_round(&mut pair);
+        pair.h1.revalidate();
+        pair.advance(ROUND_NS);
     }
+    let h1 = &mut pair.h1;
     assert!(h1.controller.as_ref().unwrap().is_connected());
     let show = h1.appctl("fail-mode/show", &[]).unwrap();
     assert_eq!(
@@ -250,12 +216,9 @@ fn golden_restart_and_outage_surfaces() {
 
     // The ledger holds across the whole ladder (every drop named).
     let offered = (20 + 8 + 40) * 4u64;
-    let sink = h2.guest_of_vif[0];
-    let delivered = h2.kernel.guests[sink].rx_count;
-    let counted: u64 = DROP_COUNTERS
-        .iter()
-        .map(|&n| ovs_obs::coverage::total(n))
-        .sum();
+    let sink = pair.h2.guest_of_vif[0];
+    let delivered = pair.h2.kernel.guests[sink].rx_count;
+    let (_, counted) = counted_drops();
     assert_eq!(
         offered as i64 - delivered as i64 - counted as i64,
         0,

@@ -6,58 +6,9 @@
 //! `dpctl/dump-flows` text are pinned exactly.
 
 use ovs_afxdp::OptLevel;
-use ovs_afxdp_repro::nsx::ruleset::{self, NsxConfig};
-use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_afxdp_repro::nsx::ruleset;
+use ovs_afxdp_repro::nsx::topology::{DatapathKind, HostConfig, HostPair, VmAttachment};
 use ovs_afxdp_repro::ovs::appctl;
-use ovs_afxdp_repro::packet::builder;
-
-/// The deterministic 2-VM NSX host pair on the userspace AF_XDP datapath.
-fn build_host(id: u8) -> Host {
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let mut cfg = HostConfig::nsx_default(id, dpk, VmAttachment::VhostUser);
-    cfg.nsx = NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 800,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    };
-    Host::build(&cfg)
-}
-
-fn vm_frame(src_host: u8, dst_host: u8) -> Vec<u8> {
-    builder::udp_ipv4_frame(
-        ruleset::vm_mac(src_host, 0, 0),
-        ruleset::vm_mac(dst_host, 0, 0),
-        ruleset::vm_ip(src_host, 0, 0),
-        ruleset::vm_ip(dst_host, 0, 0),
-        3333,
-        4444,
-        200,
-    )
-}
-
-/// Shuttle frames between the two hosts until quiescent.
-fn run_pair(a: &mut Host, b: &mut Host) {
-    for _ in 0..32 {
-        let mut moved = a.pump() + b.pump();
-        for f in a.wire_take() {
-            b.wire_inject(f);
-            moved += 1;
-        }
-        for f in b.wire_take() {
-            a.wire_inject(f);
-            moved += 1;
-        }
-        if moved == 0 {
-            break;
-        }
-    }
-}
 
 const GOLDEN_SHOW_WARM: &str = "\
 netdev@ovs-netdev:
@@ -97,14 +48,17 @@ netdev@ovs-netdev:
 
 #[test]
 fn golden_revalidator_two_host_nsx() {
-    let mut h1 = build_host(1);
-    let mut h2 = build_host(2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-
-    let g = h1.guest_of_vif[0];
-    h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-    run_pair(&mut h1, &mut h2);
+    let dpk = DatapathKind::UserspaceAfxdp {
+        opt: OptLevel::O5,
+        interrupt_mode: false,
+    };
+    let mut pair = HostPair::new(|id| HostConfig::nsx_small(id, dpk, VmAttachment::VhostUser));
+    let g = pair.h1.guest_of_vif[0];
+    pair.h1.kernel.guests[g]
+        .tx_ring
+        .push_back(ruleset::vm_udp_frame(1, 2));
+    pair.settle();
+    let h1 = &mut pair.h1;
 
     let dp1 = h1.dp.as_mut().unwrap();
     let show = appctl::dispatch(dp1, &mut h1.kernel, "upcall/show", &[]).unwrap();
@@ -150,10 +104,11 @@ fn golden_revalidator_two_host_nsx() {
     // The overlay still works after the drain: a fresh frame crosses the
     // re-translated slow path and reinstalls its megaflows.
     let upcalls = h1.dp.as_ref().unwrap().stats.upcalls;
-    let g = h1.guest_of_vif[0];
-    h1.kernel.guests[g].tx_ring.push_back(vm_frame(1, 2));
-    run_pair(&mut h1, &mut h2);
-    let dp1 = h1.dp.as_ref().unwrap();
+    h1.kernel.guests[g]
+        .tx_ring
+        .push_back(ruleset::vm_udp_frame(1, 2));
+    pair.settle();
+    let dp1 = pair.h1.dp.as_ref().unwrap();
     assert!(dp1.stats.upcalls > upcalls, "drained flows re-upcall");
     assert!(dp1.megaflow_count() > 0, "megaflows reinstalled");
     assert!(dp1.stats.coherent(), "{:?}", dp1.stats);

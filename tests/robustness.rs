@@ -9,97 +9,47 @@
 
 use ovs_afxdp::{AfxdpPort, OptLevel, XskSocket};
 use ovs_core::dpif::PortType;
+use ovs_core::health::quiet_simulated_panics;
 use ovs_core::{AssignmentPolicy, DpifNetdev, HealthMonitor, PmdSet};
 use ovs_kernel::dev::{Attachment, DeviceKind, NetDevice, XdpMode};
 use ovs_kernel::ovs_module::Vport;
 use ovs_kernel::Kernel;
 use ovs_nfv::{ChainPolicy, NfSpec};
-use ovs_nsx::ruleset::{self as nsx_ruleset, NsxConfig};
-use ovs_nsx::topology::{DatapathKind, Host, HostConfig, VmAttachment};
+use ovs_nsx::ruleset::vm_udp_frame;
+use ovs_nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_packet::{builder, DpPacket, MacAddr};
 use ovs_ring::PacketBatch;
 use ovs_sim::{FaultKind, FaultPlan, PlanTargets, SimRng};
-use ovs_tgen::scenarios::DROP_COUNTERS;
+use ovs_tgen::scenarios::counted_drops;
 
 use proptest::prelude::*;
 
-/// Keep the injected datapath panic's backtrace out of the test output;
-/// any other panic still reports normally.
-fn quiet_simulated_panics() {
-    use std::sync::Once;
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let default_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let simulated = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| s.contains("simulated datapath bug"))
-                .unwrap_or(false);
-            if !simulated {
-                default_hook(info);
-            }
-        }));
-    });
+const AFXDP: DatapathKind = DatapathKind::UserspaceAfxdp {
+    opt: OptLevel::O5,
+    interrupt_mode: false,
+};
+
+fn small_config(id: u8) -> HostConfig {
+    let mut cfg = HostConfig::nsx_small(id, AFXDP, VmAttachment::VhostUser);
+    cfg.nsx.target_rules = 400;
+    cfg
 }
 
-fn small_nsx(id: u8) -> NsxConfig {
-    NsxConfig {
-        vms: 2,
-        tunnels: 4,
-        target_rules: 400,
-        local_vtep: [172, 16, 0, id],
-        remote_vtep: [172, 16, 0, 3 - id],
-        ..NsxConfig::default()
-    }
-}
-
-fn host_pair() -> (Host, Host) {
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let mut cfg1 = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg1.nsx = small_nsx(1);
-    let mut cfg2 = HostConfig::nsx_default(2, dpk, VmAttachment::VhostUser);
-    cfg2.nsx = small_nsx(2);
-    cfg2.guest_role = ovs_kernel::GuestRole::Sink;
-    let mut h1 = Host::build(&cfg1);
-    let mut h2 = Host::build(&cfg2);
-    h1.peer([172, 16, 0, 2], h2.uplink_mac());
-    h2.peer([172, 16, 0, 1], h1.uplink_mac());
-    (h1, h2)
-}
-
-fn soak_frame() -> Vec<u8> {
-    builder::udp_ipv4_frame(
-        nsx_ruleset::vm_mac(1, 0, 0),
-        nsx_ruleset::vm_mac(2, 0, 0),
-        nsx_ruleset::vm_ip(1, 0, 0),
-        nsx_ruleset::vm_ip(2, 0, 0),
-        3333,
-        4444,
-        200,
-    )
-}
-
-/// One shuttle round: pump both hosts and move the wire both ways.
-fn shuttle(h1: &mut Host, h2: &mut Host) -> usize {
-    let mut moved = h1.pump() + h2.pump();
-    for f in h1.wire_take() {
-        h2.wire_inject(f);
-    }
-    for f in h2.wire_take() {
-        h1.wire_inject(f);
-    }
-    moved += h1.pump() + h2.pump();
-    moved
+/// The small pair with a sink VM on host 2.
+fn host_pair() -> HostPair {
+    HostPair::new(|id| {
+        let mut cfg = small_config(id);
+        if id == 2 {
+            cfg.guest_role = ovs_kernel::GuestRole::Sink;
+        }
+        cfg
+    })
 }
 
 /// Both hosts' datapath cache/lookup accounting must balance at every
 /// observation point, crashed-and-rebuilt datapaths included.
-fn assert_coherent(h1: &Host, h2: &Host) {
-    for (name, h) in [("h1", h1), ("h2", h2)] {
+fn assert_coherent(pair: &HostPair) {
+    for (name, h) in [("h1", &pair.h1), ("h2", &pair.h2)] {
         if let Some(dp) = &h.dp {
             assert!(dp.stats.coherent(), "{name} stats incoherent");
         }
@@ -121,17 +71,17 @@ proptest! {
     fn random_fault_plans_never_lose_packets_silently(seed in 0u64..1_000_000) {
         quiet_simulated_panics();
         ovs_obs::coverage::reset();
-        let (mut h1, mut h2) = host_pair();
-        h1.enable_supervision(2_000_000, 8);
+        let mut pair = host_pair();
+        pair.h1.enable_supervision(2_000_000, 8);
 
         const HORIZON_NS: u64 = 10_000_000;
         const ROUND_NS: u64 = 100_000;
-        let sender = h1.guest_of_vif[0];
+        let sender = pair.h1.guest_of_vif[0];
         let plan = FaultPlan::random(
             seed,
             HORIZON_NS,
             PlanTargets {
-                ifindex: h1.uplink_if,
+                ifindex: pair.h1.uplink_if,
                 guest: sender as u32,
                 // The NSX pair runs no NF manager: the plan's NfPanic
                 // window simply expires. The NF-chain rig below takes
@@ -139,18 +89,17 @@ proptest! {
                 nf: 0,
             },
         );
-        h1.kernel.sim.faults.arm(plan);
+        pair.h1.kernel.sim.faults.arm(plan);
 
         let mut offered = 0u64;
         for _ in 0..(HORIZON_NS / ROUND_NS) {
             for _ in 0..4 {
-                h1.kernel.guests[sender].tx_ring.push_back(soak_frame());
+                pair.h1.kernel.guests[sender].tx_ring.push_back(vm_udp_frame(1, 2));
                 offered += 1;
             }
-            shuttle(&mut h1, &mut h2);
-            assert_coherent(&h1, &h2);
-            h1.kernel.sim.clock.advance(ROUND_NS);
-            h2.kernel.sim.clock.advance(ROUND_NS);
+            pair.shuttle();
+            assert_coherent(&pair);
+            pair.advance(ROUND_NS);
         }
 
         // Drain until the schedule has fully cleared (pending one-shots
@@ -159,37 +108,28 @@ proptest! {
         // past the fault window — misses are *counted* drops while it
         // holds, so wait it out before demanding lossless forwarding.
         for _ in 0..256 {
-            let moved = shuttle(&mut h1, &mut h2);
-            assert_coherent(&h1, &h2);
-            h1.kernel.sim.clock.advance(ROUND_NS);
-            h2.kernel.sim.clock.advance(ROUND_NS);
-            let gated = h1.dp.as_ref().is_some_and(|dp| dp.restore.wait);
-            if moved == 0 && h1.kernel.sim.faults.all_clear() && !gated {
+            let moved = pair.shuttle();
+            assert_coherent(&pair);
+            pair.advance(ROUND_NS);
+            let gated = pair.h1.dp.as_ref().is_some_and(|dp| dp.restore.wait);
+            if moved == 0 && pair.h1.kernel.sim.faults.all_clear() && !gated {
                 break;
             }
         }
         prop_assert!(
-            h1.kernel.sim.faults.all_clear(),
+            pair.h1.kernel.sim.faults.all_clear(),
             "seed {seed}: schedule never cleared"
         );
         prop_assert!(
-            !h1.dp.as_ref().is_some_and(|dp| dp.restore.wait),
+            !pair.h1.dp.as_ref().is_some_and(|dp| dp.restore.wait),
             "seed {seed}: flow-restore-wait gate never lifted"
         );
 
         // The balance sheet: every frame delivered or claimed by exactly
         // one drop counter.
-        let sink = h2.guest_of_vif[0];
-        let delivered = h2.kernel.guests[sink].rx_count;
-        let counted: u64 = DROP_COUNTERS
-            .iter()
-            .map(|&n| ovs_obs::coverage::total(n))
-            .sum();
-        let breakdown: Vec<(&str, u64)> = DROP_COUNTERS
-            .iter()
-            .map(|&n| (n, ovs_obs::coverage::total(n)))
-            .filter(|(_, v)| *v > 0)
-            .collect();
+        let sink = pair.h2.guest_of_vif[0];
+        let delivered = pair.h2.kernel.guests[sink].rx_count;
+        let (by_counter, counted) = counted_drops();
         prop_assert_eq!(
             offered as i64 - delivered as i64 - counted as i64,
             0,
@@ -198,29 +138,28 @@ proptest! {
             offered,
             delivered,
             counted,
-            breakdown
+            by_counter
         );
 
         // Forwarding must fully resume after the last fault clears.
         const PROBE: u64 = 32;
         for _ in 0..PROBE {
-            h1.kernel.guests[sender].tx_ring.push_back(soak_frame());
+            pair.h1.kernel.guests[sender].tx_ring.push_back(vm_udp_frame(1, 2));
         }
         for _ in 0..256 {
-            let moved = shuttle(&mut h1, &mut h2);
-            h1.kernel.sim.clock.advance(ROUND_NS);
-            h2.kernel.sim.clock.advance(ROUND_NS);
+            let moved = pair.shuttle();
+            pair.advance(ROUND_NS);
             if moved == 0 {
                 break;
             }
         }
         prop_assert_eq!(
-            h2.kernel.guests[sink].rx_count - delivered,
+            pair.h2.kernel.guests[sink].rx_count - delivered,
             PROBE,
             "seed {}: probe did not fully forward after all-clear",
             seed
         );
-        assert_coherent(&h1, &h2);
+        assert_coherent(&pair);
     }
 }
 
@@ -343,15 +282,7 @@ proptest! {
         prop_assert!(k.sim.faults.all_clear(), "seed {seed}: schedule never cleared");
 
         let delivered = k.device(nic1).tx_wire.len() as u64;
-        let counted: u64 = DROP_COUNTERS
-            .iter()
-            .map(|&n| ovs_obs::coverage::total(n))
-            .sum();
-        let breakdown: Vec<(&str, u64)> = DROP_COUNTERS
-            .iter()
-            .map(|&n| (n, ovs_obs::coverage::total(n)))
-            .filter(|(_, v)| *v > 0)
-            .collect();
+        let (by_counter, counted) = counted_drops();
         prop_assert_eq!(
             offered as i64 - delivered as i64 - counted as i64,
             0,
@@ -360,7 +291,7 @@ proptest! {
             offered,
             delivered,
             counted,
-            breakdown
+            by_counter
         );
 
         // Forwarding must fully resume through the restarted NFs.
@@ -422,13 +353,7 @@ log:
 #[test]
 fn crash_restart_reconnect_goldens() {
     quiet_simulated_panics();
-    let dpk = DatapathKind::UserspaceAfxdp {
-        opt: OptLevel::O5,
-        interrupt_mode: false,
-    };
-    let mut cfg = HostConfig::nsx_default(1, dpk, VmAttachment::VhostUser);
-    cfg.nsx = small_nsx(1);
-    let mut h = Host::build(&cfg);
+    let mut h = Host::build(&small_config(1));
     h.enable_supervision(2_000_000, 4);
     assert_eq!(h.kernel.sim.clock.now_ns(), 0, "deterministic schedule");
 

@@ -61,19 +61,7 @@ pub fn dispatch(
     cmd: &str,
     args: &[&str],
 ) -> Result<String, String> {
-    dispatch_with_health(dpif, kernel, None, cmd, args)
-}
-
-/// [`dispatch`] with the optional health supervisor attached, so
-/// `health/show` can report it (a supervised deployment passes it in).
-pub fn dispatch_with_health(
-    dpif: &mut DpifNetdev,
-    kernel: &mut Kernel,
-    health: Option<&HealthMonitor>,
-    cmd: &str,
-    args: &[&str],
-) -> Result<String, String> {
-    dispatch_full(dpif, kernel, health, None, cmd, args)
+    dispatch_ctl(dpif, kernel, None, None, None, cmd, args)
 }
 
 /// The full dispatch surface: health supervisor plus the PMD scheduler,
@@ -242,8 +230,7 @@ fn dispatch_inner(
         // `-hist` extends the cycle attribution with the per-stage
         // latency contribution (satellite of the latency pipeline).
         "dpif-netdev/pmd-perf-show" => {
-            Ok(dpif
-                .pmd_perf_show_detail(kernel.sim.cpus.hz, args.first().copied() == Some("-hist")))
+            Ok(dpif.pmd_perf_show(kernel.sim.cpus.hz, args.first().copied() == Some("-hist")))
         }
         "dpif-netdev/latency-show" => Ok(dpif.latency_show()),
         "dpif-netdev/latency-hist" => Ok(dpif.latency_hist()),

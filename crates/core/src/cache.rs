@@ -439,12 +439,6 @@ impl<A> MegaflowCache<A> {
         self.cls.subtable_info()
     }
 
-    /// How often the classifier re-sorts its subtable probe order
-    /// (lookups between re-ranks).
-    pub fn set_rank_interval(&mut self, interval: u64) {
-        self.cls.rank_interval = interval.max(1);
-    }
-
     /// Look up a full key (slow path / diagnostics).
     pub fn lookup(&mut self, key: &FlowKey) -> Option<Rc<MegaflowEntry<A>>> {
         self.lookup_mini(&Miniflow::from_key(key))

@@ -22,7 +22,7 @@ use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::Ofproto;
-use crate::revalidator::{DeleteReason, Revalidator, SweepSummary, Ukey};
+use crate::revalidator::{Revalidator, Sweep, SweepSummary, Ukey};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
@@ -545,11 +545,6 @@ impl DpifNetdev {
         self.ports.get_mut(port as usize).and_then(|p| p.as_mut())
     }
 
-    /// Number of live ports.
-    pub fn port_count(&self) -> usize {
-        self.ports.iter().filter(|p| p.is_some()).count()
-    }
-
     /// Port numbers of all live ports (teardown and supervision walk
     /// these; the slot indices stay stable across deletions).
     pub fn port_nos(&self) -> Vec<PortNo> {
@@ -785,38 +780,26 @@ impl DpifNetdev {
     /// changed. Returns the number deleted. Re-translating the *masked*
     /// key is sound because a megaflow's mask covers every field its
     /// translation consulted, so the masked key takes the same pipeline
-    /// path as any packet the megaflow matches. Pure control-plane
-    /// bookkeeping — the periodic, cost-charged pass is
-    /// [`revalidate`](Self::revalidate).
+    /// path as any packet the megaflow matches. This is the periodic
+    /// pass's per-flow step with the timeouts off, run at once and
+    /// uncharged: pure control-plane bookkeeping. Restored flows wait
+    /// for reconciliation in [`revalidate`](Self::revalidate).
     pub fn revalidate_changed(&mut self) -> usize {
         let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
-        let mut deleted = 0;
-        for k in keys {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            let t = self.ofproto.translate(&k);
-            let stale = match self.megaflow.get(&k) {
-                Some(e) => t.actions != e.actions || t.mask != e.mask,
-                None => continue,
-            };
-            if stale {
-                coverage!("revalidate_changed");
-                self.revalidator.note_delete(DeleteReason::Changed);
-                self.delete_megaflow(&k);
-                deleted += 1;
-            } else {
-                // The flow survives, but the rules backing it may have
-                // changed; push pending stats to the old rules, then
-                // swap in the fresh xlate cache.
-                if let Some(e) = self.megaflow.get(&k) {
-                    self.revalidator.push_stats(&k, e.hits.get(), e.bytes.get());
-                }
-                self.revalidator.refresh_rules(&k, t.rules);
-            }
+        let mut sweep = Sweep::default();
+        for k in &keys {
+            let ofproto = &mut self.ofproto;
+            self.revalidator
+                .revalidate_flow(&mut sweep, &mut self.megaflow, k, |k| {
+                    let t = ofproto.translate(k);
+                    (t.actions, t.mask, t.rules)
+                });
         }
+        // Every flow the pass deleted left the megaflow cache.
+        self.stats.flows_deleted += sweep.summary.deleted();
         self.emc.purge_dead();
         self.smc.purge_dead();
-        deleted
+        sweep.summary.deleted() as usize
     }
 
     /// Capture the full datapath state — every installed megaflow (with
@@ -973,8 +956,8 @@ impl DpifNetdev {
     }
 
     /// Delete one megaflow (by masked key), pushing its outstanding
-    /// stats up to the OpenFlow rules first. Returns whether it existed.
-    fn delete_megaflow(&mut self, masked: &FlowKey) -> bool {
+    /// stats up to the OpenFlow rules first.
+    fn delete_megaflow(&mut self, masked: &FlowKey) {
         if let Some(e) = self.megaflow.get(masked) {
             self.revalidator
                 .push_stats(masked, e.hits.get(), e.bytes.get());
@@ -982,150 +965,80 @@ impl DpifNetdev {
         self.revalidator.forget(masked);
         if self.megaflow.remove(masked) {
             self.stats.flows_deleted += 1;
-            true
-        } else {
-            false
         }
     }
 
-    /// One full revalidator round over the userspace datapath: dump
-    /// every megaflow, push its stats up to the OpenFlow rules, delete
-    /// flows that are idle past the (effective) idle timeout, older than
-    /// the hard timeout, or whose re-translation changed, then evict
-    /// LRU-first down to the dynamic flow limit. The simulated dump
-    /// duration feeds [`Revalidator::note_dump`], which adjusts the
-    /// limit for the next round — OVS's `udpif_revalidator` loop.
+    /// One full revalidator round over the userspace datapath: the
+    /// shared pass ([`Revalidator::revalidate_flow`] per megaflow, then
+    /// LRU eviction down to the dynamic flow limit) plus what only this
+    /// datapath has — restore reconciliation, the EMC/SMC purge, the
+    /// conntrack expiry slice, and the virtual-clock charges. The
+    /// simulated dump duration feeds [`Revalidator::note_dump`], which
+    /// adjusts the limit for the next round — OVS's `udpif_revalidator`
+    /// loop.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
         let t0 = core_ns(kernel, core);
         let mut timer = StageTimer::new(t0);
         let now = kernel.sim.clock.now_ns();
         self.maybe_complete_restore(now);
-        let mut reconciled = 0usize;
-        let n_flows = self.megaflow.len();
-        let max_idle = self.revalidator.effective_max_idle_ns(n_flows);
-        let hard = self.revalidator.hard_timeout_ns();
-        let kill_all = n_flows > 2 * self.revalidator.flow_limit;
-        let mut summary = SweepSummary::default();
-
+        // Reconciliation waits for the gate and is budgeted per sweep so
+        // reconvergence never starves the fast path.
+        let mut budget = if self.restore.wait {
+            0
+        } else {
+            self.restore.reconcile_budget
+        };
+        let mut sweep = self.revalidator.begin_sweep(self.megaflow.len(), now);
         let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
         for k in keys {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            summary.dumped += 1;
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
-            let (hits, bytes, used, created) = match self.megaflow.get(&k) {
-                Some(e) => (
-                    e.hits.get(),
-                    e.bytes.get(),
-                    e.used_ns.get(),
-                    e.created_ns.get(),
-                ),
-                None => continue,
+            let ofproto = &mut self.ofproto;
+            let restored =
+                self.revalidator
+                    .revalidate_flow(&mut sweep, &mut self.megaflow, &k, |k| {
+                        let t = ofproto.translate(k);
+                        (t.actions, t.mask, t.rules)
+                    });
+            let Some((hits, bytes)) = restored else {
+                continue;
             };
-            // Orphan reconciliation: a restored flow has no live rule
-            // refs yet, so it is exempt from lifecycle decisions until
-            // reconciled — and reconciliation itself waits for the gate
-            // and is budgeted per sweep so reconvergence never starves
-            // the fast path. Re-translating the masked key against the
-            // repopulated table either re-adopts the flow (rules
-            // re-resolved, stats pushback resumes exactly where the
-            // snapshot left off) or deletes it as an orphan.
-            if self.revalidator.is_restored(&k) {
-                if self.restore.wait || reconciled >= self.restore.reconcile_budget {
-                    continue;
-                }
-                reconciled += 1;
-                let t = self.ofproto.translate(&k);
-                let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
-                kernel.sim.charge(core, Context::User, c);
-                let matches = self
-                    .megaflow
-                    .get(&k)
-                    .map(|e| t.actions == e.actions && t.mask == e.mask)
-                    .unwrap_or(false);
-                if matches {
-                    self.revalidator.adopt(&k, t.rules);
-                    self.revalidator.push_stats(&k, hits, bytes);
-                    self.stats.restore_adopted += 1;
-                    coverage!("restore_adopted");
-                    summary.adopted += 1;
-                } else {
-                    self.stats.restore_orphaned += 1;
-                    coverage!("restore_orphaned");
-                    summary.orphaned += 1;
-                    self.delete_megaflow(&k);
-                }
+            // Orphan reconciliation of a restored flow: re-translating
+            // the masked key against the repopulated table either
+            // re-adopts the flow (rules re-resolved, stats pushback
+            // resumes exactly where the snapshot left off) or deletes it
+            // as an orphan.
+            if budget == 0 {
                 continue;
             }
-            // Push stats before any delete decision so counters survive
-            // the flow.
-            self.revalidator.push_stats(&k, hits, bytes);
-            let reason = if kill_all {
-                Some(DeleteReason::Evicted)
-            } else if now.saturating_sub(used) > max_idle {
-                Some(DeleteReason::Idle)
-            } else if hard > 0 && now.saturating_sub(created) > hard {
-                Some(DeleteReason::Hard)
-            } else {
-                let t = self.ofproto.translate(&k);
-                let stale = self
-                    .megaflow
-                    .get(&k)
-                    .map(|e| t.actions != e.actions || t.mask != e.mask)
-                    .unwrap_or(false);
-                if stale {
-                    Some(DeleteReason::Changed)
-                } else {
-                    self.revalidator.refresh_rules(&k, t.rules);
-                    None
-                }
-            };
-            if let Some(reason) = reason {
-                match reason {
-                    DeleteReason::Idle => {
-                        coverage!("revalidate_idle");
-                        summary.deleted_idle += 1;
-                    }
-                    DeleteReason::Hard => {
-                        coverage!("revalidate_hard");
-                        summary.deleted_hard += 1;
-                    }
-                    DeleteReason::Changed => {
-                        coverage!("revalidate_changed");
-                        summary.deleted_changed += 1;
-                    }
-                    DeleteReason::Evicted => {
-                        coverage!("flow_evicted");
-                        summary.evicted += 1;
-                    }
-                }
-                self.revalidator.note_delete(reason);
-                self.delete_megaflow(&k);
-            }
-        }
-
-        // Still over the limit: evict least-recently-used flows. Sorted
-        // by (used, key hash) so eviction order never depends on
-        // HashMap iteration order.
-        if self.megaflow.len() > self.revalidator.flow_limit {
-            let mut lru: Vec<(u64, u64, FlowKey)> = self
+            budget -= 1;
+            let t = self.ofproto.translate(&k);
+            let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
+            kernel.sim.charge(core, Context::User, c);
+            let matches = self
                 .megaflow
-                .iter()
-                .map(|e| (e.used_ns.get(), e.key.hash(), e.key))
-                // While the gate is up the restored flows are the only
-                // forwarding state there is — never evict them.
-                .filter(|(_, _, k)| !(self.restore.wait && self.revalidator.is_restored(k)))
-                .collect();
-            lru.sort_unstable_by_key(|(used, h, _)| (*used, *h));
-            let excess = self.megaflow.len() - self.revalidator.flow_limit;
-            for (_, _, k) in lru.into_iter().take(excess) {
-                coverage!("flow_evicted");
-                self.revalidator.note_delete(DeleteReason::Evicted);
-                summary.evicted += 1;
+                .get(&k)
+                .is_some_and(|e| t.actions == e.actions && t.mask == e.mask);
+            if matches {
+                self.revalidator.adopt(&k, t.rules);
+                self.revalidator.push_stats(&k, hits, bytes);
+                self.stats.restore_adopted += 1;
+                coverage!("restore_adopted");
+                sweep.summary.adopted += 1;
+            } else {
+                self.stats.restore_orphaned += 1;
+                coverage!("restore_orphaned");
+                sweep.summary.orphaned += 1;
                 self.delete_megaflow(&k);
             }
         }
+        // While the gate is up the restored flows are the only
+        // forwarding state there is — never evict them.
+        let gated = self.restore.wait;
+        self.revalidator
+            .evict(&mut sweep, &mut self.megaflow, gated);
+        // Every flow the pass deleted left the megaflow cache.
+        self.stats.flows_deleted += sweep.summary.deleted();
         self.emc.purge_dead();
         self.smc.purge_dead();
 
@@ -1142,9 +1055,7 @@ impl DpifNetdev {
 
         // The simulated dump duration drives the dynamic flow limit.
         let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
-        self.revalidator.note_dump(n_flows, dump_ms);
-        summary.flow_limit = self.revalidator.flow_limit;
-        summary.dump_duration_ms = self.revalidator.dump_duration_ms;
+        let summary = self.revalidator.end_sweep(sweep, dump_ms);
 
         timer.mark(Stage::Revalidate, core_ns(kernel, core));
         self.perf.entry(core).or_default().commit(&timer, 0);
@@ -1244,15 +1155,11 @@ megaflows installed: {}
     }
 
     /// `ovs-appctl dpif-netdev/pmd-perf-show` equivalent: per-PMD stage
-    /// cycle attribution plus a merged all-PMD summary.
-    pub fn pmd_perf_show(&self, cpu_hz: u64) -> String {
-        self.pmd_perf_show_detail(cpu_hz, false)
-    }
-
-    /// `pmd-perf-show`, optionally extended (`-hist`) with the per-stage
-    /// *latency* contribution — where delivered packets spent their
-    /// rx→tx time, alongside where the PMD spent its cycles.
-    pub fn pmd_perf_show_detail(&self, cpu_hz: u64, hist: bool) -> String {
+    /// cycle attribution plus a merged all-PMD summary, optionally
+    /// extended (`-hist`) with the per-stage *latency* contribution —
+    /// where delivered packets spent their rx→tx time, alongside where
+    /// the PMD spent its cycles.
+    pub fn pmd_perf_show(&self, cpu_hz: u64, hist: bool) -> String {
         let mut out = String::new();
         let mut merged = PmdPerf::new();
         for (core, perf) in &self.perf {
@@ -1556,19 +1463,6 @@ megaflows installed: {}
             self.stats
         );
         n
-    }
-
-    /// Receive a burst from a port's backend without processing it —
-    /// public so supervisors/diagnostics (e.g. the crash-recovery example)
-    /// can interpose between I/O and the pipeline.
-    pub fn port_rx_public(
-        &mut self,
-        kernel: &mut Kernel,
-        port: PortNo,
-        queue: usize,
-        core: usize,
-    ) -> Vec<DpPacket> {
-        self.port_rx(kernel, port, queue, core)
     }
 
     /// Receive a burst from a port's backend.
@@ -2648,7 +2542,7 @@ impl DpifNetlink {
             for r in &t.rules {
                 r.credit(1, u.frame.len() as u64);
             }
-            let kactions = self.map_actions(&t.actions);
+            let kactions = Self::map_actions(&t.actions, self.tunnel_local_ip);
             if self.revalidator.should_install(kernel.ovs.flow_count()) {
                 let now = kernel.sim.clock.now_ns();
                 kernel
@@ -2675,111 +2569,27 @@ impl DpifNetlink {
     }
 
     /// One full revalidator round over the **kernel** flow table, via the
-    /// ukeys recorded at upcall time — the same dump/revalidate/sweep
-    /// loop as [`DpifNetdev::revalidate`], driven over Netlink in real
-    /// OVS. Flows installed behind the dpif's back (e.g. pre-warmed
-    /// scenario flows) have no ukey and are left alone.
+    /// ukeys recorded at upcall time — the same pass as
+    /// [`DpifNetdev::revalidate`], driven over Netlink in real OVS.
+    /// Flows installed behind the dpif's back (e.g. pre-warmed scenario
+    /// flows) have no ukey and are left alone.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
         let t0 = core_ns(kernel, core);
         let now = kernel.sim.clock.now_ns();
-        let n_flows = kernel.ovs.flow_count();
-        let max_idle = self.revalidator.effective_max_idle_ns(n_flows);
-        let hard = self.revalidator.hard_timeout_ns();
-        let kill_all = n_flows > 2 * self.revalidator.flow_limit;
-        let mut summary = SweepSummary::default();
-
+        let mut sweep = self.revalidator.begin_sweep(kernel.ovs.flow_count(), now);
         for k in self.revalidator.keys() {
-            coverage!("revalidate_flow");
-            self.revalidator.stats.flows_dumped += 1;
-            summary.dumped += 1;
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
-            let mask = match self.revalidator.ukey(&k) {
-                Some(uk) => uk.mask,
-                None => continue,
-            };
-            let Some((hits, bytes, used, created)) = kernel.ovs.flow_stats(&k, &mask) else {
-                // The kernel flow is gone (flushed); drop the ukey.
-                self.revalidator.forget(&k);
-                continue;
-            };
-            self.revalidator.push_stats(&k, hits, bytes);
-            let reason = if kill_all {
-                Some(DeleteReason::Evicted)
-            } else if now.saturating_sub(used) > max_idle {
-                Some(DeleteReason::Idle)
-            } else if hard > 0 && now.saturating_sub(created) > hard {
-                Some(DeleteReason::Hard)
-            } else {
-                let t = self.ofproto.translate(&k);
-                let kactions = self.map_actions(&t.actions);
-                let stale = self
-                    .revalidator
-                    .ukey(&k)
-                    .map(|uk| kactions != uk.actions || t.mask != uk.mask)
-                    .unwrap_or(false);
-                if stale {
-                    Some(DeleteReason::Changed)
-                } else {
-                    self.revalidator.refresh_rules(&k, t.rules);
-                    None
-                }
-            };
-            if let Some(reason) = reason {
-                match reason {
-                    DeleteReason::Idle => {
-                        coverage!("revalidate_idle");
-                        summary.deleted_idle += 1;
-                    }
-                    DeleteReason::Hard => {
-                        coverage!("revalidate_hard");
-                        summary.deleted_hard += 1;
-                    }
-                    DeleteReason::Changed => {
-                        coverage!("revalidate_changed");
-                        summary.deleted_changed += 1;
-                    }
-                    DeleteReason::Evicted => {
-                        coverage!("flow_evicted");
-                        summary.evicted += 1;
-                    }
-                }
-                self.revalidator.note_delete(reason);
-                kernel.ovs.remove_flow(&k, &mask);
-                self.revalidator.forget(&k);
-            }
+            let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
+            self.revalidator
+                .revalidate_flow(&mut sweep, &mut kernel.ovs, &k, |k| {
+                    let t = ofproto.translate(k);
+                    (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
+                });
         }
-
-        // Evict LRU-first down to the limit (only dpif-installed flows —
-        // the ones with ukeys — are candidates).
-        if kernel.ovs.flow_count() > self.revalidator.flow_limit {
-            let mut lru: Vec<(u64, u64, FlowKey)> = self
-                .revalidator
-                .keys()
-                .into_iter()
-                .filter_map(|k| {
-                    let mask = self.revalidator.ukey(&k)?.mask;
-                    let (_, _, used, _) = kernel.ovs.flow_stats(&k, &mask)?;
-                    Some((used, k.hash(), k))
-                })
-                .collect();
-            lru.sort_unstable_by_key(|(used, h, _)| (*used, *h));
-            let excess = kernel.ovs.flow_count() - self.revalidator.flow_limit;
-            for (_, _, k) in lru.into_iter().take(excess) {
-                coverage!("flow_evicted");
-                self.revalidator.note_delete(DeleteReason::Evicted);
-                summary.evicted += 1;
-                if let Some(uk) = self.revalidator.forget(&k) {
-                    kernel.ovs.remove_flow(&k, &uk.mask);
-                }
-            }
-        }
-
+        self.revalidator.evict(&mut sweep, &mut kernel.ovs, false);
         let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
-        self.revalidator.note_dump(n_flows, dump_ms);
-        summary.flow_limit = self.revalidator.flow_limit;
-        summary.dump_duration_ms = self.revalidator.dump_duration_ms;
-        summary
+        self.revalidator.end_sweep(sweep, dump_ms)
     }
 
     /// `ovs-appctl upcall/show` equivalent for the kernel datapath.
@@ -2793,7 +2603,7 @@ impl DpifNetlink {
         out
     }
 
-    fn map_actions(&self, actions: &[DpAction]) -> Vec<ovs_kernel::KAction> {
+    fn map_actions(actions: &[DpAction], tunnel_local_ip: [u8; 4]) -> Vec<ovs_kernel::KAction> {
         use ovs_kernel::KAction;
         if actions.is_empty() {
             return vec![KAction::Drop];
@@ -2804,7 +2614,7 @@ impl DpifNetlink {
                 DpAction::Output(p) => KAction::Output(*p),
                 DpAction::SetTunnel { id, dst } => KAction::SetTunnel(ovs_kernel::TunnelSpec {
                     id: *id,
-                    src: self.tunnel_local_ip,
+                    src: tunnel_local_ip,
                     dst: *dst,
                     tos: 0,
                     ttl: 64,
@@ -3261,7 +3071,7 @@ mod tests {
             perf.poll_ns_total(),
             "exact attribution"
         );
-        let show = dp.pmd_perf_show(k.sim.cpus.hz);
+        let show = dp.pmd_perf_show(k.sim.cpus.hz, false);
         assert!(show.contains("pmd thread core 1"), "{show}");
         assert!(show.contains("emc lookup"), "{show}");
         // Clearing zeroes both counters and perf.

@@ -258,14 +258,6 @@ impl PmdSet {
         self.affinity.insert(RxqId::new(port, queue), core);
     }
 
-    /// Measured core-ns attributed to an rxq so far.
-    pub fn rxq_cycles(&self, port: PortNo, queue: usize) -> u64 {
-        self.cycles
-            .get(&RxqId::new(port, queue))
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Forget all per-rxq load measurements (e.g. after a workload
     /// change, so stale history stops steering the load-aware policies).
     pub fn clear_cycles(&mut self) {
@@ -406,42 +398,12 @@ impl PmdSet {
     /// multi-queue contention penalty is charged per packet moved, and
     /// counter deltas accrue to the owning thread. Returns packets moved.
     pub fn run_round(&mut self, dp: &mut DpifNetdev, kernel: &mut Kernel) -> usize {
-        let sharers = self.port_sharers();
-        let mut moved = 0;
-        for i in 0..self.pmds.len() {
-            let rxqs = self.pmds[i].rxqs.clone();
-            let core = self.pmds[i].core;
-            for rxq in rxqs {
-                let pmd = &mut self.pmds[i];
-                dp.swap_caches(&mut pmd.emc, &mut pmd.smc);
-                let before = dp.stats;
-                let t0 = core_ns(kernel, core);
-                let n = dp.pmd_poll(kernel, rxq.port, rxq.queue, core);
-                if n > 0 {
-                    let c = Self::contention_ns(
-                        dp,
-                        kernel,
-                        rxq.port,
-                        sharers.get(&rxq.port).copied().unwrap_or(1),
-                    );
-                    if c > 0.0 {
-                        kernel.sim.charge(core, Context::User, c * n as f64);
-                    }
-                }
-                let dt = core_ns(kernel, core).saturating_sub(t0);
-                let pmd = &mut self.pmds[i];
-                dp.swap_caches(&mut pmd.emc, &mut pmd.smc);
-                pmd.stats.accumulate(&dp.stats.delta(&before));
-                pmd.busy_ns += dt;
-                *self.cycles.entry(rxq).or_insert(0) += dt;
-                moved += n;
-            }
-        }
-        self.rounds += 1;
-        if self.auto_lb.enabled && self.rounds.is_multiple_of(self.auto_lb.interval_rounds) {
-            self.auto_lb_check();
-        }
-        moved
+        self.round(
+            dp,
+            kernel,
+            |dp| Some(dp),
+            |dp, kernel, rxq, core| (dp.pmd_poll(kernel, rxq.port, rxq.queue, core), false),
+        )
     }
 
     /// [`run_round`](Self::run_round) behind a [`HealthMonitor`]'s unwind
@@ -456,24 +418,43 @@ impl PmdSet {
         dp: &mut Option<DpifNetdev>,
         kernel: &mut Kernel,
     ) -> usize {
+        self.round(
+            dp,
+            kernel,
+            |dp| dp.as_mut(),
+            |dp, kernel, rxq, core| {
+                let crashes_before = health.crashes.len();
+                let n = health.poll(dp, kernel, rxq.port, rxq.queue, core);
+                (n, health.crashes.len() > crashes_before)
+            },
+        )
+    }
+
+    /// The one round loop behind both entry points, which differ only in
+    /// how an rxq is polled: `poll` returns the packets it moved and
+    /// whether it crashed the datapath. `live` yields the datapath while
+    /// it is up; a poll may tear it down or bring a rebuilt one up.
+    fn round<D>(
+        &mut self,
+        dp: &mut D,
+        kernel: &mut Kernel,
+        live: impl Fn(&mut D) -> Option<&mut DpifNetdev>,
+        mut poll: impl FnMut(&mut D, &mut Kernel, RxqId, usize) -> (usize, bool),
+    ) -> usize {
         let sharers = self.port_sharers();
         let mut moved = 0;
         for i in 0..self.pmds.len() {
             let rxqs = self.pmds[i].rxqs.clone();
             let core = self.pmds[i].core;
             for rxq in rxqs {
-                let crashes_before = health.crashes.len();
-                let mut swapped = false;
-                let mut before = DpifStats::default();
-                if let Some(d) = dp.as_mut() {
-                    let pmd = &mut self.pmds[i];
+                let pmd = &mut self.pmds[i];
+                let before = live(dp).map(|d| {
                     d.swap_caches(&mut pmd.emc, &mut pmd.smc);
-                    before = d.stats;
-                    swapped = true;
-                }
+                    d.stats
+                });
                 let t0 = core_ns(kernel, core);
-                let n = health.poll(dp, kernel, rxq.port, rxq.queue, core);
-                if let Some(d) = dp.as_mut() {
+                let (n, crashed) = poll(dp, kernel, rxq, core);
+                if let Some(d) = live(dp) {
                     if n > 0 {
                         let c = Self::contention_ns(
                             d,
@@ -485,7 +466,7 @@ impl PmdSet {
                             kernel.sim.charge(core, Context::User, c * n as f64);
                         }
                     }
-                    if swapped {
+                    if let Some(before) = before {
                         let pmd = &mut self.pmds[i];
                         d.swap_caches(&mut pmd.emc, &mut pmd.smc);
                         pmd.stats.accumulate(&d.stats.delta(&before));
@@ -494,7 +475,7 @@ impl PmdSet {
                 let dt = core_ns(kernel, core).saturating_sub(t0);
                 self.pmds[i].busy_ns += dt;
                 *self.cycles.entry(rxq).or_insert(0) += dt;
-                if health.crashes.len() > crashes_before {
+                if crashed {
                     // The crash took the swapped-in caches down with the
                     // datapath: restart with cold per-PMD caches but the
                     // same assignment.
@@ -504,6 +485,9 @@ impl PmdSet {
             }
         }
         self.rounds += 1;
+        if self.auto_lb.enabled && self.rounds.is_multiple_of(self.auto_lb.interval_rounds) {
+            self.auto_lb_check();
+        }
         moved
     }
 

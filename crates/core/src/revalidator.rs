@@ -18,14 +18,28 @@
 //! an attacker can force per-flow megaflows, but the table stays bounded
 //! by the limit, trading upcalls for memory instead of collapsing.
 //!
-//! This module holds the dpif-independent state: the *ukeys* (userspace
-//! views of installed datapath flows, one per megaflow, with the rule
-//! refs stats are pushed to), the flow-limit algorithm, and the sweep
-//! accounting. The drivers live next to the dpifs they sweep:
-//! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) and
-//! [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate).
+//! This module holds the dpif-independent state and the one revalidation
+//! pass: the *ukeys* (userspace views of installed datapath flows, one
+//! per megaflow, with the rule refs stats are pushed to), the flow-limit
+//! algorithm, and the pass itself — [`Revalidator::begin_sweep`], the
+//! per-flow step [`Revalidator::revalidate_flow`], LRU eviction
+//! ([`Revalidator::evict`]) and [`Revalidator::end_sweep`]. A re-translation
+//! is compared against the ukey's installed actions and mask. Three
+//! drivers run the pass over a [`FlowTable`] (the megaflow cache or the
+//! kernel module's flow table), pass in their own re-translation, and
+//! keep only what differs:
+//! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) (the
+//! megaflow cache, plus restore reconciliation, cache purge, conntrack
+//! expiry and the virtual-clock charges),
+//! [`DpifNetdev::revalidate_changed`](crate::dpif::DpifNetdev::revalidate_changed)
+//! (the same step with the timeouts off, uncharged, on every `flow_mod`)
+//! and [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate)
+//! (the kernel flow table, over the ukeys).
 
+use crate::cache::MegaflowCache;
 use crate::ofproto::RuleEntry;
+use ovs_kernel::OvsModule;
+use ovs_obs::coverage;
 use ovs_packet::{FlowKey, FlowMask};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -189,6 +203,68 @@ impl SweepSummary {
     }
 }
 
+/// A datapath flow table as a revalidation pass reads and prunes it:
+/// the userspace megaflow cache or the kernel module's flow table.
+pub trait FlowTable {
+    /// Datapath flows installed.
+    fn n_flows(&self) -> usize;
+    /// `(packets, bytes, used_ns, created_ns)` of the flow installed under
+    /// `key`/`mask`, or `None` once the datapath no longer has it.
+    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<(u64, u64, u64, u64)>;
+    /// Delete the flow installed under `key`/`mask`.
+    fn delete_flow(&mut self, key: &FlowKey, mask: &FlowMask);
+}
+
+impl<A> FlowTable for MegaflowCache<A> {
+    fn n_flows(&self) -> usize {
+        self.len()
+    }
+
+    fn flow_counters(&self, key: &FlowKey, _: &FlowMask) -> Option<(u64, u64, u64, u64)> {
+        let e = self.get(key)?;
+        Some((
+            e.hits.get(),
+            e.bytes.get(),
+            e.used_ns.get(),
+            e.created_ns.get(),
+        ))
+    }
+
+    fn delete_flow(&mut self, key: &FlowKey, _: &FlowMask) {
+        self.remove(key);
+    }
+}
+
+impl FlowTable for OvsModule {
+    fn n_flows(&self) -> usize {
+        self.flow_count()
+    }
+
+    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<(u64, u64, u64, u64)> {
+        self.flow_stats(key, mask)
+    }
+
+    fn delete_flow(&mut self, key: &FlowKey, mask: &FlowMask) {
+        self.remove_flow(key, mask);
+    }
+}
+
+/// One revalidation pass in progress: the verdict inputs fixed when it
+/// opened, and what it has done so far. The default pass, what a
+/// `flow_mod` runs, has the timeouts off — its clock reads zero, so no
+/// flow is idle or past a hard age — and only a changed translation
+/// deletes a flow.
+#[derive(Debug, Default)]
+pub struct Sweep {
+    now_ns: u64,
+    n_flows: usize,
+    max_idle_ns: u64,
+    hard_ns: u64,
+    kill_all: bool,
+    /// What the pass has done so far.
+    pub summary: SweepSummary,
+}
+
 /// Per-dpif revalidator state: the ukey table, the dynamic flow limit,
 /// and sweep statistics. Generic over the datapath action language so
 /// both `DpifNetdev` (`Vec<DpAction>`) and `DpifNetlink`
@@ -245,11 +321,6 @@ impl<A> Revalidator<A> {
         } else {
             self.cfg.max_idle_ms * 1_000_000
         }
-    }
-
-    /// Hard timeout in sim-ns (0 = disabled).
-    pub fn hard_timeout_ns(&self) -> u64 {
-        self.cfg.hard_timeout_ms * 1_000_000
     }
 
     /// Fold one finished dump pass into the dynamic flow limit — the
@@ -312,41 +383,143 @@ impl<A> Revalidator<A> {
     /// remember the new high-water marks. Returns the (packets, bytes)
     /// delta pushed.
     pub fn push_stats(&mut self, key: &FlowKey, n_packets: u64, n_bytes: u64) -> (u64, u64) {
-        let Some(uk) = self.ukeys.get_mut(key) else {
-            return (0, 0);
+        match self.ukeys.get_mut(key) {
+            Some(uk) => push(uk, &mut self.stats, n_packets, n_bytes),
+            None => (0, 0),
+        }
+    }
+
+    /// Open a periodic sweep of a datapath holding `n_flows` at `now_ns`:
+    /// the effective idle timeout, the hard timeout and the kill-all
+    /// verdict are fixed for the whole pass.
+    pub fn begin_sweep(&self, n_flows: usize, now_ns: u64) -> Sweep {
+        Sweep {
+            now_ns,
+            n_flows,
+            max_idle_ns: self.effective_max_idle_ns(n_flows),
+            hard_ns: self.cfg.hard_timeout_ms * 1_000_000,
+            kill_all: n_flows > 2 * self.flow_limit,
+            summary: SweepSummary::default(),
+        }
+    }
+
+    /// The per-flow step every pass shares: count the dump, push the
+    /// flow's stats, then delete it (kill-all, else idle, else hard,
+    /// else a changed re-translation) or refresh its rule refs — the
+    /// rules backing an unchanged flow may still have changed. `xlate`
+    /// re-translates the key into the ukey's action language. A restored
+    /// flow is only counted: it has no rule refs to push to, so it waits
+    /// for the dpif's reconciliation, which gets its `(packets, bytes)`.
+    /// Flows installed behind the dpif's back have no ukey and are left
+    /// alone.
+    pub fn revalidate_flow(
+        &mut self,
+        sweep: &mut Sweep,
+        table: &mut impl FlowTable,
+        key: &FlowKey,
+        xlate: impl FnOnce(&FlowKey) -> (A, FlowMask, Vec<Rc<RuleEntry>>),
+    ) -> Option<(u64, u64)>
+    where
+        A: PartialEq,
+    {
+        coverage!("revalidate_flow");
+        self.stats.flows_dumped += 1;
+        sweep.summary.dumped += 1;
+        let uk = self.ukeys.get_mut(key)?;
+        let Some((packets, bytes, used, created)) = table.flow_counters(key, &uk.mask) else {
+            // The datapath dropped the flow behind the pass's back.
+            self.ukeys.remove(key);
+            return None;
         };
         if uk.restored {
-            // No rule refs yet: crediting would silently swallow the
-            // delta. Hold it until the reconciliation sweep adopts the
-            // flow (or drops it as an orphan).
-            return (0, 0);
+            return Some((packets, bytes));
         }
-        let dp = n_packets.saturating_sub(uk.pushed_packets);
-        let db = n_bytes.saturating_sub(uk.pushed_bytes);
-        if dp != 0 || db != 0 {
-            for r in &uk.rules {
-                r.credit(dp, db);
+        // Push before any delete decision so counters survive the flow.
+        push(uk, &mut self.stats, packets, bytes);
+        let reason = if sweep.kill_all {
+            DeleteReason::Evicted
+        } else if sweep.now_ns.saturating_sub(used) > sweep.max_idle_ns {
+            DeleteReason::Idle
+        } else if sweep.hard_ns > 0 && sweep.now_ns.saturating_sub(created) > sweep.hard_ns {
+            DeleteReason::Hard
+        } else {
+            let (actions, mask, rules) = xlate(key);
+            if actions == uk.actions && mask == uk.mask {
+                uk.rules = rules;
+                return None;
             }
-            uk.pushed_packets = n_packets;
-            uk.pushed_bytes = n_bytes;
-            self.stats.pushed_packets += dp;
-            self.stats.pushed_bytes += db;
-        }
-        (dp, db)
+            DeleteReason::Changed
+        };
+        self.delete(sweep, table, key, reason);
+        None
     }
 
-    /// Replace a surviving ukey's rule refs after re-translation (the
-    /// rules backing an unchanged flow may still have changed). Push
-    /// pending stats *before* calling this.
-    pub fn refresh_rules(&mut self, key: &FlowKey, rules: Vec<Rc<RuleEntry>>) {
-        if let Some(uk) = self.ukeys.get_mut(key) {
-            uk.rules = rules;
+    /// Evict least-recently-used flows until the datapath is back at the
+    /// flow limit. Candidates are the flows the dpif installed (those with
+    /// ukeys); `keep_restored` spares the ones still awaiting
+    /// reconciliation. Ties on `used` break on the key hash, so the order
+    /// never depends on `HashMap` iteration.
+    pub fn evict(&mut self, sweep: &mut Sweep, table: &mut impl FlowTable, keep_restored: bool) {
+        let n_flows = table.n_flows();
+        if n_flows <= self.flow_limit {
+            return;
+        }
+        let mut lru: Vec<(u64, u64, FlowKey)> = self
+            .ukeys
+            .iter()
+            .filter(|(_, uk)| !(keep_restored && uk.restored))
+            .filter_map(|(k, uk)| Some((table.flow_counters(k, &uk.mask)?.2, k.hash(), *k)))
+            .collect();
+        lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
+        for (_, _, k) in lru.into_iter().take(n_flows - self.flow_limit) {
+            self.delete(sweep, table, &k, DeleteReason::Evicted);
         }
     }
 
-    /// Whether `key` is a restored flow still awaiting reconciliation.
-    pub fn is_restored(&self, key: &FlowKey) -> bool {
-        self.ukeys.get(key).is_some_and(|u| u.restored)
+    /// Close a sweep: fold its dump duration into the flow limit and
+    /// report what it did.
+    pub fn end_sweep(&mut self, sweep: Sweep, dump_duration_ms: u64) -> SweepSummary {
+        self.note_dump(sweep.n_flows, dump_duration_ms);
+        SweepSummary {
+            flow_limit: self.flow_limit,
+            dump_duration_ms: self.dump_duration_ms,
+            ..sweep.summary
+        }
+    }
+
+    /// Delete one flow, counted three ways under `reason`: its coverage
+    /// counter, the lifetime [`RevalStats`] and the pass's summary.
+    fn delete(
+        &mut self,
+        sweep: &mut Sweep,
+        table: &mut impl FlowTable,
+        key: &FlowKey,
+        reason: DeleteReason,
+    ) {
+        let (s, p) = (&mut self.stats, &mut sweep.summary);
+        let (lifetime, pass) = match reason {
+            DeleteReason::Idle => {
+                coverage!("revalidate_idle");
+                (&mut s.deleted_idle, &mut p.deleted_idle)
+            }
+            DeleteReason::Hard => {
+                coverage!("revalidate_hard");
+                (&mut s.deleted_hard, &mut p.deleted_hard)
+            }
+            DeleteReason::Changed => {
+                coverage!("revalidate_changed");
+                (&mut s.deleted_changed, &mut p.deleted_changed)
+            }
+            DeleteReason::Evicted => {
+                coverage!("flow_evicted");
+                (&mut s.evicted, &mut p.evicted)
+            }
+        };
+        *lifetime += 1;
+        *pass += 1;
+        if let Some(uk) = self.ukeys.remove(key) {
+            table.delete_flow(key, &uk.mask);
+        }
     }
 
     /// Restored flows still awaiting reconciliation.
@@ -362,16 +535,6 @@ impl<A> Revalidator<A> {
         if let Some(uk) = self.ukeys.get_mut(key) {
             uk.rules = rules;
             uk.restored = false;
-        }
-    }
-
-    /// Account one sweep deletion under `reason`.
-    pub fn note_delete(&mut self, reason: DeleteReason) {
-        match reason {
-            DeleteReason::Idle => self.stats.deleted_idle += 1,
-            DeleteReason::Hard => self.stats.deleted_hard += 1,
-            DeleteReason::Changed => self.stats.deleted_changed += 1,
-            DeleteReason::Evicted => self.stats.evicted += 1,
         }
     }
 
@@ -401,12 +564,50 @@ impl<A> Revalidator<A> {
     }
 }
 
+/// [`Revalidator::push_stats`] on one ukey.
+fn push<A>(uk: &mut Ukey<A>, stats: &mut RevalStats, n_packets: u64, n_bytes: u64) -> (u64, u64) {
+    if uk.restored {
+        // No rule refs yet: crediting would silently swallow the
+        // delta. Hold it until the reconciliation sweep adopts the
+        // flow (or drops it as an orphan).
+        return (0, 0);
+    }
+    let dp = n_packets.saturating_sub(uk.pushed_packets);
+    let db = n_bytes.saturating_sub(uk.pushed_bytes);
+    if dp != 0 || db != 0 {
+        for r in &uk.rules {
+            r.credit(dp, db);
+        }
+        uk.pushed_packets = n_packets;
+        uk.pushed_bytes = n_bytes;
+        stats.pushed_packets += dp;
+        stats.pushed_bytes += db;
+    }
+    (dp, db)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ofproto::{OfRule, RuleEntry};
     use ovs_packet::FlowMask;
     use std::cell::Cell;
+
+    /// A match-all rule with zeroed counters.
+    fn rule() -> Rc<RuleEntry> {
+        Rc::new(RuleEntry {
+            rule: OfRule {
+                table: 0,
+                priority: 0,
+                key: FlowKey::default(),
+                mask: FlowMask::EMPTY,
+                actions: vec![],
+                cookie: 0,
+            },
+            n_packets: Cell::new(0),
+            n_bytes: Cell::new(0),
+        })
+    }
 
     fn reval() -> Revalidator<u32> {
         Revalidator::with_config(RevalidatorConfig {
@@ -471,18 +672,7 @@ mod tests {
 
     #[test]
     fn stats_pushback_is_incremental() {
-        let rule = Rc::new(RuleEntry {
-            rule: OfRule {
-                table: 0,
-                priority: 0,
-                key: FlowKey::default(),
-                mask: FlowMask::EMPTY,
-                actions: vec![],
-                cookie: 0,
-            },
-            n_packets: Cell::new(0),
-            n_bytes: Cell::new(0),
-        });
+        let rule = rule();
         let mut r: Revalidator<u32> = Revalidator::new();
         let key = FlowKey::default();
         r.register(Ukey::new(
@@ -507,30 +697,18 @@ mod tests {
 
     #[test]
     fn restored_ukey_holds_pushback_until_adopted() {
-        let rule = Rc::new(RuleEntry {
-            rule: OfRule {
-                table: 0,
-                priority: 0,
-                key: FlowKey::default(),
-                mask: FlowMask::EMPTY,
-                actions: vec![],
-                cookie: 0,
-            },
-            n_packets: Cell::new(0),
-            n_bytes: Cell::new(0),
-        });
+        let rule = rule();
         let mut r: Revalidator<u32> = Revalidator::new();
         let key = FlowKey::default();
         // Snapshot carried 10 packets already pushed to the old rules.
         r.register(Ukey::restored(key, FlowMask::EXACT, 0, 0, 10, 640));
-        assert!(r.is_restored(&key));
         assert_eq!(r.restored_count(), 1);
         // Pushback while rule-less is held, not swallowed.
         assert_eq!(r.push_stats(&key, 14, 896), (0, 0));
         // Adoption re-resolves rules; the next push credits exactly the
         // post-snapshot delta (14 - 10 = 4 packets).
         r.adopt(&key, vec![Rc::clone(&rule)]);
-        assert!(!r.is_restored(&key));
+        assert_eq!(r.restored_count(), 0);
         assert_eq!(r.push_stats(&key, 14, 896), (4, 256));
         assert_eq!(rule.n_packets.get(), 4);
         assert_eq!(rule.n_bytes.get(), 256);

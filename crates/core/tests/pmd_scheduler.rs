@@ -8,6 +8,7 @@
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::{DpifNetdev, PortType};
+use ovs_core::health::HealthMonitor;
 use ovs_core::ofproto::{OfAction, OfRule};
 use ovs_core::pmd::{AssignmentPolicy, PmdSet};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
@@ -32,20 +33,29 @@ fn frame(tp_src: u16) -> Vec<u8> {
 
 fn setup() -> (Kernel, DpifNetdev, Vec<u32>) {
     let mut k = Kernel::new(16);
+    let nics: Vec<u32> = (0..2u8)
+        .map(|i| {
+            k.add_device(NetDevice::new(
+                &format!("eth{i}"),
+                MacAddr::new(2, 0, 0, 0, 0, i + 1),
+                DeviceKind::Phys { link_gbps: 10.0 },
+                NQ,
+            ))
+        })
+        .collect();
+    let dp = datapath(&mut k, &nics);
+    (k, dp, nics)
+}
+
+/// The datapath over `nics`: an AF_XDP port each, eth0 forwarding to
+/// eth1 (also the blueprint a [`HealthMonitor`] rebuilds it from).
+fn datapath(k: &mut Kernel, nics: &[u32]) -> DpifNetdev {
     let mut dp = DpifNetdev::new();
-    let mut nics = Vec::new();
-    for i in 0..2u8 {
-        let nic = k.add_device(NetDevice::new(
-            &format!("eth{i}"),
-            MacAddr::new(2, 0, 0, 0, 0, i + 1),
-            DeviceKind::Phys { link_gbps: 10.0 },
-            NQ,
-        ));
+    for (i, &nic) in nics.iter().enumerate() {
         dp.add_port(
             &format!("eth{i}"),
-            PortType::Afxdp(AfxdpPort::open(&mut k, nic, 1024, OptLevel::O5).unwrap()),
+            PortType::Afxdp(AfxdpPort::open(k, nic, 1024, OptLevel::O5).unwrap()),
         );
-        nics.push(nic);
     }
     let mut key = FlowKey::default();
     key.set_in_port(0);
@@ -57,7 +67,7 @@ fn setup() -> (Kernel, DpifNetdev, Vec<u32>) {
         actions: vec![OfAction::Output(1)],
         cookie: 0,
     });
-    (k, dp, nics)
+    dp
 }
 
 /// One traffic event: `count` copies of flow `tp` into queue `q`.
@@ -172,10 +182,19 @@ proptest! {
 /// the lowest core always looks least loaded). Under a skewed workload
 /// the auto-lb pass measures the real loads, dry-runs the re-placement,
 /// and applies it — and the bottleneck PMD's per-round busy time drops.
+/// Supervised rounds (behind a [`HealthMonitor`]) balance exactly alike.
 #[test]
 fn auto_lb_rebalance_improves_skewed_throughput() {
-    let run = || {
-        let (mut k, mut dp, nics) = setup();
+    let run = |supervised: bool| {
+        let (mut k, dp, nics) = setup();
+        let blueprint = nics.clone();
+        let mut health =
+            supervised.then(|| HealthMonitor::new(move |k: &mut Kernel| datapath(k, &blueprint)));
+        let mut dp = Some(dp);
+        let mut round = |pmds: &mut PmdSet, k: &mut Kernel| match health.as_mut() {
+            Some(h) => pmds.run_round_supervised(h, &mut dp, k),
+            None => pmds.run_round(dp.as_mut().unwrap(), k),
+        };
         let mut pmds = PmdSet::new(&[8, 9], AssignmentPolicy::Group);
         pmds.add_port_rxqs(0, NQ);
         pmds.rebalance();
@@ -201,7 +220,7 @@ fn auto_lb_rebalance_improves_skewed_throughput() {
         let busy0: Vec<u64> = pmds.pmds().iter().map(|p| p.busy_ns).collect();
         for _ in 0..32 {
             inject(&mut k);
-            pmds.run_round(&mut dp, &mut k);
+            round(&mut pmds, &mut k);
         }
         for (p, b0) in pmds.pmds().iter().zip(&busy0) {
             phase_a_max = phase_a_max.max(p.busy_ns - b0);
@@ -217,7 +236,7 @@ fn auto_lb_rebalance_improves_skewed_throughput() {
         let busy1: Vec<u64> = pmds.pmds().iter().map(|p| p.busy_ns).collect();
         for _ in 0..32 {
             inject(&mut k);
-            pmds.run_round(&mut dp, &mut k);
+            round(&mut pmds, &mut k);
         }
         let mut phase_b_max = 0u64;
         for (p, b1) in pmds.pmds().iter().zip(&busy1) {
@@ -226,7 +245,7 @@ fn auto_lb_rebalance_improves_skewed_throughput() {
         (phase_a_max, phase_b_max)
     };
 
-    let (a, b) = run();
+    let (a, b) = run(false);
     assert!(
         b < a,
         "bottleneck PMD busy time must drop after the rebalance: {a} -> {b} ns"
@@ -237,7 +256,8 @@ fn auto_lb_rebalance_improves_skewed_throughput() {
         "post-rebalance gain must be measurable: {a} -> {b} ns"
     );
     // Byte-determinism: the whole seeded run replays identically.
-    assert_eq!(run(), (a, b), "auto-lb run is deterministic");
+    assert_eq!(run(false), (a, b), "auto-lb run is deterministic");
+    assert_eq!(run(true), (a, b), "a supervised round balances alike");
 }
 
 /// The appctl surface: rebalance applies, and the commands degrade

@@ -1,10 +1,11 @@
 //! Revalidator lifecycle end-to-end: stats pushback exactness, idle and
 //! hard expiry, the dynamic flow limit under a Tuple-Space-Explosion
 //! style workload (Csikor et al., "Tuple Space Explosion: A
-//! Denial-of-Service Attack Against a Software Packet Classifier"), and
-//! the kernel-datapath sweep.
+//! Denial-of-Service Attack Against a Software Packet Classifier"), the
+//! restore ledger across a `flow_mod`, and the kernel-datapath sweep.
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
+use ovs_core::appctl;
 use ovs_core::dpif::{DpifNetdev, DpifNetlink, PortType};
 use ovs_core::ofproto::{OfAction, OfRule};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
@@ -267,6 +268,53 @@ fn overload_past_twice_the_limit_kills_all_flows() {
     assert!(dp.stats.coherent(), "{:?}", dp.stats);
 }
 
+/// `adopted + orphaned + pending == restored` holds through a `flow_mod`
+/// that lands while the restore gate is up: its pass leaves restored
+/// flows to reconciliation instead of deleting them as `changed`.
+#[test]
+fn restore_ledger_holds_across_a_flow_mod_under_the_gate() {
+    let (mut k, mut dp, nics) = setup();
+    for tp in [4000, 4001] {
+        dp.ofproto.add_rule(tp_src_rule(tp, 1));
+        send(&mut k, &mut dp, nics[0], tp);
+    }
+    assert_eq!(dp.megaflow_count(), 2);
+    let snap = dp.snapshot(k.sim.clock.now_ns());
+
+    // The restarted daemon: same ports, an empty table, and the snapshot
+    // restored behind the flow-restore-wait gate.
+    let (mut k, mut dp, _) = setup();
+    dp.restore_from(&snap, k.sim.clock.now_ns(), SEC);
+    let ledger = |dp: &DpifNetdev| {
+        let pending = dp.revalidator.restored_count() as u64;
+        assert_eq!(
+            dp.restore.restored_flows,
+            dp.stats.restore_adopted + dp.stats.restore_orphaned + pending,
+            "{}",
+            dp.flow_restore_show()
+        );
+    };
+    ledger(&dp);
+
+    // The controller repopulates the table under the gate; in the new
+    // table tp_src 4001 forwards to another port.
+    dp.add_flows(
+        "table=0, priority=10, udp, tp_src=4000, actions=output:1\n\
+         table=0, priority=10, udp, tp_src=4001, actions=output:2",
+    )
+    .unwrap();
+    ledger(&dp);
+    dp.flow_restore_complete(k.sim.clock.now_ns());
+    ledger(&dp);
+    dp.revalidate(&mut k, 0);
+    ledger(&dp);
+
+    let show = appctl::dispatch(&mut dp, &mut k, "flow-restore/show", &[]).unwrap();
+    assert!(show.contains("1 adopted, 1 orphaned, 0 pending"), "{show}");
+    let show = appctl::dispatch(&mut dp, &mut k, "upcall/show", &[]).unwrap();
+    assert!(show.contains(" 0 changed"), "{show}");
+}
+
 #[test]
 fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     let mut k = Kernel::new(4);
@@ -331,4 +379,36 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
     assert_eq!(k.ovs.flow_count(), 1);
     assert_eq!(k.device(eth1).tx_wire.len(), 4);
+
+    // A rule change: per-source-port rules now outrank the in_port rule,
+    // so the installed flow re-translates under a wider mask.
+    for tp in 7000..7004u16 {
+        dpif.ofproto.add_rule(OfRule {
+            priority: 20,
+            ..tp_src_rule(tp, p1)
+        });
+    }
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!(s.deleted_changed, 1);
+    assert_eq!(k.ovs.flow_count(), 0);
+    assert_eq!(dpif.revalidator.ukey_count(), 0);
+
+    // Four per-port flows, one per millisecond, against a limit of two
+    // (not past twice it, so no kill-all): the two least recently used go.
+    for tp in 7000..7004u16 {
+        k.receive(eth0, 0, frame(tp));
+        assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
+        k.sim.clock.advance(1_000_000);
+    }
+    assert_eq!(k.ovs.flow_count(), 4);
+    dpif.revalidator.flow_limit = 2;
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.evicted, s.deleted()), (2, 2));
+    assert_eq!(k.ovs.flow_count(), 2);
+    assert_eq!(dpif.revalidator.ukey_count(), 2);
+    // The newest flow survived; the oldest upcalls again.
+    k.receive(eth0, 0, frame(7003));
+    assert!(k.upcalls.is_empty(), "most-recent flow survived");
+    k.receive(eth0, 0, frame(7000));
+    assert_eq!(k.upcalls.len(), 1, "least-recent flow was evicted");
 }

@@ -875,16 +875,6 @@ impl Kernel {
     // Tap fd side (userspace OVS / QEMU)
     // ------------------------------------------------------------------
 
-    /// Userspace reads one frame from a tap fd. Charges a light syscall
-    /// to the caller's core when a frame is returned (the poll loop is
-    /// readiness-driven, so empty taps cost nothing).
-    pub fn tap_fd_read(&mut self, ifindex: u32, caller_core: usize) -> Option<Vec<u8>> {
-        let f = self.dev_mut(ifindex).fd_queue.pop_front()?;
-        let c = self.sim.costs.syscall_light_ns;
-        self.sim.charge(caller_core, Context::System, c);
-        Some(f)
-    }
-
     /// OVS-userspace access to a tap/veth **kernel** side via a raw
     /// (AF_PACKET) socket, as `netdev-linux` does: read frames the kernel
     /// side received (e.g. what vhost-net injected for a VM).

@@ -249,13 +249,6 @@ impl OvsModule {
             .map(|f| (f.hits, f.bytes, f.used_ns, f.created_ns))
     }
 
-    /// Remove all flows (`ovs-dpctl del-flows`).
-    pub fn flush_flows(&mut self) {
-        self.flows.clear();
-        self.masks.clear();
-        self.mask_refs.clear();
-    }
-
     /// Number of installed megaflows.
     pub fn flow_count(&self) -> usize {
         self.flows.len()

@@ -139,11 +139,6 @@ pub struct CostModel {
     // ------------------------------------------------------------------
     // AF_XDP
     // ------------------------------------------------------------------
-    /// Kernel-side AF_XDP work per packet in zero-copy mode: driver RX +
-    /// XSK descriptor handling (softirq). **[calibrated]** so O5 tops out
-    /// at ~7.1 Mpps with the userspace side at ~127 ns/packet, and so
-    /// Table 4 P2P AF_XDP shows softirq ≈ user.
-    pub afxdp_kernel_zc_ns: f64,
     /// Extra kernel-side cost in copy (XDP_SKB / generic) mode: one packet
     /// copy into the umem plus skb handling. Universal fallback per §3.5
     /// "Limitations". **[estimate]**
@@ -233,8 +228,6 @@ pub struct CostModel {
     /// algorithm. **[estimate]** (OVS revalidates a few hundred thousand
     /// flows per second per thread ⇒ a few µs each.)
     pub revalidate_flow_ns: f64,
-    /// Executing a simple action list (output). **[estimate]**
-    pub action_output_ns: f64,
     /// Userspace conntrack lookup/update. **[estimate]**
     pub userspace_ct_ns: f64,
     /// Userspace tunnel encap/decap (Geneve header build + route/ARP cache
@@ -347,7 +340,6 @@ impl CostModel {
             xsk_deliver_ns: 67.0,
             xdp_redirect_ns: 80.0,
 
-            afxdp_kernel_zc_ns: 140.0,
             afxdp_copy_mode_extra_ns: 120.0,
             xsk_ring_ns: 20.0,
             sw_rxhash_ns: 25.0,
@@ -370,7 +362,6 @@ impl CostModel {
             dp_batch_pkt_ns: 4.0,
             upcall_per_table_ns: 800.0,
             revalidate_flow_ns: 2_500.0,
-            action_output_ns: 15.0,
             userspace_ct_ns: 120.0,
             userspace_tunnel_ns: 180.0,
             recirc_ns: 35.0,

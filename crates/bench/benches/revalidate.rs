@@ -1,11 +1,13 @@
 //! Revalidator sweep cost vs installed megaflow count: each sweep dumps
-//! every datapath flow, re-checks its translation against the OpenFlow
-//! tables, and pushes the stats delta into the matched rules — so the
-//! cost should scale linearly with the table size. This is the per-flow
-//! overhead that bounds how large a flow limit a revalidator core can
-//! sustain at a given sweep interval.
+//! every datapath flow with its counters and pushes the stats delta into
+//! the matched rules — so the cost should scale linearly with the table
+//! size. A flow is re-translated against the OpenFlow tables only when
+//! they changed since it was last checked; `revalidate/sweep_stale`
+//! changes them before every sweep, so it measures that re-translation
+//! too. This is the per-flow overhead that bounds how large a flow limit
+//! a revalidator core can sustain at a given sweep interval.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::dpif::{DpifNetdev, PortType};
 use ovs_core::ofproto::{OfAction, OfRule};
@@ -14,6 +16,7 @@ use ovs_kernel::Kernel;
 use ovs_packet::ethernet::EtherType;
 use ovs_packet::flow::{fields, FlowKey, FlowMask};
 use ovs_packet::{builder, MacAddr};
+use std::cell::RefCell;
 use std::hint::black_box;
 
 fn tp_src_rule(tp: u16) -> OfRule {
@@ -77,7 +80,8 @@ fn warm_datapath(flows: u16) -> (Kernel, DpifNetdev, u32) {
 fn bench_sweep(c: &mut Criterion) {
     // The virtual clock never advances inside the measurement loop, so
     // every flow stays within its idle timeout and each sweep does the
-    // steady-state work: dump, re-translate, push a zero stats delta.
+    // steady-state work: dump and push a zero stats delta. The tables
+    // never change, so no flow is re-translated.
     let mut g = c.benchmark_group("revalidate/sweep");
     for flows in [16u16, 128, 1024, 8192] {
         let (mut k, mut dp, _) = warm_datapath(flows);
@@ -87,6 +91,38 @@ fn bench_sweep(c: &mut Criterion) {
                 assert_eq!(s.dumped, u64::from(n));
                 black_box(s.dumped)
             })
+        });
+    }
+    g.finish();
+}
+
+fn bench_sweep_stale(c: &mut Criterion) {
+    // Same sweep, but a rule lands in table 1 before each one. The
+    // pipeline never visits table 1, so every flow survives, yet the new
+    // table version makes the sweep re-translate all of them. The rule
+    // is added in the untimed setup.
+    let mut g = c.benchmark_group("revalidate/sweep_stale");
+    for flows in [16u16, 1024, 8192] {
+        let dp = RefCell::new(warm_datapath(flows));
+        let mut tp = 0u16;
+        g.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, &n| {
+            b.iter_batched(
+                || {
+                    tp = tp.wrapping_add(1);
+                    dp.borrow_mut().1.ofproto.add_rule(OfRule {
+                        table: 1,
+                        ..tp_src_rule(tp)
+                    });
+                },
+                |()| {
+                    let (k, dp, _) = &mut *dp.borrow_mut();
+                    let s = dp.revalidate(k, 0);
+                    assert_eq!(s.dumped, u64::from(n));
+                    assert_eq!(s.deleted(), 0);
+                    black_box(s.dumped)
+                },
+                BatchSize::PerIteration,
+            )
         });
     }
     g.finish();
@@ -138,6 +174,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_sweep, bench_sweep_with_stats_delta
+    targets = bench_sweep, bench_sweep_stale, bench_sweep_with_stats_delta
 }
 criterion_main!(benches);

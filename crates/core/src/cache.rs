@@ -19,6 +19,7 @@
 //! datapath couldn't have it.
 
 use crate::classifier::{Classifier, Rule};
+use crate::revalidator::FlowCounters;
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -77,6 +78,16 @@ impl<A> MegaflowEntry<A> {
     pub fn note_use(&self, len: usize, now_ns: u64) {
         self.bytes.set(self.bytes.get() + len as u64);
         self.used_ns.set(now_ns);
+    }
+
+    /// The entry's counters as a flow dump returns them.
+    pub fn counters(&self) -> FlowCounters {
+        (
+            self.hits.get(),
+            self.bytes.get(),
+            self.used_ns.get(),
+            self.created_ns.get(),
+        )
     }
 }
 

@@ -22,7 +22,7 @@ use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::Ofproto;
-use crate::revalidator::{Revalidator, Sweep, SweepSummary, Ukey};
+use crate::revalidator::{FlowTable, Revalidator, Sweep, SweepSummary, Ukey};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
@@ -765,11 +765,13 @@ impl DpifNetdev {
     }
 
     /// Install or modify an OpenFlow rule at runtime and **selectively
-    /// revalidate**: every cached megaflow is re-translated against the
-    /// updated tables and only the flows whose translation actually
-    /// changed are deleted — OVS revalidator semantics, replacing the
-    /// old flush-the-world behaviour. Unaffected flows keep their cache
-    /// entries (and their hit streaks).
+    /// revalidate**: the rule gives the tables a new version, so every
+    /// cached megaflow is re-translated against the updated tables and
+    /// only the flows whose translation actually changed are deleted —
+    /// OVS revalidator semantics, replacing the old flush-the-world
+    /// behaviour. Unaffected flows keep their cache entries (and their
+    /// hit streaks) and are marked checked at the new version, so the
+    /// next periodic sweep does not re-translate them again.
     pub fn flow_mod(&mut self, rule: crate::ofproto::OfRule) {
         self.ofproto.add_rule(rule);
         self.revalidate_changed();
@@ -782,18 +784,14 @@ impl DpifNetdev {
     /// translation consulted, so the masked key takes the same pipeline
     /// path as any packet the megaflow matches. This is the periodic
     /// pass's per-flow step with the timeouts off, run at once and
-    /// uncharged: pure control-plane bookkeeping. Restored flows wait
-    /// for reconciliation in [`revalidate`](Self::revalidate).
+    /// uncharged: pure control-plane bookkeeping. Only flows not yet
+    /// checked at the current table version are re-translated. Restored
+    /// flows wait for reconciliation in [`revalidate`](Self::revalidate).
     pub fn revalidate_changed(&mut self) -> usize {
-        let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
-        let mut sweep = Sweep::default();
-        for k in &keys {
-            let ofproto = &mut self.ofproto;
-            self.revalidator
-                .revalidate_flow(&mut sweep, &mut self.megaflow, k, |k| {
-                    let t = ofproto.translate(k);
-                    (t.actions, t.mask, t.rules)
-                });
+        let flows: Vec<_> = self.megaflow.iter().cloned().collect();
+        let mut sweep = Sweep::flow_mod(self.ofproto.version());
+        for e in &flows {
+            self.revalidate_megaflow(&mut sweep, e);
         }
         // Every flow the pass deleted left the megaflow cache.
         self.stats.flows_deleted += sweep.summary.deleted();
@@ -873,14 +871,16 @@ impl DpifNetdev {
             entry.used_ns.set(f.used_ns);
             entry.created_ns.set(f.created_ns);
             self.stats.flows_installed += 1;
-            self.revalidator.register(Ukey::restored(
+            self.revalidator.register(
                 f.key,
-                f.mask,
-                f.actions.clone(),
-                f.created_ns,
-                f.pushed_packets,
-                f.pushed_bytes,
-            ));
+                Ukey::restored(
+                    f.mask,
+                    f.actions.clone(),
+                    f.created_ns,
+                    f.pushed_packets,
+                    f.pushed_bytes,
+                ),
+            );
             coverage!("flow_restored");
         }
         st.restored_flows = snap.flows.len() as u64;
@@ -968,6 +968,28 @@ impl DpifNetdev {
         }
     }
 
+    /// The pass's per-flow step on one megaflow: its counters come
+    /// from the entry itself, as a flow dump returns them, and a
+    /// re-translation (when the step needs one) goes through this
+    /// datapath's tables.
+    fn revalidate_megaflow(
+        &mut self,
+        sweep: &mut Sweep,
+        e: &MegaflowEntry<Vec<DpAction>>,
+    ) -> Option<(u64, u64)> {
+        let ofproto = &mut self.ofproto;
+        self.revalidator.revalidate_flow(
+            sweep,
+            &mut self.megaflow,
+            &e.key,
+            Some(e.counters()),
+            |k| {
+                let t = ofproto.translate(k);
+                (t.actions, t.mask, t.rules)
+            },
+        )
+    }
+
     /// One full revalidator round over the userspace datapath: the
     /// shared pass ([`Revalidator::revalidate_flow`] per megaflow, then
     /// LRU eviction down to the dynamic flow limit) plus what only this
@@ -988,19 +1010,14 @@ impl DpifNetdev {
         } else {
             self.restore.reconcile_budget
         };
-        let mut sweep = self.revalidator.begin_sweep(self.megaflow.len(), now);
-        let keys: Vec<FlowKey> = self.megaflow.iter().map(|e| e.key).collect();
-        for k in keys {
+        let mut sweep =
+            self.revalidator
+                .begin_sweep(self.megaflow.len(), now, self.ofproto.version());
+        let flows: Vec<_> = self.megaflow.iter().cloned().collect();
+        for e in &flows {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
-            let ofproto = &mut self.ofproto;
-            let restored =
-                self.revalidator
-                    .revalidate_flow(&mut sweep, &mut self.megaflow, &k, |k| {
-                        let t = ofproto.translate(k);
-                        (t.actions, t.mask, t.rules)
-                    });
-            let Some((hits, bytes)) = restored else {
+            let Some((hits, bytes)) = self.revalidate_megaflow(&mut sweep, e) else {
                 continue;
             };
             // Orphan reconciliation of a restored flow: re-translating
@@ -1012,16 +1029,13 @@ impl DpifNetdev {
                 continue;
             }
             budget -= 1;
-            let t = self.ofproto.translate(&k);
+            let version = self.ofproto.version();
+            let t = self.ofproto.translate(&e.key);
             let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
             kernel.sim.charge(core, Context::User, c);
-            let matches = self
-                .megaflow
-                .get(&k)
-                .is_some_and(|e| t.actions == e.actions && t.mask == e.mask);
-            if matches {
-                self.revalidator.adopt(&k, t.rules);
-                self.revalidator.push_stats(&k, hits, bytes);
+            if t.actions == e.actions && t.mask == e.mask {
+                self.revalidator.adopt(&e.key, t.rules, version);
+                self.revalidator.push_stats(&e.key, hits, bytes);
                 self.stats.restore_adopted += 1;
                 coverage!("restore_adopted");
                 sweep.summary.adopted += 1;
@@ -1029,7 +1043,7 @@ impl DpifNetdev {
                 self.stats.restore_orphaned += 1;
                 coverage!("restore_orphaned");
                 sweep.summary.orphaned += 1;
-                self.delete_megaflow(&k);
+                self.delete_megaflow(&e.key);
             }
         }
         // While the gate is up the restored flows are the only
@@ -1059,12 +1073,12 @@ impl DpifNetdev {
 
         timer.mark(Stage::Revalidate, core_ns(kernel, core));
         self.perf.entry(core).or_default().commit(&timer, 0);
-        debug_assert!(
+        assert!(
             self.stats.coherent(),
             "dpif stats drifted: {:?}",
             self.stats
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.megaflow.len() as u64,
             self.stats.flows_installed - self.stats.flows_deleted,
             "flow lifecycle accounting drifted"
@@ -1836,6 +1850,7 @@ megaflows installed: {}
             if let Some(t) = self.trace.as_mut() {
                 t.enter("cache: miss, upcall to ofproto");
             }
+            let version = self.ofproto.version();
             let t = self.ofproto.translate_traced(&key, self.trace.as_mut());
             if let Some(tr) = self.trace.as_mut() {
                 tr.exit();
@@ -1866,7 +1881,7 @@ megaflows installed: {}
                     .install_at(key, t.mask, t.actions.clone(), now);
                 self.stats.flows_installed += 1;
                 self.revalidator
-                    .register(Ukey::new(masked, t.mask, t.actions, t.rules, now));
+                    .register(masked, Ukey::new(t.mask, t.actions, t.rules, now, version));
                 if self.smc_enable {
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
@@ -2534,6 +2549,7 @@ impl DpifNetlink {
         while let Some(u) = kernel.upcalls.pop_front() {
             handled += 1;
             self.upcalls_handled += 1;
+            let version = self.ofproto.version();
             let t = self.ofproto.translate(&u.key);
             let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
             kernel.sim.charge(core, Context::User, c);
@@ -2548,13 +2564,10 @@ impl DpifNetlink {
                 kernel
                     .ovs
                     .install_flow_at(&u.key, &t.mask, kactions.clone(), now);
-                self.revalidator.register(Ukey::new(
+                self.revalidator.register(
                     u.key.masked(&t.mask),
-                    t.mask,
-                    kactions.clone(),
-                    t.rules,
-                    now,
-                ));
+                    Ukey::new(t.mask, kactions.clone(), t.rules, now, version),
+                );
             } else {
                 self.flow_limit_hits += 1;
                 coverage!("flow_limit_hit");
@@ -2576,13 +2589,19 @@ impl DpifNetlink {
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
         let t0 = core_ns(kernel, core);
         let now = kernel.sim.clock.now_ns();
-        let mut sweep = self.revalidator.begin_sweep(kernel.ovs.flow_count(), now);
+        let mut sweep =
+            self.revalidator
+                .begin_sweep(kernel.ovs.flow_count(), now, self.ofproto.version());
         for k in self.revalidator.keys() {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
+            let counters = self
+                .revalidator
+                .ukey(&k)
+                .and_then(|uk| kernel.ovs.flow_counters(&k, &uk.mask));
             let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
             self.revalidator
-                .revalidate_flow(&mut sweep, &mut kernel.ovs, &k, |k| {
+                .revalidate_flow(&mut sweep, &mut kernel.ovs, &k, counters, |k| {
                     let t = ofproto.translate(k);
                     (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
                 });

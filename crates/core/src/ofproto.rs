@@ -20,6 +20,22 @@ use std::rc::Rc;
 /// Maximum tables traversed in one translation (loop guard).
 const MAX_TABLE_HOPS: usize = 64;
 
+thread_local! {
+    /// The last table version handed out. Every [`Ofproto`] on the thread
+    /// draws from this one counter, so a table swapped in whole never
+    /// carries a version some ukey already checked another table at. An
+    /// `Ofproto` holds `Rc`s and so never leaves its thread.
+    static LAST_VERSION: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A table version no [`Ofproto`] on this thread has had before.
+fn next_version() -> u64 {
+    LAST_VERSION.with(|v| {
+        v.set(v.get() + 1);
+        v.get()
+    })
+}
+
 /// An OpenFlow action.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OfAction {
@@ -122,6 +138,8 @@ pub struct OfprotoStats {
 /// The OpenFlow switch model.
 pub struct Ofproto {
     tables: HashMap<u8, Classifier<Rc<RuleEntry>>>,
+    /// Changes whenever the tables do; see [`Ofproto::version`].
+    version: u64,
     recirc: HashMap<u32, ResumeCtx>,
     next_recirc_id: u32,
     /// Counters.
@@ -139,14 +157,24 @@ impl Ofproto {
     pub fn new() -> Self {
         Self {
             tables: HashMap::new(),
+            version: next_version(),
             recirc: HashMap::new(),
             next_recirc_id: 1,
             stats: OfprotoStats::default(),
         }
     }
 
+    /// The version of the rule tables (OVS's `reval_seq`). A translation
+    /// reads only the tables and the key, so a flow translated at this
+    /// version translates the same way until the version changes.
+    /// Versions are unique across every `Ofproto` on the thread.
+    pub fn version(&self) -> u64 {
+        self.version
+    }
+
     /// Install a rule (`ovs-ofctl add-flow`).
     pub fn add_rule(&mut self, rule: OfRule) {
+        self.version = next_version();
         let table = self.tables.entry(rule.table).or_default();
         table.insert(Rule {
             key: rule.key,

@@ -2,12 +2,15 @@
 //!
 //! Datapath flows are a cache, and a cache needs an eviction policy. OVS
 //! runs dedicated *revalidator* threads (`ofproto/ofproto-dpif-upcall.c`)
-//! that periodically dump every datapath flow, re-translate its key
-//! against the current OpenFlow tables, delete flows that are idle,
-//! past their hard age, or whose translation changed, and push the
-//! accumulated `n_packets`/`n_bytes` back up into the OpenFlow rules
-//! that produced them (`xlate_push_stats`) so `ovs-ofctl dump-flows`
-//! reports live counters.
+//! that periodically dump every datapath flow together with its stats,
+//! delete flows that are idle, past their hard age, or whose translation
+//! changed, and push the accumulated `n_packets`/`n_bytes` back up into
+//! the OpenFlow rules that produced them (`xlate_push_stats`) so
+//! `ovs-ofctl dump-flows` reports live counters. A flow is re-translated
+//! only when the OpenFlow tables changed since it was last checked: each
+//! ukey records the [`Ofproto::version`](crate::ofproto::Ofproto::version)
+//! its translation was checked against (OVS's `ukey->reval_seq`), so a
+//! steady-state sweep costs a dump.
 //!
 //! The table size is governed by a **dynamic flow limit**: if one dump
 //! pass takes too long the limit shrinks (the datapath holds more flows
@@ -26,8 +29,8 @@
 //! ([`Revalidator::evict`]) and [`Revalidator::end_sweep`]. A re-translation
 //! is compared against the ukey's installed actions and mask. Three
 //! drivers run the pass over a [`FlowTable`] (the megaflow cache or the
-//! kernel module's flow table), pass in their own re-translation, and
-//! keep only what differs:
+//! kernel module's flow table), pass in each flow's counters from their
+//! own dump and their own re-translation, and keep only what differs:
 //! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) (the
 //! megaflow cache, plus restore reconciliation, cache purge, conntrack
 //! expiry and the virtual-clock charges),
@@ -74,12 +77,11 @@ impl Default for RevalidatorConfig {
 }
 
 /// The userspace view of one installed datapath flow — OVS's `udpif_key`.
-/// Stats pushback is incremental: `pushed_*` remember how much of the
-/// flow's counters have already been credited to `rules`.
+/// It is registered under the flow's masked key, the datapath flow's
+/// identity. Stats pushback is incremental: `pushed_*` remember how much
+/// of the flow's counters have already been credited to `rules`.
 #[derive(Debug)]
 pub struct Ukey<A> {
-    /// Masked key — the datapath flow's identity.
-    pub key: FlowKey,
     /// The wildcard mask it was installed under.
     pub mask: FlowMask,
     /// The actions installed, for change detection on re-translation.
@@ -93,31 +95,34 @@ pub struct Ukey<A> {
     pub pushed_packets: u64,
     /// Bytes already pushed to `rules`.
     pub pushed_bytes: u64,
-    /// A flow re-created from a [`crate::snapshot::DpSnapshot`] whose
-    /// rule refs have not been re-resolved yet. Restored ukeys have no
-    /// rules, so stats pushback is held back (not silently consumed)
-    /// until the reconciliation sweep adopts or orphans the flow.
-    pub restored: bool,
+    /// The [`Ofproto::version`](crate::ofproto::Ofproto::version) this
+    /// flow's translation was last checked against; a sweep at that
+    /// version keeps the flow without re-translating it. `None` for a
+    /// flow re-created from a [`crate::snapshot::DpSnapshot`] whose rule
+    /// refs have not been re-resolved yet: it has no rules, so stats
+    /// pushback is held back (not silently consumed) until the
+    /// reconciliation sweep adopts or orphans the flow.
+    pub version: Option<u64>,
 }
 
 impl<A> Ukey<A> {
-    /// A ukey for a flow installed at `now_ns`.
+    /// A ukey for a flow installed at `now_ns` from a translation against
+    /// tables at `version`.
     pub fn new(
-        key: FlowKey,
         mask: FlowMask,
         actions: A,
         rules: Vec<Rc<RuleEntry>>,
         now_ns: u64,
+        version: u64,
     ) -> Self {
         Self {
-            key,
             mask,
             actions,
             rules,
             created_ns: now_ns,
             pushed_packets: 0,
             pushed_bytes: 0,
-            restored: false,
+            version: Some(version),
         }
     }
 
@@ -126,7 +131,6 @@ impl<A> Ukey<A> {
     /// adopted, the fresh rules are credited exactly the packets
     /// forwarded *since* the snapshot — stats pushback resumes exactly.
     pub fn restored(
-        key: FlowKey,
         mask: FlowMask,
         actions: A,
         created_ns: u64,
@@ -134,15 +138,19 @@ impl<A> Ukey<A> {
         pushed_bytes: u64,
     ) -> Self {
         Self {
-            key,
             mask,
             actions,
             rules: Vec::new(),
             created_ns,
             pushed_packets,
             pushed_bytes,
-            restored: true,
+            version: None,
         }
+    }
+
+    /// Whether this flow still awaits reconciliation after a restore.
+    pub fn is_restored(&self) -> bool {
+        self.version.is_none()
     }
 }
 
@@ -203,14 +211,18 @@ impl SweepSummary {
     }
 }
 
+/// A flow's `(packets, bytes, used_ns, created_ns)`, as a datapath flow
+/// dump returns them.
+pub type FlowCounters = (u64, u64, u64, u64);
+
 /// A datapath flow table as a revalidation pass reads and prunes it:
 /// the userspace megaflow cache or the kernel module's flow table.
 pub trait FlowTable {
     /// Datapath flows installed.
     fn n_flows(&self) -> usize;
-    /// `(packets, bytes, used_ns, created_ns)` of the flow installed under
-    /// `key`/`mask`, or `None` once the datapath no longer has it.
-    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<(u64, u64, u64, u64)>;
+    /// The counters of the flow installed under `key`/`mask`, or `None`
+    /// once the datapath no longer has it.
+    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowCounters>;
     /// Delete the flow installed under `key`/`mask`.
     fn delete_flow(&mut self, key: &FlowKey, mask: &FlowMask);
 }
@@ -220,14 +232,8 @@ impl<A> FlowTable for MegaflowCache<A> {
         self.len()
     }
 
-    fn flow_counters(&self, key: &FlowKey, _: &FlowMask) -> Option<(u64, u64, u64, u64)> {
-        let e = self.get(key)?;
-        Some((
-            e.hits.get(),
-            e.bytes.get(),
-            e.used_ns.get(),
-            e.created_ns.get(),
-        ))
+    fn flow_counters(&self, key: &FlowKey, _: &FlowMask) -> Option<FlowCounters> {
+        Some(self.get(key)?.counters())
     }
 
     fn delete_flow(&mut self, key: &FlowKey, _: &FlowMask) {
@@ -240,7 +246,7 @@ impl FlowTable for OvsModule {
         self.flow_count()
     }
 
-    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<(u64, u64, u64, u64)> {
+    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowCounters> {
         self.flow_stats(key, mask)
     }
 
@@ -250,10 +256,7 @@ impl FlowTable for OvsModule {
 }
 
 /// One revalidation pass in progress: the verdict inputs fixed when it
-/// opened, and what it has done so far. The default pass, what a
-/// `flow_mod` runs, has the timeouts off — its clock reads zero, so no
-/// flow is idle or past a hard age — and only a changed translation
-/// deletes a flow.
+/// opened, and what it has done so far.
 #[derive(Debug, Default)]
 pub struct Sweep {
     now_ns: u64,
@@ -261,8 +264,22 @@ pub struct Sweep {
     max_idle_ns: u64,
     hard_ns: u64,
     kill_all: bool,
+    /// The table version the pass checks translations against.
+    version: u64,
     /// What the pass has done so far.
     pub summary: SweepSummary,
+}
+
+impl Sweep {
+    /// The pass a `flow_mod` runs against tables at `version`. It has the
+    /// timeouts off — its clock reads zero, so no flow is idle or past a
+    /// hard age — and only a changed translation deletes a flow.
+    pub fn flow_mod(version: u64) -> Self {
+        Self {
+            version,
+            ..Self::default()
+        }
+    }
 }
 
 /// Per-dpif revalidator state: the ukey table, the dynamic flow limit,
@@ -345,10 +362,10 @@ impl<A> Revalidator<A> {
         self.stats.max_flows = self.stats.max_flows.max(n_flows as u64);
     }
 
-    /// Track a newly installed datapath flow. Replaces (and drops) any
-    /// previous ukey under the same masked key.
-    pub fn register(&mut self, ukey: Ukey<A>) {
-        self.ukeys.insert(ukey.key, ukey);
+    /// Track a newly installed datapath flow under its masked `key`.
+    /// Replaces (and drops) any previous ukey under the same key.
+    pub fn register(&mut self, key: FlowKey, ukey: Ukey<A>) {
+        self.ukeys.insert(key, ukey);
     }
 
     /// Drop the ukey for a deleted datapath flow.
@@ -389,34 +406,41 @@ impl<A> Revalidator<A> {
         }
     }
 
-    /// Open a periodic sweep of a datapath holding `n_flows` at `now_ns`:
-    /// the effective idle timeout, the hard timeout and the kill-all
-    /// verdict are fixed for the whole pass.
-    pub fn begin_sweep(&self, n_flows: usize, now_ns: u64) -> Sweep {
+    /// Open a periodic sweep of a datapath holding `n_flows` at `now_ns`,
+    /// under tables at `version`: the effective idle timeout, the hard
+    /// timeout, the kill-all verdict and the version are fixed for the
+    /// whole pass.
+    pub fn begin_sweep(&self, n_flows: usize, now_ns: u64, version: u64) -> Sweep {
         Sweep {
             now_ns,
             n_flows,
             max_idle_ns: self.effective_max_idle_ns(n_flows),
             hard_ns: self.cfg.hard_timeout_ms * 1_000_000,
             kill_all: n_flows > 2 * self.flow_limit,
+            version,
             summary: SweepSummary::default(),
         }
     }
 
-    /// The per-flow step every pass shares: count the dump, push the
-    /// flow's stats, then delete it (kill-all, else idle, else hard,
-    /// else a changed re-translation) or refresh its rule refs — the
-    /// rules backing an unchanged flow may still have changed. `xlate`
-    /// re-translates the key into the ukey's action language. A restored
-    /// flow is only counted: it has no rule refs to push to, so it waits
-    /// for the dpif's reconciliation, which gets its `(packets, bytes)`.
-    /// Flows installed behind the dpif's back have no ukey and are left
-    /// alone.
+    /// The per-flow step every pass shares. `counters` are the flow's
+    /// counters from the driver's dump, `None` once the datapath no
+    /// longer has the flow. Count the dump, push the flow's stats, then
+    /// delete the flow (kill-all, else idle, else hard) or keep it. A
+    /// flow already checked at the pass's table version is kept without
+    /// re-translating; any other is re-translated by `xlate` (into the
+    /// ukey's action language) and deleted if its actions or mask
+    /// changed, else its rule refs are refreshed — the rules backing an
+    /// unchanged flow may still have changed — and it is marked checked.
+    /// A restored flow is only counted: it has no rule refs to push to,
+    /// so it waits for the dpif's reconciliation, which gets its
+    /// `(packets, bytes)`. Flows installed behind the dpif's back have no
+    /// ukey and are left alone.
     pub fn revalidate_flow(
         &mut self,
         sweep: &mut Sweep,
         table: &mut impl FlowTable,
         key: &FlowKey,
+        counters: Option<FlowCounters>,
         xlate: impl FnOnce(&FlowKey) -> (A, FlowMask, Vec<Rc<RuleEntry>>),
     ) -> Option<(u64, u64)>
     where
@@ -426,12 +450,12 @@ impl<A> Revalidator<A> {
         self.stats.flows_dumped += 1;
         sweep.summary.dumped += 1;
         let uk = self.ukeys.get_mut(key)?;
-        let Some((packets, bytes, used, created)) = table.flow_counters(key, &uk.mask) else {
+        let Some((packets, bytes, used, created)) = counters else {
             // The datapath dropped the flow behind the pass's back.
             self.ukeys.remove(key);
             return None;
         };
-        if uk.restored {
+        if uk.is_restored() {
             return Some((packets, bytes));
         }
         // Push before any delete decision so counters survive the flow.
@@ -442,10 +466,14 @@ impl<A> Revalidator<A> {
             DeleteReason::Idle
         } else if sweep.hard_ns > 0 && sweep.now_ns.saturating_sub(created) > sweep.hard_ns {
             DeleteReason::Hard
+        } else if uk.version == Some(sweep.version) {
+            // Checked against these very tables: nothing to re-translate.
+            return None;
         } else {
             let (actions, mask, rules) = xlate(key);
             if actions == uk.actions && mask == uk.mask {
                 uk.rules = rules;
+                uk.version = Some(sweep.version);
                 return None;
             }
             DeleteReason::Changed
@@ -467,7 +495,7 @@ impl<A> Revalidator<A> {
         let mut lru: Vec<(u64, u64, FlowKey)> = self
             .ukeys
             .iter()
-            .filter(|(_, uk)| !(keep_restored && uk.restored))
+            .filter(|(_, uk)| !(keep_restored && uk.is_restored()))
             .filter_map(|(k, uk)| Some((table.flow_counters(k, &uk.mask)?.2, k.hash(), *k)))
             .collect();
         lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
@@ -524,17 +552,17 @@ impl<A> Revalidator<A> {
 
     /// Restored flows still awaiting reconciliation.
     pub fn restored_count(&self) -> usize {
-        self.ukeys.values().filter(|u| u.restored).count()
+        self.ukeys.values().filter(|u| u.is_restored()).count()
     }
 
-    /// Adopt a restored flow: attach the freshly re-translated rule refs
-    /// and clear the restored flag, re-enabling stats pushback. The next
-    /// `push_stats` credits exactly the packets forwarded since the
-    /// snapshot was taken.
-    pub fn adopt(&mut self, key: &FlowKey, rules: Vec<Rc<RuleEntry>>) {
+    /// Adopt a restored flow: attach the rule refs freshly re-translated
+    /// against tables at `version` and record that version, re-enabling
+    /// stats pushback. The next `push_stats` credits exactly the packets
+    /// forwarded since the snapshot was taken.
+    pub fn adopt(&mut self, key: &FlowKey, rules: Vec<Rc<RuleEntry>>, version: u64) {
         if let Some(uk) = self.ukeys.get_mut(key) {
             uk.rules = rules;
-            uk.restored = false;
+            uk.version = Some(version);
         }
     }
 
@@ -566,7 +594,7 @@ impl<A> Revalidator<A> {
 
 /// [`Revalidator::push_stats`] on one ukey.
 fn push<A>(uk: &mut Ukey<A>, stats: &mut RevalStats, n_packets: u64, n_bytes: u64) -> (u64, u64) {
-    if uk.restored {
+    if uk.is_restored() {
         // No rule refs yet: crediting would silently swallow the
         // delta. Hold it until the reconciliation sweep adopts the
         // flow (or drops it as an orphan).
@@ -675,13 +703,10 @@ mod tests {
         let rule = rule();
         let mut r: Revalidator<u32> = Revalidator::new();
         let key = FlowKey::default();
-        r.register(Ukey::new(
+        r.register(
             key,
-            FlowMask::EXACT,
-            0,
-            vec![Rc::clone(&rule)],
-            0,
-        ));
+            Ukey::new(FlowMask::EXACT, 0, vec![Rc::clone(&rule)], 0, 1),
+        );
         assert_eq!(r.push_stats(&key, 10, 640), (10, 640));
         assert_eq!(rule.n_packets.get(), 10);
         // Second push only credits the delta.
@@ -701,13 +726,13 @@ mod tests {
         let mut r: Revalidator<u32> = Revalidator::new();
         let key = FlowKey::default();
         // Snapshot carried 10 packets already pushed to the old rules.
-        r.register(Ukey::restored(key, FlowMask::EXACT, 0, 0, 10, 640));
+        r.register(key, Ukey::restored(FlowMask::EXACT, 0, 0, 10, 640));
         assert_eq!(r.restored_count(), 1);
         // Pushback while rule-less is held, not swallowed.
         assert_eq!(r.push_stats(&key, 14, 896), (0, 0));
         // Adoption re-resolves rules; the next push credits exactly the
         // post-snapshot delta (14 - 10 = 4 packets).
-        r.adopt(&key, vec![Rc::clone(&rule)]);
+        r.adopt(&key, vec![Rc::clone(&rule)], 1);
         assert_eq!(r.restored_count(), 0);
         assert_eq!(r.push_stats(&key, 14, 896), (4, 256));
         assert_eq!(rule.n_packets.get(), 4);
@@ -720,7 +745,7 @@ mod tests {
         for i in 0..32u32 {
             let mut k = FlowKey::default();
             k.set_in_port(i);
-            r.register(Ukey::new(k, FlowMask::EXACT, 0, vec![], 0));
+            r.register(k, Ukey::new(FlowMask::EXACT, 0, vec![], 0, 1));
         }
         let a = r.keys();
         let b = r.keys();

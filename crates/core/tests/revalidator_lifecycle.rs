@@ -2,12 +2,13 @@
 //! hard expiry, the dynamic flow limit under a Tuple-Space-Explosion
 //! style workload (Csikor et al., "Tuple Space Explosion: A
 //! Denial-of-Service Attack Against a Software Packet Classifier"), the
-//! restore ledger across a `flow_mod`, and the kernel-datapath sweep.
+//! restore ledger across a `flow_mod`, re-translation only after the
+//! tables change, and the kernel-datapath sweep.
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::appctl;
 use ovs_core::dpif::{DpifNetdev, DpifNetlink, PortType};
-use ovs_core::ofproto::{OfAction, OfRule};
+use ovs_core::ofproto::{OfAction, OfRule, Ofproto};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
 use ovs_packet::ethernet::EtherType;
@@ -100,9 +101,13 @@ fn stats_pushback_matches_cache_hits_exactly() {
     let rule = dp.ofproto.iter_rules().next().unwrap().clone();
     assert_eq!(rule.n_packets.get(), 1, "upcall credited at translation");
 
+    // The tables have not changed since the flow was translated, so the
+    // sweep keeps it without re-translating.
+    let translations = dp.ofproto.stats.translations;
     let s = dp.revalidate(&mut k, 0);
     assert_eq!(s.dumped, 1);
     assert_eq!(s.deleted(), 0, "hot flow survives the sweep");
+    assert_eq!(dp.ofproto.stats.translations, translations);
 
     let total = dp.stats.upcalls + dp.stats.emc_hits + dp.stats.megaflow_hits;
     assert_eq!(total, 10, "every packet consulted exactly one tier");
@@ -120,6 +125,52 @@ fn stats_pushback_matches_cache_hits_exactly() {
     // A second sweep pushes nothing new (pushback is incremental).
     dp.revalidate(&mut k, 0);
     assert_eq!(rule.n_packets.get(), 10, "no double counting");
+    assert_eq!(dp.ofproto.stats.translations, translations);
+}
+
+/// A `flow_mod` that leaves a flow's translation alone re-translates it
+/// once and marks it checked at the new table version, so the next sweep
+/// translates nothing.
+#[test]
+fn flow_mod_retranslates_each_flow_once() {
+    let (mut k, mut dp, nics) = setup();
+    dp.ofproto.add_rule(fwd_rule(0, 1, 10));
+    send(&mut k, &mut dp, nics[0], 5000);
+
+    let translations = dp.ofproto.stats.translations;
+    dp.flow_mod(fwd_rule(2, 0, 10));
+    assert_eq!(dp.ofproto.stats.translations, translations + 1);
+    assert_eq!(dp.megaflow_count(), 1, "unaffected flow kept");
+
+    let s = dp.revalidate(&mut k, 0);
+    assert_eq!((s.dumped, s.deleted()), (1, 0));
+    assert_eq!(dp.ofproto.stats.translations, translations + 1);
+}
+
+/// A table swapped in whole (as a fail-mode fallback is) has a version no
+/// ukey was checked at, so the next sweep re-translates against it and
+/// deletes the flow it now forwards elsewhere — with no `flow_mod` pass
+/// in between. Both tables get the same number of `add_rule` calls, so
+/// versions counted per table would collide.
+#[test]
+fn table_swapped_in_whole_is_revalidated_by_the_next_sweep() {
+    let (mut k, mut dp, nics) = setup();
+    dp.ofproto.add_rule(fwd_rule(0, 1, 10));
+    send(&mut k, &mut dp, nics[0], 5000);
+    assert_eq!(dp.megaflow_count(), 1);
+
+    let mut other = Ofproto::new();
+    other.add_rule(fwd_rule(0, 2, 10));
+    std::mem::swap(&mut dp.ofproto, &mut other);
+
+    let s = dp.revalidate(&mut k, 0);
+    assert_eq!((s.deleted_changed, s.deleted()), (1, 1));
+    assert_eq!(dp.megaflow_count(), 0);
+
+    // The next packet upcalls into the swapped-in table.
+    send(&mut k, &mut dp, nics[0], 5000);
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 1);
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
 }
 
 #[test]
@@ -313,6 +364,13 @@ fn restore_ledger_holds_across_a_flow_mod_under_the_gate() {
     assert!(show.contains("1 adopted, 1 orphaned, 0 pending"), "{show}");
     let show = appctl::dispatch(&mut dp, &mut k, "upcall/show", &[]).unwrap();
     assert!(show.contains(" 0 changed"), "{show}");
+
+    // Adoption checked the flow at the current table version: the next
+    // sweep keeps it without re-translating.
+    let translations = dp.ofproto.stats.translations;
+    let s = dp.revalidate(&mut k, 0);
+    assert_eq!((s.dumped, s.deleted()), (1, 0));
+    assert_eq!(dp.ofproto.stats.translations, translations);
 }
 
 #[test]
@@ -355,10 +413,15 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     // The sweep pushes the two fast-path packets up to the rule.
     let rule = dpif.ofproto.iter_rules().next().unwrap().clone();
     assert_eq!(rule.n_packets.get(), 1, "only the upcall so far");
+    let translations = dpif.ofproto.stats.translations;
     let s = dpif.revalidate(&mut k, 2);
     assert_eq!(s.dumped, 1);
     assert_eq!(s.deleted(), 0);
     assert_eq!(rule.n_packets.get(), 3, "kernel hit stats pushed back");
+    assert_eq!(
+        dpif.ofproto.stats.translations, translations,
+        "unchanged tables: nothing re-translated"
+    );
 
     let show = dpif.upcall_show(&k);
     assert!(show.contains("system@ovs-system"), "{show}");
@@ -388,7 +451,13 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
             ..tp_src_rule(tp, p1)
         });
     }
+    let translations = dpif.ofproto.stats.translations;
     let s = dpif.revalidate(&mut k, 2);
+    assert_eq!(
+        dpif.ofproto.stats.translations,
+        translations + 1,
+        "the one installed flow re-translated"
+    );
     assert_eq!(s.deleted_changed, 1);
     assert_eq!(k.ovs.flow_count(), 0);
     assert_eq!(dpif.revalidator.ukey_count(), 0);

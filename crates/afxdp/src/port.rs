@@ -11,7 +11,7 @@ use ovs_ebpf::programs;
 use ovs_kernel::dev::XdpMode;
 use ovs_kernel::Kernel;
 use ovs_obs::coverage;
-use ovs_ring::PacketBatch;
+use ovs_ring::{DpPacketPool, PacketBatch};
 
 /// Which rung of the AF_XDP degradation ladder the port is running on
 /// (§3.5: zero-copy → copy/skb mode; the tap rung lives above this
@@ -147,20 +147,36 @@ impl AfxdpPort {
         self.sockets.len()
     }
 
-    /// Receive a burst from one queue, charging `core`.
-    pub fn rx_burst(&mut self, kernel: &mut Kernel, queue: usize, core: usize) -> PacketBatch {
-        self.sockets[queue].rx_burst(kernel, core)
+    /// What this port adds to its datapath's descriptor-pool bound (see
+    /// [`XskSocket::metadata_frames`]).
+    pub fn metadata_frames(&self) -> usize {
+        self.sockets.iter().map(XskSocket::metadata_frames).sum()
     }
 
-    /// Transmit a batch on one queue, charging `core`.
+    /// Receive a burst from one queue into `batch`, charging `core`.
+    /// Returns the packets received.
+    pub fn rx_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        queue: usize,
+        core: usize,
+        pool: &mut DpPacketPool,
+        batch: &mut PacketBatch,
+    ) -> usize {
+        self.sockets[queue].rx_burst(kernel, core, pool, batch)
+    }
+
+    /// Transmit a batch on one queue, charging `core`; `batch` is left
+    /// empty.
     pub fn tx_burst(
         &mut self,
         kernel: &mut Kernel,
         queue: usize,
         core: usize,
-        batch: PacketBatch,
+        batch: &mut PacketBatch,
+        pool: &mut DpPacketPool,
     ) -> usize {
-        self.sockets[queue].tx_burst(kernel, core, batch)
+        self.sockets[queue].tx_burst(kernel, core, batch, pool)
     }
 }
 
@@ -178,6 +194,11 @@ mod tests {
         builder::udp_ipv4_frame(M2, M1, [10, 0, 0, 2], [10, 0, 0, 1], 1, 2, 64)
     }
 
+    fn rx(port: &mut AfxdpPort, k: &mut Kernel, queue: usize) -> usize {
+        let mut pool = DpPacketPool::new(port.metadata_frames(), 2048);
+        port.rx_burst(k, queue, 1, &mut pool, &mut PacketBatch::new())
+    }
+
     #[test]
     fn multi_queue_port_routes_by_queue() {
         let mut k = Kernel::new(8);
@@ -193,9 +214,10 @@ mod tests {
             let out = k.receive(eth0, q, frame());
             assert!(matches!(out, RxOutcome::ToXsk(_)), "queue {q}: {out:?}");
         }
+        assert_eq!(port.metadata_frames(), 4 * 64);
         for q in 0..4 {
-            let b = port.rx_burst(&mut k, q, 1);
-            assert_eq!(b.len(), 1, "each queue's socket got its packet");
+            let n = rx(&mut port, &mut k, q);
+            assert_eq!(n, 1, "each queue's socket got its packet");
         }
     }
 
@@ -211,8 +233,11 @@ mod tests {
         k.dev_mut(eth0).caps.native_xdp = false; // old driver
         let mut port = AfxdpPort::open(&mut k, eth0, 32, OptLevel::O5).unwrap();
         k.receive(eth0, 0, frame());
-        let b = port.rx_burst(&mut k, 0, 0);
-        assert_eq!(b.len(), 1, "copy-mode fallback still works");
+        assert_eq!(
+            rx(&mut port, &mut k, 0),
+            1,
+            "copy-mode fallback still works"
+        );
     }
 
     #[test]

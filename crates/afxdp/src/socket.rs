@@ -96,7 +96,6 @@ pub struct XskSocket {
     handle: XskHandle,
     /// The umempool (§3.2): free-frame manager with the level's lock.
     pub pool: Arc<UmemPool>,
-    meta_pool: DpPacketPool,
     /// Optimization level.
     pub opt: OptLevel,
     /// Interrupt-driven instead of busy polling (the Fig 8a
@@ -145,15 +144,9 @@ impl XskSocket {
         let handle = XskBinding::new(ifindex, queue, nframes, 2048, zero_copy).into_handle();
         let xsk_id = kernel.register_xsk(std::rc::Rc::clone(&handle));
         let pool = Arc::new(UmemPool::new(nframes as u32, opt.lock_strategy()));
-        let meta_pool = if opt.prealloc_metadata() {
-            DpPacketPool::with_preallocated(nframes, 2048)
-        } else {
-            DpPacketPool::without_preallocation(2048)
-        };
         let mut sock = Self {
             handle,
             pool,
-            meta_pool,
             opt,
             interrupt_mode: false,
             xsk_id,
@@ -165,6 +158,18 @@ impl XskSocket {
         };
         sock.refill(kernel, nframes / 2);
         sock
+    }
+
+    /// Packet descriptors this socket may hold in flight, which is what it
+    /// adds to its datapath's descriptor-pool bound: one per umem frame
+    /// from O4 up (§3.2's metadata array), none below, where every
+    /// packet takes a fresh descriptor.
+    pub fn metadata_frames(&self) -> usize {
+        if self.opt.prealloc_metadata() {
+            self.pool.nframes() as usize
+        } else {
+            0
+        }
     }
 
     /// Drop to (or return from) copy mode on the kernel-side binding.
@@ -260,18 +265,27 @@ impl XskSocket {
         extra
     }
 
-    /// Receive a burst: drain the RX ring into a [`PacketBatch`],
+    /// Receive a burst: drain the RX ring into `batch`, copying each umem
+    /// frame into a descriptor from `pool` (a fresh one below O4),
     /// verifying checksums (software or offloaded), computing the software
     /// rxhash AF_XDP still needs (§5.5), and refilling the fill ring.
+    /// Returns the packets received.
     ///
     /// Costs are charged to `core` as user time (plus system time for the
     /// interrupt-mode wakeup).
-    pub fn rx_burst(&mut self, kernel: &mut Kernel, core: usize) -> PacketBatch {
+    pub fn rx_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        core: usize,
+        pool: &mut DpPacketPool,
+        batch: &mut PacketBatch,
+    ) -> usize {
         self.apply_umem_fault(kernel);
         let mut descs = [Desc { frame: 0, len: 0 }; BATCH_SIZE];
-        let n = self.handle.borrow().rx.pop_batch(&mut descs);
+        let room = BATCH_SIZE - batch.len();
+        let n = self.handle.borrow().rx.pop_batch(&mut descs[..room]);
         if n == 0 {
-            return PacketBatch::new();
+            return 0;
         }
         self.stats.rx_batches += 1;
         self.stats.rx_packets += n as u64;
@@ -285,16 +299,15 @@ impl XskSocket {
         }
 
         let rx_csum_hw = self.opt.csum_offload() && kernel.device(self.ifindex).caps.rx_csum;
-        let mut batch = PacketBatch::new();
         let mut bytes = 0usize;
         for d in &descs[..n] {
-            let data = {
-                let b = self.handle.borrow();
-                b.umem.frame(d.frame)[..d.len as usize].to_vec()
+            let mut pkt = if self.opt.prealloc_metadata() {
+                pool.take()
+            } else {
+                pool.take_fresh()
             };
-            bytes += data.len();
-            let mut pkt = self.meta_pool.take();
-            pkt.set_data(&data);
+            pkt.set_data(&self.handle.borrow().umem.frame(d.frame)[..d.len as usize]);
+            bytes += pkt.len();
             pkt.in_port = self.ifindex;
             // Software rxhash: XDP exposes no NIC hash hint yet. The
             // sparse extractor computes it without expanding a full key.
@@ -329,13 +342,21 @@ impl XskSocket {
         }
         kernel.sim.charge(core, Context::User, ns);
         debug_assert!(self.frame_accounting_ok(), "umem frame leak on rx path");
-        batch
+        n
     }
 
     /// Transmit a batch: write frames into umem, post TX descriptors,
     /// kick the kernel if `need_wakeup` is armed, and reclaim
-    /// completions. Returns the number of packets accepted.
-    pub fn tx_burst(&mut self, kernel: &mut Kernel, core: usize, batch: PacketBatch) -> usize {
+    /// completions. Returns the number of packets accepted. `batch` is
+    /// left empty: from O4 up every descriptor goes back to `pool` once
+    /// written into the umem (or refused), below O4 it is freed.
+    pub fn tx_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        core: usize,
+        batch: &mut PacketBatch,
+        pool: &mut DpPacketPool,
+    ) -> usize {
         self.apply_umem_fault(kernel);
         let n_req = batch.len();
         if n_req == 0 {
@@ -344,37 +365,33 @@ impl XskSocket {
         let tx_csum_hw = self.opt.csum_offload() && kernel.device(self.ifindex).caps.tx_csum;
         let mut sent = 0usize;
         let mut bytes = 0usize;
+        let mut ring_full = false;
         self.scratch_frames.clear();
         let frames_got = self.pool.alloc_batch(&mut self.scratch_frames, n_req);
-        let frames: Vec<u32> = self.scratch_frames.clone();
-        for (pkt, frame) in batch.into_iter().zip(frames.iter().copied()) {
-            if !tx_csum_hw {
-                self.stats.csum_sw_filled += 1;
-                coverage!("xsk_csum_sw_fill");
+        for (i, pkt) in batch.drain().enumerate() {
+            if i < frames_got && !ring_full {
+                let frame = self.scratch_frames[i];
+                if !tx_csum_hw {
+                    self.stats.csum_sw_filled += 1;
+                    coverage!("xsk_csum_sw_fill");
+                }
+                bytes += pkt.len();
+                let mut b = self.handle.borrow_mut();
+                let len = b.umem.write_frame(frame, pkt.data());
+                if b.tx.push(Desc { frame, len }).is_ok() {
+                    sent += 1;
+                } else {
+                    ring_full = true;
+                }
             }
-            bytes += pkt.len();
-            let mut b = self.handle.borrow_mut();
-            let len = b.umem.write_frame(frame, pkt.data());
-            if b.tx.push(Desc { frame, len }).is_err() {
-                drop(b);
-                self.pool.free(frame);
-                break;
-            }
-            sent += 1;
-            // O4's metadata array holds one descriptor per umem frame;
-            // a socket that transmits more than it receives drops the
-            // surplus instead of growing the pool without bound.
-            if self.opt.prealloc_metadata()
-                && self.meta_pool.available() < self.pool.nframes() as usize
-            {
-                self.meta_pool.put(pkt);
+            if self.opt.prealloc_metadata() {
+                pool.put(pkt);
             }
         }
-        // Any frames we allocated but didn't use go back.
-        for &f in frames.iter().skip(sent) {
+        // Any frames we allocated but didn't post go back.
+        for &f in &self.scratch_frames[sent..frames_got] {
             self.pool.free(f);
         }
-        let _ = frames_got;
 
         // Kick the kernel to process the TX ring.
         let need_kick = self.handle.borrow().need_wakeup;
@@ -460,13 +477,25 @@ mod tests {
         builder::udp_ipv4_frame(M2, M1, [10, 0, 0, 2], [10, 0, 0, 1], 1, 2, 64)
     }
 
+    /// The descriptor pool a datapath holding only this socket keeps.
+    fn pool_for(sock: &XskSocket) -> DpPacketPool {
+        DpPacketPool::new(sock.metadata_frames(), 2048)
+    }
+
+    fn rx(sock: &mut XskSocket, k: &mut Kernel, pool: &mut DpPacketPool) -> PacketBatch {
+        let mut batch = PacketBatch::new();
+        sock.rx_burst(k, 1, pool, &mut batch);
+        batch
+    }
+
     #[test]
     fn wire_to_userspace_roundtrip() {
         let (mut k, mut sock, eth0) = setup(OptLevel::O5);
+        let mut pool = pool_for(&sock);
         for _ in 0..5 {
             k.receive(eth0, 0, frame());
         }
-        let batch = sock.rx_burst(&mut k, 1);
+        let batch = rx(&mut sock, &mut k, &mut pool);
         assert_eq!(batch.len(), 5);
         for pkt in batch.iter() {
             assert_eq!(pkt.data(), &frame()[..]);
@@ -479,8 +508,9 @@ mod tests {
     #[test]
     fn sw_checksum_before_o5() {
         let (mut k, mut sock, eth0) = setup(OptLevel::O4);
+        let mut pool = pool_for(&sock);
         k.receive(eth0, 0, frame());
-        let batch = sock.rx_burst(&mut k, 1);
+        let batch = rx(&mut sock, &mut k, &mut pool);
         assert!(!batch.iter().next().unwrap().offloads.csum_verified);
         assert_eq!(sock.stats.csum_sw_verified, 1);
     }
@@ -488,10 +518,13 @@ mod tests {
     #[test]
     fn tx_reaches_wire() {
         let (mut k, mut sock, eth0) = setup(OptLevel::O5);
+        let mut pool = pool_for(&sock);
         let mut batch = PacketBatch::new();
         batch.push(DpPacket::from_data(&frame())).unwrap();
-        let sent = sock.tx_burst(&mut k, 1, batch);
+        let sent = sock.tx_burst(&mut k, 1, &mut batch, &mut pool);
         assert_eq!(sent, 1);
+        assert!(batch.is_empty(), "tx_burst leaves the batch empty");
+        assert_eq!(pool.available(), 1, "the sent descriptor is pooled");
         let out = k.dev_mut(eth0).tx_wire.pop_front().unwrap();
         assert_eq!(out, frame());
     }
@@ -501,38 +534,41 @@ mod tests {
         // With only 64 umem frames, continuous rx/tx must never exhaust
         // the pool — fill/completion recycling has to balance.
         let (mut k, mut sock, eth0) = setup(OptLevel::O5);
+        let mut pool = pool_for(&sock);
         for round in 0..50 {
             for _ in 0..8 {
                 k.receive(eth0, 0, frame());
             }
-            let batch = sock.rx_burst(&mut k, 1);
+            let mut batch = rx(&mut sock, &mut k, &mut pool);
             assert_eq!(batch.len(), 8, "round {round}");
-            let sent = sock.tx_burst(&mut k, 1, batch);
+            let sent = sock.tx_burst(&mut k, 1, &mut batch, &mut pool);
             assert_eq!(sent, 8, "round {round}");
         }
         assert_eq!(sock.stats.rx_packets, 400);
         assert_eq!(sock.stats.tx_packets, 400);
+        // Descriptors recycle too: only the first round allocated.
+        assert_eq!(pool.fresh_allocs, 8);
+        assert_eq!(pool.reuses, 392);
     }
 
     #[test]
-    fn tx_only_socket_keeps_metadata_pool_bounded() {
-        // A socket that only transmits (an uplink toward a peer that
-        // never answers) returns every sent descriptor to the pool and
-        // takes none: the pool must stop at `nframes`, not grow.
-        let (mut k, mut sock, _eth0) = setup(OptLevel::O5);
-        let nframes = sock.pool.nframes() as usize;
-        let mut sent = 0;
-        for _ in 0..10 * nframes / 8 {
-            let batch: PacketBatch = (0..8).map(|_| DpPacket::from_data(&frame())).collect();
-            sent += sock.tx_burst(&mut k, 1, batch);
-            assert!(
-                sock.meta_pool.available() <= nframes,
-                "metadata pool grew to {} descriptors (nframes {nframes})",
-                sock.meta_pool.available()
-            );
+    fn below_o4_every_packet_takes_a_fresh_descriptor() {
+        // Table 2's O3→O4 step is a real code difference: without
+        // preallocated metadata the socket adds nothing to the pool's
+        // bound, takes a fresh descriptor per packet and returns none.
+        let (mut k, mut sock, eth0) = setup(OptLevel::O3);
+        assert_eq!(sock.metadata_frames(), 0);
+        let mut pool = DpPacketPool::new(64, 2048);
+        for _ in 0..10 {
+            for _ in 0..8 {
+                k.receive(eth0, 0, frame());
+            }
+            let mut batch = rx(&mut sock, &mut k, &mut pool);
+            assert_eq!(sock.tx_burst(&mut k, 1, &mut batch, &mut pool), 8);
         }
-        assert_eq!(sent, 10 * nframes);
-        assert_eq!(sock.stats.rx_packets, 0);
+        assert_eq!(pool.fresh_allocs, 80);
+        assert_eq!(pool.reuses, 0);
+        assert_eq!(pool.available(), 0);
     }
 
     #[test]
@@ -541,10 +577,11 @@ mod tests {
         let mut prev = f64::INFINITY;
         for opt in OptLevel::LADDER {
             let (mut k, mut sock, eth0) = setup(opt);
+            let mut pool = pool_for(&sock);
             for _ in 0..32 {
                 k.receive(eth0, 0, frame());
             }
-            let batch = sock.rx_burst(&mut k, 1);
+            let batch = rx(&mut sock, &mut k, &mut pool);
             assert_eq!(batch.len(), 32);
             let user_ns = k.sim.cpus.core(1).ns(Context::User);
             assert!(user_ns < prev, "{}: {user_ns} !< {prev}", opt.label());
@@ -567,9 +604,10 @@ mod tests {
     #[test]
     fn interrupt_mode_charges_wakeups() {
         let (mut k, mut sock, eth0) = setup(OptLevel::O4);
+        let mut pool = pool_for(&sock);
         sock.interrupt_mode = true;
         k.receive(eth0, 0, frame());
-        sock.rx_burst(&mut k, 1);
+        rx(&mut sock, &mut k, &mut pool);
         assert!(
             k.sim.cpus.core(1).ns(Context::System) >= k.sim.costs.wakeup_ns,
             "wakeup cost charged in interrupt mode"
@@ -579,11 +617,12 @@ mod tests {
     #[test]
     fn busy_poll_runs_kernel_work_on_pmd_core() {
         let (mut k, mut sock, eth0) = setup(OptLevel::O5);
+        let mut pool = pool_for(&sock);
         sock.enable_busy_poll(1); // PMD core
         for _ in 0..8 {
             k.receive(eth0, 0, frame());
         }
-        sock.rx_burst(&mut k, 1);
+        rx(&mut sock, &mut k, &mut pool);
         // The XSK delivery softirq landed on core 1, not the RSS core 0.
         let c = &k.sim.costs;
         assert!(
@@ -598,8 +637,10 @@ mod tests {
     #[test]
     fn empty_ring_returns_empty_batch() {
         let (mut k, mut sock, _eth0) = setup(OptLevel::O5);
-        let batch = sock.rx_burst(&mut k, 1);
+        let mut pool = pool_for(&sock);
+        let batch = rx(&mut sock, &mut k, &mut pool);
         assert!(batch.is_empty());
+        assert_eq!(pool.fresh_allocs, 0, "an empty poll takes nothing");
         assert_eq!(
             k.sim.cpus.core(1).ns(Context::User),
             0.0,

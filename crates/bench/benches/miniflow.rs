@@ -93,8 +93,9 @@ fn bench_bulk_probe(c: &mut Criterion) {
         let mut cache = table(512);
         cache.set_lane_width(lane);
         g.bench_with_input(BenchmarkId::from_parameter(lane), &lane, |b, _| {
+            let mut hits = Vec::new();
             b.iter(|| {
-                let hits = cache.lookup_bulk(black_box(&keys));
+                cache.lookup_bulk(black_box(&keys), &mut hits);
                 black_box(hits.iter().flatten().count())
             })
         });

@@ -481,18 +481,23 @@ impl<A> MegaflowCache<A> {
     /// with a scalar [`Self::lookup_mini`] before upcalling (an earlier
     /// miss in the same burst may have installed the flow), and that
     /// re-probe is where the hit-or-miss verdict lands.
-    pub fn lookup_bulk(&mut self, keys: &[Miniflow]) -> Vec<Option<Rc<MegaflowEntry<A>>>> {
-        let results: Vec<Option<Rc<MegaflowEntry<A>>>> = self
-            .cls
-            .lookup_bulk(keys)
-            .into_iter()
-            .map(|r| r.map(|r| Rc::clone(&r.value)))
-            .collect();
-        for e in results.iter().flatten() {
-            self.hits += 1;
-            e.hits.set(e.hits.get() + 1);
-        }
-        results
+    ///
+    /// `results` is cleared and then holds one verdict per key; the
+    /// caller keeps it between bursts.
+    pub fn lookup_bulk(
+        &mut self,
+        keys: &[Miniflow],
+        results: &mut Vec<Option<Rc<MegaflowEntry<A>>>>,
+    ) {
+        results.clear();
+        results.resize_with(keys.len(), || None);
+        let mut hits = 0;
+        self.cls.lookup_bulk(keys, |ki, r| {
+            hits += 1;
+            r.value.hits.set(r.value.hits.get() + 1);
+            results[ki] = Some(Rc::clone(&r.value));
+        });
+        self.hits += hits;
     }
 
     /// Install a megaflow produced by translation (created/used = 0; the

@@ -98,6 +98,9 @@ pub struct Classifier<V> {
     /// Keys probed per bulk step ([`Classifier::lookup_bulk`]).
     pub lane_width: usize,
     since_rank: u64,
+    /// The bulk probe's still-unmatched key indices, kept between
+    /// lookups so a warm probe allocates nothing.
+    remaining: Vec<usize>,
 }
 
 impl<V> Default for Classifier<V> {
@@ -115,6 +118,7 @@ impl<V> Classifier<V> {
             rank_interval: DEFAULT_RANK_INTERVAL,
             lane_width: DEFAULT_LANE_WIDTH,
             since_rank: 0,
+            remaining: Vec::new(),
         }
     }
 
@@ -275,12 +279,18 @@ impl<V> Classifier<V> {
     /// [`Classifier::lane_width`] (`stats.lane_steps` counts the groups),
     /// and a key that matches leaves the remaining set — upstream
     /// `dpcls_lookup`'s `keys_map` walk over vectorized subtable probes.
+    /// Each match is reported as `hit(key index, rule)`; the caller keeps
+    /// the verdicts wherever it likes.
     ///
     /// First-match-in-ranked-order equals highest-priority-match only
     /// when every subtable sits in one priority tier, which holds for the
     /// megaflow cache (all rules priority 0, entries disjoint); callers
     /// with mixed priorities must use the scalar lookup.
-    pub fn lookup_bulk(&mut self, keys: &[Miniflow]) -> Vec<Option<&Rule<V>>> {
+    pub fn lookup_bulk<'a>(
+        &'a mut self,
+        keys: &[Miniflow],
+        mut hit: impl FnMut(usize, &'a Rule<V>),
+    ) {
         debug_assert!(
             self.subtables
                 .windows(2)
@@ -294,34 +304,39 @@ impl<V> Classifier<V> {
             self.since_rank = 0;
             self.sort_subtables();
         }
-        let mut found: Vec<Option<&Rule<V>>> = vec![None; keys.len()];
-        let mut remaining: Vec<usize> = (0..keys.len()).collect();
-        for st in self.subtables.iter_mut() {
+        let Self {
+            subtables,
+            stats,
+            remaining,
+            ..
+        } = self;
+        remaining.clear();
+        remaining.extend(0..keys.len());
+        for st in subtables.iter_mut() {
             if remaining.is_empty() {
                 break;
             }
             let n = remaining.len() as u64;
-            self.stats.subtables_probed += n;
-            self.stats.lane_keys += n;
-            self.stats.lane_steps += remaining.len().div_ceil(lane) as u64;
+            stats.subtables_probed += n;
+            stats.lane_keys += n;
+            stats.lane_steps += remaining.len().div_ceil(lane) as u64;
             let Subtable {
                 mini_mask,
                 rules,
                 hits,
                 ..
             } = st;
-            let rules = &*rules;
+            let rules: &'a HashMap<Miniflow, Vec<Rule<V>>> = rules;
             remaining.retain(|&ki| match rules.get(&mini_mask.apply(&keys[ki])) {
                 Some(bucket) => {
                     *hits += 1;
                     // Buckets are sorted by descending priority.
-                    found[ki] = Some(&bucket[0]);
+                    hit(ki, &bucket[0]);
                     false
                 }
                 None => true,
             });
         }
-        found
     }
 
     /// Union of every subtable mask — the conservative wildcard a miss
@@ -535,11 +550,8 @@ mod tests {
                 .map(|k| c2.lookup(k).map(|r| r.value))
                 .collect()
         };
-        let bulk: Vec<Option<u32>> = c
-            .lookup_bulk(&minis)
-            .into_iter()
-            .map(|r| r.map(|r| r.value))
-            .collect();
+        let mut bulk = vec![None; minis.len()];
+        c.lookup_bulk(&minis, |i, r| bulk[i] = Some(r.value));
         assert_eq!(bulk, scalar);
         assert_eq!(bulk, vec![Some(200), Some(100), None, Some(200)]);
     }
@@ -558,7 +570,8 @@ mod tests {
             .map(|i| Miniflow::from_key(&key_dst([10, 0, 0, i])))
             .collect();
         c.stats = ClassifierStats::default();
-        let hits = c.lookup_bulk(&minis).iter().filter(|r| r.is_some()).count();
+        let mut hits = 0;
+        c.lookup_bulk(&minis, |_, _| hits += 1);
         assert_eq!(hits, 4);
         assert_eq!(c.stats.lane_steps, 3);
         assert_eq!(c.stats.lane_keys, 20);
@@ -568,8 +581,9 @@ mod tests {
         // the /32 subtable carry over, 2 more steps.
         c.insert(rule([10, 0, 0, 0], 8, 0, 999));
         c.stats = ClassifierStats::default();
-        let results = c.lookup_bulk(&minis);
-        assert!(results.iter().all(|r| r.is_some()));
+        let mut hits = 0;
+        c.lookup_bulk(&minis, |_, _| hits += 1);
+        assert_eq!(hits, minis.len());
         // Ranked order puts the hot /32 subtable first (4 prior hits).
         assert_eq!(c.stats.lane_steps, 3 + 2);
         assert_eq!(c.stats.lane_keys, 20 + 16);

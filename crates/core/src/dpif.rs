@@ -36,16 +36,10 @@ use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
 use ovs_packet::flow::{extract_miniflow, FlowKey, Miniflow, WORDS};
 use ovs_packet::{builder, DpPacket, MacAddr};
+use ovs_ring::{DpPacketPool, PacketBatch};
 use ovs_sim::Context;
 use std::collections::BTreeMap;
 use std::rc::Rc;
-
-/// Core busy time as an integer nanosecond snapshot for stage
-/// attribution. Rounding is monotone, and integer deltas telescope, so
-/// per-stage times sum *exactly* to the poll total.
-fn core_ns(kernel: &Kernel, core: usize) -> u64 {
-    kernel.sim.cpus.core(core).total_ns().round() as u64
-}
 
 /// The PMD's virtual time: the global sim clock plus the polling core's
 /// accumulated busy time. The clock only moves between rounds and the
@@ -57,7 +51,7 @@ fn pmd_now_ns(kernel: &Kernel, core: usize) -> u64 {
         .sim
         .clock
         .now_ns()
-        .saturating_add(core_ns(kernel, core))
+        .saturating_add(kernel.sim.cpus.core_ns(core))
 }
 
 /// One line of `ofproto/trace` flow description, straight off the
@@ -148,6 +142,9 @@ pub const NF_WORK_PORT: PortNo = PortNo::MAX;
 /// Maximum recirculations per packet.
 const MAX_RECIRC: usize = 8;
 
+/// Packet room of a fresh descriptor: a 2 KB umem frame's worth.
+const PKT_DATA_CAPACITY: usize = 2048;
+
 /// A packet mid-pipeline: the frame plus how many recirculation passes
 /// it has already made.
 struct BurstPkt {
@@ -162,6 +159,34 @@ struct BurstPkt {
 struct FlowBatch {
     actions: BatchActions,
     pkts: Vec<BurstPkt>,
+}
+
+/// The per-megaflow batches of one pass, plus the emptied packet lists
+/// of batches already executed, which the next batch reuses.
+#[derive(Default)]
+struct FlowBatches {
+    live: Vec<FlowBatch>,
+    spare: Vec<Vec<BurstPkt>>,
+}
+
+/// The burst-scoped vectors, kept by the datapath between bursts and
+/// cleared instead of dropped, as OVS keeps its per-PMD batches: a warm
+/// burst allocates none of them. A burst takes them out of the datapath
+/// for its length (`std::mem::take`) and puts them back.
+#[derive(Default)]
+struct BurstScratch {
+    /// The packets of the current pass; a pass's recirculations refill
+    /// it as the next pass.
+    burst: Vec<BurstPkt>,
+    batches: FlowBatches,
+    /// EMC/SMC misses of `dfc_processing`.
+    misses: Vec<(BurstPkt, Miniflow)>,
+    /// Misses the fast path's cache re-probe left for the dpcls, their
+    /// keys, and the bulk lookup's verdicts.
+    pending: Vec<(BurstPkt, Miniflow)>,
+    keys: Vec<Miniflow>,
+    results: Vec<Option<Rc<MegaflowEntry<Vec<DpAction>>>>>,
+    tx: TxAccum,
 }
 
 /// What a [`FlowBatch`] executes.
@@ -187,14 +212,26 @@ impl BatchActions {
 /// one-packet `tx_burst` calls).
 #[derive(Default)]
 struct TxAccum {
+    /// Output per port, in first-output order.
     ports: Vec<(PortNo, Vec<DpPacket>)>,
+    /// Emptied per-port lists of earlier flushes.
+    spare: Vec<Vec<DpPacket>>,
+    /// rx stamps of the frames a port's backend accepted, in order.
+    delivered_ts: Vec<Option<u64>>,
+    /// The AF_XDP tx chunk and its packets' rx stamps.
+    batch: PacketBatch,
+    batch_ts: Vec<Option<u64>>,
 }
 
 impl TxAccum {
     fn push(&mut self, port: PortNo, pkt: DpPacket) {
         match self.ports.iter_mut().find(|(p, _)| *p == port) {
             Some((_, v)) => v.push(pkt),
-            None => self.ports.push((port, vec![pkt])),
+            None => {
+                let mut v = self.spare.pop().unwrap_or_default();
+                v.push(pkt);
+                self.ports.push((port, v));
+            }
         }
     }
 }
@@ -480,6 +517,12 @@ pub struct DpifNetdev {
     /// `DpAction::NfChain`. Empty by default — costs nothing until a
     /// chain is added.
     pub nfv: ovs_nfv::NfManager,
+    /// Optimization O4: the one packet-descriptor pool every port
+    /// receives into, bounded by the umem frames of the O4 AF_XDP ports.
+    pool: DpPacketPool,
+    /// What a poll receives, kept between polls.
+    rx: PacketBatch,
+    scratch: BurstScratch,
 }
 
 impl Default for DpifNetdev {
@@ -511,6 +554,9 @@ impl DpifNetdev {
             restore: RestoreState::default(),
             fail_secure: false,
             nfv: ovs_nfv::NfManager::new(),
+            pool: DpPacketPool::new(0, PKT_DATA_CAPACITY),
+            rx: PacketBatch::default(),
+            scratch: BurstScratch::default(),
         }
     }
 
@@ -520,6 +566,7 @@ impl DpifNetdev {
             name: name.to_string(),
             ty,
         }));
+        self.bound_pool();
         (self.ports.len() - 1) as PortNo
     }
 
@@ -533,6 +580,27 @@ impl DpifNetdev {
         if let Some(slot) = self.ports.get_mut(port as usize) {
             *slot = None;
         }
+        self.bound_pool();
+    }
+
+    /// Bound the descriptor pool by the umem frames of the O4 AF_XDP
+    /// ports: no more descriptors than that can be in flight.
+    fn bound_pool(&mut self) {
+        let frames = self
+            .ports
+            .iter()
+            .flatten()
+            .map(|p| match &p.ty {
+                PortType::Afxdp(a) => a.metadata_frames(),
+                _ => 0,
+            })
+            .sum();
+        self.pool.set_bound(frames);
+    }
+
+    /// The datapath's packet-descriptor pool (its reuse counters).
+    pub fn packet_pool(&self) -> &DpPacketPool {
+        &self.pool
     }
 
     /// Borrow a port.
@@ -999,7 +1067,7 @@ impl DpifNetdev {
     /// adjusts the limit for the next round — OVS's `udpif_revalidator`
     /// loop.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
-        let t0 = core_ns(kernel, core);
+        let t0 = kernel.sim.cpus.core_ns(core);
         let mut timer = StageTimer::new(t0);
         let now = kernel.sim.clock.now_ns();
         self.maybe_complete_restore(now);
@@ -1068,10 +1136,10 @@ impl DpifNetdev {
         }
 
         // The simulated dump duration drives the dynamic flow limit.
-        let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
+        let dump_ms = (kernel.sim.cpus.core_ns(core) - t0) / 1_000_000;
         let summary = self.revalidator.end_sweep(sweep, dump_ms);
 
-        timer.mark(Stage::Revalidate, core_ns(kernel, core));
+        timer.mark(Stage::Revalidate, kernel.sim.cpus.core_ns(core));
         self.perf.entry(core).or_default().commit(&timer, 0);
         assert!(
             self.stats.coherent(),
@@ -1383,22 +1451,17 @@ megaflows installed: {}
         // toward every received packet's latency.
         self.maybe_complete_restore(kernel.sim.clock.now_ns());
         let rx_stamp = pmd_now_ns(kernel, core);
-        let mut timer = StageTimer::new(core_ns(kernel, core));
-        let mut pkts = self.port_rx(kernel, port, queue, core);
-        timer.mark(Stage::Rx, core_ns(kernel, core));
-        let n = pkts.len();
-        for pkt in &mut pkts {
+        let mut timer = StageTimer::new(kernel.sim.cpus.core_ns(core));
+        let mut rx = std::mem::take(&mut self.rx);
+        self.port_rx(kernel, port, queue, core, &mut rx);
+        timer.mark(Stage::Rx, kernel.sim.cpus.core_ns(core));
+        let pkts = rx.drain().map(|mut pkt| {
             pkt.in_port = port;
             pkt.rx_ts = Some(rx_stamp);
-        }
-        self.process_burst_timed(kernel, pkts, core, &mut timer);
-        self.latency.commit_burst(&timer);
-        self.perf.entry(core).or_default().commit(&timer, n as u64);
-        debug_assert!(
-            self.stats.coherent(),
-            "dpif stats drifted: {:?}",
-            self.stats
-        );
+            pkt
+        });
+        let n = self.run_burst(kernel, pkts, core, timer);
+        self.rx = rx;
         n
     }
 
@@ -1412,7 +1475,7 @@ megaflows installed: {}
         if self.nfv.nf(nf_id).is_none() {
             return 0;
         }
-        let mut timer = StageTimer::new(core_ns(kernel, core));
+        let mut timer = StageTimer::new(kernel.sim.cpus.core_ns(core));
         let now_ns = kernel.sim.clock.now_ns();
         // A fault armed against this NF makes this invocation panic
         // inside the manager's catch_unwind; consuming it here keeps the
@@ -1451,9 +1514,9 @@ megaflows installed: {}
         if out.crash_drops > 0 {
             coverage!("nf_crash_drop", out.crash_drops);
         }
-        timer.mark(Stage::NfExec, core_ns(kernel, core));
+        timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
         if !out.exits.is_empty() {
-            let mut tx = TxAccum::default();
+            let mut tx = std::mem::take(&mut self.scratch.tx);
             let now = pmd_now_ns(kernel, core);
             for (mut pkt, port) in out.exits {
                 // Cross-core handoff: the rx stamp lives in the rx
@@ -1467,8 +1530,9 @@ megaflows installed: {}
                 kernel.sim.charge(core, Context::User, c);
                 self.port_send(kernel, port, pkt, core, &mut tx);
             }
-            timer.mark(Stage::NfExec, core_ns(kernel, core));
-            self.flush_tx(kernel, tx, core, &mut timer);
+            timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
+            self.flush_tx(kernel, &mut tx, core, &mut timer);
+            self.scratch.tx = tx;
         }
         self.perf.entry(core).or_default().commit(&timer, n as u64);
         debug_assert!(
@@ -1479,30 +1543,31 @@ megaflows installed: {}
         n
     }
 
-    /// Receive a burst from a port's backend.
+    /// Receive a burst from a port's backend into `rx`, every frame in a
+    /// descriptor from the pool.
     fn port_rx(
         &mut self,
         kernel: &mut Kernel,
         port: PortNo,
         queue: usize,
         core: usize,
-    ) -> Vec<DpPacket> {
+        rx: &mut PacketBatch,
+    ) {
         let Some(Some(p)) = self.ports.get_mut(port as usize) else {
-            return Vec::new();
+            return;
         };
-        let mut out = Vec::new();
+        let pool = &mut self.pool;
         match &mut p.ty {
             PortType::Afxdp(a) => {
-                for pkt in a.rx_burst(kernel, queue, core) {
-                    out.push(pkt);
-                }
+                a.rx_burst(kernel, queue, core, pool, rx);
             }
             PortType::Dpdk(d) => {
                 for m in d.rx_burst(kernel, queue, core) {
-                    let mut pkt = DpPacket::from_data(m.data());
+                    let mut pkt = pool.take();
+                    pkt.set_data(m.data());
                     pkt.rxhash = Some(m.rss_hash);
                     d.pool.free(m);
-                    out.push(pkt);
+                    let _ = rx.push(pkt);
                 }
             }
             PortType::Tap { ifindex }
@@ -1512,46 +1577,88 @@ megaflows installed: {}
                 // OVS reaches the tap's *kernel* side over a raw socket
                 // (the fd side belongs to the VM's vhost backend).
                 let ifx = *ifindex;
-                while let Some(f) = kernel.raw_socket_recv(ifx, core) {
-                    out.push(DpPacket::from_data(&f));
-                    if out.len() >= 32 {
+                while !rx.is_full() {
+                    let Some(f) = kernel.raw_socket_recv(ifx, core) else {
                         break;
-                    }
+                    };
+                    let mut pkt = pool.take();
+                    pkt.set_data(&f);
+                    let _ = rx.push(pkt);
                 }
             }
             PortType::VhostUser(v) => {
-                for f in v.dequeue_burst(kernel, 32, core) {
-                    out.push(DpPacket::from_data(&f));
-                }
+                v.dequeue_burst(kernel, core, pool, rx);
             }
             PortType::AfPacket(a) => {
-                while let Some(f) = a.recv(kernel, core) {
-                    out.push(DpPacket::from_data(&f));
-                    if out.len() >= 32 {
+                while !rx.is_full() {
+                    let Some(f) = a.recv(kernel, core) else {
                         break;
-                    }
+                    };
+                    let mut pkt = pool.take();
+                    pkt.set_data(&f);
+                    let _ = rx.push(pkt);
                 }
             }
             PortType::Tunnel(_) => {}
         }
-        self.stats.rx_packets += out.len() as u64;
-        coverage!("dpif_rx", out.len());
-        out
+        self.stats.rx_packets += rx.len() as u64;
+        coverage!("dpif_rx", rx.len());
     }
 
     /// Run one packet through decap, the cache hierarchy, and actions —
     /// a burst of one through the batched pipeline.
     pub fn process_packet(&mut self, kernel: &mut Kernel, pkt: DpPacket, core: usize) {
-        self.process_burst(kernel, vec![pkt], core);
+        self.process_burst(kernel, [pkt], core);
     }
 
     /// Run an injected burst through the full two-phase pipeline,
     /// committing perf attribution. `pmd_poll` is this plus the rx.
-    pub fn process_burst(&mut self, kernel: &mut Kernel, pkts: Vec<DpPacket>, core: usize) {
+    pub fn process_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        pkts: impl IntoIterator<Item = DpPacket>,
+        core: usize,
+    ) {
         self.maybe_complete_restore(kernel.sim.clock.now_ns());
-        let mut timer = StageTimer::new(core_ns(kernel, core));
-        let n = pkts.len();
-        self.process_burst_timed(kernel, pkts, core, &mut timer);
+        let timer = StageTimer::new(kernel.sim.cpus.core_ns(core));
+        self.run_burst(kernel, pkts, core, timer);
+    }
+
+    /// The pipeline proper, attributing spans of core time to `timer`
+    /// and committing them: admit the burst (stamp the packets that
+    /// arrive unstamped — injected ones; received ones carry the
+    /// poll-entry stamp from `pmd_poll` — and decapsulate those that
+    /// target one of our tunnel endpoints), classify it into
+    /// per-megaflow batches (`dfc_processing` + `fast_path_processing`),
+    /// execute each batch's actions once, loop recirculated packets back
+    /// as a sub-burst, and finally flush the accumulated output as real
+    /// per-port tx bursts. Returns the packets admitted.
+    fn run_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        pkts: impl IntoIterator<Item = DpPacket>,
+        core: usize,
+        mut timer: StageTimer,
+    ) -> usize {
+        let mut s = std::mem::take(&mut self.scratch);
+        let mut n = 0;
+        for mut pkt in pkts {
+            let stamp = pmd_now_ns(kernel, core);
+            pkt.rx_ts.get_or_insert(stamp);
+            self.stats.packets_processed += 1;
+            coverage!("dpif_packet");
+            self.try_tunnel_rx(kernel, &mut pkt, core);
+            s.burst.push(BurstPkt { pkt, pass: 0 });
+            n += 1;
+        }
+        timer.mark(Stage::Parse, kernel.sim.cpus.core_ns(core));
+        while !s.burst.is_empty() {
+            self.dfc_processing(kernel, &mut s, core, &mut timer);
+            self.fast_path_processing(kernel, &mut s, core, &mut timer);
+            self.execute_batches(kernel, &mut s, core, &mut timer);
+        }
+        self.flush_tx(kernel, &mut s.tx, core, &mut timer);
+        self.scratch = s;
         self.latency.commit_burst(&timer);
         self.perf.entry(core).or_default().commit(&timer, n as u64);
         debug_assert!(
@@ -1559,49 +1666,11 @@ megaflows installed: {}
             "dpif stats drifted: {:?}",
             self.stats
         );
-    }
-
-    /// The pipeline proper, attributing spans of core time to `timer`:
-    /// classify the whole burst into per-megaflow batches
-    /// (`dfc_processing` + `fast_path_processing`), execute each batch's
-    /// actions once, loop recirculated packets back as a sub-burst, and
-    /// finally flush the accumulated output as real per-port tx bursts.
-    fn process_burst_timed(
-        &mut self,
-        kernel: &mut Kernel,
-        pkts: Vec<DpPacket>,
-        core: usize,
-        timer: &mut StageTimer,
-    ) {
-        let mut burst: Vec<BurstPkt> = Vec::with_capacity(pkts.len());
-        for mut pkt in pkts {
-            // Injected packets arrive unstamped; received ones carry the
-            // poll-entry stamp from `pmd_poll` already.
-            let stamp = pmd_now_ns(kernel, core);
-            pkt.rx_ts.get_or_insert(stamp);
-            self.stats.packets_processed += 1;
-            coverage!("dpif_packet");
-            // Tunnel reception: if the frame targets one of our tunnel
-            // endpoints, decapsulate and re-address it to the tunnel
-            // port.
-            self.try_tunnel_rx(kernel, &mut pkt, core);
-            burst.push(BurstPkt { pkt, pass: 0 });
-        }
-        timer.mark(Stage::Parse, core_ns(kernel, core));
-
-        let mut tx = TxAccum::default();
-        while !burst.is_empty() {
-            let mut batches: Vec<FlowBatch> = Vec::new();
-            let mut misses: Vec<(BurstPkt, Miniflow)> = Vec::new();
-            self.dfc_processing(kernel, burst, &mut batches, &mut misses, core, timer);
-            self.fast_path_processing(kernel, misses, &mut batches, core, timer);
-            burst = self.execute_batches(kernel, batches, &mut tx, core, timer);
-        }
-        self.flush_tx(kernel, tx, core, timer);
+        n
     }
 
     /// Phase one: probe the datapath flow caches (EMC, then SMC) for
-    /// every packet of the burst, in order, sorting hits into
+    /// every packet of `s.burst`, in order, sorting hits into
     /// per-megaflow batches and collecting misses for the fast path.
     ///
     /// Everything here runs on the sparse [`Miniflow`] straight out of
@@ -1611,13 +1680,11 @@ megaflows installed: {}
     fn dfc_processing(
         &mut self,
         kernel: &mut Kernel,
-        burst: Vec<BurstPkt>,
-        batches: &mut Vec<FlowBatch>,
-        misses: &mut Vec<(BurstPkt, Miniflow)>,
+        s: &mut BurstScratch,
         core: usize,
         timer: &mut StageTimer,
     ) {
-        for mut bp in burst {
+        for mut bp in s.burst.drain(..) {
             if bp.pass == MAX_RECIRC {
                 // Recirculation limit exceeded.
                 self.stats.dropped += 1;
@@ -1625,6 +1692,7 @@ megaflows installed: {}
                 if let Some(t) = self.trace.as_mut() {
                     t.note(format!("recirculation limit ({MAX_RECIRC}) exceeded: drop"));
                 }
+                self.pool.put(bp.pkt);
                 continue;
             }
             if bp.pass > 0 {
@@ -1637,7 +1705,7 @@ megaflows installed: {}
             self.miniflow_stats.record(&mf);
             let c = kernel.sim.costs.miniflow_extract_ns + kernel.sim.costs.flow_hash_ns;
             kernel.sim.charge(core, Context::User, c);
-            timer.mark(Stage::Parse, core_ns(kernel, core));
+            timer.mark(Stage::Parse, kernel.sim.cpus.core_ns(core));
             if let Some(t) = self.trace.as_mut() {
                 t.enter(format!("pass {}: flow {}", bp.pass + 1, describe_key(&mf)));
             }
@@ -1649,9 +1717,9 @@ megaflows installed: {}
                 c += kernel.sim.costs.emc_pressure_ns;
             }
             kernel.sim.charge(core, Context::User, c);
-            timer.mark(Stage::EmcLookup, core_ns(kernel, core));
+            timer.mark(Stage::EmcLookup, kernel.sim.cpus.core_ns(core));
             if let Some(e) = hit {
-                self.emc_hit(batches, e, bp, kernel.sim.clock.now_ns());
+                self.emc_hit(&mut s.batches, e, bp, kernel.sim.clock.now_ns());
                 continue;
             }
 
@@ -1660,14 +1728,14 @@ megaflows installed: {}
                 let c = kernel.sim.costs.smc_mini_hit_ns;
                 kernel.sim.charge(core, Context::User, c);
                 let hit = self.smc.lookup(&mf, hash);
-                timer.mark(Stage::SmcLookup, core_ns(kernel, core));
+                timer.mark(Stage::SmcLookup, kernel.sim.cpus.core_ns(core));
                 if let Some(e) = hit {
-                    self.smc_hit(batches, e, bp, mf, hash, kernel.sim.clock.now_ns());
+                    self.smc_hit(&mut s.batches, e, bp, mf, hash, kernel.sim.clock.now_ns());
                     continue;
                 }
                 coverage!("smc_miss");
             }
-            misses.push((bp, mf));
+            s.misses.push((bp, mf));
         }
     }
 
@@ -1675,7 +1743,7 @@ megaflows installed: {}
     /// caller charges the probe.
     fn emc_hit(
         &mut self,
-        batches: &mut Vec<FlowBatch>,
+        batches: &mut FlowBatches,
         e: Rc<MegaflowEntry<Vec<DpAction>>>,
         bp: BurstPkt,
         now_ns: u64,
@@ -1694,7 +1762,7 @@ megaflows installed: {}
     /// The caller charges the probe.
     fn smc_hit(
         &mut self,
-        batches: &mut Vec<FlowBatch>,
+        batches: &mut FlowBatches,
         e: Rc<MegaflowEntry<Vec<DpAction>>>,
         bp: BurstPkt,
         mf: Miniflow,
@@ -1711,42 +1779,40 @@ megaflows installed: {}
         self.enqueue_classified(batches, BatchActions::Flow(e), bp);
     }
 
-    /// Phase two: resolve the dfc misses through the megaflow classifier
-    /// and the upcall slow path. The flow caches are re-probed first
-    /// (uncharged — the probes were paid in phase one) because an
-    /// earlier miss in the same burst may have installed or promoted the
-    /// flow; the survivors then go through the dpcls **together** as one
-    /// wide-lane bulk probe (the AVX-512 signature-compare model), and
-    /// only bulk misses fall back to scalar probing and upcalls, in
-    /// original packet order.
+    /// Phase two: resolve the dfc misses (`s.misses`) through the
+    /// megaflow classifier and the upcall slow path. The flow caches are
+    /// re-probed first (uncharged — the probes were paid in phase one)
+    /// because an earlier miss in the same burst may have installed or
+    /// promoted the flow; the survivors then go through the dpcls
+    /// **together** as one wide-lane bulk probe (the AVX-512
+    /// signature-compare model), and only bulk misses fall back to
+    /// scalar probing and upcalls, in original packet order.
     fn fast_path_processing(
         &mut self,
         kernel: &mut Kernel,
-        misses: Vec<(BurstPkt, Miniflow)>,
-        batches: &mut Vec<FlowBatch>,
+        s: &mut BurstScratch,
         core: usize,
         timer: &mut StageTimer,
     ) {
-        let mut pending: Vec<(BurstPkt, Miniflow)> = Vec::with_capacity(misses.len());
-        for (bp, mf) in misses {
+        for (bp, mf) in s.misses.drain(..) {
             let hash = bp
                 .pkt
                 .flow_hash
                 .expect("flow_hash cached by dfc_processing");
             let now = kernel.sim.clock.now_ns();
             if let Some(e) = self.emc.lookup(&mf, hash) {
-                self.emc_hit(batches, e, bp, now);
+                self.emc_hit(&mut s.batches, e, bp, now);
                 continue;
             }
             if self.smc_enable {
                 if let Some(e) = self.smc.lookup(&mf, hash) {
-                    self.smc_hit(batches, e, bp, mf, hash, now);
+                    self.smc_hit(&mut s.batches, e, bp, mf, hash, now);
                     continue;
                 }
             }
-            pending.push((bp, mf));
+            s.pending.push((bp, mf));
         }
-        if pending.is_empty() {
+        if s.pending.is_empty() {
             return;
         }
 
@@ -1756,19 +1822,20 @@ megaflows installed: {}
         // gather) plus per key carried (mask application) — batching
         // amortizes the subtable walk the way the vectorized dpcls
         // amortizes loads.
-        let keys: Vec<Miniflow> = pending.iter().map(|(_, mf)| *mf).collect();
+        s.keys.clear();
+        s.keys.extend(s.pending.iter().map(|(_, mf)| *mf));
         let steps_before = self.megaflow.lane_steps();
         let keys_before = self.megaflow.lane_keys();
         let gen_at_bulk = self.megaflow.generation();
-        let results = self.megaflow.lookup_bulk(&keys);
+        self.megaflow.lookup_bulk(&s.keys, &mut s.results);
         let steps = self.megaflow.lane_steps() - steps_before;
         let lane_keys = self.megaflow.lane_keys() - keys_before;
         let c = kernel.sim.costs.dpcls_bulk_step_ns * steps as f64
             + kernel.sim.costs.dpcls_bulk_key_ns * lane_keys as f64;
         kernel.sim.charge(core, Context::User, c);
-        timer.mark(Stage::MegaflowLookup, core_ns(kernel, core));
+        timer.mark(Stage::MegaflowLookup, kernel.sim.cpus.core_ns(core));
 
-        for ((bp, mf), bulk_hit) in pending.into_iter().zip(results) {
+        for ((bp, mf), bulk_hit) in s.pending.drain(..).zip(s.results.drain(..)) {
             let hash = bp
                 .pkt
                 .flow_hash
@@ -1788,7 +1855,7 @@ megaflows installed: {}
                         + kernel.sim.costs.dpcls_subtable_extra_ns
                             * probed.saturating_sub(1) as f64;
                     kernel.sim.charge(core, Context::User, c);
-                    timer.mark(Stage::MegaflowLookup, core_ns(kernel, core));
+                    timer.mark(Stage::MegaflowLookup, kernel.sim.cpus.core_ns(core));
                     hit
                 }
                 None => {
@@ -1811,7 +1878,7 @@ megaflows installed: {}
                     self.smc.insert(hash, Rc::clone(&e));
                 }
                 self.emc.maybe_insert(mf, hash, Rc::clone(&e));
-                self.enqueue_classified(batches, BatchActions::Flow(e), bp);
+                self.enqueue_classified(&mut s.batches, BatchActions::Flow(e), bp);
                 continue;
             }
 
@@ -1826,6 +1893,7 @@ megaflows installed: {}
                 if let Some(t) = self.trace.as_mut() {
                     t.note("upcall gated: flow-restore-wait, drop");
                 }
+                self.pool.put(bp.pkt);
                 continue;
             }
             // Secure fail mode: the controller is gone, so no new flows
@@ -1837,6 +1905,7 @@ megaflows installed: {}
                 if let Some(t) = self.trace.as_mut() {
                     t.note("fail mode secure: controller disconnected, drop");
                 }
+                self.pool.put(bp.pkt);
                 continue;
             }
 
@@ -1862,7 +1931,7 @@ megaflows installed: {}
             }
             let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
             kernel.sim.charge(core, Context::User, c);
-            timer.mark(Stage::Upcall, core_ns(kernel, core));
+            timer.mark(Stage::Upcall, kernel.sim.cpus.core_ns(core));
             // The upcalled packet is credited at translation time;
             // everything after it is credited by stats pushback.
             for r in &t.rules {
@@ -1886,7 +1955,7 @@ megaflows installed: {}
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
                 self.emc.maybe_insert(mf, hash, Rc::clone(&entry));
-                self.enqueue_classified(batches, BatchActions::Flow(entry), bp);
+                self.enqueue_classified(&mut s.batches, BatchActions::Flow(entry), bp);
             } else {
                 // At the dynamic flow limit: forward without installing
                 // (OVS upcall handlers do the same).
@@ -1898,7 +1967,7 @@ megaflows installed: {}
                         self.revalidator.flow_limit
                     ));
                 }
-                self.enqueue_classified(batches, BatchActions::OneOff(t.actions), bp);
+                self.enqueue_classified(&mut s.batches, BatchActions::OneOff(t.actions), bp);
             }
         }
     }
@@ -1907,7 +1976,7 @@ megaflows installed: {}
     /// the batch on first use. Empty action lists drop here.
     fn enqueue_classified(
         &mut self,
-        batches: &mut Vec<FlowBatch>,
+        batches: &mut FlowBatches,
         actions: BatchActions,
         bp: BurstPkt,
     ) {
@@ -1918,10 +1987,12 @@ megaflows installed: {}
                 t.note("Datapath actions: drop");
                 t.exit();
             }
+            self.pool.put(bp.pkt);
             return;
         }
         if let BatchActions::Flow(e) = &actions {
             if let Some(b) = batches
+                .live
                 .iter_mut()
                 .find(|b| matches!(&b.actions, BatchActions::Flow(be) if Rc::ptr_eq(be, e)))
             {
@@ -1929,38 +2000,37 @@ megaflows installed: {}
                 return;
             }
         }
-        batches.push(FlowBatch {
-            actions,
-            pkts: vec![bp],
-        });
+        let mut pkts = batches.spare.pop().unwrap_or_default();
+        pkts.push(bp);
+        batches.live.push(FlowBatch { actions, pkts });
     }
 
     /// Phase three: execute each batch's actions — the per-batch fixed
-    /// cost is paid once per megaflow, not once per packet. Returns the
-    /// recirculated packets (the next sub-burst).
+    /// cost is paid once per megaflow, not once per packet. The
+    /// recirculated packets refill `s.burst` as the next sub-burst.
     fn execute_batches(
         &mut self,
         kernel: &mut Kernel,
-        batches: Vec<FlowBatch>,
-        tx: &mut TxAccum,
+        s: &mut BurstScratch,
         core: usize,
         timer: &mut StageTimer,
-    ) -> Vec<BurstPkt> {
-        let mut next = Vec::new();
-        for b in batches {
+    ) {
+        for mut b in s.batches.live.drain(..) {
             let c = kernel.sim.costs.dp_batch_fixed_ns
                 + kernel.sim.costs.dp_batch_pkt_ns * b.pkts.len() as f64;
             kernel.sim.charge(core, Context::User, c);
-            timer.mark(Stage::Batch, core_ns(kernel, core));
+            timer.mark(Stage::Batch, kernel.sim.cpus.core_ns(core));
             coverage!("batch_flush");
             let actions = b.actions.as_slice();
-            for bp in b.pkts {
+            for bp in b.pkts.drain(..) {
                 if let Some(t) = self.trace.as_mut() {
                     t.note(format!("Datapath actions: {actions:?}"));
                 }
                 let pass = bp.pass;
-                if let Some(p) = self.execute_actions(kernel, bp.pkt, actions, core, timer, tx) {
-                    next.push(BurstPkt {
+                if let Some(p) =
+                    self.execute_actions(kernel, bp.pkt, actions, core, timer, &mut s.tx)
+                {
+                    s.burst.push(BurstPkt {
                         pkt: p,
                         pass: pass + 1,
                     });
@@ -1969,31 +2039,48 @@ megaflows installed: {}
                     t.exit();
                 }
             }
+            s.batches.spare.push(b.pkts);
         }
-        next
     }
 
     /// Flush the accumulated output as one real tx burst per port —
     /// the batched replacement for the old per-packet backend calls.
+    /// Each descriptor goes back to the pool once the backend has copied
+    /// it out; `tx` is left empty.
     ///
     /// This is where a packet's life ends, one way or the other: every
     /// frame the backend really accepted records its rx→tx latency
     /// sample; every frame it refused is a counted drop with *no*
     /// sample — the lossless-accounting contract extended to
     /// timestamps.
-    fn flush_tx(&mut self, kernel: &mut Kernel, tx: TxAccum, core: usize, timer: &mut StageTimer) {
-        for (port, pkts) in tx.ports {
+    fn flush_tx(
+        &mut self,
+        kernel: &mut Kernel,
+        tx: &mut TxAccum,
+        core: usize,
+        timer: &mut StageTimer,
+    ) {
+        let TxAccum {
+            ports,
+            spare,
+            delivered_ts,
+            batch,
+            batch_ts,
+        } = tx;
+        for (port, mut pkts) in ports.drain(..) {
             let mut dropped = 0u64;
             let mut tx_full = 0u64;
             let mut vhost_down = 0u64;
-            // rx stamps of the frames the backend accepted, in order.
-            let mut delivered_ts: Vec<Option<u64>> = Vec::new();
+            delivered_ts.clear();
             let Some(Some(p)) = self.ports.get_mut(port as usize) else {
                 // The port vanished after accumulation (cannot happen
                 // within one burst, but stay defensive).
                 self.stats.dropped += pkts.len() as u64;
+                pkts.clear();
+                spare.push(pkts);
                 continue;
             };
+            let pool = &mut self.pool;
             match &mut p.ty {
                 PortType::Afxdp(a) => {
                     // TX on queue 0 of the egress port (single-queue TX
@@ -2004,26 +2091,19 @@ megaflows installed: {}
                     // a chunk are the delivered ones.
                     let mut attempted = 0usize;
                     let mut sent = 0usize;
-                    let mut batch = ovs_ring::PacketBatch::new();
-                    let mut batch_ts: Vec<Option<u64>> = Vec::new();
-                    for pkt in pkts {
-                        let ts = pkt.rx_ts;
-                        match batch.push(pkt) {
-                            Ok(()) => batch_ts.push(ts),
-                            Err(pkt) => {
-                                attempted += batch.len();
-                                let n_sent = a.tx_burst(kernel, 0, core, batch);
-                                sent += n_sent;
-                                delivered_ts.extend(batch_ts.drain(..).take(n_sent));
-                                batch = ovs_ring::PacketBatch::new();
-                                let _ = batch.push(pkt);
-                                batch_ts.push(ts);
-                            }
+                    for pkt in pkts.drain(..) {
+                        if batch.is_full() {
+                            attempted += batch.len();
+                            let n_sent = a.tx_burst(kernel, 0, core, batch, pool);
+                            sent += n_sent;
+                            delivered_ts.extend(batch_ts.drain(..).take(n_sent));
                         }
+                        batch_ts.push(pkt.rx_ts);
+                        let _ = batch.push(pkt);
                     }
                     if !batch.is_empty() {
                         attempted += batch.len();
-                        let n_sent = a.tx_burst(kernel, 0, core, batch);
+                        let n_sent = a.tx_burst(kernel, 0, core, batch, pool);
                         sent += n_sent;
                         delivered_ts.extend(batch_ts.drain(..).take(n_sent));
                     }
@@ -2035,7 +2115,7 @@ megaflows installed: {}
                     // Per-packet mbuf allocation: an exhausted pool drops
                     // exactly the frames that failed to allocate.
                     let mut mbufs = Vec::with_capacity(pkts.len());
-                    for pkt in &pkts {
+                    for pkt in pkts.drain(..) {
                         match d.pool.alloc() {
                             Some(mut m) => {
                                 m.set_data(pkt.data());
@@ -2044,6 +2124,7 @@ megaflows installed: {}
                             }
                             None => dropped += 1,
                         }
+                        pool.put(pkt);
                     }
                     if !mbufs.is_empty() {
                         d.tx_burst(kernel, mbufs, core);
@@ -2054,39 +2135,43 @@ megaflows installed: {}
                     tap_ifindex: ifindex,
                 } => {
                     let ifx = *ifindex;
-                    for pkt in pkts {
+                    for pkt in pkts.drain(..) {
                         delivered_ts.push(pkt.rx_ts);
                         kernel.raw_socket_send(ifx, pkt.data().to_vec(), core);
+                        pool.put(pkt);
                     }
                 }
                 PortType::VhostUser(v) => {
                     // The vring accepts a prefix of the burst; the rest
                     // is a counted drop (guest disconnected or ring
                     // full).
-                    let frames: Vec<Vec<u8>> = pkts.iter().map(|p| p.data().to_vec()).collect();
-                    let n = frames.len();
-                    let accepted = v.enqueue_burst(kernel, frames, core);
+                    let accepted = v.enqueue_burst(kernel, pkts.iter().map(DpPacket::data), core);
                     delivered_ts.extend(pkts.iter().take(accepted).map(|p| p.rx_ts));
-                    let lost = (n - accepted) as u64;
+                    let lost = (pkts.len() - accepted) as u64;
                     dropped += lost;
                     vhost_down += lost;
+                    for pkt in pkts.drain(..) {
+                        pool.put(pkt);
+                    }
                 }
                 PortType::AfPacket(a) => {
-                    for pkt in pkts {
+                    for pkt in pkts.drain(..) {
                         delivered_ts.push(pkt.rx_ts);
                         a.send(kernel, pkt.data().to_vec(), core);
+                        pool.put(pkt);
                     }
                 }
                 PortType::Tunnel(_) => unreachable!("tunnel handled in port_send"),
             }
+            spare.push(pkts);
             self.stats.dropped += dropped;
             self.stats.tx_full_drops += tx_full;
             self.stats.vhost_tx_drops += vhost_down;
-            timer.mark(Stage::Tx, core_ns(kernel, core));
+            timer.mark(Stage::Tx, kernel.sim.cpus.core_ns(core));
             // Sample after the tx mark so the backend handoff cost is
             // part of the measured latency.
             let now = pmd_now_ns(kernel, core);
-            for ts in delivered_ts.into_iter().flatten() {
+            for &ts in delivered_ts.iter().flatten() {
                 debug_assert!(now >= ts, "tx time precedes the rx stamp");
                 self.latency.record(port, core, now.saturating_sub(ts));
             }
@@ -2108,20 +2193,20 @@ megaflows installed: {}
         for (i, act) in actions.iter().enumerate() {
             match act {
                 DpAction::Output(p) => {
-                    timer.mark(Stage::Actions, core_ns(kernel, core));
+                    timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                     let last = i + 1 == actions.len();
                     if last {
                         self.port_send(kernel, *p, pkt, core, tx);
-                        timer.mark(Stage::Tx, core_ns(kernel, core));
+                        timer.mark(Stage::Tx, kernel.sim.cpus.core_ns(core));
                         return None;
                     }
-                    let clone = DpPacket::from_data(pkt.data());
-                    let mut clone = clone;
+                    let mut clone = self.pool.take();
+                    clone.set_data(pkt.data());
                     clone.tunnel = pkt.tunnel;
                     clone.offloads = pkt.offloads;
                     clone.rx_ts = pkt.rx_ts;
                     self.port_send(kernel, *p, clone, core, tx);
-                    timer.mark(Stage::Tx, core_ns(kernel, core));
+                    timer.mark(Stage::Tx, kernel.sim.cpus.core_ns(core));
                 }
                 DpAction::SetTunnel { id, dst } => {
                     pkt.tunnel = Some(ovs_packet::dp_packet::TunnelMetadata {
@@ -2160,7 +2245,7 @@ megaflows installed: {}
                 DpAction::Ct { zone, commit, nat } => {
                     // Everything up to here was generic action work;
                     // the conntrack pass gets its own stage.
-                    timer.mark(Stage::Actions, core_ns(kernel, core));
+                    timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                     let key = extract_miniflow(&mut pkt);
                     let ck = ConnKey {
                         zone: *zone,
@@ -2197,13 +2282,14 @@ megaflows installed: {}
                         }
                         self.stats.dropped += 1;
                         coverage!("dpif_ct_drop");
-                        timer.mark(Stage::CtLookup, core_ns(kernel, core));
+                        timer.mark(Stage::CtLookup, kernel.sim.cpus.core_ns(core));
                         if let Some(t) = self.trace.as_mut() {
                             t.note(format!(
                                 "ct(zone={zone}): refused ({}), drop",
                                 reason.label()
                             ));
                         }
+                        self.pool.put(pkt);
                         return None;
                     }
                     if let Some(t) = self.trace.as_mut() {
@@ -2223,14 +2309,14 @@ megaflows installed: {}
                         let c = kernel.sim.costs.csum_ns(pkt.len());
                         kernel.sim.charge(core, Context::User, c);
                     }
-                    timer.mark(Stage::CtLookup, core_ns(kernel, core));
+                    timer.mark(Stage::CtLookup, kernel.sim.cpus.core_ns(core));
                 }
                 DpAction::Recirc(rid) => {
                     pkt.recirc_id = *rid;
-                    timer.mark(Stage::Actions, core_ns(kernel, core));
+                    timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                     let c = kernel.sim.costs.recirc_ns;
                     kernel.sim.charge(core, Context::User, c);
-                    timer.mark(Stage::Recirc, core_ns(kernel, core));
+                    timer.mark(Stage::Recirc, kernel.sim.cpus.core_ns(core));
                     if let Some(t) = self.trace.as_mut() {
                         t.note(format!("recirc(0x{rid:x})"));
                     }
@@ -2242,10 +2328,11 @@ megaflows installed: {}
                         self.stats.meter_drops += 1;
                         self.stats.dropped += 1;
                         coverage!("dpif_meter_drop");
-                        timer.mark(Stage::Actions, core_ns(kernel, core));
+                        timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                         if let Some(t) = self.trace.as_mut() {
                             t.note(format!("meter({id}): rate exceeded, drop"));
                         }
+                        self.pool.put(pkt);
                         return None;
                     }
                 }
@@ -2253,7 +2340,7 @@ megaflows installed: {}
                     // Terminal: the packet leaves the classification
                     // pipeline and enters the NF subsystem. One ring
                     // enqueue plus the copy into the manager's mempool.
-                    timer.mark(Stage::Actions, core_ns(kernel, core));
+                    timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                     let c = kernel.sim.costs.nf_ring_ns + kernel.sim.costs.copy_ns(pkt.len());
                     kernel.sim.charge(core, Context::User, c);
                     match self.nfv.ingress(*chain_id, &pkt) {
@@ -2266,14 +2353,15 @@ megaflows installed: {}
                         ovs_nfv::Ingress::Exit { pkt: out, port } => {
                             // Every NF bypassed (or empty chain): the
                             // chain degenerates to an output.
-                            timer.mark(Stage::NfExec, core_ns(kernel, core));
+                            timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
                             if let Some(t) = self.trace.as_mut() {
                                 t.note(format!(
                                     "nf_chain({chain_id}): all NFs bypassed, output:{port}"
                                 ));
                             }
                             self.port_send(kernel, port, out, core, tx);
-                            timer.mark(Stage::Tx, core_ns(kernel, core));
+                            timer.mark(Stage::Tx, kernel.sim.cpus.core_ns(core));
+                            self.pool.put(pkt);
                             return None;
                         }
                         ovs_nfv::Ingress::RingFull { nf } => {
@@ -2304,31 +2392,32 @@ megaflows installed: {}
                             }
                         }
                     }
-                    timer.mark(Stage::NfExec, core_ns(kernel, core));
+                    timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
+                    // The chain holds its own copy.
+                    self.pool.put(pkt);
                     return None;
                 }
             }
         }
-        timer.mark(Stage::Actions, core_ns(kernel, core));
+        timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
+        self.pool.put(pkt);
         None
     }
 
-    /// Attempt tunnel decapsulation on a received frame.
+    /// Attempt tunnel decapsulation on a received frame, in place: the
+    /// outer headers are pulled off the front of the packet.
     fn try_tunnel_rx(&mut self, kernel: &mut Kernel, pkt: &mut DpPacket, core: usize) {
-        let configs: Vec<(PortNo, TunnelConfig)> = self
-            .ports
-            .iter()
-            .enumerate()
-            .filter_map(|(no, p)| match p {
-                Some(Port {
-                    ty: PortType::Tunnel(cfg),
-                    ..
-                }) => Some((no as PortNo, *cfg)),
-                _ => None,
-            })
-            .collect();
-        for (no, cfg) in configs {
-            if let Some((inner, meta)) = tunnel::try_decap(&cfg, pkt.data()) {
+        for no in 0..self.ports.len() {
+            let Some(Some(Port {
+                ty: PortType::Tunnel(cfg),
+                ..
+            })) = self.ports.get(no)
+            else {
+                continue;
+            };
+            let cfg = *cfg;
+            if let Some(meta) = tunnel::decap_in_place(&cfg, pkt) {
+                let no = no as PortNo;
                 self.stats.tunnel_decaps += 1;
                 coverage!("dpif_tunnel_decap");
                 let c = kernel.sim.costs.userspace_tunnel_ns;
@@ -2338,10 +2427,9 @@ megaflows installed: {}
                         "tunnel decap ({:?}): tun_id={}, inner {} bytes, in_port={no}",
                         cfg.kind,
                         meta.tun_id,
-                        inner.len()
+                        pkt.len()
                     ));
                 }
-                pkt.set_data(&inner);
                 pkt.tunnel = Some(meta);
                 pkt.in_port = no;
                 return;
@@ -2392,15 +2480,18 @@ megaflows installed: {}
             let entropy = extract_miniflow(&mut pkt).rss_hash() as u16;
             let c = kernel.sim.costs.userspace_tunnel_ns;
             kernel.sim.charge(core, Context::User, c);
-            let dev_macs: Vec<(u32, MacAddr)> = self
-                .ports
-                .iter()
-                .flatten()
-                .filter_map(|p| p.ifindex())
-                .map(|i| (i, kernel.device(i).mac))
-                .collect();
-            match tunnel::encap(&cfg, &self.rtnl, &dev_macs, &meta, pkt.data(), entropy) {
-                Ok(enc) => {
+            // The egress MAC is the MAC of the datapath port on the
+            // route's device.
+            let ports = &self.ports;
+            let egress_mac = |ifindex: u32| {
+                ports
+                    .iter()
+                    .flatten()
+                    .any(|p| p.ifindex() == Some(ifindex))
+                    .then(|| kernel.device(ifindex).mac)
+            };
+            match tunnel::encap_in_place(&cfg, &self.rtnl, egress_mac, &meta, &mut pkt, entropy) {
+                Ok(egress_ifindex) => {
                     self.stats.tunnel_encaps += 1;
                     coverage!("dpif_tunnel_encap");
                     if let Some(t) = self.trace.as_mut() {
@@ -2412,21 +2503,22 @@ megaflows installed: {}
                             meta.dst[1],
                             meta.dst[2],
                             meta.dst[3],
-                            enc.frame.len()
+                            pkt.len()
                         ));
                     }
                     let egress = self
                         .ports
                         .iter()
-                        .position(|p| {
-                            p.as_ref().and_then(|p| p.ifindex()) == Some(enc.egress_ifindex)
-                        })
+                        .position(|p| p.as_ref().and_then(|p| p.ifindex()) == Some(egress_ifindex))
                         .map(|i| i as PortNo);
                     match egress {
                         Some(e) => {
-                            let mut out = DpPacket::from_data(&enc.frame);
-                            out.rx_ts = pkt.rx_ts;
-                            self.port_send(kernel, e, out, core, tx);
+                            // The outer frame leaves as a packet of its
+                            // own: only the rx stamp carries over.
+                            let rx_ts = pkt.rx_ts;
+                            pkt.reset_metadata();
+                            pkt.rx_ts = rx_ts;
+                            self.port_send(kernel, e, pkt, core, tx);
                         }
                         None => self.stats.dropped += 1,
                     }
@@ -2587,7 +2679,7 @@ impl DpifNetlink {
     /// Flows installed behind the dpif's back (e.g. pre-warmed scenario
     /// flows) have no ukey and are left alone.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
-        let t0 = core_ns(kernel, core);
+        let t0 = kernel.sim.cpus.core_ns(core);
         let now = kernel.sim.clock.now_ns();
         let mut sweep =
             self.revalidator
@@ -2607,7 +2699,7 @@ impl DpifNetlink {
                 });
         }
         self.revalidator.evict(&mut sweep, &mut kernel.ovs, false);
-        let dump_ms = (core_ns(kernel, core) - t0) / 1_000_000;
+        let dump_ms = (kernel.sim.cpus.core_ns(core) - t0) / 1_000_000;
         self.revalidator.end_sweep(sweep, dump_ms)
     }
 
@@ -2953,6 +3045,34 @@ mod tests {
         let pkt = DpPacket::from_data(&outer);
         dp2.process_packet(&mut k, pkt, 1);
         assert_eq!(dp2.stats.tunnel_decaps, 1, "remote side decapsulated");
+    }
+
+    #[test]
+    fn tx_only_socket_keeps_metadata_pool_bounded() {
+        // An AF_XDP port that only transmits (an uplink toward a peer
+        // that never answers) returns every sent descriptor to the
+        // datapath's pool and takes none: the pool must stop at its
+        // bound, the O4 ports' umem frames, not grow.
+        let (mut k, mut dp, _eth0, eth1) = p2p_setup();
+        let bound = dp.packet_pool().bound();
+        assert_eq!(bound, 2 * 256, "one descriptor per O4 umem frame");
+        for _ in 0..10 * bound / 8 {
+            let burst = (0..8).map(|_| {
+                let mut p = DpPacket::from_data(&frame64());
+                p.in_port = 0;
+                p
+            });
+            dp.process_burst(&mut k, burst, 1);
+            k.dev_mut(eth1).tx_wire.clear();
+            assert!(
+                dp.packet_pool().available() <= bound,
+                "descriptor pool grew to {} (bound {bound})",
+                dp.packet_pool().available()
+            );
+        }
+        assert_eq!(dp.stats.tx_packets, 10 * bound as u64);
+        assert_eq!(dp.packet_pool().available(), bound, "filled to the bound");
+        assert_eq!(dp.packet_pool().fresh_allocs, 0, "nothing was received");
     }
 
     #[test]

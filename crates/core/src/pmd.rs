@@ -175,6 +175,11 @@ pub struct PmdSet {
     /// Auto-load-balancer state.
     pub auto_lb: AutoLb,
     rounds: u64,
+    /// Polled-queue count per port under the current assignment — the
+    /// number of PMDs sharing that port's umem/tx state, which is what
+    /// the multi-queue contention penalty scales with. Counted by
+    /// [`assign`](Self::assign), the one writer of the rxq lists.
+    sharers: BTreeMap<PortNo, usize>,
 }
 
 impl PmdSet {
@@ -193,6 +198,7 @@ impl PmdSet {
             cycles: BTreeMap::new(),
             auto_lb: AutoLb::default(),
             rounds: 0,
+            sharers: BTreeMap::new(),
         }
     }
 
@@ -362,22 +368,18 @@ impl PmdSet {
     /// pins, and load measurements (`dpif-netdev/pmd-rxq-rebalance`).
     pub fn rebalance(&mut self) {
         let assignment = self.compute_assignment();
+        self.assign(assignment);
+    }
+
+    /// Install an rxq→PMD assignment and recount each port's sharers.
+    fn assign(&mut self, assignment: Vec<Vec<RxqId>>) {
         for (pmd, rxqs) in self.pmds.iter_mut().zip(assignment) {
             pmd.rxqs = rxqs;
         }
-    }
-
-    /// Polled-queue count per port under the current assignment — the
-    /// number of PMDs sharing that port's umem/tx state, which is what
-    /// the multi-queue contention penalty scales with.
-    fn port_sharers(&self) -> BTreeMap<PortNo, usize> {
-        let mut sharers: BTreeMap<PortNo, usize> = BTreeMap::new();
-        for pmd in &self.pmds {
-            for rxq in &pmd.rxqs {
-                *sharers.entry(rxq.port).or_insert(0) += 1;
-            }
+        self.sharers.clear();
+        for rxq in self.pmds.iter().flat_map(|p| &p.rxqs) {
+            *self.sharers.entry(rxq.port).or_insert(0) += 1;
         }
-        sharers
     }
 
     fn contention_ns(dp: &DpifNetdev, kernel: &Kernel, port: PortNo, sharers: usize) -> f64 {
@@ -441,18 +443,19 @@ impl PmdSet {
         live: impl Fn(&mut D) -> Option<&mut DpifNetdev>,
         mut poll: impl FnMut(&mut D, &mut Kernel, RxqId, usize) -> (usize, bool),
     ) -> usize {
-        let sharers = self.port_sharers();
         let mut moved = 0;
         for i in 0..self.pmds.len() {
-            let rxqs = self.pmds[i].rxqs.clone();
             let core = self.pmds[i].core;
-            for rxq in rxqs {
+            // Indexed: a round never reassigns rxqs, and a copy of the
+            // list would allocate every round.
+            for j in 0..self.pmds[i].rxqs.len() {
+                let rxq = self.pmds[i].rxqs[j];
                 let pmd = &mut self.pmds[i];
                 let before = live(dp).map(|d| {
                     d.swap_caches(&mut pmd.emc, &mut pmd.smc);
                     d.stats
                 });
-                let t0 = core_ns(kernel, core);
+                let t0 = kernel.sim.cpus.core_ns(core);
                 let (n, crashed) = poll(dp, kernel, rxq, core);
                 if let Some(d) = live(dp) {
                     if n > 0 {
@@ -460,7 +463,7 @@ impl PmdSet {
                             d,
                             kernel,
                             rxq.port,
-                            sharers.get(&rxq.port).copied().unwrap_or(1),
+                            self.sharers.get(&rxq.port).copied().unwrap_or(1),
                         );
                         if c > 0.0 {
                             kernel.sim.charge(core, Context::User, c * n as f64);
@@ -472,7 +475,7 @@ impl PmdSet {
                         pmd.stats.accumulate(&d.stats.delta(&before));
                     }
                 }
-                let dt = core_ns(kernel, core).saturating_sub(t0);
+                let dt = kernel.sim.cpus.core_ns(core).saturating_sub(t0);
                 self.pmds[i].busy_ns += dt;
                 *self.cycles.entry(rxq).or_insert(0) += dt;
                 if crashed {
@@ -642,9 +645,7 @@ impl PmdSet {
         };
         self.auto_lb.last_improvement_pct = Some(improvement);
         if improvement >= self.auto_lb.improvement_threshold_pct {
-            for (pmd, rxqs) in self.pmds.iter_mut().zip(proposed) {
-                pmd.rxqs = rxqs;
-            }
+            self.assign(proposed);
             self.auto_lb.rebalances += 1;
         }
         improvement
@@ -667,10 +668,6 @@ fn variance(loads: &[u64]) -> u128 {
         })
         .sum::<u128>()
         / n
-}
-
-fn core_ns(kernel: &Kernel, core: usize) -> u64 {
-    kernel.sim.cpus.core(core).total_ns().round() as u64
 }
 
 #[cfg(test)]

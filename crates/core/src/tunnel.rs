@@ -10,7 +10,8 @@
 
 use ovs_kernel::rtnetlink::RtnlCache;
 use ovs_packet::dp_packet::TunnelMetadata;
-use ovs_packet::{builder, geneve, gre, ipv4, udp, vxlan, EthernetFrame, MacAddr};
+use ovs_packet::{builder, geneve, gre, ipv4, udp, vxlan, DpPacket, EthernetFrame, MacAddr};
+use std::ops::Range;
 
 /// Tunnel flavour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +49,85 @@ pub enum EncapError {
     NoEgressMac,
 }
 
+/// The outer addressing of one encapsulation, resolved from the replica
+/// tables.
+struct Outer {
+    egress_ifindex: u32,
+    src_mac: MacAddr,
+    dst_mac: MacAddr,
+}
+
+/// Resolve route, next-hop MAC and egress MAC for `meta.dst`;
+/// `egress_mac` maps an ifindex to the MAC of the datapath port on it.
+fn resolve(
+    cache: &RtnlCache,
+    egress_mac: impl Fn(u32) -> Option<MacAddr>,
+    meta: &TunnelMetadata,
+) -> Result<Outer, EncapError> {
+    let route = cache.routes.lookup(meta.dst).ok_or(EncapError::NoRoute)?;
+    let nexthop = route.gateway.unwrap_or(meta.dst);
+    let dst_mac = cache
+        .neighbors
+        .lookup(nexthop)
+        .ok_or(EncapError::NoArpEntry)?
+        .mac;
+    let src_mac = egress_mac(route.ifindex).ok_or(EncapError::NoEgressMac)?;
+    Ok(Outer {
+        egress_ifindex: route.ifindex,
+        src_mac,
+        dst_mac,
+    })
+}
+
+/// The outer UDP source port: entropy for ECMP and RSS on the far side.
+fn source_port(entropy: u16) -> u16 {
+    0xc000 | (entropy & 0x3fff)
+}
+
+/// The VNI carried in a Geneve or VXLAN header.
+fn vni(meta: &TunnelMetadata) -> u32 {
+    (meta.tun_id & 0x00ff_ffff) as u32
+}
+
+/// The encapsulated frame, built anew around a copy of `inner`.
+fn outer_frame(
+    cfg: &TunnelConfig,
+    o: &Outer,
+    meta: &TunnelMetadata,
+    inner: &[u8],
+    entropy: u16,
+) -> Vec<u8> {
+    let sport = source_port(entropy);
+    match cfg.kind {
+        TunnelKind::Geneve => builder::geneve_encap(
+            o.src_mac,
+            o.dst_mac,
+            cfg.local_ip,
+            meta.dst,
+            sport,
+            vni(meta),
+            inner,
+        ),
+        TunnelKind::Vxlan => vxlan_encap(
+            o.src_mac,
+            o.dst_mac,
+            cfg.local_ip,
+            meta.dst,
+            sport,
+            vni(meta),
+            inner,
+        ),
+        TunnelKind::Gre => gre_encap(
+            o.src_mac,
+            o.dst_mac,
+            cfg.local_ip,
+            meta.dst,
+            meta.tun_id as u32,
+            inner,
+        ),
+    }
+}
+
 /// Encapsulate `inner` toward `meta.dst` using the replica tables.
 ///
 /// `dev_macs` supplies `(ifindex, mac)` pairs for source-MAC selection.
@@ -59,45 +139,61 @@ pub fn encap(
     inner: &[u8],
     entropy: u16,
 ) -> Result<EncapResult, EncapError> {
-    let route = cache.routes.lookup(meta.dst).ok_or(EncapError::NoRoute)?;
-    let nexthop = route.gateway.unwrap_or(meta.dst);
-    let dst_mac = cache
-        .neighbors
-        .lookup(nexthop)
-        .ok_or(EncapError::NoArpEntry)?
-        .mac;
-    let src_mac = dev_macs
-        .iter()
-        .find(|(i, _)| *i == route.ifindex)
-        .map(|(_, m)| *m)
-        .ok_or(EncapError::NoEgressMac)?;
-    let sport = 0xc000 | (entropy & 0x3fff);
-    let vni = (meta.tun_id & 0x00ff_ffff) as u32;
-    let frame = match cfg.kind {
-        TunnelKind::Geneve => {
-            builder::geneve_encap(src_mac, dst_mac, cfg.local_ip, meta.dst, sport, vni, inner)
-        }
-        TunnelKind::Vxlan => {
-            vxlan_encap(src_mac, dst_mac, cfg.local_ip, meta.dst, sport, vni, inner)
-        }
-        TunnelKind::Gre => gre_encap(
-            src_mac,
-            dst_mac,
-            cfg.local_ip,
-            meta.dst,
-            meta.tun_id as u32,
-            inner,
-        ),
+    let egress_mac = |ifindex| {
+        dev_macs
+            .iter()
+            .find(|(i, _)| *i == ifindex)
+            .map(|(_, m)| *m)
     };
+    let o = resolve(cache, egress_mac, meta)?;
     Ok(EncapResult {
-        egress_ifindex: route.ifindex,
-        frame,
+        egress_ifindex: o.egress_ifindex,
+        frame: outer_frame(cfg, &o, meta, inner, entropy),
     })
 }
 
-/// If `frame` is a tunnel packet addressed to `cfg.local_ip`, decapsulate:
-/// returns the inner frame and the tunnel metadata.
-pub fn try_decap(cfg: &TunnelConfig, frame: &[u8]) -> Option<(Vec<u8>, TunnelMetadata)> {
+/// [`encap`] in place, as OVS's native tunnel push does: the outer
+/// header is written into `pkt`'s headroom in front of the inner frame,
+/// which is not copied. The bytes equal [`encap`]'s frame. VXLAN, GRE
+/// and a packet with too little headroom take [`encap`]'s copy instead.
+/// Returns the egress ifindex; `egress_mac` maps an ifindex to the MAC
+/// of the datapath port on it.
+pub fn encap_in_place(
+    cfg: &TunnelConfig,
+    cache: &RtnlCache,
+    egress_mac: impl Fn(u32) -> Option<MacAddr>,
+    meta: &TunnelMetadata,
+    pkt: &mut DpPacket,
+    entropy: u16,
+) -> Result<u32, EncapError> {
+    let o = resolve(cache, egress_mac, meta)?;
+    if cfg.kind == TunnelKind::Geneve && pkt.headroom() >= builder::GENEVE_OUTER_LEN {
+        pkt.push_front(builder::GENEVE_OUTER_LEN);
+        builder::write_geneve_outer(
+            pkt.data_mut(),
+            o.src_mac,
+            o.dst_mac,
+            cfg.local_ip,
+            meta.dst,
+            source_port(entropy),
+            vni(meta),
+        );
+    } else {
+        let frame = outer_frame(cfg, &o, meta, pkt.data(), entropy);
+        pkt.set_data(&frame);
+    }
+    Ok(o.egress_ifindex)
+}
+
+/// If `frame` is a tunnel packet addressed to `cfg.local_ip`: the byte
+/// range of the inner frame within it, and the tunnel metadata. The one
+/// outer-header parser behind [`try_decap`] and [`decap_in_place`].
+fn parse_outer(cfg: &TunnelConfig, frame: &[u8]) -> Option<(Range<usize>, TunnelMetadata)> {
+    // Where a payload sub-slice sits within `frame`.
+    let within = |inner: &[u8]| {
+        let start = inner.as_ptr() as usize - frame.as_ptr() as usize;
+        start..start + inner.len()
+    };
     let eth = EthernetFrame::new_checked(frame).ok()?;
     if eth.ethertype() != ovs_packet::EtherType::Ipv4 {
         return None;
@@ -122,7 +218,7 @@ pub fn try_decap(cfg: &TunnelConfig, frame: &[u8]) -> Option<(Vec<u8>, TunnelMet
         if g.protocol() != gre::PROTO_TEB {
             return None;
         }
-        return Some((g.payload().to_vec(), meta(u64::from(g.key().unwrap_or(0)))));
+        return Some((within(g.payload()), meta(u64::from(g.key().unwrap_or(0)))));
     }
     if ip.protocol() != ipv4::protocol::UDP {
         return None;
@@ -131,14 +227,30 @@ pub fn try_decap(cfg: &TunnelConfig, frame: &[u8]) -> Option<(Vec<u8>, TunnelMet
     match (cfg.kind, u.dst_port()) {
         (TunnelKind::Geneve, geneve::UDP_PORT) => {
             let g = geneve::GenevePacket::new_checked(u.payload()).ok()?;
-            Some((g.payload().to_vec(), meta(u64::from(g.vni()))))
+            Some((within(g.payload()), meta(u64::from(g.vni()))))
         }
         (TunnelKind::Vxlan, vxlan::UDP_PORT) => {
             let v = vxlan::VxlanPacket::new_checked(u.payload()).ok()?;
-            Some((v.payload().to_vec(), meta(u64::from(v.vni()))))
+            Some((within(v.payload()), meta(u64::from(v.vni()))))
         }
         _ => None,
     }
+}
+
+/// If `frame` is a tunnel packet addressed to `cfg.local_ip`, decapsulate:
+/// returns the inner frame and the tunnel metadata.
+pub fn try_decap(cfg: &TunnelConfig, frame: &[u8]) -> Option<(Vec<u8>, TunnelMetadata)> {
+    let (inner, meta) = parse_outer(cfg, frame)?;
+    Some((frame[inner].to_vec(), meta))
+}
+
+/// [`try_decap`] in place: strip the outer headers (and any trailer past
+/// the inner frame) from `pkt` without copying the inner frame.
+pub fn decap_in_place(cfg: &TunnelConfig, pkt: &mut DpPacket) -> Option<TunnelMetadata> {
+    let (inner, meta) = parse_outer(cfg, pkt.data())?;
+    pkt.truncate(inner.end);
+    pkt.pull_front(inner.start);
+    Some(meta)
 }
 
 fn gre_encap(
@@ -366,5 +478,122 @@ mod tests {
             local_ip: [9, 9, 9, 9],
         };
         assert!(try_decap(&wrong, &enc.frame).is_none());
+    }
+
+    fn sized_inner(len: usize) -> Vec<u8> {
+        builder::udp_ipv4_frame(
+            MacAddr::new(2, 0, 0, 0, 0, 1),
+            MacAddr::new(2, 0, 0, 0, 0, 2),
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1,
+            2,
+            len,
+        )
+    }
+
+    /// A packet holding `inner`, with stale bytes in the headroom right
+    /// in front of it (as after a decap, or on a reused descriptor).
+    fn packet_with_stale_headroom(inner: &[u8]) -> DpPacket {
+        let mut framed = vec![0xa5u8; 64];
+        framed.extend_from_slice(inner);
+        let mut pkt = DpPacket::from_data(&framed);
+        pkt.pull_front(64);
+        pkt
+    }
+
+    fn cfg(kind: TunnelKind, last: u8) -> TunnelConfig {
+        TunnelConfig {
+            kind,
+            local_ip: [172, 16, 0, last],
+        }
+    }
+
+    #[test]
+    fn in_place_encap_and_decap_match_the_copying_forms() {
+        let cache = replica();
+        let macs = [(10u32, MacAddr::new(4, 0, 0, 0, 0, 1))];
+        let egress_mac = |i: u32| macs.iter().find(|(d, _)| *d == i).map(|(_, m)| *m);
+        for kind in [TunnelKind::Geneve, TunnelKind::Vxlan, TunnelKind::Gre] {
+            for len in [64, 576, 1400] {
+                let inner = sized_inner(len);
+                let enc = encap(&cfg(kind, 1), &cache, &macs, &meta(), &inner, 0x1234).unwrap();
+                if kind == TunnelKind::Geneve {
+                    let built = builder::geneve_encap(
+                        MacAddr::new(4, 0, 0, 0, 0, 1),
+                        MacAddr::new(4, 0, 0, 0, 0, 2),
+                        [172, 16, 0, 1],
+                        [172, 16, 0, 2],
+                        0xc000 | 0x1234,
+                        5001,
+                        &inner,
+                    );
+                    assert_eq!(enc.frame, built, "{len} B: encap is the builder's frame");
+                }
+
+                let mut pkt = packet_with_stale_headroom(&inner);
+                let egress =
+                    encap_in_place(&cfg(kind, 1), &cache, egress_mac, &meta(), &mut pkt, 0x1234)
+                        .unwrap();
+                assert_eq!(egress, enc.egress_ifindex);
+                assert_eq!(
+                    pkt.data(),
+                    &enc.frame[..],
+                    "{kind:?} {len} B: push in place"
+                );
+
+                let (want, want_meta) = try_decap(&cfg(kind, 2), &enc.frame).unwrap();
+                assert_eq!(want, inner);
+                let got_meta = decap_in_place(&cfg(kind, 2), &mut pkt).unwrap();
+                assert_eq!(pkt.data(), &inner[..], "{kind:?} {len} B: pop in place");
+                assert_eq!(got_meta, want_meta);
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_push_past_the_headroom_falls_back_to_a_copy() {
+        // Geneve in Geneve in Geneve: the third push finds 28 bytes of
+        // headroom, fewer than its 50-byte header, and copies instead of
+        // panicking. The bytes still equal the copying form's.
+        let cache = replica();
+        let macs = [(10u32, MacAddr::new(4, 0, 0, 0, 0, 1))];
+        let egress_mac = |i: u32| macs.iter().find(|(d, _)| *d == i).map(|(_, m)| *m);
+        let gnv = cfg(TunnelKind::Geneve, 1);
+        let mut want = sized_inner(64);
+        let mut pkt = DpPacket::from_data(&want);
+        for depth in 1..=3 {
+            want = encap(&gnv, &cache, &macs, &meta(), &want, 7).unwrap().frame;
+            encap_in_place(&gnv, &cache, egress_mac, &meta(), &mut pkt, 7).unwrap();
+            assert_eq!(pkt.data(), &want[..], "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn in_place_decap_drops_the_outer_trailer() {
+        // Ethernet padding past the outer IP length is not inner frame.
+        let cache = replica();
+        let macs = [(10u32, MacAddr::new(4, 0, 0, 0, 0, 1))];
+        let inner = sized_inner(64);
+        let mut outer = encap(
+            &cfg(TunnelKind::Geneve, 1),
+            &cache,
+            &macs,
+            &meta(),
+            &inner,
+            0,
+        )
+        .unwrap()
+        .frame;
+        outer.extend_from_slice(&[0; 6]);
+        let (copied, _) = try_decap(&cfg(TunnelKind::Geneve, 2), &outer).unwrap();
+        let mut pkt = DpPacket::from_data(&outer);
+        decap_in_place(&cfg(TunnelKind::Geneve, 2), &mut pkt).unwrap();
+        assert_eq!(copied, inner);
+        assert_eq!(pkt.data(), &inner[..]);
+        // Foreign traffic is left untouched.
+        let mut plain = DpPacket::from_data(&inner);
+        assert!(decap_in_place(&cfg(TunnelKind::Geneve, 2), &mut plain).is_none());
+        assert_eq!(plain.data(), &inner[..]);
     }
 }

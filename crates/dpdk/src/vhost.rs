@@ -9,6 +9,7 @@
 
 use ovs_kernel::Kernel;
 use ovs_obs::coverage;
+use ovs_ring::{DpPacketPool, PacketBatch};
 
 /// A vhostuser port bound to one guest.
 #[derive(Debug)]
@@ -54,19 +55,20 @@ impl VhostUserDev {
         }
     }
 
-    /// Enqueue a burst toward the guest. Returns the number accepted;
-    /// the remainder was dropped (disconnected backend) with the
-    /// `vhost_tx_disconnected` counter — the caller must account them.
-    pub fn enqueue_burst(
+    /// Enqueue a burst toward the guest, copying each frame into the
+    /// guest's ring. Returns the number accepted; the remainder was
+    /// dropped (disconnected backend) with the `vhost_tx_disconnected`
+    /// counter — the caller must account them.
+    pub fn enqueue_burst<'a>(
         &mut self,
         kernel: &mut Kernel,
-        frames: Vec<Vec<u8>>,
+        frames: impl IntoIterator<Item = &'a [u8]>,
         core: usize,
     ) -> usize {
         self.observe_generation(kernel);
         let mut accepted = 0;
         for f in frames {
-            if kernel.vhostuser_push(self.guest, f, core) {
+            if kernel.vhostuser_push(self.guest, f.to_vec(), core) {
                 self.tx_packets += 1;
                 accepted += 1;
             } else {
@@ -77,20 +79,29 @@ impl VhostUserDev {
         accepted
     }
 
-    /// Dequeue a burst from the guest, up to `max` frames.
-    pub fn dequeue_burst(&mut self, kernel: &mut Kernel, max: usize, core: usize) -> Vec<Vec<u8>> {
+    /// Dequeue a burst from the guest into `batch`, until it is full or
+    /// the guest's ring is empty: each frame is copied into a descriptor
+    /// taken from `pool`. Returns the frames dequeued.
+    pub fn dequeue_burst(
+        &mut self,
+        kernel: &mut Kernel,
+        core: usize,
+        pool: &mut DpPacketPool,
+        batch: &mut PacketBatch,
+    ) -> usize {
         self.observe_generation(kernel);
-        let mut out = Vec::new();
-        for _ in 0..max {
-            match kernel.vhostuser_pop(self.guest, core) {
-                Some(f) => {
-                    out.push(f);
-                    self.rx_packets += 1;
-                }
-                None => break,
-            }
+        let mut n = 0;
+        while !batch.is_full() {
+            let Some(f) = kernel.vhostuser_pop(self.guest, core) else {
+                break;
+            };
+            let mut pkt = pool.take();
+            pkt.set_data(&f);
+            let _ = batch.push(pkt);
+            self.rx_packets += 1;
+            n += 1;
         }
-        out
+        n
     }
 }
 
@@ -113,6 +124,13 @@ mod tests {
         )
     }
 
+    fn dequeue(vh: &mut VhostUserDev, k: &mut Kernel) -> PacketBatch {
+        let mut pool = DpPacketPool::new(0, 2048);
+        let mut batch = PacketBatch::new();
+        vh.dequeue_burst(k, 0, &mut pool, &mut batch);
+        batch
+    }
+
     fn pmd_guest(k: &mut Kernel) -> usize {
         k.add_guest(Guest::new(
             "vm0",
@@ -130,11 +148,12 @@ mod tests {
         let g = pmd_guest(&mut k);
         let mut vh = VhostUserDev::new(g);
         let f = frame();
-        assert_eq!(vh.enqueue_burst(&mut k, vec![f.clone()], 0), 1);
+        assert_eq!(vh.enqueue_burst(&mut k, [&f[..]], 0), 1);
         assert_eq!(k.run_guest(g), 1);
-        let out = vh.dequeue_burst(&mut k, 32, 0);
+        let out = dequeue(&mut vh, &mut k);
         assert_eq!(out.len(), 1);
-        assert_eq!(&out[0][0..6], &f[6..12], "guest l2fwd swapped MACs");
+        let back = out.iter().next().unwrap().data();
+        assert_eq!(&back[0..6], &f[6..12], "guest l2fwd swapped MACs");
         // Guest time charged on the guest's core.
         assert!(k.sim.cpus.core(2).ns(Context::Guest) > 0.0);
         // Kick charged as system time on the switch core.
@@ -150,20 +169,21 @@ mod tests {
         // Park a frame on the guest rx ring, then yank the backend: the
         // in-flight frame is flushed (counted in the kernel) and further
         // tx drops here with a counter instead of panicking.
-        assert_eq!(vh.enqueue_burst(&mut k, vec![frame()], 0), 1);
+        let f = frame();
+        assert_eq!(vh.enqueue_burst(&mut k, [&f[..]], 0), 1);
         k.vhost_disconnect(g);
         assert_eq!(k.vhost_flushed, 1, "parked frame flushed with a count");
         assert!(!vh.connected(&k));
-        assert_eq!(vh.enqueue_burst(&mut k, vec![frame(), frame()], 0), 0);
+        assert_eq!(vh.enqueue_burst(&mut k, [&f[..], &f[..]], 0), 0);
         assert_eq!(vh.tx_drops, 2);
-        assert!(vh.dequeue_burst(&mut k, 32, 0).is_empty());
+        assert!(dequeue(&mut vh, &mut k).is_empty());
 
         // Reconnect renegotiates (generation bump) and traffic resumes.
         k.vhost_reconnect(g);
-        assert_eq!(vh.enqueue_burst(&mut k, vec![frame()], 0), 1);
+        assert_eq!(vh.enqueue_burst(&mut k, [&f[..]], 0), 1);
         assert_eq!(vh.reconnects, 1, "generation bump observed");
         assert_eq!(k.run_guest(g), 1);
-        assert_eq!(vh.dequeue_burst(&mut k, 32, 0).len(), 1);
+        assert_eq!(dequeue(&mut vh, &mut k).len(), 1);
         // Drop counter never moved after recovery.
         assert_eq!(vh.tx_drops, 2);
     }

@@ -514,7 +514,13 @@ impl Kernel {
                     + self.sim.costs.copy_ns(frame.len());
                 self.charge_softirq(core, c);
             }
-            let prog = self.device(ifindex).xdp.as_ref().unwrap().prog.clone();
+            // Borrow the program in place (disjoint from the VM and the
+            // maps it runs against): no clone per frame.
+            let prog = &self.devices[(ifindex - 1) as usize]
+                .xdp
+                .as_ref()
+                .expect("xdp_active implies an attachment")
+                .prog;
             let run = prog.run(&mut self.vm, &mut frame, queue as u32, &mut self.maps);
             let res = match run {
                 Ok(r) => r,
@@ -591,9 +597,7 @@ impl Kernel {
         // tc ingress hook: the eBPF-datapath attachment point (§2.2.2).
         // Unlike XDP it runs on an allocated skb, paying the fixed skb
         // context cost plus interpreted bytecode per packet.
-        let has_tc = self.device(ifindex).tc_bpf.is_some();
-        if has_tc {
-            let prog = self.device(ifindex).tc_bpf.as_ref().unwrap().clone();
+        if let Some(prog) = &self.devices[(ifindex - 1) as usize].tc_bpf {
             let run = prog.run(&mut self.vm, &mut frame, queue as u32, &mut self.maps);
             let res = match run {
                 Ok(r) => r,
@@ -1102,8 +1106,8 @@ impl Kernel {
     /// the number of packets sent.
     pub fn xsk_tx_drain(&mut self, xsk_id: u32, budget: usize) -> usize {
         let h = self.xsk(xsk_id);
-        let (frames, ifindex, queue) = {
-            let mut b = h.borrow_mut();
+        let (ifindex, queue) = {
+            let b = h.borrow();
             // Lost `need_wakeup` kick: the kernel never saw the doorbell,
             // so the ring backlog sits untouched (delayed, not dropped)
             // until the recovery kick clears the stall.
@@ -1111,13 +1115,18 @@ impl Kernel {
                 coverage!("xsk_tx_kick_lost");
                 return 0;
             }
-            let f = b.drain_tx(budget);
-            (f, b.ifindex, b.queue)
+            (b.ifindex, b.queue)
         };
-        let n = frames.len();
         let core = self.softirq_core(ifindex, queue);
-        for f in frames {
+        let mut n = 0;
+        while n < budget {
+            // The binding is released before each transmit: delivery may
+            // loop back into an XSK.
+            let Some(f) = h.borrow_mut().pop_tx() else {
+                break;
+            };
             self.transmit_at(ifindex, f, core, 0);
+            n += 1;
         }
         n
     }

@@ -147,25 +147,24 @@ impl XskBinding {
         true
     }
 
-    /// Kernel-side TX drain: pop up to `max` descriptors from the TX ring,
-    /// returning the frames to transmit; the frame indices are pushed to
-    /// the completion ring for userspace to reclaim.
-    pub fn drain_tx(&mut self, max: usize) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    /// Kernel-side TX drain, one descriptor at a time: pop the next TX
+    /// descriptor and return its frame, copied out of the umem for the
+    /// wire; the frame index is pushed to the completion ring for
+    /// userspace to reclaim. `None` when the ring is empty or the socket
+    /// is closed.
+    pub fn pop_tx(&mut self) -> Option<Vec<u8>> {
         if self.closed {
-            return out;
+            return None;
         }
-        for _ in 0..max {
-            let Some(d) = self.tx.pop() else { break };
-            out.push(self.umem.frame(d.frame)[..d.len as usize].to_vec());
-            // Completion: frame ownership returns to userspace.
-            let _ = self.umem.comp.push(Desc {
-                frame: d.frame,
-                len: 0,
-            });
-            self.stats.tx_completed += 1;
-        }
-        out
+        let d = self.tx.pop()?;
+        let frame = self.umem.frame(d.frame)[..d.len as usize].to_vec();
+        // Completion: frame ownership returns to userspace.
+        let _ = self.umem.comp.push(Desc {
+            frame: d.frame,
+            len: 0,
+        });
+        self.stats.tx_completed += 1;
+        Some(frame)
     }
 }
 
@@ -228,8 +227,8 @@ mod tests {
         // Userspace writes a packet into frame 5 and posts it for TX.
         b.umem.write_frame(5, b"outbound");
         b.tx.push(Desc { frame: 5, len: 8 }).unwrap();
-        let frames = b.drain_tx(32);
-        assert_eq!(frames, vec![b"outbound".to_vec()]);
+        assert_eq!(b.pop_tx(), Some(b"outbound".to_vec()));
+        assert_eq!(b.pop_tx(), None, "one descriptor, one frame");
         // Completion gives the frame back.
         let c = b.umem.comp.pop().unwrap();
         assert_eq!(c.frame, 5);

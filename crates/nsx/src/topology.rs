@@ -590,6 +590,48 @@ mod tests {
     }
 
     #[test]
+    fn receive_only_uplink_stops_allocating_descriptors() {
+        // Host 2's uplink only receives: every frame takes a descriptor
+        // at the AF_XDP rx and the vhost copy-out into the sink returns
+        // it. With one pool per datapath the descriptors come back, so
+        // after warm-up nothing is allocated over three times the pool's
+        // bound of received frames. (A per-socket pool ran dry after
+        // `nframes` frames and allocated for every frame after.)
+        let mut pair = HostPair::new(|id| {
+            let mut cfg = HostConfig::nsx_small(id, AFXDP, VmAttachment::VhostUser);
+            if id == 2 {
+                cfg.guest_role = ovs_kernel::guest::GuestRole::Sink;
+            }
+            cfg
+        });
+        let sender = pair.h1.guest_of_vif[0];
+        let bound = pair.h2.dp.as_ref().unwrap().packet_pool().bound();
+        assert_eq!(bound, 4096, "the uplink's umem frames");
+        let fresh = |h: &Host| h.dp.as_ref().unwrap().packet_pool().fresh_allocs;
+        let mut warm = [0; 2];
+        for burst in 0..3 * bound / 32 {
+            for i in 0..32 {
+                let mut f = ruleset::vm_udp_frame(1, 2);
+                // One flow per run of 4 frames, 512 flows: UDP source
+                // port, checksum left as is (nothing here verifies it).
+                let sport = 5000 + ((burst * 32 + i) / 4 % 512) as u16;
+                f[34..36].copy_from_slice(&sport.to_be_bytes());
+                pair.h1.kernel.guests[sender].tx_ring.push_back(f);
+            }
+            pair.shuttle();
+            pair.advance(1_000_000);
+            if burst == 16 {
+                warm = [fresh(&pair.h1), fresh(&pair.h2)];
+            }
+        }
+        let sink = pair.h2.guest_of_vif[0];
+        assert_eq!(pair.h2.kernel.guests[sink].rx_count, 3 * bound as u64);
+        assert_eq!(fresh(&pair.h2), warm[1], "host 2 allocated after warm-up");
+        assert_eq!(fresh(&pair.h1), warm[0], "host 1 allocated after warm-up");
+        assert!(pair.h2.dp.as_ref().unwrap().packet_pool().available() <= bound);
+    }
+
+    #[test]
     fn cross_host_vm_traffic_kernel_datapath() {
         let mut pair =
             HostPair::new(|id| HostConfig::nsx_small(id, DatapathKind::Kernel, VmAttachment::Tap));

@@ -210,28 +210,37 @@ pub fn push_vlan(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
     out
 }
 
-/// Encapsulate an inner Ethernet frame in Geneve/UDP/IPv4/Ethernet.
-#[allow(clippy::too_many_arguments)]
-pub fn geneve_encap(
+/// Bytes of outer header [`geneve_encap`] puts in front of the inner
+/// frame: Ethernet, IPv4, UDP and an option-less Geneve header.
+pub const GENEVE_OUTER_LEN: usize =
+    ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + geneve::HEADER_LEN;
+
+/// Write the outer Ethernet/IPv4/UDP/Geneve header into
+/// `frame[..GENEVE_OUTER_LEN]`, in front of the inner frame that fills
+/// the rest, including the outer UDP checksum over it. The one header
+/// writer behind [`geneve_encap`] and the in-place tunnel push, which
+/// writes into a packet's headroom as OVS's `dp_packet_push_uninit`
+/// does. Every header byte is written, so stale headroom never leaks
+/// onto the wire.
+pub fn write_geneve_outer(
+    frame: &mut [u8],
     outer_src_mac: MacAddr,
     outer_dst_mac: MacAddr,
     outer_src_ip: [u8; 4],
     outer_dst_ip: [u8; 4],
     src_port: u16,
     vni: u32,
-    inner_frame: &[u8],
-) -> Vec<u8> {
-    let geneve_len = geneve::HEADER_LEN + inner_frame.len();
-    let udp_len = udp::HEADER_LEN + geneve_len;
-    let ip_len = ipv4::HEADER_LEN + udp_len;
-    let mut buf = vec![0u8; ethernet::HEADER_LEN + ip_len];
+) {
+    let ip_len = frame.len() - ethernet::HEADER_LEN;
+    let udp_len = ip_len - ipv4::HEADER_LEN;
+    frame[..GENEVE_OUTER_LEN].fill(0);
 
-    let mut eth = EthernetFrame::new_unchecked(&mut buf[..]);
+    let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
     eth.set_src(outer_src_mac);
     eth.set_dst(outer_dst_mac);
     eth.set_ethertype(EtherType::Ipv4);
 
-    let mut ip = Ipv4Packet::new_unchecked(&mut buf[ethernet::HEADER_LEN..]);
+    let mut ip = Ipv4Packet::new_unchecked(&mut frame[ethernet::HEADER_LEN..]);
     ip.set_ver_ihl(ipv4::HEADER_LEN);
     ip.set_total_len(ip_len as u16);
     ip.set_frag(true, false, 0);
@@ -243,20 +252,42 @@ pub fn geneve_encap(
 
     let l4_off = ethernet::HEADER_LEN + ipv4::HEADER_LEN;
     {
-        let mut u = UdpDatagram::new_unchecked(&mut buf[l4_off..]);
+        let mut u = UdpDatagram::new_unchecked(&mut frame[l4_off..]);
         u.set_src_port(src_port);
         u.set_dst_port(geneve::UDP_PORT);
         u.set_length(udp_len as u16);
     }
-    let gnv_off = l4_off + udp::HEADER_LEN;
-    let mut g = geneve::GenevePacket::new_unchecked(&mut buf[gnv_off..]);
+    let mut g = geneve::GenevePacket::new_unchecked(&mut frame[l4_off + udp::HEADER_LEN..]);
     g.init(0);
     g.set_protocol(geneve::PROTO_ETHERNET);
     g.set_vni(vni);
-    g.payload_mut().copy_from_slice(inner_frame);
 
-    let mut u = UdpDatagram::new_unchecked(&mut buf[l4_off..]);
+    let mut u = UdpDatagram::new_unchecked(&mut frame[l4_off..]);
     u.fill_checksum_ipv4(outer_src_ip, outer_dst_ip);
+}
+
+/// Encapsulate an inner Ethernet frame in Geneve/UDP/IPv4/Ethernet.
+#[allow(clippy::too_many_arguments)]
+pub fn geneve_encap(
+    outer_src_mac: MacAddr,
+    outer_dst_mac: MacAddr,
+    outer_src_ip: [u8; 4],
+    outer_dst_ip: [u8; 4],
+    src_port: u16,
+    vni: u32,
+    inner_frame: &[u8],
+) -> Vec<u8> {
+    let mut buf = vec![0u8; GENEVE_OUTER_LEN + inner_frame.len()];
+    buf[GENEVE_OUTER_LEN..].copy_from_slice(inner_frame);
+    write_geneve_outer(
+        &mut buf,
+        outer_src_mac,
+        outer_dst_mac,
+        outer_src_ip,
+        outer_dst_ip,
+        src_port,
+        vni,
+    );
     buf
 }
 

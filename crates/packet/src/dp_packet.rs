@@ -240,6 +240,12 @@ impl DpPacket {
     pub fn reset(&mut self) {
         self.head = DEFAULT_HEADROOM.min(self.buf.len());
         self.len = 0;
+        self.reset_metadata();
+    }
+
+    /// Reset all metadata but keep the bytes: the state of a packet
+    /// freshly built from them.
+    pub fn reset_metadata(&mut self) {
         self.in_port = 0;
         self.rxhash = None;
         self.flow_hash = None;

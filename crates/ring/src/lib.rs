@@ -11,8 +11,9 @@
 //!   the lockable free-frame manager, with selectable locking strategy
 //!   (POSIX-style mutex, spinlock, or batched spinlock) so the O1→O2→O3
 //!   optimization steps are real code-path differences.
-//! * [`DpPacketPool`] — optimization **O4**: preallocated, reusable packet
-//!   metadata in a contiguous pool instead of per-packet allocation.
+//! * [`DpPacketPool`] — optimization **O4**: the datapath's one pool of
+//!   reusable packet descriptors, filled lazily and bounded, instead of
+//!   an allocation per packet.
 //! * [`PacketBatch`] — the 32-packet working batch the datapath processes
 //!   at a time.
 

@@ -151,6 +151,14 @@ impl CpuSet {
         &self.cores[core]
     }
 
+    /// Core `core`'s busy time as whole nanoseconds, rounded half away
+    /// from zero: the integer snapshot stage attribution takes. Rounding
+    /// is monotone and integer deltas telescope, so per-stage times sum
+    /// exactly to the poll total.
+    pub fn core_ns(&self, core: usize) -> u64 {
+        round_ns(self.cores[core].total_ns())
+    }
+
     /// The busiest core's total busy time — the pipeline bottleneck.
     pub fn bottleneck_ns(&self) -> f64 {
         self.cores.iter().map(Core::total_ns).fold(0.0, f64::max)
@@ -194,9 +202,51 @@ impl CpuSet {
     }
 }
 
+/// `x.round() as u64` with integer ops: `f64::round` is a library call
+/// on baseline x86-64, and stage attribution rounds on every mark. Equal
+/// for the non-negative times below 2^53 a core accumulates; both
+/// saturate (negative and NaN to 0, huge to `u64::MAX`).
+fn round_ns(x: f64) -> u64 {
+    let whole = x as u64;
+    if x - whole as f64 >= 0.5 {
+        whole.saturating_add(1)
+    } else {
+        whole
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_ns_matches_f64_round() {
+        let xs = [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            2.4999,
+            123_456_789.5,
+            987_654_321.499_999,
+            (1u64 << 52) as f64 + 0.5,
+            (1u64 << 53) as f64,
+            -0.3,
+            -0.7,
+            f64::NAN,
+            f64::INFINITY,
+            1e30,
+        ];
+        for x in xs {
+            assert_eq!(round_ns(x), x.round() as u64, "x = {x}");
+        }
+        let mut x = 0.0f64;
+        for i in 0..100_000u64 {
+            x += 0.37 + (i % 7) as f64 * 1.113;
+            assert_eq!(round_ns(x), x.round() as u64, "x = {x}");
+        }
+    }
 
     #[test]
     fn charge_accumulates_per_context() {

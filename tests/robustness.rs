@@ -18,7 +18,7 @@ use ovs_nfv::{ChainPolicy, NfSpec};
 use ovs_nsx::ruleset::vm_udp_frame;
 use ovs_nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_packet::{builder, DpPacket, MacAddr};
-use ovs_ring::PacketBatch;
+use ovs_ring::{DpPacketPool, PacketBatch};
 use ovs_sim::{FaultKind, FaultPlan, PlanTargets, SimRng};
 use ovs_tgen::scenarios::counted_drops;
 
@@ -403,6 +403,7 @@ fn full_ring_tx_never_shrinks_umem_pool() {
     ));
     let mut sock = XskSocket::bind(&mut k, eth0, 0, 64, OptLevel::O5);
     let nframes = sock.pool.nframes();
+    let mut descs = DpPacketPool::new(sock.metadata_frames(), 2048);
 
     // Lose the tx need_wakeup kick: the kernel stops draining the tx
     // ring, so sustained tx fills it and then starves the frame pool.
@@ -425,7 +426,7 @@ fn full_ring_tx_never_shrinks_umem_pool() {
             batch.push(DpPacket::from_data(&frame)).unwrap();
             offered += 1;
         }
-        sent += sock.tx_burst(&mut k, 1, batch) as u64;
+        sent += sock.tx_burst(&mut k, 1, &mut batch, &mut descs) as u64;
         // The audit invariant, every iteration: free + fill + rx + tx +
         // completion + sequestered == nframes. Nothing leaks, nothing
         // is minted.
@@ -449,7 +450,7 @@ fn full_ring_tx_never_shrinks_umem_pool() {
     for expect_sent in [false, true] {
         let mut batch = PacketBatch::new();
         batch.push(DpPacket::from_data(&frame)).unwrap();
-        let n = sock.tx_burst(&mut k, 1, batch);
+        let n = sock.tx_burst(&mut k, 1, &mut batch, &mut descs);
         assert_eq!(n == 1, expect_sent, "tx recovery sequence");
         assert!(sock.frame_accounting_ok());
         assert_eq!(sock.pool.nframes(), nframes);

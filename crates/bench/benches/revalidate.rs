@@ -1,11 +1,19 @@
 //! Revalidator sweep cost vs installed megaflow count: each sweep dumps
-//! every datapath flow with its counters and pushes the stats delta into
-//! the matched rules — so the cost should scale linearly with the table
-//! size. A flow is re-translated against the OpenFlow tables only when
-//! they changed since it was last checked; `revalidate/sweep_stale`
-//! changes them before every sweep, so it measures that re-translation
-//! too. This is the per-flow overhead that bounds how large a flow limit
-//! a revalidator core can sustain at a given sweep interval.
+//! every datapath flow with its counters, finds its ukey by UFID and
+//! pushes the stats delta into the matched rules — so the cost should
+//! scale linearly with the table size. This is the per-flow overhead that
+//! bounds how large a flow limit a revalidator core can sustain at a
+//! given sweep interval. The groups:
+//!
+//! - `revalidate/sweep`: the steady state, every flow current and kept;
+//! - `revalidate/sweep_stale`: the OpenFlow tables changed before every
+//!   sweep, so each flow is also re-translated (a flow is re-translated
+//!   only when they changed since it was last checked);
+//! - `revalidate/sweep_hot`: every flow has fresh traffic, so each push
+//!   carries a non-zero delta;
+//! - `revalidate/sweep_expire`: a sixth of the flows went idle and the
+//!   sweep deletes them, the delete path a connection-setup workload
+//!   keeps busy.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ovs_afxdp::{AfxdpPort, OptLevel};
@@ -61,16 +69,7 @@ fn warm_datapath(flows: u16) -> (Kernel, DpifNetdev, u32) {
         dp.ofproto.add_rule(tp_src_rule(1000 + tp));
     }
     for tp in 0..flows {
-        let f = builder::udp_ipv4_frame(
-            MacAddr::new(2, 0, 0, 0, 9, 9),
-            MacAddr::new(2, 0, 0, 0, 0, 1),
-            [10, 0, 0, 1],
-            [10, 0, 0, 2],
-            1000 + tp,
-            6000,
-            96,
-        );
-        k.receive(rx_nic, 0, f);
+        k.receive(rx_nic, 0, frame(1000 + tp));
         dp.pmd_poll(&mut k, 0, 0, 1);
     }
     assert_eq!(dp.megaflow_count(), flows as usize);
@@ -128,25 +127,68 @@ fn bench_sweep_stale(c: &mut Criterion) {
     g.finish();
 }
 
+/// One UDP frame from `tp_src`, matching the `tp_src_rule` of that port.
+fn frame(tp_src: u16) -> Vec<u8> {
+    builder::udp_ipv4_frame(
+        MacAddr::new(2, 0, 0, 0, 9, 9),
+        MacAddr::new(2, 0, 0, 0, 0, 1),
+        [10, 0, 0, 1],
+        [10, 0, 0, 2],
+        tp_src,
+        6000,
+        96,
+    )
+}
+
+fn bench_sweep_expire(c: &mut Criterion) {
+    // Every sixth flow goes idle and the sweep deletes it: about the
+    // share of a connection-setup table that expires per sweep period.
+    // The untimed setup re-installs the flows the last sweep deleted,
+    // lets the idle timeout pass, and touches the other five sixths.
+    const SEC: u64 = 1_000_000_000;
+    let mut g = c.benchmark_group("revalidate/sweep_expire");
+    for flows in [1024u16, 8192] {
+        let dp = RefCell::new(warm_datapath(flows));
+        let (idle, live): (Vec<u16>, Vec<u16>) = (0..flows).partition(|tp| tp % 6 == 0);
+        let send = |k: &mut Kernel, dp: &mut DpifNetdev, rx_nic, tps: &[u16]| {
+            for chunk in tps.chunks(32) {
+                for &tp in chunk {
+                    k.receive(rx_nic, 0, frame(1000 + tp));
+                }
+                while dp.pmd_poll(k, 0, 0, 1) > 0 {}
+            }
+        };
+        g.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, &n| {
+            b.iter_batched(
+                || {
+                    let (k, dp, rx_nic) = &mut *dp.borrow_mut();
+                    send(k, dp, *rx_nic, &idle);
+                    assert_eq!(dp.megaflow_count(), usize::from(n));
+                    k.sim.clock.advance(11 * SEC);
+                    send(k, dp, *rx_nic, &live);
+                },
+                |()| {
+                    let (k, dp, _) = &mut *dp.borrow_mut();
+                    let s = dp.revalidate(k, 0);
+                    assert_eq!(s.dumped, u64::from(n));
+                    assert_eq!(s.deleted_idle, idle.len() as u64);
+                    assert_eq!(s.deleted(), idle.len() as u64);
+                    black_box(s.dumped)
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_sweep_with_stats_delta(c: &mut Criterion) {
     // Same sweep, but every flow has fresh traffic since the last one,
     // so each push carries a non-zero delta into the rule counters.
     let mut g = c.benchmark_group("revalidate/sweep_hot");
     for flows in [16u16, 1024] {
         let (mut k, mut dp, rx_nic) = warm_datapath(flows);
-        let frames: Vec<Vec<u8>> = (0..flows)
-            .map(|tp| {
-                builder::udp_ipv4_frame(
-                    MacAddr::new(2, 0, 0, 0, 9, 9),
-                    MacAddr::new(2, 0, 0, 0, 0, 1),
-                    [10, 0, 0, 1],
-                    [10, 0, 0, 2],
-                    1000 + tp,
-                    6000,
-                    96,
-                )
-            })
-            .collect();
+        let frames: Vec<Vec<u8>> = (0..flows).map(|tp| frame(1000 + tp)).collect();
         g.bench_with_input(BenchmarkId::from_parameter(flows), &flows, |b, &n| {
             b.iter(|| {
                 for f in &frames {
@@ -174,6 +216,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_sweep, bench_sweep_stale, bench_sweep_with_stats_delta
+    targets = bench_sweep, bench_sweep_stale, bench_sweep_with_stats_delta, bench_sweep_expire
 }
 criterion_main!(benches);

@@ -19,10 +19,9 @@
 //! datapath couldn't have it.
 
 use crate::classifier::{Classifier, Rule};
-use crate::revalidator::FlowCounters;
+use crate::revalidator::{FlowCounters, Ufid, UfidMap};
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A cached megaflow: the actions to run and the wildcard mask it was
@@ -30,6 +29,9 @@ use std::rc::Rc;
 /// (`n_packets`/`n_bytes`/`used`, as in `dpctl/dump-flows`).
 #[derive(Debug, PartialEq)]
 pub struct MegaflowEntry<A> {
+    /// The flow's unique ID, the hash of `key`; its ukey and its index
+    /// entry are found by it.
+    pub ufid: Ufid,
     /// Masked match key.
     pub key: FlowKey,
     /// Wildcards accumulated during translation.
@@ -57,9 +59,11 @@ pub struct MegaflowEntry<A> {
 }
 
 impl<A> MegaflowEntry<A> {
-    /// A fresh entry created at sim-time `now_ns`.
+    /// A fresh entry for the masked `key`, created at sim-time `now_ns`.
+    /// Its UFID is computed here, once.
     pub fn new(key: FlowKey, mask: FlowMask, actions: A, now_ns: u64) -> Self {
         Self {
+            ufid: Ufid::of(&key),
             mini_key: Miniflow::from_key(&key),
             mini_mask: MiniMask::from_mask(&mask),
             key,
@@ -368,8 +372,10 @@ impl<A> Default for Smc<A> {
 #[derive(Debug)]
 pub struct MegaflowCache<A> {
     cls: Classifier<Rc<MegaflowEntry<A>>>,
-    /// Exact map for removal bookkeeping: masked key → entry.
-    installed: HashMap<FlowKey, Rc<MegaflowEntry<A>>>,
+    /// The index: UFID → entry, one flow per masked key whatever its
+    /// mask. It finds a flow without hashing its key, and its size is
+    /// the flow count.
+    installed: UfidMap<Rc<MegaflowEntry<A>>>,
     /// Hits.
     pub hits: u64,
     /// Misses (upcalls).
@@ -385,7 +391,7 @@ impl<A> MegaflowCache<A> {
     pub fn new() -> Self {
         Self {
             cls: Classifier::new(),
-            installed: HashMap::new(),
+            installed: UfidMap::default(),
             hits: 0,
             misses: 0,
             generation: 0,
@@ -405,12 +411,18 @@ impl<A> MegaflowCache<A> {
 
     /// Number of megaflows.
     pub fn len(&self) -> usize {
-        self.cls.len()
+        self.installed.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.cls.is_empty()
+        self.installed.is_empty()
+    }
+
+    /// Rules in the classifier, summed over its subtables: equal to
+    /// [`Self::len`] unless the index and the classifier drifted apart.
+    pub(crate) fn classifier_len(&self) -> usize {
+        self.cls.len()
     }
 
     /// Distinct masks (subtables probed per miss).
@@ -507,8 +519,6 @@ impl<A> MegaflowCache<A> {
     }
 
     /// Install a megaflow produced by translation at sim-time `now_ns`.
-    /// Reinstalling over an existing masked key kills the old entry
-    /// (any EMC reference to it must not survive the replacement).
     pub fn install_at(
         &mut self,
         key: FlowKey,
@@ -516,40 +526,45 @@ impl<A> MegaflowCache<A> {
         actions: A,
         now_ns: u64,
     ) -> Rc<MegaflowEntry<A>> {
+        self.insert(MegaflowEntry::new(key.masked(&mask), mask, actions, now_ns))
+    }
+
+    /// Install a built entry. Reinstalling over an existing masked key
+    /// (the same UFID, whatever the mask) kills the old entry: any EMC
+    /// reference to it must not survive the replacement.
+    pub(crate) fn insert(&mut self, entry: MegaflowEntry<A>) -> Rc<MegaflowEntry<A>> {
         self.generation += 1;
-        let masked = key.masked(&mask);
-        let entry = Rc::new(MegaflowEntry::new(masked, mask, actions, now_ns));
-        if let Some(old) = self.installed.remove(&masked) {
+        let entry = Rc::new(entry);
+        if let Some(old) = self.installed.insert(entry.ufid, Rc::clone(&entry)) {
             old.dead.set(true);
-            self.cls.remove(&masked, &old.mask);
+            self.cls.remove(&old.key, &old.mask);
         }
         self.cls.insert(Rule {
-            key: masked,
-            mask,
+            key: entry.key,
+            mask: entry.mask,
             priority: 0,
             value: Rc::clone(&entry),
         });
-        self.installed.insert(masked, entry.clone());
         entry
     }
 
-    /// Whether a megaflow with this masked key is installed.
-    pub fn contains(&self, masked_key: &FlowKey) -> bool {
-        self.installed.contains_key(masked_key)
+    /// Whether the megaflow with this UFID is installed.
+    pub fn contains(&self, ufid: Ufid) -> bool {
+        self.installed.contains_key(&ufid)
     }
 
-    /// The installed entry for a masked key, if any.
-    pub fn get(&self, masked_key: &FlowKey) -> Option<&Rc<MegaflowEntry<A>>> {
-        self.installed.get(masked_key)
+    /// The installed entry with this UFID, if any.
+    pub fn get(&self, ufid: Ufid) -> Option<&Rc<MegaflowEntry<A>>> {
+        self.installed.get(&ufid)
     }
 
     /// Remove one megaflow, marking the entry dead for any EMC holders.
-    pub fn remove(&mut self, masked_key: &FlowKey) -> bool {
+    pub fn remove(&mut self, ufid: Ufid) -> bool {
         self.generation += 1;
-        match self.installed.remove(masked_key) {
+        match self.installed.remove(&ufid) {
             Some(e) => {
                 e.dead.set(true);
-                self.cls.remove(masked_key, &e.mask) > 0
+                self.cls.remove(&e.key, &e.mask) > 0
             }
             None => false,
         }
@@ -656,7 +671,7 @@ mod tests {
         let mut mf: MegaflowCache<u32> = MegaflowCache::new();
         let mask = FlowMask::of_fields(&[&fields::NW_DST]);
         let e = mf.install(key(5), mask, 1);
-        assert!(mf.remove(&e.key));
+        assert!(mf.remove(e.ufid));
         assert!(mf.lookup(&key(5)).is_none());
         mf.install(key(6), mask, 2);
         mf.flush();
@@ -671,7 +686,7 @@ mod tests {
         emc.insert(m(1), h(1), Rc::clone(&e));
         assert!(emc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the EMC alias must miss.
-        assert!(mf.remove(&e.key));
+        assert!(mf.remove(e.ufid));
         assert!(
             emc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from EMC"
@@ -741,7 +756,7 @@ mod tests {
         assert!(smc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the SMC alias must miss
         // and the slot is reclaimed in place.
-        assert!(mf.remove(&e.key));
+        assert!(mf.remove(e.ufid));
         assert!(
             smc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from SMC"

@@ -22,7 +22,9 @@ use crate::cache::{Emc, MegaflowCache, MegaflowEntry, Smc};
 use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::Ofproto;
-use crate::revalidator::{FlowTable, Revalidator, Sweep, SweepSummary, Ukey};
+use crate::revalidator::{
+    DumpedFlow, FlowCounters, FlowTable, Revalidator, Sweep, SweepSummary, Ufid, UfidMap, Ukey,
+};
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
@@ -34,7 +36,7 @@ use ovs_kernel::Kernel;
 use ovs_obs::latency::LatencySummary;
 use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
-use ovs_packet::flow::{extract_miniflow, FlowKey, Miniflow, WORDS};
+use ovs_packet::flow::{extract_miniflow, FlowKey, FlowMask, Miniflow, WORDS};
 use ovs_packet::{builder, DpPacket, MacAddr};
 use ovs_ring::{DpPacketPool, PacketBatch};
 use ovs_sim::Context;
@@ -504,7 +506,7 @@ pub struct DpifNetdev {
     /// udpif revalidator state: ukeys (one per installed megaflow, with
     /// the rule refs stats push back to), the dynamic flow limit, and
     /// sweep accounting.
-    pub revalidator: Revalidator<Vec<DpAction>>,
+    pub revalidator: Revalidator,
     /// `flow-restore-wait` state: while `restore.wait` is set, megaflow
     /// misses are gated instead of upcalled and restored flows keep
     /// forwarding until the rule table is repopulated.
@@ -714,7 +716,7 @@ impl DpifNetdev {
     pub fn flush_caches(&mut self) {
         for e in self.megaflow.iter() {
             self.revalidator
-                .push_stats(&e.key, e.hits.get(), e.bytes.get());
+                .push_stats(e.ufid, e.hits.get(), e.bytes.get());
         }
         self.stats.flows_deleted += self.megaflow.len() as u64;
         self.revalidator.clear_ukeys();
@@ -875,37 +877,38 @@ impl DpifNetdev {
     /// restore the re-adopted flows credit the *new* rules exactly the
     /// packets forwarded since this instant.
     pub fn snapshot(&mut self, now_ns: u64) -> DpSnapshot {
+        let reval = &mut self.revalidator;
         let mut flows: Vec<FlowRecord> = self
             .megaflow
             .iter()
-            .map(|e| FlowRecord {
-                key: e.key,
-                mask: e.mask,
-                actions: e.actions.clone(),
-                hits: e.hits.get(),
-                bytes: e.bytes.get(),
-                used_ns: e.used_ns.get(),
-                created_ns: e.created_ns.get(),
-                pushed_packets: 0,
-                pushed_bytes: 0,
+            .map(|e| {
+                let (hits, bytes) = (e.hits.get(), e.bytes.get());
+                reval.push_stats(e.ufid, hits, bytes);
+                // After the flush pushed == hits, except for flows that
+                // were themselves restored-and-unreconciled (a restart
+                // during a restore window): their marks carry over
+                // untouched.
+                let (pushed_packets, pushed_bytes) = reval
+                    .ukey(e.ufid)
+                    .map_or((hits, bytes), |u| (u.pushed_packets, u.pushed_bytes));
+                // The record keeps the masked key, not the UFID: that is
+                // keyed by this process's secret, and restore recomputes it.
+                FlowRecord {
+                    key: e.key,
+                    mask: e.mask,
+                    actions: e.actions.clone(),
+                    hits,
+                    bytes,
+                    used_ns: e.used_ns.get(),
+                    created_ns: e.created_ns.get(),
+                    pushed_packets,
+                    pushed_bytes,
+                }
             })
             .collect();
         // Classifier iteration order is not deterministic; the snapshot
         // must be (byte-identical runs, resumable goldens).
         flows.sort_by_key(|f| f.key.hash());
-        for f in &mut flows {
-            self.revalidator.push_stats(&f.key, f.hits, f.bytes);
-            // After the flush pushed == hits, except for flows that were
-            // themselves restored-and-unreconciled (a restart during a
-            // restore window): their marks carry over untouched.
-            let (pp, pb) = self
-                .revalidator
-                .ukey(&f.key)
-                .map(|u| (u.pushed_packets, u.pushed_bytes))
-                .unwrap_or((f.hits, f.bytes));
-            f.pushed_packets = pp;
-            f.pushed_bytes = pb;
-        }
         coverage!("dp_snapshot");
         DpSnapshot {
             version: SNAPSHOT_VERSION,
@@ -939,16 +942,8 @@ impl DpifNetdev {
             entry.used_ns.set(f.used_ns);
             entry.created_ns.set(f.created_ns);
             self.stats.flows_installed += 1;
-            self.revalidator.register(
-                f.key,
-                Ukey::restored(
-                    f.mask,
-                    f.actions.clone(),
-                    f.created_ns,
-                    f.pushed_packets,
-                    f.pushed_bytes,
-                ),
-            );
+            self.revalidator
+                .register(entry.ufid, Ukey::restored(f.pushed_packets, f.pushed_bytes));
             coverage!("flow_restored");
         }
         st.restored_flows = snap.flows.len() as u64;
@@ -1023,39 +1018,41 @@ impl DpifNetdev {
         )
     }
 
-    /// Delete one megaflow (by masked key), pushing its outstanding
-    /// stats up to the OpenFlow rules first.
-    fn delete_megaflow(&mut self, masked: &FlowKey) {
-        if let Some(e) = self.megaflow.get(masked) {
+    /// Delete one megaflow (by UFID), pushing its outstanding stats up
+    /// to the OpenFlow rules first.
+    fn delete_megaflow(&mut self, ufid: Ufid) {
+        if let Some(e) = self.megaflow.get(ufid) {
             self.revalidator
-                .push_stats(masked, e.hits.get(), e.bytes.get());
+                .push_stats(ufid, e.hits.get(), e.bytes.get());
         }
-        self.revalidator.forget(masked);
-        if self.megaflow.remove(masked) {
+        self.revalidator.forget(ufid);
+        if self.megaflow.remove(ufid) {
             self.stats.flows_deleted += 1;
         }
     }
 
-    /// The pass's per-flow step on one megaflow: its counters come
-    /// from the entry itself, as a flow dump returns them, and a
-    /// re-translation (when the step needs one) goes through this
-    /// datapath's tables.
+    /// The pass's per-flow step on one megaflow: the entry is the flow
+    /// as a dump returns it (UFID, masked key, mask, actions and
+    /// counters), and a re-translation (when the step needs one) goes
+    /// through this datapath's tables.
     fn revalidate_megaflow(
         &mut self,
         sweep: &mut Sweep,
         e: &MegaflowEntry<Vec<DpAction>>,
     ) -> Option<(u64, u64)> {
         let ofproto = &mut self.ofproto;
-        self.revalidator.revalidate_flow(
-            sweep,
-            &mut self.megaflow,
-            &e.key,
-            Some(e.counters()),
-            |k| {
+        let flow = DumpedFlow {
+            ufid: e.ufid,
+            key: &e.key,
+            mask: &e.mask,
+            actions: &e.actions,
+            counters: Some(e.counters()),
+        };
+        self.revalidator
+            .revalidate_flow(sweep, &mut self.megaflow, flow, |k| {
                 let t = ofproto.translate(k);
                 (t.actions, t.mask, t.rules)
-            },
-        )
+            })
     }
 
     /// One full revalidator round over the userspace datapath: the
@@ -1102,8 +1099,8 @@ impl DpifNetdev {
             let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
             kernel.sim.charge(core, Context::User, c);
             if t.actions == e.actions && t.mask == e.mask {
-                self.revalidator.adopt(&e.key, t.rules, version);
-                self.revalidator.push_stats(&e.key, hits, bytes);
+                self.revalidator.adopt(e.ufid, t.rules, version);
+                self.revalidator.push_stats(e.ufid, hits, bytes);
                 self.stats.restore_adopted += 1;
                 coverage!("restore_adopted");
                 sweep.summary.adopted += 1;
@@ -1111,7 +1108,7 @@ impl DpifNetdev {
                 self.stats.restore_orphaned += 1;
                 coverage!("restore_orphaned");
                 sweep.summary.orphaned += 1;
-                self.delete_megaflow(&e.key);
+                self.delete_megaflow(e.ufid);
             }
         }
         // While the gate is up the restored flows are the only
@@ -1150,6 +1147,16 @@ impl DpifNetdev {
             self.megaflow.len() as u64,
             self.stats.flows_installed - self.stats.flows_deleted,
             "flow lifecycle accounting drifted"
+        );
+        assert_eq!(
+            self.revalidator.ukey_count(),
+            self.megaflow.len(),
+            "a megaflow without a ukey, or a ukey without a megaflow"
+        );
+        assert_eq!(
+            self.megaflow.len(),
+            self.megaflow.classifier_len(),
+            "the megaflow index and the classifier drifted apart"
         );
         summary
     }
@@ -1938,19 +1945,18 @@ megaflows installed: {}
                 r.credit(1, bp.pkt.len() as u64);
             }
             let now = kernel.sim.clock.now_ns();
-            let masked = key.masked(&t.mask);
-            if self.megaflow.contains(&masked) {
+            // Building the entry hashes the masked key, once, into its UFID.
+            let entry = MegaflowEntry::new(key.masked(&t.mask), t.mask, t.actions, now);
+            if self.megaflow.contains(entry.ufid) {
                 // Masked-key collision under a different mask: replace
                 // the stale flow.
-                self.delete_megaflow(&masked);
+                self.delete_megaflow(entry.ufid);
             }
             if self.revalidator.should_install(self.megaflow.len()) {
-                let entry = self
-                    .megaflow
-                    .install_at(key, t.mask, t.actions.clone(), now);
+                let entry = self.megaflow.insert(entry);
                 self.stats.flows_installed += 1;
                 self.revalidator
-                    .register(masked, Ukey::new(t.mask, t.actions, t.rules, now, version));
+                    .register(entry.ufid, Ukey::new(t.rules, version));
                 if self.smc_enable {
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
@@ -1967,7 +1973,7 @@ megaflows installed: {}
                         self.revalidator.flow_limit
                     ));
                 }
-                self.enqueue_classified(&mut s.batches, BatchActions::OneOff(t.actions), bp);
+                self.enqueue_classified(&mut s.batches, BatchActions::OneOff(entry.actions), bp);
             }
         }
     }
@@ -2617,7 +2623,44 @@ pub struct DpifNetlink {
     /// Upcalls that skipped installation at the dynamic flow limit.
     pub flow_limit_hits: u64,
     /// udpif revalidator state over the kernel flow table.
-    pub revalidator: Revalidator<Vec<ovs_kernel::KAction>>,
+    pub revalidator: Revalidator,
+    /// The kernel flows this dpif installed, by UFID, beside their ukeys.
+    flows: UfidMap<Rc<KernelFlow>>,
+}
+
+/// A kernel flow as the dpif installed it: the masked key and mask
+/// `OvsModule` finds it by, and the actions a re-translation is compared
+/// against. The kernel table lives in another address space, so OVS's
+/// `udpif_key` keeps these too.
+#[derive(Debug)]
+struct KernelFlow {
+    key: FlowKey,
+    mask: FlowMask,
+    actions: Vec<ovs_kernel::KAction>,
+}
+
+/// The kernel flow table as a revalidation pass prunes it: the module's
+/// flows, found by UFID through the ones the dpif installed.
+struct KernelTable<'a> {
+    ovs: &'a mut ovs_kernel::OvsModule,
+    flows: &'a mut UfidMap<Rc<KernelFlow>>,
+}
+
+impl FlowTable for KernelTable<'_> {
+    fn n_flows(&self) -> usize {
+        self.ovs.flow_count()
+    }
+
+    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)> {
+        let f = self.flows.get(&ufid)?;
+        Some((&f.key, self.ovs.flow_stats(&f.key, &f.mask)?))
+    }
+
+    fn delete_flow(&mut self, ufid: Ufid) {
+        if let Some(f) = self.flows.remove(&ufid) {
+            self.ovs.remove_flow(&f.key, &f.mask);
+        }
+    }
 }
 
 impl DpifNetlink {
@@ -2630,6 +2673,7 @@ impl DpifNetlink {
             upcalls_handled: 0,
             flow_limit_hits: 0,
             revalidator: Revalidator::new(),
+            flows: UfidMap::default(),
         }
     }
 
@@ -2656,10 +2700,12 @@ impl DpifNetlink {
                 kernel
                     .ovs
                     .install_flow_at(&u.key, &t.mask, kactions.clone(), now);
-                self.revalidator.register(
-                    u.key.masked(&t.mask),
-                    Ukey::new(t.mask, kactions.clone(), t.rules, now, version),
-                );
+                let key = u.key.masked(&t.mask);
+                let ufid = Ufid::of(&key);
+                self.revalidator.register(ufid, Ukey::new(t.rules, version));
+                let (mask, actions) = (t.mask, kactions.clone());
+                self.flows
+                    .insert(ufid, Rc::new(KernelFlow { key, mask, actions }));
             } else {
                 self.flow_limit_hits += 1;
                 coverage!("flow_limit_hit");
@@ -2674,31 +2720,44 @@ impl DpifNetlink {
     }
 
     /// One full revalidator round over the **kernel** flow table, via the
-    /// ukeys recorded at upcall time — the same pass as
-    /// [`DpifNetdev::revalidate`], driven over Netlink in real OVS.
-    /// Flows installed behind the dpif's back (e.g. pre-warmed scenario
-    /// flows) have no ukey and are left alone.
+    /// flows installed at upcall time, in masked-key-hash order — the
+    /// same pass as [`DpifNetdev::revalidate`], driven over Netlink in
+    /// real OVS. Flows installed behind the dpif's back (e.g. pre-warmed
+    /// scenario flows) have no ukey and are left alone.
     pub fn revalidate(&mut self, kernel: &mut Kernel, core: usize) -> SweepSummary {
         let t0 = kernel.sim.cpus.core_ns(core);
         let now = kernel.sim.clock.now_ns();
         let mut sweep =
             self.revalidator
                 .begin_sweep(kernel.ovs.flow_count(), now, self.ofproto.version());
-        for k in self.revalidator.keys() {
+        let mut flows: Vec<_> = self
+            .flows
+            .iter()
+            .map(|(&ufid, f)| (f.key.hash(), ufid, Rc::clone(f)))
+            .collect();
+        flows.sort_unstable_by_key(|&(h, _, _)| h);
+        let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
+        let mut table = KernelTable {
+            ovs: &mut kernel.ovs,
+            flows: &mut self.flows,
+        };
+        for (_, ufid, f) in flows {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
-            let counters = self
-                .revalidator
-                .ukey(&k)
-                .and_then(|uk| kernel.ovs.flow_counters(&k, &uk.mask));
-            let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
+            let flow = DumpedFlow {
+                ufid,
+                key: &f.key,
+                mask: &f.mask,
+                actions: &f.actions,
+                counters: table.ovs.flow_stats(&f.key, &f.mask),
+            };
             self.revalidator
-                .revalidate_flow(&mut sweep, &mut kernel.ovs, &k, counters, |k| {
+                .revalidate_flow(&mut sweep, &mut table, flow, |k| {
                     let t = ofproto.translate(k);
                     (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
                 });
         }
-        self.revalidator.evict(&mut sweep, &mut kernel.ovs, false);
+        self.revalidator.evict(&mut sweep, &mut table, false);
         let dump_ms = (kernel.sim.cpus.core_ns(core) - t0) / 1_000_000;
         self.revalidator.end_sweep(sweep, dump_ms)
     }

@@ -74,5 +74,5 @@ pub use mirror::MirrorSession;
 pub use ofctl::{dump_flows, parse_flow, parse_flows};
 pub use ofproto::{OfAction, OfRule, Ofproto, RuleEntry};
 pub use pmd::{AssignmentPolicy, PmdSet, PmdThread, RxqId};
-pub use revalidator::{Revalidator, RevalidatorConfig, SweepSummary, Ukey};
+pub use revalidator::{Revalidator, RevalidatorConfig, SweepSummary, Ufid, Ukey};
 pub use snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};

@@ -22,30 +22,81 @@
 //! by the limit, trading upcalls for memory instead of collapsing.
 //!
 //! This module holds the dpif-independent state and the one revalidation
-//! pass: the *ukeys* (userspace views of installed datapath flows, one
-//! per megaflow, with the rule refs stats are pushed to), the flow-limit
+//! pass: the *ukeys* (what the revalidator keeps per installed datapath
+//! flow: the rule refs stats are pushed to, the pushback marks and the
+//! checked table version), found by the flow's [`Ufid`], the flow-limit
 //! algorithm, and the pass itself — [`Revalidator::begin_sweep`], the
 //! per-flow step [`Revalidator::revalidate_flow`], LRU eviction
-//! ([`Revalidator::evict`]) and [`Revalidator::end_sweep`]. A re-translation
-//! is compared against the ukey's installed actions and mask. Three
-//! drivers run the pass over a [`FlowTable`] (the megaflow cache or the
-//! kernel module's flow table), pass in each flow's counters from their
-//! own dump and their own re-translation, and keep only what differs:
+//! ([`Revalidator::evict`]) and [`Revalidator::end_sweep`]. The per-flow
+//! step reads the flow as its driver's dump returns it ([`DumpedFlow`]:
+//! UFID, masked key, mask, actions and counters), and a re-translation is
+//! compared against the dumped actions and mask. Three drivers run the
+//! pass over a [`FlowTable`] (the megaflow cache or the kernel module's
+//! flow table, pruned by UFID), hand over each flow from their own dump
+//! and their own re-translation, and keep only what differs:
 //! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) (the
 //! megaflow cache, plus restore reconciliation, cache purge, conntrack
 //! expiry and the virtual-clock charges),
 //! [`DpifNetdev::revalidate_changed`](crate::dpif::DpifNetdev::revalidate_changed)
 //! (the same step with the timeouts off, uncharged, on every `flow_mod`)
 //! and [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate)
-//! (the kernel flow table, over the ukeys).
+//! (the kernel flow table, over the flows the dpif installed).
 
 use crate::cache::MegaflowCache;
 use crate::ofproto::RuleEntry;
-use ovs_kernel::OvsModule;
 use ovs_obs::coverage;
 use ovs_packet::{FlowKey, FlowMask};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::rc::Rc;
+use std::sync::OnceLock;
+
+/// A datapath flow's unique flow ID (OVS's UFID): a keyed 128-bit hash of
+/// its masked key, computed once when the flow is installed. The ukey,
+/// the megaflow cache's index and the kernel dpif's flows are all found
+/// by it, so a sweep never hashes a 96-byte key. The hash key is a
+/// secret drawn once per process, as OVS seeds `dpif_flow_hash`: packets
+/// cannot be crafted to collide in the maps keyed by it, and a UFID
+/// differs between runs, so it never reaches output or a snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ufid(u128);
+
+impl Ufid {
+    /// The UFID of the flow installed under the masked key `masked`.
+    pub fn of(masked: &FlowKey) -> Self {
+        static SECRET: OnceLock<[RandomState; 2]> = OnceLock::new();
+        let [hi, lo] = SECRET.get_or_init(|| [RandomState::new(), RandomState::new()]);
+        Self(u128::from(hi.hash_one(masked)) << 64 | u128::from(lo.hash_one(masked)))
+    }
+}
+
+impl Hash for Ufid {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0 as u64);
+    }
+}
+
+/// Hashes a [`Ufid`] as its low 64 bits, unchanged: a UFID is already a
+/// keyed hash, so mixing it again would buy no protection.
+#[derive(Debug, Default)]
+pub(crate) struct UfidHasher(u64);
+
+impl Hasher for UfidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("UfidHasher hashes only a Ufid");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// A map keyed by [`Ufid`], hashed with [`UfidHasher`].
+pub(crate) type UfidMap<V> = HashMap<Ufid, V, BuildHasherDefault<UfidHasher>>;
 
 /// Revalidation tunables. Defaults mirror OVS: 10 s idle timeout
 /// (`ofproto_max_idle`), 200k flow ceiling (`ofproto_flow_limit`), and
@@ -76,21 +127,17 @@ impl Default for RevalidatorConfig {
     }
 }
 
-/// The userspace view of one installed datapath flow — OVS's `udpif_key`.
-/// It is registered under the flow's masked key, the datapath flow's
-/// identity. Stats pushback is incremental: `pushed_*` remember how much
-/// of the flow's counters have already been credited to `rules`.
+/// What the revalidator keeps per installed datapath flow — OVS's
+/// `udpif_key` — found by the flow's [`Ufid`]. It holds only what the
+/// revalidator owns: the flow's key, mask, actions and counters live in
+/// the datapath, and a sweep reads them from its dump ([`DumpedFlow`]).
+/// Stats pushback is incremental: `pushed_*` remember how much of the
+/// flow's counters have already been credited to `rules`.
 #[derive(Debug)]
-pub struct Ukey<A> {
-    /// The wildcard mask it was installed under.
-    pub mask: FlowMask,
-    /// The actions installed, for change detection on re-translation.
-    pub actions: A,
+pub struct Ukey {
     /// Every OpenFlow rule the original translation matched; each gets
     /// credited with every packet the flow forwards (the xlate cache).
     pub rules: Vec<Rc<RuleEntry>>,
-    /// Sim-time of installation.
-    pub created_ns: u64,
     /// Packets already pushed to `rules`.
     pub pushed_packets: u64,
     /// Bytes already pushed to `rules`.
@@ -105,21 +152,11 @@ pub struct Ukey<A> {
     pub version: Option<u64>,
 }
 
-impl<A> Ukey<A> {
-    /// A ukey for a flow installed at `now_ns` from a translation against
-    /// tables at `version`.
-    pub fn new(
-        mask: FlowMask,
-        actions: A,
-        rules: Vec<Rc<RuleEntry>>,
-        now_ns: u64,
-        version: u64,
-    ) -> Self {
+impl Ukey {
+    /// A ukey for a flow translated against tables at `version`.
+    pub fn new(rules: Vec<Rc<RuleEntry>>, version: u64) -> Self {
         Self {
-            mask,
-            actions,
             rules,
-            created_ns: now_ns,
             pushed_packets: 0,
             pushed_bytes: 0,
             version: Some(version),
@@ -130,18 +167,9 @@ impl<A> Ukey<A> {
     /// pushback high-water marks carried over so that once the flow is
     /// adopted, the fresh rules are credited exactly the packets
     /// forwarded *since* the snapshot — stats pushback resumes exactly.
-    pub fn restored(
-        mask: FlowMask,
-        actions: A,
-        created_ns: u64,
-        pushed_packets: u64,
-        pushed_bytes: u64,
-    ) -> Self {
+    pub fn restored(pushed_packets: u64, pushed_bytes: u64) -> Self {
         Self {
-            mask,
-            actions,
             rules: Vec::new(),
-            created_ns,
             pushed_packets,
             pushed_bytes,
             version: None,
@@ -215,16 +243,33 @@ impl SweepSummary {
 /// dump returns them.
 pub type FlowCounters = (u64, u64, u64, u64);
 
-/// A datapath flow table as a revalidation pass reads and prunes it:
-/// the userspace megaflow cache or the kernel module's flow table.
+/// One datapath flow as a flow dump returns it (OVS's `dpif_flow`): its
+/// UFID, and the masked key, mask, actions and counters the per-flow
+/// step reads — the ukey keeps none of them.
+#[derive(Debug)]
+pub struct DumpedFlow<'a, A> {
+    /// The flow's UFID, which finds its ukey.
+    pub ufid: Ufid,
+    /// Masked key, which a re-translation translates.
+    pub key: &'a FlowKey,
+    /// The wildcard mask the flow was installed under.
+    pub mask: &'a FlowMask,
+    /// The actions installed.
+    pub actions: &'a A,
+    /// `None` once the datapath no longer has the flow.
+    pub counters: Option<FlowCounters>,
+}
+
+/// A datapath flow table as a revalidation pass prunes it, by UFID: the
+/// userspace megaflow cache or the kernel module's flow table.
 pub trait FlowTable {
     /// Datapath flows installed.
     fn n_flows(&self) -> usize;
-    /// The counters of the flow installed under `key`/`mask`, or `None`
-    /// once the datapath no longer has it.
-    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowCounters>;
-    /// Delete the flow installed under `key`/`mask`.
-    fn delete_flow(&mut self, key: &FlowKey, mask: &FlowMask);
+    /// The masked key and counters of the flow with this UFID, or `None`
+    /// once the datapath no longer has it (eviction ranks by them).
+    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)>;
+    /// Delete the flow with this UFID.
+    fn delete_flow(&mut self, ufid: Ufid);
 }
 
 impl<A> FlowTable for MegaflowCache<A> {
@@ -232,26 +277,13 @@ impl<A> FlowTable for MegaflowCache<A> {
         self.len()
     }
 
-    fn flow_counters(&self, key: &FlowKey, _: &FlowMask) -> Option<FlowCounters> {
-        Some(self.get(key)?.counters())
+    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)> {
+        let e = self.get(ufid)?;
+        Some((&e.key, e.counters()))
     }
 
-    fn delete_flow(&mut self, key: &FlowKey, _: &FlowMask) {
-        self.remove(key);
-    }
-}
-
-impl FlowTable for OvsModule {
-    fn n_flows(&self) -> usize {
-        self.flow_count()
-    }
-
-    fn flow_counters(&self, key: &FlowKey, mask: &FlowMask) -> Option<FlowCounters> {
-        self.flow_stats(key, mask)
-    }
-
-    fn delete_flow(&mut self, key: &FlowKey, mask: &FlowMask) {
-        self.remove_flow(key, mask);
+    fn delete_flow(&mut self, ufid: Ufid) {
+        self.remove(ufid);
     }
 }
 
@@ -282,12 +314,11 @@ impl Sweep {
     }
 }
 
-/// Per-dpif revalidator state: the ukey table, the dynamic flow limit,
-/// and sweep statistics. Generic over the datapath action language so
-/// both `DpifNetdev` (`Vec<DpAction>`) and `DpifNetlink`
-/// (`Vec<KAction>`) can embed one.
+/// Per-dpif revalidator state: the ukeys by UFID, the dynamic flow
+/// limit, and sweep statistics. Both `DpifNetdev` and `DpifNetlink`
+/// embed one; the per-flow step is generic over their action languages.
 #[derive(Debug)]
-pub struct Revalidator<A> {
+pub struct Revalidator {
     pub cfg: RevalidatorConfig,
     /// The current dynamic flow limit (installs stop at this many
     /// datapath flows; sweeps evict back down to it).
@@ -295,16 +326,16 @@ pub struct Revalidator<A> {
     /// Simulated duration of the last dump pass (ms).
     pub dump_duration_ms: u64,
     pub stats: RevalStats,
-    ukeys: HashMap<FlowKey, Ukey<A>>,
+    ukeys: UfidMap<Ukey>,
 }
 
-impl<A> Default for Revalidator<A> {
+impl Default for Revalidator {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A> Revalidator<A> {
+impl Revalidator {
     /// A revalidator with default (OVS) tunables.
     pub fn new() -> Self {
         Self::with_config(RevalidatorConfig::default())
@@ -317,7 +348,7 @@ impl<A> Revalidator<A> {
             flow_limit,
             dump_duration_ms: 0,
             stats: RevalStats::default(),
-            ukeys: HashMap::new(),
+            ukeys: UfidMap::default(),
         }
     }
 
@@ -362,15 +393,15 @@ impl<A> Revalidator<A> {
         self.stats.max_flows = self.stats.max_flows.max(n_flows as u64);
     }
 
-    /// Track a newly installed datapath flow under its masked `key`.
-    /// Replaces (and drops) any previous ukey under the same key.
-    pub fn register(&mut self, key: FlowKey, ukey: Ukey<A>) {
-        self.ukeys.insert(key, ukey);
+    /// Track a newly installed datapath flow under its UFID. Replaces
+    /// (and drops) any previous ukey under the same UFID.
+    pub fn register(&mut self, ufid: Ufid, ukey: Ukey) {
+        self.ukeys.insert(ufid, ukey);
     }
 
     /// Drop the ukey for a deleted datapath flow.
-    pub fn forget(&mut self, key: &FlowKey) -> Option<Ukey<A>> {
-        self.ukeys.remove(key)
+    pub fn forget(&mut self, ufid: Ufid) -> Option<Ukey> {
+        self.ukeys.remove(&ufid)
     }
 
     /// Drop every ukey (cache flush).
@@ -383,24 +414,16 @@ impl<A> Revalidator<A> {
         self.ukeys.len()
     }
 
-    pub fn ukey(&self, key: &FlowKey) -> Option<&Ukey<A>> {
-        self.ukeys.get(key)
-    }
-
-    /// Snapshot of tracked keys, in a deterministic order (sweep order
-    /// must not depend on `HashMap` iteration).
-    pub fn keys(&self) -> Vec<FlowKey> {
-        let mut ks: Vec<FlowKey> = self.ukeys.keys().copied().collect();
-        ks.sort_by_key(|k| k.hash());
-        ks
+    pub fn ukey(&self, ufid: Ufid) -> Option<&Ukey> {
+        self.ukeys.get(&ufid)
     }
 
     /// Credit the delta between the flow's current counters and what was
     /// already pushed to every rule on the flow's translation path, and
     /// remember the new high-water marks. Returns the (packets, bytes)
     /// delta pushed.
-    pub fn push_stats(&mut self, key: &FlowKey, n_packets: u64, n_bytes: u64) -> (u64, u64) {
-        match self.ukeys.get_mut(key) {
+    pub fn push_stats(&mut self, ufid: Ufid, n_packets: u64, n_bytes: u64) -> (u64, u64) {
+        match self.ukeys.get_mut(&ufid) {
             Some(uk) => push(uk, &mut self.stats, n_packets, n_bytes),
             None => (0, 0),
         }
@@ -422,37 +445,35 @@ impl<A> Revalidator<A> {
         }
     }
 
-    /// The per-flow step every pass shares. `counters` are the flow's
-    /// counters from the driver's dump, `None` once the datapath no
-    /// longer has the flow. Count the dump, push the flow's stats, then
-    /// delete the flow (kill-all, else idle, else hard) or keep it. A
-    /// flow already checked at the pass's table version is kept without
-    /// re-translating; any other is re-translated by `xlate` (into the
-    /// ukey's action language) and deleted if its actions or mask
-    /// changed, else its rule refs are refreshed — the rules backing an
-    /// unchanged flow may still have changed — and it is marked checked.
-    /// A restored flow is only counted: it has no rule refs to push to,
-    /// so it waits for the dpif's reconciliation, which gets its
-    /// `(packets, bytes)`. Flows installed behind the dpif's back have no
-    /// ukey and are left alone.
-    pub fn revalidate_flow(
+    /// The per-flow step every pass shares, on one flow as the driver's
+    /// dump returns it; its ukey is found by the flow's UFID. Count the
+    /// dump, push the flow's stats, then delete the flow (kill-all, else
+    /// idle, else hard) or keep it. A flow already checked at the pass's
+    /// table version is kept without re-translating; any other is
+    /// re-translated by `xlate` (into the dump's action language) and
+    /// deleted if its actions or mask differ from the dumped ones, else
+    /// its rule refs are refreshed — the rules backing an unchanged flow
+    /// may still have changed — and it is marked checked. A restored flow
+    /// is only counted: it has no rule refs to push to, so it waits for
+    /// the dpif's reconciliation, which gets its `(packets, bytes)`.
+    /// Flows installed behind the dpif's back have no ukey and are left
+    /// alone.
+    pub fn revalidate_flow<A: PartialEq>(
         &mut self,
         sweep: &mut Sweep,
         table: &mut impl FlowTable,
-        key: &FlowKey,
-        counters: Option<FlowCounters>,
+        flow: DumpedFlow<'_, A>,
         xlate: impl FnOnce(&FlowKey) -> (A, FlowMask, Vec<Rc<RuleEntry>>),
-    ) -> Option<(u64, u64)>
-    where
-        A: PartialEq,
-    {
+    ) -> Option<(u64, u64)> {
         coverage!("revalidate_flow");
         self.stats.flows_dumped += 1;
         sweep.summary.dumped += 1;
-        let uk = self.ukeys.get_mut(key)?;
-        let Some((packets, bytes, used, created)) = counters else {
-            // The datapath dropped the flow behind the pass's back.
-            self.ukeys.remove(key);
+        let uk = self.ukeys.get_mut(&flow.ufid)?;
+        let Some((packets, bytes, used, created)) = flow.counters else {
+            // The datapath dropped the flow behind the pass's back:
+            // forget whatever is left of it.
+            self.ukeys.remove(&flow.ufid);
+            table.delete_flow(flow.ufid);
             return None;
         };
         if uk.is_restored() {
@@ -470,37 +491,40 @@ impl<A> Revalidator<A> {
             // Checked against these very tables: nothing to re-translate.
             return None;
         } else {
-            let (actions, mask, rules) = xlate(key);
-            if actions == uk.actions && mask == uk.mask {
+            let (actions, mask, rules) = xlate(flow.key);
+            if actions == *flow.actions && mask == *flow.mask {
                 uk.rules = rules;
                 uk.version = Some(sweep.version);
                 return None;
             }
             DeleteReason::Changed
         };
-        self.delete(sweep, table, key, reason);
+        self.delete(sweep, table, flow.ufid, reason);
         None
     }
 
     /// Evict least-recently-used flows until the datapath is back at the
     /// flow limit. Candidates are the flows the dpif installed (those with
     /// ukeys); `keep_restored` spares the ones still awaiting
-    /// reconciliation. Ties on `used` break on the key hash, so the order
-    /// never depends on `HashMap` iteration.
+    /// reconciliation. Ties on `used` break on the masked key's hash, so
+    /// the order never depends on `HashMap` iteration.
     pub fn evict(&mut self, sweep: &mut Sweep, table: &mut impl FlowTable, keep_restored: bool) {
         let n_flows = table.n_flows();
         if n_flows <= self.flow_limit {
             return;
         }
-        let mut lru: Vec<(u64, u64, FlowKey)> = self
+        let mut lru: Vec<(u64, u64, Ufid)> = self
             .ukeys
             .iter()
             .filter(|(_, uk)| !(keep_restored && uk.is_restored()))
-            .filter_map(|(k, uk)| Some((table.flow_counters(k, &uk.mask)?.2, k.hash(), *k)))
+            .filter_map(|(&ufid, _)| {
+                let (key, (_, _, used, _)) = table.dump_flow(ufid)?;
+                Some((used, key.hash(), ufid))
+            })
             .collect();
         lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
-        for (_, _, k) in lru.into_iter().take(n_flows - self.flow_limit) {
-            self.delete(sweep, table, &k, DeleteReason::Evicted);
+        for (_, _, ufid) in lru.into_iter().take(n_flows - self.flow_limit) {
+            self.delete(sweep, table, ufid, DeleteReason::Evicted);
         }
     }
 
@@ -521,7 +545,7 @@ impl<A> Revalidator<A> {
         &mut self,
         sweep: &mut Sweep,
         table: &mut impl FlowTable,
-        key: &FlowKey,
+        ufid: Ufid,
         reason: DeleteReason,
     ) {
         let (s, p) = (&mut self.stats, &mut sweep.summary);
@@ -545,8 +569,8 @@ impl<A> Revalidator<A> {
         };
         *lifetime += 1;
         *pass += 1;
-        if let Some(uk) = self.ukeys.remove(key) {
-            table.delete_flow(key, &uk.mask);
+        if self.ukeys.remove(&ufid).is_some() {
+            table.delete_flow(ufid);
         }
     }
 
@@ -559,8 +583,8 @@ impl<A> Revalidator<A> {
     /// against tables at `version` and record that version, re-enabling
     /// stats pushback. The next `push_stats` credits exactly the packets
     /// forwarded since the snapshot was taken.
-    pub fn adopt(&mut self, key: &FlowKey, rules: Vec<Rc<RuleEntry>>, version: u64) {
-        if let Some(uk) = self.ukeys.get_mut(key) {
+    pub fn adopt(&mut self, ufid: Ufid, rules: Vec<Rc<RuleEntry>>, version: u64) {
+        if let Some(uk) = self.ukeys.get_mut(&ufid) {
             uk.rules = rules;
             uk.version = Some(version);
         }
@@ -593,7 +617,7 @@ impl<A> Revalidator<A> {
 }
 
 /// [`Revalidator::push_stats`] on one ukey.
-fn push<A>(uk: &mut Ukey<A>, stats: &mut RevalStats, n_packets: u64, n_bytes: u64) -> (u64, u64) {
+fn push(uk: &mut Ukey, stats: &mut RevalStats, n_packets: u64, n_bytes: u64) -> (u64, u64) {
     if uk.is_restored() {
         // No rule refs yet: crediting would silently swallow the
         // delta. Hold it until the reconciliation sweep adopts the
@@ -637,7 +661,7 @@ mod tests {
         })
     }
 
-    fn reval() -> Revalidator<u32> {
+    fn reval() -> Revalidator {
         Revalidator::with_config(RevalidatorConfig {
             flow_limit_min: 1_000,
             flow_limit_max: 200_000,
@@ -701,55 +725,55 @@ mod tests {
     #[test]
     fn stats_pushback_is_incremental() {
         let rule = rule();
-        let mut r: Revalidator<u32> = Revalidator::new();
-        let key = FlowKey::default();
-        r.register(
-            key,
-            Ukey::new(FlowMask::EXACT, 0, vec![Rc::clone(&rule)], 0, 1),
-        );
-        assert_eq!(r.push_stats(&key, 10, 640), (10, 640));
+        let mut r = Revalidator::new();
+        let ufid = Ufid::of(&FlowKey::default());
+        r.register(ufid, Ukey::new(vec![Rc::clone(&rule)], 1));
+        assert_eq!(r.push_stats(ufid, 10, 640), (10, 640));
         assert_eq!(rule.n_packets.get(), 10);
         // Second push only credits the delta.
-        assert_eq!(r.push_stats(&key, 15, 960), (5, 320));
+        assert_eq!(r.push_stats(ufid, 15, 960), (5, 320));
         assert_eq!(rule.n_packets.get(), 15);
         assert_eq!(rule.n_bytes.get(), 960);
         assert_eq!(r.stats.pushed_packets, 15);
-        // Unknown keys push nothing.
+        // Unknown flows push nothing.
         let mut other = FlowKey::default();
         other.set_in_port(9);
-        assert_eq!(r.push_stats(&other, 5, 5), (0, 0));
+        assert_eq!(r.push_stats(Ufid::of(&other), 5, 5), (0, 0));
     }
 
     #[test]
     fn restored_ukey_holds_pushback_until_adopted() {
         let rule = rule();
-        let mut r: Revalidator<u32> = Revalidator::new();
-        let key = FlowKey::default();
+        let mut r = Revalidator::new();
+        let ufid = Ufid::of(&FlowKey::default());
         // Snapshot carried 10 packets already pushed to the old rules.
-        r.register(key, Ukey::restored(FlowMask::EXACT, 0, 0, 10, 640));
+        r.register(ufid, Ukey::restored(10, 640));
         assert_eq!(r.restored_count(), 1);
         // Pushback while rule-less is held, not swallowed.
-        assert_eq!(r.push_stats(&key, 14, 896), (0, 0));
+        assert_eq!(r.push_stats(ufid, 14, 896), (0, 0));
         // Adoption re-resolves rules; the next push credits exactly the
         // post-snapshot delta (14 - 10 = 4 packets).
-        r.adopt(&key, vec![Rc::clone(&rule)], 1);
+        r.adopt(ufid, vec![Rc::clone(&rule)], 1);
         assert_eq!(r.restored_count(), 0);
-        assert_eq!(r.push_stats(&key, 14, 896), (4, 256));
+        assert_eq!(r.push_stats(ufid, 14, 896), (4, 256));
         assert_eq!(rule.n_packets.get(), 4);
         assert_eq!(rule.n_bytes.get(), 256);
     }
 
     #[test]
-    fn keys_are_deterministic() {
-        let mut r: Revalidator<u32> = Revalidator::new();
+    fn a_ufid_names_one_masked_key() {
+        let mut r = Revalidator::new();
         for i in 0..32u32 {
             let mut k = FlowKey::default();
             k.set_in_port(i);
-            r.register(k, Ukey::new(FlowMask::EXACT, 0, vec![], 0, 1));
+            assert_eq!(Ufid::of(&k), Ufid::of(&k), "a function of the key");
+            r.register(Ufid::of(&k), Ukey::new(vec![], 1));
         }
-        let a = r.keys();
-        let b = r.keys();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 32);
+        assert_eq!(r.ukey_count(), 32, "distinct keys, distinct ukeys");
+        let mut k = FlowKey::default();
+        k.set_in_port(7);
+        assert!(r.forget(Ufid::of(&k)).is_some());
+        assert!(r.ukey(Ufid::of(&k)).is_none());
+        assert_eq!(r.ukey_count(), 31);
     }
 }

@@ -34,7 +34,9 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// One installed megaflow, serialized.
 #[derive(Debug, Clone)]
 pub struct FlowRecord {
-    /// Masked key — the datapath flow's identity.
+    /// Masked key — the datapath flow's identity. Restore recomputes the
+    /// flow's UFID from it: a UFID is keyed by a per-process secret, so a
+    /// snapshot that carried one would neither repeat nor restore.
     pub key: FlowKey,
     /// The wildcard mask it was installed under.
     pub mask: FlowMask,

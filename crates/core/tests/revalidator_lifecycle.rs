@@ -173,6 +173,85 @@ fn table_swapped_in_whole_is_revalidated_by_the_next_sweep() {
     assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
 }
 
+/// An upcall whose megaflow has the masked key of an installed one under
+/// a different mask replaces it: one flow per masked key. The old flow's
+/// hits reach its rules exactly once, and the old entry is dead.
+#[test]
+fn narrower_mask_over_the_same_masked_key_replaces_the_flow() {
+    let (mut k, mut dp, nics) = setup();
+    dp.set_emc_insert_inv_prob(1);
+    dp.add_flows(
+        "table=0, priority=20, udp, tp_dst=80, actions=output:2\n\
+         table=0, priority=10, udp, actions=output:1",
+    )
+    .unwrap();
+    let rules: Vec<_> = dp.ofproto.iter_rules().cloned().collect();
+    let rule = |priority| rules.iter().find(|r| r.rule.priority == priority).unwrap();
+    let (port_80, plain) = (rule(20), rule(10));
+    let to_port = |tp_dst| {
+        let f = builder::udp_ipv4_frame(
+            MacAddr::new(2, 0, 0, 0, 9, 9),
+            MacAddr::new(2, 0, 0, 0, 0, 1),
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            4000,
+            tp_dst,
+            96,
+        );
+        (f.len() as u64, f)
+    };
+
+    // A frame to port 0 examines the port-80 rule, so its megaflow masks
+    // tp_dst and its masked key has tp_dst 0. One upcall, two cache hits.
+    let (len, to_0) = to_port(0);
+    for _ in 0..3 {
+        k.receive(nics[0], 0, to_0.clone());
+        dp.pmd_poll(&mut k, 0, 0, 1);
+    }
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 3);
+    assert_eq!(dp.megaflow_count(), 1);
+    assert_eq!(plain.n_packets.get(), 1, "only the upcall so far");
+
+    // The swapped-in table has no port-80 rule. A frame to port 5000
+    // misses the old flow and translates to the narrower mask, whose
+    // masked key is the old one.
+    let mut other = Ofproto::new();
+    other.add_rule(OfRule {
+        table: 0,
+        priority: 10,
+        key: plain.rule.key,
+        mask: plain.rule.mask,
+        actions: vec![OfAction::Output(2)],
+        cookie: 0,
+    });
+    std::mem::swap(&mut dp.ofproto, &mut other);
+    let deleted = dp.stats.flows_deleted;
+    k.receive(nics[0], 0, to_port(5000).1);
+    dp.pmd_poll(&mut k, 0, 0, 1);
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
+    assert_eq!(dp.megaflow_count(), 1, "replaced, not added");
+    assert_eq!(dp.revalidator.ukey_count(), 1);
+    assert_eq!(dp.stats.flows_deleted, deleted + 1);
+
+    // The old flow's two hits reached the first table's rules once.
+    assert_eq!(plain.n_packets.get(), 3);
+    assert_eq!(plain.n_bytes.get(), 3 * len);
+    assert_eq!(port_80.n_packets.get(), 0);
+
+    // The old entry is dead: the port-0 frame's EMC slot misses, and the
+    // new flow sends it to port 2.
+    k.receive(nics[0], 0, to_0);
+    dp.pmd_poll(&mut k, 0, 0, 1);
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 3, "dead entry served");
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 2);
+
+    // A sweep pushes nothing more to the first table.
+    let s = dp.revalidate(&mut k, 0);
+    assert_eq!((s.dumped, s.deleted()), (1, 0));
+    assert_eq!(plain.n_packets.get(), 3, "pushed exactly once");
+    assert!(dp.stats.coherent(), "{:?}", dp.stats);
+}
+
 #[test]
 fn idle_flows_expire_and_keep_their_stats() {
     let (mut k, mut dp, nics) = setup();

@@ -1,6 +1,6 @@
 //! Revalidator sweep cost vs installed megaflow count: each sweep dumps
-//! every datapath flow with its counters, finds its ukey by UFID and
-//! pushes the stats delta into the matched rules — so the cost should
+//! every datapath flow with its counters and the ukey kept in its entry,
+//! and pushes the stats delta into the matched rules — so the cost should
 //! scale linearly with the table size. This is the per-flow overhead that
 //! bounds how large a flow limit a revalidator core can sustain at a
 //! given sweep interval. The groups:

@@ -1,7 +1,7 @@
 //! The datapath flow caches: exact-match cache (EMC), signature match
 //! cache (SMC), and megaflow cache.
 //!
-//! The fast path is a multi-level hierarchy (§5.2, [56]):
+//! The fast path is a multi-level hierarchy (§5.2, \[56\]):
 //!
 //! 1. **EMC** — a small exact-match hash over the full flow key; one probe,
 //!    no masking.
@@ -19,18 +19,19 @@
 //! datapath couldn't have it.
 
 use crate::classifier::{Classifier, Rule};
-use crate::revalidator::{FlowCounters, Ufid, UfidMap};
+use crate::revalidator::{FlowCounters, Ufid, UfidMap, Ukey};
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// A cached megaflow: the actions to run and the wildcard mask it was
-/// installed under, plus the per-flow stats the revalidator dumps
-/// (`n_packets`/`n_bytes`/`used`, as in `dpctl/dump-flows`).
-#[derive(Debug, PartialEq)]
+/// installed under, the per-flow stats the revalidator dumps
+/// (`n_packets`/`n_bytes`/`used`, as in `dpctl/dump-flows`), and its
+/// ukey — one record per datapath flow.
+#[derive(Debug)]
 pub struct MegaflowEntry<A> {
-    /// The flow's unique ID, the hash of `key`; its ukey and its index
-    /// entry are found by it.
+    /// The flow's unique ID, the hash of `key`; its index entry is found
+    /// by it.
     pub ufid: Ufid,
     /// Masked match key.
     pub key: FlowKey,
@@ -56,11 +57,16 @@ pub struct MegaflowEntry<A> {
     /// slot (or other holder of the `Rc`) may still reference it; a dead
     /// entry must never forward a packet.
     pub dead: Cell<bool>,
+    /// The revalidator's record of the flow: rule refs, pushback marks
+    /// and checked table version. Only the upcall, sweep, snapshot and
+    /// flush paths touch it, never a cache hit.
+    pub ukey: RefCell<Ukey>,
 }
 
 impl<A> MegaflowEntry<A> {
     /// A fresh entry for the masked `key`, created at sim-time `now_ns`.
-    /// Its UFID is computed here, once.
+    /// Its UFID is computed here, once; its ukey is the default one until
+    /// the datapath records the flow's translation in it.
     pub fn new(key: FlowKey, mask: FlowMask, actions: A, now_ns: u64) -> Self {
         Self {
             ufid: Ufid::of(&key),
@@ -74,6 +80,7 @@ impl<A> MegaflowEntry<A> {
             used_ns: Cell::new(now_ns),
             created_ns: Cell::new(now_ns),
             dead: Cell::new(false),
+            ukey: RefCell::default(),
         }
     }
 
@@ -380,7 +387,7 @@ pub struct MegaflowCache<A> {
     pub hits: u64,
     /// Misses (upcalls).
     pub misses: u64,
-    /// Bumped on every install/remove/flush. A bulk-probe miss verdict
+    /// Bumped on every install and removal. A bulk-probe miss verdict
     /// stays valid as long as the generation is unchanged, so the caller
     /// can skip the scalar re-probe when no flow was installed since.
     generation: u64,
@@ -398,7 +405,7 @@ impl<A> MegaflowCache<A> {
         }
     }
 
-    /// Table-change generation (installs, removals, flushes).
+    /// Table-change generation (installs and removals).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -553,32 +560,14 @@ impl<A> MegaflowCache<A> {
         self.installed.contains_key(&ufid)
     }
 
-    /// The installed entry with this UFID, if any.
-    pub fn get(&self, ufid: Ufid) -> Option<&Rc<MegaflowEntry<A>>> {
-        self.installed.get(&ufid)
-    }
-
-    /// Remove one megaflow, marking the entry dead for any EMC holders.
-    pub fn remove(&mut self, ufid: Ufid) -> bool {
+    /// Remove one megaflow, marking the entry dead for any EMC holders,
+    /// and return it.
+    pub fn remove(&mut self, ufid: Ufid) -> Option<Rc<MegaflowEntry<A>>> {
         self.generation += 1;
-        match self.installed.remove(&ufid) {
-            Some(e) => {
-                e.dead.set(true);
-                self.cls.remove(&e.key, &e.mask) > 0
-            }
-            None => false,
-        }
-    }
-
-    /// Drop everything (OpenFlow table change revalidation). All entries
-    /// are marked dead so EMC references cannot forward stale flows.
-    pub fn flush(&mut self) {
-        self.generation += 1;
-        for e in self.installed.values() {
-            e.dead.set(true);
-        }
-        self.cls.clear();
-        self.installed.clear();
+        let e = self.installed.remove(&ufid)?;
+        e.dead.set(true);
+        self.cls.remove(&e.key, &e.mask);
+        Some(e)
     }
 
     /// Iterate over installed megaflows (masked key, mask, hits, actions).
@@ -667,14 +656,14 @@ mod tests {
     }
 
     #[test]
-    fn megaflow_remove_and_flush() {
+    fn megaflow_remove_returns_the_dead_entry() {
         let mut mf: MegaflowCache<u32> = MegaflowCache::new();
         let mask = FlowMask::of_fields(&[&fields::NW_DST]);
         let e = mf.install(key(5), mask, 1);
-        assert!(mf.remove(e.ufid));
+        assert!(Rc::ptr_eq(&mf.remove(e.ufid).unwrap(), &e));
+        assert!(e.dead.get());
         assert!(mf.lookup(&key(5)).is_none());
-        mf.install(key(6), mask, 2);
-        mf.flush();
+        assert!(mf.remove(e.ufid).is_none(), "removed once");
         assert!(mf.is_empty());
     }
 
@@ -686,7 +675,7 @@ mod tests {
         emc.insert(m(1), h(1), Rc::clone(&e));
         assert!(emc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the EMC alias must miss.
-        assert!(mf.remove(e.ufid));
+        assert!(mf.remove(e.ufid).is_some());
         assert!(
             emc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from EMC"
@@ -700,9 +689,9 @@ mod tests {
         let mut mf: MegaflowCache<u32> = MegaflowCache::new();
         for i in 0..8u8 {
             let e = mf.install_at(key(i), FlowMask::EXACT, u32::from(i), 0);
-            emc.insert(m(i), h(i), e);
+            emc.insert(m(i), h(i), Rc::clone(&e));
+            mf.remove(e.ufid); // marks it dead
         }
-        mf.flush(); // marks everything dead
         assert_eq!(emc.purge_dead(), 8);
         assert!(emc.is_empty());
     }
@@ -756,7 +745,7 @@ mod tests {
         assert!(smc.lookup(&m(1), h(1)).is_some());
         // Revalidation removes the megaflow: the SMC alias must miss
         // and the slot is reclaimed in place.
-        assert!(mf.remove(e.ufid));
+        assert!(mf.remove(e.ufid).is_some());
         assert!(
             smc.lookup(&m(1), h(1)).is_none(),
             "dead entry served from SMC"
@@ -768,12 +757,16 @@ mod tests {
     fn smc_purge_dead_and_flush() {
         let mut smc: Smc<u32> = Smc::with_buckets(64);
         let mut mf: MegaflowCache<u32> = MegaflowCache::new();
+        let mut ufids = Vec::new();
         for i in 0..8u8 {
             let e = mf.install_at(key(i), FlowMask::EXACT, u32::from(i), 0);
+            ufids.push(e.ufid);
             smc.insert(h(i), e);
         }
         assert_eq!(smc.len(), 8);
-        mf.flush(); // marks everything dead
+        for ufid in ufids {
+            mf.remove(ufid); // marks it dead
+        }
         assert_eq!(smc.purge_dead(), 8);
         assert!(smc.is_empty());
         let e = mf.install_at(key(9), FlowMask::EXACT, 9, 0);

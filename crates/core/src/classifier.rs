@@ -215,11 +215,6 @@ impl<V> Classifier<V> {
         removed
     }
 
-    /// Remove everything.
-    pub fn clear(&mut self) {
-        self.subtables.clear();
-    }
-
     /// Find the highest-priority matching rule. Also reports how many
     /// subtables were probed (the classifier's work metric), and feeds
     /// the hit-count ranking that periodically re-sorts the vector.
@@ -440,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_drops_emptied_subtables() {
         let mut c = Classifier::new();
         c.insert(rule([1, 1, 1, 1], 32, 5, 1));
         c.insert(rule([2, 2, 2, 2], 32, 5, 2));
@@ -449,7 +444,7 @@ mod tests {
         assert_eq!(c.remove(&key_dst([1, 1, 1, 1]), &mask), 1);
         assert!(c.lookup(&key_dst([1, 1, 1, 1])).is_none());
         assert!(c.lookup(&key_dst([2, 2, 2, 2])).is_some());
-        c.clear();
+        assert_eq!(c.remove(&key_dst([2, 2, 2, 2]), &mask), 1);
         assert!(c.is_empty());
         assert_eq!(c.subtable_count(), 0);
     }

@@ -23,7 +23,7 @@ use crate::meter::MeterSet;
 use crate::mirror::MirrorSession;
 use crate::ofproto::Ofproto;
 use crate::revalidator::{
-    DumpedFlow, FlowCounters, FlowTable, Revalidator, Sweep, SweepSummary, Ufid, UfidMap, Ukey,
+    DumpedFlow, Revalidator, Sweep, SweepSummary, Ufid, UfidMap, Ukey, Verdict,
 };
 use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
@@ -503,9 +503,8 @@ pub struct DpifNetdev {
     /// Active `ofproto/trace` context, attached to the packet currently
     /// in flight. `None` on the fast path — tracing costs nothing then.
     pub trace: Option<TraceCtx>,
-    /// udpif revalidator state: ukeys (one per installed megaflow, with
-    /// the rule refs stats push back to), the dynamic flow limit, and
-    /// sweep accounting.
+    /// udpif revalidator state: the dynamic flow limit and sweep
+    /// accounting. Each megaflow's ukey lives in its entry.
     pub revalidator: Revalidator,
     /// `flow-restore-wait` state: while `restore.wait` is set, megaflow
     /// misses are gated instead of upcalled and restored flows keep
@@ -710,19 +709,16 @@ impl DpifNetdev {
         self.megaflow.lane_width()
     }
 
-    /// Flush both cache levels. Residual per-flow stats are pushed up to
-    /// the OpenFlow rules first so no `n_packets` are lost, then every
-    /// ukey is dropped with its flow.
+    /// Flush both cache levels. Every megaflow is deleted like any other,
+    /// its residual stats pushed up to the OpenFlow rules first so no
+    /// `n_packets` are lost.
     pub fn flush_caches(&mut self) {
-        for e in self.megaflow.iter() {
-            self.revalidator
-                .push_stats(e.ufid, e.hits.get(), e.bytes.get());
+        let flows: Vec<Ufid> = self.megaflow.iter().map(|e| e.ufid).collect();
+        for ufid in flows {
+            self.delete_megaflow(ufid);
         }
-        self.stats.flows_deleted += self.megaflow.len() as u64;
-        self.revalidator.clear_ukeys();
         self.emc.flush();
         self.smc.flush();
-        self.megaflow.flush();
     }
 
     /// Exchange the datapath's active EMC/SMC pair with a PMD thread's
@@ -863,11 +859,9 @@ impl DpifNetdev {
         for e in &flows {
             self.revalidate_megaflow(&mut sweep, e);
         }
-        // Every flow the pass deleted left the megaflow cache.
-        self.stats.flows_deleted += sweep.summary.deleted();
         self.emc.purge_dead();
         self.smc.purge_dead();
-        sweep.summary.deleted() as usize
+        self.revalidator.close(sweep).deleted() as usize
     }
 
     /// Capture the full datapath state — every installed megaflow (with
@@ -877,20 +871,18 @@ impl DpifNetdev {
     /// restore the re-adopted flows credit the *new* rules exactly the
     /// packets forwarded since this instant.
     pub fn snapshot(&mut self, now_ns: u64) -> DpSnapshot {
-        let reval = &mut self.revalidator;
+        let stats = &mut self.revalidator.stats;
         let mut flows: Vec<FlowRecord> = self
             .megaflow
             .iter()
             .map(|e| {
                 let (hits, bytes) = (e.hits.get(), e.bytes.get());
-                reval.push_stats(e.ufid, hits, bytes);
-                // After the flush pushed == hits, except for flows that
+                let mut uk = e.ukey.borrow_mut();
+                uk.push(stats, hits, bytes);
+                // After the push pushed == hits, except for flows that
                 // were themselves restored-and-unreconciled (a restart
                 // during a restore window): their marks carry over
                 // untouched.
-                let (pushed_packets, pushed_bytes) = reval
-                    .ukey(e.ufid)
-                    .map_or((hits, bytes), |u| (u.pushed_packets, u.pushed_bytes));
                 // The record keeps the masked key, not the UFID: that is
                 // keyed by this process's secret, and restore recomputes it.
                 FlowRecord {
@@ -901,8 +893,8 @@ impl DpifNetdev {
                     bytes,
                     used_ns: e.used_ns.get(),
                     created_ns: e.created_ns.get(),
-                    pushed_packets,
-                    pushed_bytes,
+                    pushed_packets: uk.pushed_packets,
+                    pushed_bytes: uk.pushed_bytes,
                 }
             })
             .collect();
@@ -941,9 +933,10 @@ impl DpifNetdev {
             entry.bytes.set(f.bytes);
             entry.used_ns.set(f.used_ns);
             entry.created_ns.set(f.created_ns);
+            entry
+                .ukey
+                .replace(Ukey::restored(f.pushed_packets, f.pushed_bytes));
             self.stats.flows_installed += 1;
-            self.revalidator
-                .register(entry.ufid, Ukey::restored(f.pushed_packets, f.pushed_bytes));
             coverage!("flow_restored");
         }
         st.restored_flows = snap.flows.len() as u64;
@@ -1014,45 +1007,57 @@ impl DpifNetdev {
             self.stats.upcalls_gated,
             self.stats.restore_adopted,
             self.stats.restore_orphaned,
-            self.revalidator.restored_count(),
+            self.restored_count(),
         )
     }
 
+    /// Restored megaflows still awaiting reconciliation.
+    pub fn restored_count(&self) -> usize {
+        self.megaflow
+            .iter()
+            .filter(|e| e.ukey.borrow().is_restored())
+            .count()
+    }
+
     /// Delete one megaflow (by UFID), pushing its outstanding stats up
-    /// to the OpenFlow rules first.
+    /// to the OpenFlow rules first. Every megaflow deletion comes here.
     fn delete_megaflow(&mut self, ufid: Ufid) {
-        if let Some(e) = self.megaflow.get(ufid) {
-            self.revalidator
-                .push_stats(ufid, e.hits.get(), e.bytes.get());
-        }
-        self.revalidator.forget(ufid);
-        if self.megaflow.remove(ufid) {
+        if let Some(e) = self.megaflow.remove(ufid) {
+            let stats = &mut self.revalidator.stats;
+            e.ukey.borrow_mut().push(stats, e.hits.get(), e.bytes.get());
             self.stats.flows_deleted += 1;
         }
     }
 
-    /// The pass's per-flow step on one megaflow: the entry is the flow
-    /// as a dump returns it (UFID, masked key, mask, actions and
-    /// counters), and a re-translation (when the step needs one) goes
-    /// through this datapath's tables.
+    /// The pass's per-flow step on one megaflow, deleting it on that
+    /// verdict: the entry is the flow as a dump returns it (masked key,
+    /// mask, actions, counters and ukey), and a re-translation (when the
+    /// step needs one) goes through this datapath's tables.
     fn revalidate_megaflow(
         &mut self,
         sweep: &mut Sweep,
         e: &MegaflowEntry<Vec<DpAction>>,
-    ) -> Option<(u64, u64)> {
+    ) -> Verdict {
         let ofproto = &mut self.ofproto;
-        let flow = DumpedFlow {
-            ufid: e.ufid,
-            key: &e.key,
-            mask: &e.mask,
-            actions: &e.actions,
-            counters: Some(e.counters()),
-        };
-        self.revalidator
-            .revalidate_flow(sweep, &mut self.megaflow, flow, |k| {
+        // The ukey's borrow ends with this statement, before a delete.
+        let verdict = self.revalidator.revalidate_flow(
+            sweep,
+            DumpedFlow {
+                key: &e.key,
+                mask: &e.mask,
+                actions: &e.actions,
+                counters: e.counters(),
+                ukey: &mut e.ukey.borrow_mut(),
+            },
+            |k| {
                 let t = ofproto.translate(k);
                 (t.actions, t.mask, t.rules)
-            })
+            },
+        );
+        if verdict == Verdict::Delete {
+            self.delete_megaflow(e.ufid);
+        }
+        verdict
     }
 
     /// One full revalidator round over the userspace datapath: the
@@ -1082,15 +1087,12 @@ impl DpifNetdev {
         for e in &flows {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
-            let Some((hits, bytes)) = self.revalidate_megaflow(&mut sweep, e) else {
-                continue;
-            };
             // Orphan reconciliation of a restored flow: re-translating
             // the masked key against the repopulated table either
             // re-adopts the flow (rules re-resolved, stats pushback
             // resumes exactly where the snapshot left off) or deletes it
             // as an orphan.
-            if budget == 0 {
+            if self.revalidate_megaflow(&mut sweep, e) != Verdict::Reconcile || budget == 0 {
                 continue;
             }
             budget -= 1;
@@ -1099,8 +1101,9 @@ impl DpifNetdev {
             let c = t.tables_visited as f64 * kernel.sim.costs.upcall_per_table_ns;
             kernel.sim.charge(core, Context::User, c);
             if t.actions == e.actions && t.mask == e.mask {
-                self.revalidator.adopt(e.ufid, t.rules, version);
-                self.revalidator.push_stats(e.ufid, hits, bytes);
+                let mut uk = e.ukey.borrow_mut();
+                uk.adopt(t.rules, version);
+                uk.push(&mut self.revalidator.stats, e.hits.get(), e.bytes.get());
                 self.stats.restore_adopted += 1;
                 coverage!("restore_adopted");
                 sweep.summary.adopted += 1;
@@ -1114,10 +1117,17 @@ impl DpifNetdev {
         // While the gate is up the restored flows are the only
         // forwarding state there is — never evict them.
         let gated = self.restore.wait;
-        self.revalidator
-            .evict(&mut sweep, &mut self.megaflow, gated);
-        // Every flow the pass deleted left the megaflow cache.
-        self.stats.flows_deleted += sweep.summary.deleted();
+        let candidates = self
+            .megaflow
+            .iter()
+            .filter(|e| !(gated && e.ukey.borrow().is_restored()))
+            .map(|e| (e.used_ns.get(), e.key.hash(), e.ufid));
+        let victims = self
+            .revalidator
+            .evict(&mut sweep, self.megaflow.len(), candidates);
+        for ufid in victims {
+            self.delete_megaflow(ufid);
+        }
         self.emc.purge_dead();
         self.smc.purge_dead();
 
@@ -1149,11 +1159,6 @@ impl DpifNetdev {
             "flow lifecycle accounting drifted"
         );
         assert_eq!(
-            self.revalidator.ukey_count(),
-            self.megaflow.len(),
-            "a megaflow without a ukey, or a ukey without a megaflow"
-        );
-        assert_eq!(
             self.megaflow.len(),
             self.megaflow.classifier_len(),
             "the megaflow index and the classifier drifted apart"
@@ -1177,7 +1182,7 @@ impl DpifNetdev {
         ));
         out.push_str(&format!(
             "  restore       : {} pending, {} adopted, {} orphaned, {} gated\n",
-            self.revalidator.restored_count(),
+            self.restored_count(),
             self.stats.restore_adopted,
             self.stats.restore_orphaned,
             self.stats.upcalls_gated,
@@ -1953,10 +1958,9 @@ megaflows installed: {}
                 self.delete_megaflow(entry.ufid);
             }
             if self.revalidator.should_install(self.megaflow.len()) {
+                entry.ukey.replace(Ukey::new(t.rules, version));
                 let entry = self.megaflow.insert(entry);
                 self.stats.flows_installed += 1;
-                self.revalidator
-                    .register(entry.ufid, Ukey::new(t.rules, version));
                 if self.smc_enable {
                     self.smc.insert(hash, Rc::clone(&entry));
                 }
@@ -2622,45 +2626,25 @@ pub struct DpifNetlink {
     pub upcalls_handled: u64,
     /// Upcalls that skipped installation at the dynamic flow limit.
     pub flow_limit_hits: u64,
+    /// Flows this dpif deleted from the kernel: swept, evicted or
+    /// replaced.
+    pub flows_deleted: u64,
     /// udpif revalidator state over the kernel flow table.
     pub revalidator: Revalidator,
-    /// The kernel flows this dpif installed, by UFID, beside their ukeys.
-    flows: UfidMap<Rc<KernelFlow>>,
+    /// The kernel flows this dpif installed, by UFID.
+    flows: UfidMap<KernelFlow>,
 }
 
 /// A kernel flow as the dpif installed it: the masked key and mask
-/// `OvsModule` finds it by, and the actions a re-translation is compared
-/// against. The kernel table lives in another address space, so OVS's
-/// `udpif_key` keeps these too.
+/// `OvsModule` finds it by, the actions a re-translation is compared
+/// against, and its ukey. The kernel table lives in another address
+/// space, so OVS's `udpif_key` keeps these too.
 #[derive(Debug)]
 struct KernelFlow {
     key: FlowKey,
     mask: FlowMask,
     actions: Vec<ovs_kernel::KAction>,
-}
-
-/// The kernel flow table as a revalidation pass prunes it: the module's
-/// flows, found by UFID through the ones the dpif installed.
-struct KernelTable<'a> {
-    ovs: &'a mut ovs_kernel::OvsModule,
-    flows: &'a mut UfidMap<Rc<KernelFlow>>,
-}
-
-impl FlowTable for KernelTable<'_> {
-    fn n_flows(&self) -> usize {
-        self.ovs.flow_count()
-    }
-
-    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)> {
-        let f = self.flows.get(&ufid)?;
-        Some((&f.key, self.ovs.flow_stats(&f.key, &f.mask)?))
-    }
-
-    fn delete_flow(&mut self, ufid: Ufid) {
-        if let Some(f) = self.flows.remove(&ufid) {
-            self.ovs.remove_flow(&f.key, &f.mask);
-        }
-    }
+    ukey: Ukey,
 }
 
 impl DpifNetlink {
@@ -2672,9 +2656,16 @@ impl DpifNetlink {
             tunnel_local_ip,
             upcalls_handled: 0,
             flow_limit_hits: 0,
+            flows_deleted: 0,
             revalidator: Revalidator::new(),
             flows: UfidMap::default(),
         }
+    }
+
+    /// Flows this dpif installed and tracks. The kernel table may also
+    /// hold flows installed behind its back.
+    pub fn tracked_flows(&self) -> usize {
+        self.flows.len()
     }
 
     /// Drain and handle all pending kernel upcalls: translate, install the
@@ -2695,17 +2686,24 @@ impl DpifNetlink {
                 r.credit(1, u.frame.len() as u64);
             }
             let kactions = Self::map_actions(&t.actions, self.tunnel_local_ip);
+            let key = u.key.masked(&t.mask);
+            let ufid = Ufid::of(&key);
+            // One flow per masked key, as in the userspace datapath: the
+            // kernel would keep a flow under another mask beside the new
+            // one, so replace it.
+            self.delete_flow(kernel, ufid);
             if self.revalidator.should_install(kernel.ovs.flow_count()) {
                 let now = kernel.sim.clock.now_ns();
                 kernel
                     .ovs
                     .install_flow_at(&u.key, &t.mask, kactions.clone(), now);
-                let key = u.key.masked(&t.mask);
-                let ufid = Ufid::of(&key);
-                self.revalidator.register(ufid, Ukey::new(t.rules, version));
-                let (mask, actions) = (t.mask, kactions.clone());
-                self.flows
-                    .insert(ufid, Rc::new(KernelFlow { key, mask, actions }));
+                let flow = KernelFlow {
+                    key,
+                    mask: t.mask,
+                    actions: kactions.clone(),
+                    ukey: Ukey::new(t.rules, version),
+                };
+                self.flows.insert(ufid, flow);
             } else {
                 self.flow_limit_hits += 1;
                 coverage!("flow_limit_hit");
@@ -2719,6 +2717,20 @@ impl DpifNetlink {
         handled
     }
 
+    /// Delete one tracked flow (by UFID) from the kernel, pushing its
+    /// outstanding stats up to the OpenFlow rules first. Every deletion
+    /// of a flow this dpif installed comes here.
+    fn delete_flow(&mut self, kernel: &mut Kernel, ufid: Ufid) {
+        let Some(mut f) = self.flows.remove(&ufid) else {
+            return;
+        };
+        if let Some((packets, bytes, _, _)) = kernel.ovs.flow_stats(&f.key, &f.mask) {
+            f.ukey.push(&mut self.revalidator.stats, packets, bytes);
+        }
+        kernel.ovs.remove_flow(&f.key, &f.mask);
+        self.flows_deleted += 1;
+    }
+
     /// One full revalidator round over the **kernel** flow table, via the
     /// flows installed at upcall time, in masked-key-hash order — the
     /// same pass as [`DpifNetdev::revalidate`], driven over Netlink in
@@ -2730,34 +2742,51 @@ impl DpifNetlink {
         let mut sweep =
             self.revalidator
                 .begin_sweep(kernel.ovs.flow_count(), now, self.ofproto.version());
-        let mut flows: Vec<_> = self
+        let mut order: Vec<_> = self
             .flows
             .iter()
-            .map(|(&ufid, f)| (f.key.hash(), ufid, Rc::clone(f)))
+            .map(|(&ufid, f)| (f.key.hash(), ufid))
             .collect();
-        flows.sort_unstable_by_key(|&(h, _, _)| h);
-        let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
-        let mut table = KernelTable {
-            ovs: &mut kernel.ovs,
-            flows: &mut self.flows,
-        };
-        for (_, ufid, f) in flows {
+        order.sort_unstable_by_key(|&(h, _)| h);
+        for (_, ufid) in order {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
+            let f = self
+                .flows
+                .get_mut(&ufid)
+                .expect("a sweep deletes only the flow at hand");
+            let Some(counters) = kernel.ovs.flow_stats(&f.key, &f.mask) else {
+                // The kernel lost the flow behind the dpif's back.
+                self.delete_flow(kernel, ufid);
+                continue;
+            };
+            let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
             let flow = DumpedFlow {
-                ufid,
                 key: &f.key,
                 mask: &f.mask,
                 actions: &f.actions,
-                counters: table.ovs.flow_stats(&f.key, &f.mask),
+                counters,
+                ukey: &mut f.ukey,
             };
-            self.revalidator
-                .revalidate_flow(&mut sweep, &mut table, flow, |k| {
-                    let t = ofproto.translate(k);
-                    (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
-                });
+            let verdict = self.revalidator.revalidate_flow(&mut sweep, flow, |k| {
+                let t = ofproto.translate(k);
+                (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
+            });
+            if verdict == Verdict::Delete {
+                self.delete_flow(kernel, ufid);
+            }
         }
-        self.revalidator.evict(&mut sweep, &mut table, false);
+        let ovs = &kernel.ovs;
+        let candidates = self.flows.iter().filter_map(|(&ufid, f)| {
+            let (_, _, used, _) = ovs.flow_stats(&f.key, &f.mask)?;
+            Some((used, f.key.hash(), ufid))
+        });
+        let victims = self
+            .revalidator
+            .evict(&mut sweep, ovs.flow_count(), candidates);
+        for ufid in victims {
+            self.delete_flow(kernel, ufid);
+        }
         let dump_ms = (kernel.sim.cpus.core_ns(core) - t0) / 1_000_000;
         self.revalidator.end_sweep(sweep, dump_ms)
     }

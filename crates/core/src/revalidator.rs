@@ -21,19 +21,17 @@
 //! an attacker can force per-flow megaflows, but the table stays bounded
 //! by the limit, trading upcalls for memory instead of collapsing.
 //!
-//! This module holds the dpif-independent state and the one revalidation
-//! pass: the *ukeys* (what the revalidator keeps per installed datapath
-//! flow: the rule refs stats are pushed to, the pushback marks and the
-//! checked table version), found by the flow's [`Ufid`], the flow-limit
-//! algorithm, and the pass itself — [`Revalidator::begin_sweep`], the
-//! per-flow step [`Revalidator::revalidate_flow`], LRU eviction
-//! ([`Revalidator::evict`]) and [`Revalidator::end_sweep`]. The per-flow
-//! step reads the flow as its driver's dump returns it ([`DumpedFlow`]:
-//! UFID, masked key, mask, actions and counters), and a re-translation is
-//! compared against the dumped actions and mask. Three drivers run the
-//! pass over a [`FlowTable`] (the megaflow cache or the kernel module's
-//! flow table, pruned by UFID), hand over each flow from their own dump
-//! and their own re-translation, and keep only what differs:
+//! This module holds the dpif-independent policy and the one revalidation
+//! pass. What the revalidator keeps per flow, the [`Ukey`] (rule refs,
+//! pushback marks and checked table version), lives in the flow's own
+//! record, so the [`Revalidator`] holds only the flow-limit algorithm, the
+//! counters and the pass: [`Revalidator::begin_sweep`], the per-flow step
+//! [`Revalidator::revalidate_flow`] (one flow as its driver's dump returns
+//! it, a [`DumpedFlow`], in; a [`Verdict`] out), LRU eviction
+//! ([`Revalidator::evict`], which returns its victims) and
+//! [`Revalidator::end_sweep`]. Each driver deletes through its own one
+//! delete function, which pushes the flow's residual stats. Three drivers
+//! run the pass over their own flows with their own re-translation:
 //! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) (the
 //! megaflow cache, plus restore reconciliation, cache purge, conntrack
 //! expiry and the virtual-clock charges),
@@ -42,7 +40,6 @@
 //! and [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate)
 //! (the kernel flow table, over the flows the dpif installed).
 
-use crate::cache::MegaflowCache;
 use crate::ofproto::RuleEntry;
 use ovs_obs::coverage;
 use ovs_packet::{FlowKey, FlowMask};
@@ -52,12 +49,12 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// A datapath flow's unique flow ID (OVS's UFID): a keyed 128-bit hash of
-/// its masked key, computed once when the flow is installed. The ukey,
-/// the megaflow cache's index and the kernel dpif's flows are all found
-/// by it, so a sweep never hashes a 96-byte key. The hash key is a
-/// secret drawn once per process, as OVS seeds `dpif_flow_hash`: packets
-/// cannot be crafted to collide in the maps keyed by it, and a UFID
-/// differs between runs, so it never reaches output or a snapshot.
+/// its masked key, computed once when the flow is installed. The megaflow
+/// cache's index and the kernel dpif's flows are found by it, so a sweep
+/// never hashes a 96-byte key. The hash key is a secret drawn once per
+/// process, as OVS seeds `dpif_flow_hash`: packets cannot be crafted to
+/// collide in the maps keyed by it, and a UFID differs between runs, so
+/// it never reaches output or a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ufid(u128);
 
@@ -128,12 +125,15 @@ impl Default for RevalidatorConfig {
 }
 
 /// What the revalidator keeps per installed datapath flow — OVS's
-/// `udpif_key` — found by the flow's [`Ufid`]. It holds only what the
-/// revalidator owns: the flow's key, mask, actions and counters live in
-/// the datapath, and a sweep reads them from its dump ([`DumpedFlow`]).
-/// Stats pushback is incremental: `pushed_*` remember how much of the
-/// flow's counters have already been credited to `rules`.
-#[derive(Debug)]
+/// `udpif_key` — in the flow's own record: a
+/// [`MegaflowEntry`](crate::cache::MegaflowEntry), or a kernel flow the
+/// kernel dpif installed. It holds only what the revalidator owns: the
+/// flow's key, mask, actions and counters are the datapath's, and a sweep
+/// reads them from its dump ([`DumpedFlow`]). Stats pushback is
+/// incremental: `pushed_*` remember how much of the flow's counters have
+/// already been credited to `rules`. The default ukey has no rule refs
+/// and no checked version, as a restored one before adoption.
+#[derive(Debug, Default)]
 pub struct Ukey {
     /// Every OpenFlow rule the original translation matched; each gets
     /// credited with every packet the flow forwards (the xlate cache).
@@ -169,16 +169,50 @@ impl Ukey {
     /// forwarded *since* the snapshot — stats pushback resumes exactly.
     pub fn restored(pushed_packets: u64, pushed_bytes: u64) -> Self {
         Self {
-            rules: Vec::new(),
             pushed_packets,
             pushed_bytes,
-            version: None,
+            ..Self::default()
         }
     }
 
     /// Whether this flow still awaits reconciliation after a restore.
     pub fn is_restored(&self) -> bool {
         self.version.is_none()
+    }
+
+    /// Adopt a restored flow: attach the rule refs freshly re-translated
+    /// against tables at `version` and record that version, re-enabling
+    /// stats pushback. The next [`push`](Self::push) credits exactly the
+    /// packets forwarded since the snapshot was taken.
+    pub(crate) fn adopt(&mut self, rules: Vec<Rc<RuleEntry>>, version: u64) {
+        self.rules = rules;
+        self.version = Some(version);
+    }
+
+    /// Credit the delta between the flow's current counters and what was
+    /// already pushed to every rule on the flow's translation path,
+    /// remember the new high-water marks, and add the delta to `stats`.
+    /// Returns the (packets, bytes) delta pushed. A restored flow pushes
+    /// nothing until it is adopted.
+    pub(crate) fn push(&mut self, stats: &mut RevalStats, packets: u64, bytes: u64) -> (u64, u64) {
+        if self.is_restored() {
+            // No rule refs yet: crediting would silently swallow the
+            // delta. Hold it until the reconciliation sweep adopts the
+            // flow (or drops it as an orphan).
+            return (0, 0);
+        }
+        let dp = packets.saturating_sub(self.pushed_packets);
+        let db = bytes.saturating_sub(self.pushed_bytes);
+        if dp != 0 || db != 0 {
+            for r in &self.rules {
+                r.credit(dp, db);
+            }
+            self.pushed_packets = packets;
+            self.pushed_bytes = bytes;
+            stats.pushed_packets += dp;
+            stats.pushed_bytes += db;
+        }
+        (dp, db)
     }
 }
 
@@ -193,6 +227,17 @@ pub enum DeleteReason {
     Changed,
     /// Evicted to get back under the flow limit.
     Evicted,
+}
+
+/// What the per-flow step decided for one flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Keep the flow.
+    Keep,
+    /// A restored flow: the driver's reconciliation adopts or orphans it.
+    Reconcile,
+    /// Delete the flow; the pass has counted it.
+    Delete,
 }
 
 /// Lifetime accounting across sweeps (rendered by `upcall/show`).
@@ -243,48 +288,21 @@ impl SweepSummary {
 /// dump returns them.
 pub type FlowCounters = (u64, u64, u64, u64);
 
-/// One datapath flow as a flow dump returns it (OVS's `dpif_flow`): its
-/// UFID, and the masked key, mask, actions and counters the per-flow
-/// step reads — the ukey keeps none of them.
+/// One datapath flow as a flow dump returns it (OVS's `dpif_flow`): the
+/// masked key, mask, actions and counters the per-flow step reads, and
+/// the ukey kept in the flow's record.
 #[derive(Debug)]
 pub struct DumpedFlow<'a, A> {
-    /// The flow's UFID, which finds its ukey.
-    pub ufid: Ufid,
     /// Masked key, which a re-translation translates.
     pub key: &'a FlowKey,
     /// The wildcard mask the flow was installed under.
     pub mask: &'a FlowMask,
     /// The actions installed.
     pub actions: &'a A,
-    /// `None` once the datapath no longer has the flow.
-    pub counters: Option<FlowCounters>,
-}
-
-/// A datapath flow table as a revalidation pass prunes it, by UFID: the
-/// userspace megaflow cache or the kernel module's flow table.
-pub trait FlowTable {
-    /// Datapath flows installed.
-    fn n_flows(&self) -> usize;
-    /// The masked key and counters of the flow with this UFID, or `None`
-    /// once the datapath no longer has it (eviction ranks by them).
-    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)>;
-    /// Delete the flow with this UFID.
-    fn delete_flow(&mut self, ufid: Ufid);
-}
-
-impl<A> FlowTable for MegaflowCache<A> {
-    fn n_flows(&self) -> usize {
-        self.len()
-    }
-
-    fn dump_flow(&self, ufid: Ufid) -> Option<(&FlowKey, FlowCounters)> {
-        let e = self.get(ufid)?;
-        Some((&e.key, e.counters()))
-    }
-
-    fn delete_flow(&mut self, ufid: Ufid) {
-        self.remove(ufid);
-    }
+    /// The flow's counters, as the datapath reports them.
+    pub counters: FlowCounters,
+    /// The flow's ukey, from the flow's record.
+    pub ukey: &'a mut Ukey,
 }
 
 /// One revalidation pass in progress: the verdict inputs fixed when it
@@ -312,11 +330,36 @@ impl Sweep {
             ..Self::default()
         }
     }
+
+    /// Count one deletion under `reason`, in its coverage counter and the
+    /// pass's summary.
+    fn count(&mut self, reason: DeleteReason) {
+        let s = &mut self.summary;
+        match reason {
+            DeleteReason::Idle => {
+                coverage!("revalidate_idle");
+                s.deleted_idle += 1;
+            }
+            DeleteReason::Hard => {
+                coverage!("revalidate_hard");
+                s.deleted_hard += 1;
+            }
+            DeleteReason::Changed => {
+                coverage!("revalidate_changed");
+                s.deleted_changed += 1;
+            }
+            DeleteReason::Evicted => {
+                coverage!("flow_evicted");
+                s.evicted += 1;
+            }
+        }
+    }
 }
 
-/// Per-dpif revalidator state: the ukeys by UFID, the dynamic flow
-/// limit, and sweep statistics. Both `DpifNetdev` and `DpifNetlink`
-/// embed one; the per-flow step is generic over their action languages.
+/// Per-dpif revalidator policy and counters: the dynamic flow limit and
+/// sweep statistics. It keeps nothing per flow. Both `DpifNetdev` and
+/// `DpifNetlink` embed one; the per-flow step is generic over their
+/// action languages.
 #[derive(Debug)]
 pub struct Revalidator {
     pub cfg: RevalidatorConfig,
@@ -326,7 +369,6 @@ pub struct Revalidator {
     /// Simulated duration of the last dump pass (ms).
     pub dump_duration_ms: u64,
     pub stats: RevalStats,
-    ukeys: UfidMap<Ukey>,
 }
 
 impl Default for Revalidator {
@@ -348,7 +390,6 @@ impl Revalidator {
             flow_limit,
             dump_duration_ms: 0,
             stats: RevalStats::default(),
-            ukeys: UfidMap::default(),
         }
     }
 
@@ -393,42 +434,6 @@ impl Revalidator {
         self.stats.max_flows = self.stats.max_flows.max(n_flows as u64);
     }
 
-    /// Track a newly installed datapath flow under its UFID. Replaces
-    /// (and drops) any previous ukey under the same UFID.
-    pub fn register(&mut self, ufid: Ufid, ukey: Ukey) {
-        self.ukeys.insert(ufid, ukey);
-    }
-
-    /// Drop the ukey for a deleted datapath flow.
-    pub fn forget(&mut self, ufid: Ufid) -> Option<Ukey> {
-        self.ukeys.remove(&ufid)
-    }
-
-    /// Drop every ukey (cache flush).
-    pub fn clear_ukeys(&mut self) {
-        self.ukeys.clear();
-    }
-
-    /// Tracked flows.
-    pub fn ukey_count(&self) -> usize {
-        self.ukeys.len()
-    }
-
-    pub fn ukey(&self, ufid: Ufid) -> Option<&Ukey> {
-        self.ukeys.get(&ufid)
-    }
-
-    /// Credit the delta between the flow's current counters and what was
-    /// already pushed to every rule on the flow's translation path, and
-    /// remember the new high-water marks. Returns the (packets, bytes)
-    /// delta pushed.
-    pub fn push_stats(&mut self, ufid: Ufid, n_packets: u64, n_bytes: u64) -> (u64, u64) {
-        match self.ukeys.get_mut(&ufid) {
-            Some(uk) => push(uk, &mut self.stats, n_packets, n_bytes),
-            None => (0, 0),
-        }
-    }
-
     /// Open a periodic sweep of a datapath holding `n_flows` at `now_ns`,
     /// under tables at `version`: the effective idle timeout, the hard
     /// timeout, the kill-all verdict and the version are fixed for the
@@ -446,41 +451,31 @@ impl Revalidator {
     }
 
     /// The per-flow step every pass shares, on one flow as the driver's
-    /// dump returns it; its ukey is found by the flow's UFID. Count the
-    /// dump, push the flow's stats, then delete the flow (kill-all, else
-    /// idle, else hard) or keep it. A flow already checked at the pass's
-    /// table version is kept without re-translating; any other is
-    /// re-translated by `xlate` (into the dump's action language) and
-    /// deleted if its actions or mask differ from the dumped ones, else
-    /// its rule refs are refreshed — the rules backing an unchanged flow
-    /// may still have changed — and it is marked checked. A restored flow
-    /// is only counted: it has no rule refs to push to, so it waits for
-    /// the dpif's reconciliation, which gets its `(packets, bytes)`.
-    /// Flows installed behind the dpif's back have no ukey and are left
-    /// alone.
+    /// dump returns it, with its ukey. Count the dump, push the flow's
+    /// stats, then delete the flow (kill-all, else idle, else hard) or
+    /// keep it. A flow already checked at the pass's table version is
+    /// kept without re-translating; any other is re-translated by `xlate`
+    /// (into the dump's action language) and deleted if its actions or
+    /// mask differ from the dumped ones, else its rule refs are refreshed
+    /// — the rules backing an unchanged flow may still have changed — and
+    /// it is marked checked. A restored flow is only counted: it has no
+    /// rule refs to push to, so it waits for the dpif's reconciliation.
+    /// A deletion is counted here; the driver deletes the flow.
     pub fn revalidate_flow<A: PartialEq>(
         &mut self,
         sweep: &mut Sweep,
-        table: &mut impl FlowTable,
         flow: DumpedFlow<'_, A>,
         xlate: impl FnOnce(&FlowKey) -> (A, FlowMask, Vec<Rc<RuleEntry>>),
-    ) -> Option<(u64, u64)> {
+    ) -> Verdict {
         coverage!("revalidate_flow");
-        self.stats.flows_dumped += 1;
         sweep.summary.dumped += 1;
-        let uk = self.ukeys.get_mut(&flow.ufid)?;
-        let Some((packets, bytes, used, created)) = flow.counters else {
-            // The datapath dropped the flow behind the pass's back:
-            // forget whatever is left of it.
-            self.ukeys.remove(&flow.ufid);
-            table.delete_flow(flow.ufid);
-            return None;
-        };
+        let uk = flow.ukey;
         if uk.is_restored() {
-            return Some((packets, bytes));
+            return Verdict::Reconcile;
         }
+        let (packets, bytes, used, created) = flow.counters;
         // Push before any delete decision so counters survive the flow.
-        push(uk, &mut self.stats, packets, bytes);
+        uk.push(&mut self.stats, packets, bytes);
         let reason = if sweep.kill_all {
             DeleteReason::Evicted
         } else if sweep.now_ns.saturating_sub(used) > sweep.max_idle_ns {
@@ -489,104 +484,67 @@ impl Revalidator {
             DeleteReason::Hard
         } else if uk.version == Some(sweep.version) {
             // Checked against these very tables: nothing to re-translate.
-            return None;
+            return Verdict::Keep;
         } else {
             let (actions, mask, rules) = xlate(flow.key);
             if actions == *flow.actions && mask == *flow.mask {
                 uk.rules = rules;
                 uk.version = Some(sweep.version);
-                return None;
+                return Verdict::Keep;
             }
             DeleteReason::Changed
         };
-        self.delete(sweep, table, flow.ufid, reason);
-        None
+        sweep.count(reason);
+        Verdict::Delete
     }
 
-    /// Evict least-recently-used flows until the datapath is back at the
-    /// flow limit. Candidates are the flows the dpif installed (those with
-    /// ukeys); `keep_restored` spares the ones still awaiting
-    /// reconciliation. Ties on `used` break on the masked key's hash, so
-    /// the order never depends on `HashMap` iteration.
-    pub fn evict(&mut self, sweep: &mut Sweep, table: &mut impl FlowTable, keep_restored: bool) {
-        let n_flows = table.n_flows();
+    /// The flows to evict to bring a datapath holding `n_flows` back to
+    /// the flow limit: the least recently used of the `candidates` the
+    /// driver hands over, each as its `(used_ns, masked-key hash,
+    /// handle)`. Ties on `used` break on the hash, so the order never
+    /// depends on the order of the candidates. Each victim is counted;
+    /// the driver deletes them.
+    pub fn evict<T>(
+        &self,
+        sweep: &mut Sweep,
+        n_flows: usize,
+        candidates: impl Iterator<Item = (u64, u64, T)>,
+    ) -> Vec<T> {
         if n_flows <= self.flow_limit {
-            return;
+            return Vec::new();
         }
-        let mut lru: Vec<(u64, u64, Ufid)> = self
-            .ukeys
-            .iter()
-            .filter(|(_, uk)| !(keep_restored && uk.is_restored()))
-            .filter_map(|(&ufid, _)| {
-                let (key, (_, _, used, _)) = table.dump_flow(ufid)?;
-                Some((used, key.hash(), ufid))
-            })
-            .collect();
+        let mut lru: Vec<_> = candidates.collect();
         lru.sort_unstable_by_key(|&(used, h, _)| (used, h));
-        for (_, _, ufid) in lru.into_iter().take(n_flows - self.flow_limit) {
-            self.delete(sweep, table, ufid, DeleteReason::Evicted);
-        }
+        lru.truncate(n_flows - self.flow_limit);
+        lru.into_iter()
+            .map(|(_, _, victim)| {
+                sweep.count(DeleteReason::Evicted);
+                victim
+            })
+            .collect()
     }
 
-    /// Close a sweep: fold its dump duration into the flow limit and
-    /// report what it did.
+    /// Close a pass: fold what it counted into the lifetime
+    /// [`RevalStats`] and report it. A `flow_mod` pass ends here; a
+    /// periodic sweep ends with [`end_sweep`](Self::end_sweep).
+    pub(crate) fn close(&mut self, sweep: Sweep) -> SweepSummary {
+        let (s, p) = (&mut self.stats, sweep.summary);
+        s.flows_dumped += p.dumped;
+        s.deleted_idle += p.deleted_idle;
+        s.deleted_hard += p.deleted_hard;
+        s.deleted_changed += p.deleted_changed;
+        s.evicted += p.evicted;
+        p
+    }
+
+    /// Close a sweep: fold its dump duration into the flow limit and what
+    /// it did into the lifetime stats, and report it.
     pub fn end_sweep(&mut self, sweep: Sweep, dump_duration_ms: u64) -> SweepSummary {
         self.note_dump(sweep.n_flows, dump_duration_ms);
         SweepSummary {
             flow_limit: self.flow_limit,
             dump_duration_ms: self.dump_duration_ms,
-            ..sweep.summary
-        }
-    }
-
-    /// Delete one flow, counted three ways under `reason`: its coverage
-    /// counter, the lifetime [`RevalStats`] and the pass's summary.
-    fn delete(
-        &mut self,
-        sweep: &mut Sweep,
-        table: &mut impl FlowTable,
-        ufid: Ufid,
-        reason: DeleteReason,
-    ) {
-        let (s, p) = (&mut self.stats, &mut sweep.summary);
-        let (lifetime, pass) = match reason {
-            DeleteReason::Idle => {
-                coverage!("revalidate_idle");
-                (&mut s.deleted_idle, &mut p.deleted_idle)
-            }
-            DeleteReason::Hard => {
-                coverage!("revalidate_hard");
-                (&mut s.deleted_hard, &mut p.deleted_hard)
-            }
-            DeleteReason::Changed => {
-                coverage!("revalidate_changed");
-                (&mut s.deleted_changed, &mut p.deleted_changed)
-            }
-            DeleteReason::Evicted => {
-                coverage!("flow_evicted");
-                (&mut s.evicted, &mut p.evicted)
-            }
-        };
-        *lifetime += 1;
-        *pass += 1;
-        if self.ukeys.remove(&ufid).is_some() {
-            table.delete_flow(ufid);
-        }
-    }
-
-    /// Restored flows still awaiting reconciliation.
-    pub fn restored_count(&self) -> usize {
-        self.ukeys.values().filter(|u| u.is_restored()).count()
-    }
-
-    /// Adopt a restored flow: attach the rule refs freshly re-translated
-    /// against tables at `version` and record that version, re-enabling
-    /// stats pushback. The next `push_stats` credits exactly the packets
-    /// forwarded since the snapshot was taken.
-    pub fn adopt(&mut self, ufid: Ufid, rules: Vec<Rc<RuleEntry>>, version: u64) {
-        if let Some(uk) = self.ukeys.get_mut(&ufid) {
-            uk.rules = rules;
-            uk.version = Some(version);
+            ..self.close(sweep)
         }
     }
 
@@ -614,28 +572,6 @@ impl Revalidator {
             s.pushed_bytes,
         )
     }
-}
-
-/// [`Revalidator::push_stats`] on one ukey.
-fn push(uk: &mut Ukey, stats: &mut RevalStats, n_packets: u64, n_bytes: u64) -> (u64, u64) {
-    if uk.is_restored() {
-        // No rule refs yet: crediting would silently swallow the
-        // delta. Hold it until the reconciliation sweep adopts the
-        // flow (or drops it as an orphan).
-        return (0, 0);
-    }
-    let dp = n_packets.saturating_sub(uk.pushed_packets);
-    let db = n_bytes.saturating_sub(uk.pushed_bytes);
-    if dp != 0 || db != 0 {
-        for r in &uk.rules {
-            r.credit(dp, db);
-        }
-        uk.pushed_packets = n_packets;
-        uk.pushed_bytes = n_bytes;
-        stats.pushed_packets += dp;
-        stats.pushed_bytes += db;
-    }
-    (dp, db)
 }
 
 #[cfg(test)]
@@ -725,55 +661,69 @@ mod tests {
     #[test]
     fn stats_pushback_is_incremental() {
         let rule = rule();
-        let mut r = Revalidator::new();
-        let ufid = Ufid::of(&FlowKey::default());
-        r.register(ufid, Ukey::new(vec![Rc::clone(&rule)], 1));
-        assert_eq!(r.push_stats(ufid, 10, 640), (10, 640));
+        let mut stats = RevalStats::default();
+        let mut uk = Ukey::new(vec![Rc::clone(&rule)], 1);
+        assert_eq!(uk.push(&mut stats, 10, 640), (10, 640));
         assert_eq!(rule.n_packets.get(), 10);
         // Second push only credits the delta.
-        assert_eq!(r.push_stats(ufid, 15, 960), (5, 320));
+        assert_eq!(uk.push(&mut stats, 15, 960), (5, 320));
         assert_eq!(rule.n_packets.get(), 15);
         assert_eq!(rule.n_bytes.get(), 960);
-        assert_eq!(r.stats.pushed_packets, 15);
-        // Unknown flows push nothing.
-        let mut other = FlowKey::default();
-        other.set_in_port(9);
-        assert_eq!(r.push_stats(Ufid::of(&other), 5, 5), (0, 0));
+        assert_eq!(stats.pushed_packets, 15);
+        // Counters that have not moved push nothing.
+        assert_eq!(uk.push(&mut stats, 15, 960), (0, 0));
     }
 
     #[test]
     fn restored_ukey_holds_pushback_until_adopted() {
         let rule = rule();
-        let mut r = Revalidator::new();
-        let ufid = Ufid::of(&FlowKey::default());
+        let mut stats = RevalStats::default();
         // Snapshot carried 10 packets already pushed to the old rules.
-        r.register(ufid, Ukey::restored(10, 640));
-        assert_eq!(r.restored_count(), 1);
+        let mut uk = Ukey::restored(10, 640);
+        assert!(uk.is_restored());
         // Pushback while rule-less is held, not swallowed.
-        assert_eq!(r.push_stats(ufid, 14, 896), (0, 0));
+        assert_eq!(uk.push(&mut stats, 14, 896), (0, 0));
         // Adoption re-resolves rules; the next push credits exactly the
         // post-snapshot delta (14 - 10 = 4 packets).
-        r.adopt(ufid, vec![Rc::clone(&rule)], 1);
-        assert_eq!(r.restored_count(), 0);
-        assert_eq!(r.push_stats(ufid, 14, 896), (4, 256));
+        uk.adopt(vec![Rc::clone(&rule)], 1);
+        assert!(!uk.is_restored());
+        assert_eq!(uk.push(&mut stats, 14, 896), (4, 256));
         assert_eq!(rule.n_packets.get(), 4);
         assert_eq!(rule.n_bytes.get(), 256);
     }
 
     #[test]
+    fn evict_ranks_candidates_and_counts_each_victim_once() {
+        let mut r = reval();
+        r.flow_limit = 2;
+        let mut sweep = r.begin_sweep(4, 0, 1);
+        // Under the limit nothing is ranked.
+        let none = r.evict(&mut sweep, 2, std::iter::once((0, 0, 'x')));
+        assert!(none.is_empty());
+        // Least recently used first; a tie on `used` breaks on the hash.
+        let candidates = [(5, 1, 'a'), (3, 9, 'b'), (3, 2, 'c'), (7, 0, 'd')];
+        let victims = r.evict(&mut sweep, 4, candidates.into_iter());
+        assert_eq!(victims, ['c', 'b']);
+        // Counted into the pass, and into the lifetime stats once, as
+        // the pass closes.
+        assert_eq!((sweep.summary.evicted, r.stats.evicted), (2, 0));
+        let s = r.end_sweep(sweep, 1);
+        assert_eq!((s.evicted, r.stats.evicted), (2, 2));
+    }
+
+    #[test]
     fn a_ufid_names_one_masked_key() {
-        let mut r = Revalidator::new();
+        let mut flows = UfidMap::default();
         for i in 0..32u32 {
             let mut k = FlowKey::default();
             k.set_in_port(i);
             assert_eq!(Ufid::of(&k), Ufid::of(&k), "a function of the key");
-            r.register(Ufid::of(&k), Ukey::new(vec![], 1));
+            flows.insert(Ufid::of(&k), i);
         }
-        assert_eq!(r.ukey_count(), 32, "distinct keys, distinct ukeys");
+        assert_eq!(flows.len(), 32, "distinct keys, distinct UFIDs");
         let mut k = FlowKey::default();
         k.set_in_port(7);
-        assert!(r.forget(Ufid::of(&k)).is_some());
-        assert!(r.ukey(Ufid::of(&k)).is_none());
-        assert_eq!(r.ukey_count(), 31);
+        assert_eq!(flows.remove(&Ufid::of(&k)), Some(7));
+        assert_eq!(flows.len(), 31);
     }
 }

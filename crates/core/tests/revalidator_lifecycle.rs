@@ -3,7 +3,8 @@
 //! style workload (Csikor et al., "Tuple Space Explosion: A
 //! Denial-of-Service Attack Against a Software Packet Classifier"), the
 //! restore ledger across a `flow_mod`, re-translation only after the
-//! tables change, and the kernel-datapath sweep.
+//! tables change, one flow per masked key in both datapaths, and the
+//! kernel-datapath sweep.
 
 use ovs_afxdp::{AfxdpPort, OptLevel};
 use ovs_core::appctl;
@@ -35,6 +36,26 @@ fn setup() -> (Kernel, DpifNetdev, Vec<u32>) {
         nics.push(nic);
     }
     (k, dp, nics)
+}
+
+/// A kernel whose OVS bridge holds `n` NICs, NIC `i` on vport `i`.
+fn kernel_bridge(n: u8) -> (Kernel, Vec<u32>) {
+    let mut k = Kernel::new(4);
+    let mut nics = Vec::new();
+    for i in 0..n {
+        let nic = k.add_device(NetDevice::new(
+            &format!("eth{i}"),
+            MacAddr::new(2, 0, 0, 0, 0, i + 1),
+            DeviceKind::Phys { link_gbps: 10.0 },
+            1,
+        ));
+        let port = k
+            .ovs
+            .add_vport(ovs_kernel::ovs_module::Vport::Netdev { ifindex: nic });
+        k.dev_mut(nic).attachment = ovs_kernel::Attachment::OvsBridge { port };
+        nics.push(nic);
+    }
+    (k, nics)
 }
 
 fn fwd_rule(in_port: u32, out_port: u32, priority: i32) -> OfRule {
@@ -230,7 +251,6 @@ fn narrower_mask_over_the_same_masked_key_replaces_the_flow() {
     dp.pmd_poll(&mut k, 0, 0, 1);
     assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
     assert_eq!(dp.megaflow_count(), 1, "replaced, not added");
-    assert_eq!(dp.revalidator.ukey_count(), 1);
     assert_eq!(dp.stats.flows_deleted, deleted + 1);
 
     // The old flow's two hits reached the first table's rules once.
@@ -271,8 +291,7 @@ fn idle_flows_expire_and_keep_their_stats() {
     k.sim.clock.advance(2 * SEC);
     let s = dp.revalidate(&mut k, 0);
     assert_eq!(s.deleted_idle, 1);
-    assert_eq!(dp.megaflow_count(), 0);
-    assert_eq!(dp.revalidator.ukey_count(), 0, "ukey reaped with the flow");
+    assert_eq!(dp.megaflow_count(), 0, "ukey reaped with the flow");
 
     // The flow's packets outlive it on the OpenFlow rule.
     let rule = dp.ofproto.iter_rules().next().unwrap();
@@ -416,7 +435,7 @@ fn restore_ledger_holds_across_a_flow_mod_under_the_gate() {
     let (mut k, mut dp, _) = setup();
     dp.restore_from(&snap, k.sim.clock.now_ns(), SEC);
     let ledger = |dp: &DpifNetdev| {
-        let pending = dp.revalidator.restored_count() as u64;
+        let pending = dp.restored_count() as u64;
         assert_eq!(
             dp.restore.restored_flows,
             dp.stats.restore_adopted + dp.stats.restore_orphaned + pending,
@@ -454,27 +473,8 @@ fn restore_ledger_holds_across_a_flow_mod_under_the_gate() {
 
 #[test]
 fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
-    let mut k = Kernel::new(4);
-    let eth0 = k.add_device(NetDevice::new(
-        "eth0",
-        MacAddr::new(2, 0, 0, 0, 0, 1),
-        DeviceKind::Phys { link_gbps: 10.0 },
-        1,
-    ));
-    let eth1 = k.add_device(NetDevice::new(
-        "eth1",
-        MacAddr::new(2, 0, 0, 0, 0, 2),
-        DeviceKind::Phys { link_gbps: 10.0 },
-        1,
-    ));
-    let p0 = k
-        .ovs
-        .add_vport(ovs_kernel::ovs_module::Vport::Netdev { ifindex: eth0 });
-    let p1 = k
-        .ovs
-        .add_vport(ovs_kernel::ovs_module::Vport::Netdev { ifindex: eth1 });
-    k.dev_mut(eth0).attachment = ovs_kernel::Attachment::OvsBridge { port: p0 };
-    k.dev_mut(eth1).attachment = ovs_kernel::Attachment::OvsBridge { port: p1 };
+    let (mut k, nics) = kernel_bridge(2);
+    let (eth0, eth1, p0, p1) = (nics[0], nics[1], 0, 1);
 
     let mut dpif = DpifNetlink::new([0, 0, 0, 0]);
     dpif.ofproto.add_rule(fwd_rule(p0, p1, 10));
@@ -487,7 +487,7 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     assert!(k.upcalls.is_empty());
     assert_eq!(k.device(eth1).tx_wire.len(), 3);
     assert_eq!(k.ovs.flow_count(), 1);
-    assert_eq!(dpif.revalidator.ukey_count(), 1);
+    assert_eq!(dpif.tracked_flows(), 1);
 
     // The sweep pushes the two fast-path packets up to the rule.
     let rule = dpif.ofproto.iter_rules().next().unwrap().clone();
@@ -512,7 +512,7 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     assert_eq!(s.deleted_idle, 1);
     assert_eq!(k.ovs.flow_count(), 0);
     assert_eq!(k.ovs.mask_count(), 0, "mask refcount released");
-    assert_eq!(dpif.revalidator.ukey_count(), 0);
+    assert_eq!(dpif.tracked_flows(), 0);
     assert_eq!(rule.n_packets.get(), 3, "stats survive the flow");
 
     // Fresh traffic misses and reinstalls.
@@ -539,7 +539,7 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     );
     assert_eq!(s.deleted_changed, 1);
     assert_eq!(k.ovs.flow_count(), 0);
-    assert_eq!(dpif.revalidator.ukey_count(), 0);
+    assert_eq!(dpif.tracked_flows(), 0);
 
     // Four per-port flows, one per millisecond, against a limit of two
     // (not past twice it, so no kill-all): the two least recently used go.
@@ -553,10 +553,95 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     let s = dpif.revalidate(&mut k, 2);
     assert_eq!((s.evicted, s.deleted()), (2, 2));
     assert_eq!(k.ovs.flow_count(), 2);
-    assert_eq!(dpif.revalidator.ukey_count(), 2);
+    assert_eq!(dpif.tracked_flows(), 2);
     // The newest flow survived; the oldest upcalls again.
     k.receive(eth0, 0, frame(7003));
     assert!(k.upcalls.is_empty(), "most-recent flow survived");
     k.receive(eth0, 0, frame(7000));
     assert_eq!(k.upcalls.len(), 1, "least-recent flow was evicted");
+}
+
+/// The kernel twin of
+/// `narrower_mask_over_the_same_masked_key_replaces_the_flow`. The kernel
+/// keeps flows under different masks side by side, so the dpif must
+/// remove the flow it replaces: left in the kernel untracked, it would
+/// never be swept or evicted, and its hits would never reach the rules.
+#[test]
+fn narrower_mask_over_the_same_masked_key_replaces_the_kernel_flow() {
+    let (mut k, nics) = kernel_bridge(3);
+    let mut dpif = DpifNetlink::new([0, 0, 0, 0]);
+    let rules = ovs_core::ofctl::parse_flows(
+        "table=0, priority=20, udp, tp_dst=80, actions=output:2\n\
+         table=0, priority=10, udp, actions=output:1",
+    )
+    .unwrap();
+    for r in rules {
+        dpif.ofproto.add_rule(r);
+    }
+    let plain = dpif
+        .ofproto
+        .iter_rules()
+        .find(|r| r.rule.priority == 10)
+        .unwrap()
+        .clone();
+    let to_port = |tp_dst| {
+        builder::udp_ipv4_frame(
+            MacAddr::new(2, 0, 0, 0, 9, 9),
+            MacAddr::new(2, 0, 0, 0, 0, 1),
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            4000,
+            tp_dst,
+            96,
+        )
+    };
+    let len = to_port(0).len() as u64;
+
+    // A frame to port 0 examines the port-80 rule, so its flow masks
+    // tp_dst. One upcall, two kernel hits.
+    k.receive(nics[0], 0, to_port(0));
+    assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
+    k.receive(nics[0], 0, to_port(0));
+    k.receive(nics[0], 0, to_port(0));
+    assert!(k.upcalls.is_empty());
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 3);
+    assert_eq!(plain.n_packets.get(), 1, "only the upcall so far");
+
+    // The swapped-in table has no port-80 rule. A frame to port 5000
+    // misses the old flow and translates to the narrower mask, whose
+    // masked key is the old one.
+    let mut other = Ofproto::new();
+    other.add_rule(OfRule {
+        table: 0,
+        priority: 10,
+        key: plain.rule.key,
+        mask: plain.rule.mask,
+        actions: vec![OfAction::Output(2)],
+        cookie: 0,
+    });
+    std::mem::swap(&mut dpif.ofproto, &mut other);
+    k.receive(nics[0], 0, to_port(5000));
+    assert_eq!(dpif.handle_upcalls(&mut k, 2), 1);
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 1);
+    assert_eq!(k.ovs.flow_count(), 1, "replaced, not added");
+    assert_eq!(dpif.tracked_flows(), 1);
+    assert_eq!(dpif.flows_deleted, 1);
+
+    // The old flow's two kernel hits reached the first table's rule once.
+    assert_eq!(plain.n_packets.get(), 3);
+    assert_eq!(plain.n_bytes.get(), 3 * len);
+
+    // The port-0 frame now hits the new flow in the kernel, to port 2.
+    k.receive(nics[0], 0, to_port(0));
+    assert!(k.upcalls.is_empty());
+    assert_eq!(k.device(nics[1]).tx_wire.len(), 3, "replaced flow served");
+    assert_eq!(k.device(nics[2]).tx_wire.len(), 2);
+
+    // Idle out: the sweep deletes the one flow and leaves none behind.
+    k.sim.clock.advance(11 * SEC);
+    let s = dpif.revalidate(&mut k, 2);
+    assert_eq!((s.dumped, s.deleted_idle), (1, 1));
+    assert_eq!(k.ovs.flow_count(), 0, "no untracked flow left");
+    assert_eq!(dpif.tracked_flows(), 0);
+    assert_eq!(plain.n_packets.get(), 3, "pushed exactly once");
 }

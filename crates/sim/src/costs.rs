@@ -158,12 +158,10 @@ pub struct CostModel {
     // ------------------------------------------------------------------
     // OVS userspace datapath
     // ------------------------------------------------------------------
-    /// Miniflow extraction + dp_packet bookkeeping per packet. **[estimate]**
-    pub dpif_extract_ns: f64,
     /// Sparse miniflow extraction: parse writes only the populated 8-byte
     /// slots (bitmap + packed array) instead of zeroing and filling a full
     /// 96-byte key, so a typical 5-tuple packet touches half the cache
-    /// lines `dpif_extract_ns` models. **[estimate]**
+    /// lines a full-key extract would. **[estimate]**
     pub miniflow_extract_ns: f64,
     /// Hashing the populated miniflow slots once per packet; the result is
     /// cached in the `dp_packet` and reused by every cache tier probe
@@ -194,11 +192,6 @@ pub struct CostModel {
     pub emc_pressure_ns: f64,
     /// EMC occupancy above which `emc_pressure_ns` applies. **[calibrated]**
     pub emc_pressure_threshold: usize,
-    /// Signature match cache probe: one bucket of four 16-bit signatures
-    /// plus the masked-key verify against the referenced megaflow.
-    /// Cheaper than a dpcls walk, dearer than the EMC's single exact
-    /// compare. **[estimate]** (OVS reports SMC ≈ half a dpcls probe.)
-    pub smc_hit_ns: f64,
     /// Megaflow (dpcls, tuple-space search) lookup on EMC miss, per
     /// subtable probed ~20 ns; typical production pipeline probes ~4.
     /// **[calibrated]** to the 1 vs 1000 flow gap in Fig 9.
@@ -345,7 +338,6 @@ impl CostModel {
             sw_rxhash_ns: 25.0,
             xsk_tx_kick_ns: 7.0,
 
-            dpif_extract_ns: 25.0,
             miniflow_extract_ns: 16.0,
             flow_hash_ns: 6.0,
             emc_mini_hit_ns: 22.0,
@@ -355,7 +347,6 @@ impl CostModel {
             emc_hit_ns: 30.0,
             emc_pressure_ns: 72.0,
             emc_pressure_threshold: 256,
-            smc_hit_ns: 40.0,
             dpcls_lookup_ns: 80.0,
             dpcls_subtable_extra_ns: 20.0,
             dp_batch_fixed_ns: 100.0,
@@ -450,8 +441,8 @@ mod tests {
         // and a batched packet's marginal cost undercuts the fixed
         // per-batch setup it amortizes.
         let c = CostModel::paper_testbed();
-        assert!(c.emc_hit_ns < c.smc_hit_ns);
-        assert!(c.smc_hit_ns < c.dpcls_lookup_ns);
+        assert!(c.emc_mini_hit_ns < c.smc_mini_hit_ns);
+        assert!(c.smc_mini_hit_ns < c.dpcls_lookup_ns);
         assert!(c.dpcls_subtable_extra_ns > 0.0);
         assert!(c.dp_batch_pkt_ns < c.dp_batch_fixed_ns);
     }
@@ -463,9 +454,7 @@ mod tests {
         // a full-lane bulk dpcls step must amortize below `lane` scalar
         // probes while a single-key step stays honest (≈ one scalar probe).
         let c = CostModel::paper_testbed();
-        assert!(c.miniflow_extract_ns + c.flow_hash_ns < c.dpif_extract_ns);
         assert!(c.emc_mini_hit_ns < c.emc_hit_ns);
-        assert!(c.smc_mini_hit_ns < c.smc_hit_ns);
         assert!(c.emc_mini_hit_ns < c.smc_mini_hit_ns);
         assert!(c.smc_mini_hit_ns < c.dpcls_bulk_step_ns + c.dpcls_bulk_key_ns);
         // Single key: no cheaper than ~one calibrated scalar probe.

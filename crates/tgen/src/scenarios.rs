@@ -1518,9 +1518,7 @@ pub fn run_restart_at(seed: u64, restart_round: Option<usize>) -> RestartReport 
     // Reconvergence: gate lifted and no restored flow left pending.
     let reconverged = |h: &Host| {
         h.dp.as_ref().is_some_and(|dp| {
-            !dp.restore.wait
-                && dp.restore.restored_at_ns > 0
-                && dp.revalidator.restored_count() == 0
+            !dp.restore.wait && dp.restore.restored_at_ns > 0 && dp.restored_count() == 0
         })
     };
 

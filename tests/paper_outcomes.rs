@@ -71,6 +71,36 @@ fn outcome2_containers_afxdp_else_dpdk() {
     }
 }
 
+/// Fig 9a (P2P, 64 B): 1,000 flows hurt every userspace datapath, whose
+/// caches stop fitting, while the kernel speeds up — RSS spreads the
+/// flows over more softirq cores, fast but not efficient.
+#[test]
+fn fig9a_thousand_flows_slow_userspace_and_spread_the_kernel() {
+    let p2p = |dp, flows| scenarios::run(&ScenarioConfig::micro(dp, PathKind::P2p, flows));
+    for dp in [DpKind::Afxdp(OptLevel::O5), DpKind::Dpdk] {
+        let (one, many) = (p2p(dp, 1), p2p(dp, 1000));
+        assert!(
+            many.mpps < one.mpps,
+            "{dp:?}: {:.3} Mpps at 1000 flows vs {:.3} at 1",
+            many.mpps,
+            one.mpps
+        );
+    }
+    let (one, many) = (p2p(DpKind::Kernel, 1), p2p(DpKind::Kernel, 1000));
+    assert!(
+        many.mpps > one.mpps,
+        "kernel: {:.3} Mpps at 1000 flows vs {:.3} at 1",
+        many.mpps,
+        one.mpps
+    );
+    assert!(
+        many.usage.total() > one.usage.total(),
+        "kernel: {:.2} HT at 1000 flows vs {:.2} at 1",
+        many.usage.total(),
+        one.usage.total()
+    );
+}
+
 /// Outcome #3: "OVS with AF_XDP performs about as well as the better of
 /// in-kernel or DPDK for virtual networking both across and within hosts"
 /// (the latency view, Fig 10/11).

@@ -208,11 +208,7 @@ fn golden_restart_and_outage_surfaces() {
 
     let dp = h1.dp.as_ref().unwrap();
     assert!(dp.stats.coherent(), "{:?}", dp.stats);
-    assert_eq!(
-        dp.revalidator.restored_count(),
-        0,
-        "restored flows all reconciled"
-    );
+    assert_eq!(dp.restored_count(), 0, "restored flows all reconciled");
 
     // The ledger holds across the whole ladder (every drop named).
     let offered = (20 + 8 + 40) * 4u64;

@@ -1,6 +1,8 @@
 //! The O2/O3 ablation for real: umem-pool alloc/free cost per packet
 //! under the three locking strategies (mutex per packet, spinlock per
-//! packet, spinlock per batch), uncontended and contended.
+//! packet, spinlock per batch), uncontended and contended. The batched
+//! form measured here is what `XskSocket` runs from O3 up: its rx, tx
+//! and refill paths each free a batch under one lock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ovs_ring::{LockStrategy, UmemPool};

@@ -1467,6 +1467,14 @@ megaflows installed: {}
         let mut rx = std::mem::take(&mut self.rx);
         self.port_rx(kernel, port, queue, core, &mut rx);
         timer.mark(Stage::Rx, kernel.sim.cpus.core_ns(core));
+        if rx.is_empty() {
+            // An empty poll is still an iteration: commit its timer as
+            // `run_burst` would for zero packets, and skip the pipeline.
+            self.rx = rx;
+            self.latency.commit_burst(&timer);
+            self.perf.entry(core).or_default().commit(&timer, 0);
+            return 0;
+        }
         let pkts = rx.drain().map(|mut pkt| {
             pkt.in_port = port;
             pkt.rx_ts = Some(rx_stamp);
@@ -2086,7 +2094,9 @@ megaflows installed: {}
                 // The port vanished after accumulation (cannot happen
                 // within one burst, but stay defensive).
                 self.stats.dropped += pkts.len() as u64;
-                pkts.clear();
+                for pkt in pkts.drain(..) {
+                    self.pool.put(pkt);
+                }
                 spare.push(pkts);
                 continue;
             };
@@ -2479,11 +2489,14 @@ megaflows installed: {}
                         p.rx_ts = pkt.rx_ts;
                         self.port_send(kernel, port, p, core, tx);
                     }
+                    self.pool.put(pkt);
                     return;
                 }
             }
             let Some(mut meta) = pkt.tunnel else {
                 self.stats.dropped += 1;
+                coverage!("dpif_tunnel_no_md");
+                self.pool.put(pkt);
                 return;
             };
             meta.src = cfg.local_ip;
@@ -2491,7 +2504,7 @@ megaflows installed: {}
             let c = kernel.sim.costs.userspace_tunnel_ns;
             kernel.sim.charge(core, Context::User, c);
             // The egress MAC is the MAC of the datapath port on the
-            // route's device.
+            // route's device, so a resolved route always has its port.
             let ports = &self.ports;
             let egress_mac = |ifindex: u32| {
                 ports
@@ -2500,41 +2513,41 @@ megaflows installed: {}
                     .any(|p| p.ifindex() == Some(ifindex))
                     .then(|| kernel.device(ifindex).mac)
             };
-            match tunnel::encap_in_place(&cfg, &self.rtnl, egress_mac, &meta, &mut pkt, entropy) {
-                Ok(egress_ifindex) => {
-                    self.stats.tunnel_encaps += 1;
-                    coverage!("dpif_tunnel_encap");
-                    if let Some(t) = self.trace.as_mut() {
-                        t.note(format!(
-                            "tunnel encap ({:?}): tun_id={}, dst={}.{}.{}.{}, outer {} bytes",
-                            cfg.kind,
-                            meta.tun_id,
-                            meta.dst[0],
-                            meta.dst[1],
-                            meta.dst[2],
-                            meta.dst[3],
-                            pkt.len()
-                        ));
-                    }
-                    let egress = self
-                        .ports
-                        .iter()
-                        .position(|p| p.as_ref().and_then(|p| p.ifindex()) == Some(egress_ifindex))
-                        .map(|i| i as PortNo);
-                    match egress {
-                        Some(e) => {
-                            // The outer frame leaves as a packet of its
-                            // own: only the rx stamp carries over.
-                            let rx_ts = pkt.rx_ts;
-                            pkt.reset_metadata();
-                            pkt.rx_ts = rx_ts;
-                            self.port_send(kernel, e, pkt, core, tx);
-                        }
-                        None => self.stats.dropped += 1,
-                    }
-                }
-                Err(_) => self.stats.dropped += 1,
+            let egress =
+                tunnel::encap_in_place(&cfg, &self.rtnl, egress_mac, &meta, &mut pkt, entropy)
+                    .ok()
+                    .and_then(|ifindex| {
+                        self.ports
+                            .iter()
+                            .position(|p| p.as_ref().and_then(|p| p.ifindex()) == Some(ifindex))
+                    });
+            let Some(egress) = egress else {
+                // No route, ARP entry or egress MAC.
+                self.stats.dropped += 1;
+                coverage!("dpif_tunnel_encap_fail");
+                self.pool.put(pkt);
+                return;
+            };
+            self.stats.tunnel_encaps += 1;
+            coverage!("dpif_tunnel_encap");
+            if let Some(t) = self.trace.as_mut() {
+                t.note(format!(
+                    "tunnel encap ({:?}): tun_id={}, dst={}.{}.{}.{}, outer {} bytes",
+                    cfg.kind,
+                    meta.tun_id,
+                    meta.dst[0],
+                    meta.dst[1],
+                    meta.dst[2],
+                    meta.dst[3],
+                    pkt.len()
+                ));
             }
+            // The outer frame leaves as a packet of its own: only the rx
+            // stamp carries over.
+            let rx_ts = pkt.rx_ts;
+            pkt.reset_metadata();
+            pkt.rx_ts = rx_ts;
+            self.port_send(kernel, egress as PortNo, pkt, core, tx);
             return;
         }
 
@@ -2567,6 +2580,7 @@ megaflows installed: {}
                 p.rx_ts = pkt.rx_ts;
                 self.port_tx_raw(kernel, port, p, core, tx);
             }
+            self.pool.put(pkt);
             return;
         }
         self.port_tx_raw(kernel, port, pkt, core, tx);
@@ -2600,6 +2614,7 @@ megaflows installed: {}
         let Some(Some(p)) = self.ports.get_mut(port as usize) else {
             self.stats.dropped += 1;
             coverage!("dpif_tx_no_port");
+            self.pool.put(pkt);
             return;
         };
         self.stats.tx_packets += 1;
@@ -2847,6 +2862,7 @@ mod tests {
     use ovs_afxdp::OptLevel;
     use ovs_kernel::dev::{DeviceKind, NetDevice};
     use ovs_kernel::guest::{Guest, GuestRole, VirtioBackend};
+    use ovs_packet::ethernet::EtherType;
     use ovs_packet::flow::{fields, FlowKey, FlowMask};
 
     const M1: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
@@ -3046,9 +3062,11 @@ mod tests {
         assert_eq!(&out[0..6], M1.as_bytes(), "guest swapped MACs");
     }
 
-    #[test]
-    fn geneve_tunnel_tx_and_rx() {
-        // Overlay: port 0 (afxdp "vm-facing") -> geneve tunnel -> uplink.
+    /// Overlay: port 0 (afxdp "vm-facing"), an AF_XDP uplink on
+    /// 172.16.0.1/24 with a neighbour at .2, and a geneve tunnel port.
+    /// Returns the kernel, the datapath, eth0's and the uplink's
+    /// ifindex, and the vm-facing and tunnel port numbers.
+    fn overlay_setup() -> (Kernel, DpifNetdev, u32, u32, PortNo, PortNo) {
         let mut k = Kernel::new(4);
         let eth0 = k.add_device(NetDevice::new(
             "eth0",
@@ -3084,7 +3102,12 @@ mod tests {
             }),
         );
         dp.sync_rtnl(&k);
+        (k, dp, eth0, uplink, p0, pt)
+    }
 
+    #[test]
+    fn geneve_tunnel_tx_and_rx() {
+        let (mut k, mut dp, eth0, uplink, p0, pt) = overlay_setup();
         let mut key = FlowKey::default();
         key.set_in_port(p0);
         dp.ofproto.add_rule(OfRule {
@@ -3133,6 +3156,65 @@ mod tests {
         let pkt = DpPacket::from_data(&outer);
         dp2.process_packet(&mut k, pkt, 1);
         assert_eq!(dp2.stats.tunnel_decaps, 1, "remote side decapsulated");
+    }
+
+    #[test]
+    fn tunnel_drops_are_named_and_return_their_descriptors() {
+        // UDP from port 1 leaves on the tunnel with no tunnel metadata;
+        // from port 2 it is tunnelled toward an address with no route.
+        let (mut k, mut dp, eth0, uplink, p0, pt) = overlay_setup();
+        let rule = |tp: u16, actions: Vec<OfAction>| {
+            let mut key = FlowKey::default();
+            key.set_in_port(p0);
+            key.set_eth_type(EtherType::Ipv4);
+            key.set_nw_proto(17);
+            key.set_tp_src(tp);
+            OfRule {
+                table: 0,
+                priority: 10,
+                key,
+                mask: FlowMask::of_fields(&[
+                    &fields::IN_PORT,
+                    &fields::ETH_TYPE,
+                    &fields::NW_PROTO,
+                    &fields::TP_SRC,
+                ]),
+                actions,
+                cookie: 0,
+            }
+        };
+        dp.ofproto.add_rule(rule(1, vec![OfAction::Output(pt)]));
+        let unroutable = OfAction::SetTunnel {
+            id: 5001,
+            dst: [10, 99, 0, 1],
+        };
+        dp.ofproto
+            .add_rule(rule(2, vec![unroutable, OfAction::Output(pt)]));
+        const N: u64 = 40;
+        for (tp, counter) in [(1, "dpif_tunnel_no_md"), (2, "dpif_tunnel_encap_fail")] {
+            let mut drive = |n: u64| {
+                for _ in 0..n {
+                    let f =
+                        builder::udp_ipv4_frame(M1, M2, [10, 0, 0, 1], [10, 0, 0, 2], tp, 9, 64);
+                    k.receive(eth0, 0, f);
+                    assert_eq!(dp.pmd_poll(&mut k, p0, 0, 1), 1);
+                }
+                let pool = dp.packet_pool();
+                (
+                    dp.stats.dropped,
+                    coverage::total(counter),
+                    pool.available(),
+                    pool.fresh_allocs,
+                )
+            };
+            // Warm-up: the upcall installs the flow, the pool fills.
+            let (dropped, named, available, fresh) = drive(4);
+            let after = drive(N);
+            assert_eq!(after.0 - dropped, N, "{counter}: dropped");
+            assert_eq!(after.1 - named, N, "{counter}: named");
+            assert_eq!((after.2, after.3), (available, fresh), "{counter}: pool");
+        }
+        assert!(k.device(uplink).tx_wire.is_empty(), "nothing was sent");
     }
 
     #[test]

@@ -436,6 +436,13 @@ impl PmdSet {
     /// how an rxq is polled: `poll` returns the packets it moved and
     /// whether it crashed the datapath. `live` yields the datapath while
     /// it is up; a poll may tear it down or bring a rebuilt one up.
+    ///
+    /// A PMD's caches go into the datapath before its first live poll
+    /// and come out after its last, and its counters are snapshotted
+    /// then. The delta is folded into the PMD after every poll that moved
+    /// packets and once when its caches come out: an empty poll changes
+    /// no counter, so a crash still loses exactly the crashing poll's
+    /// delta. The cycle meter moves only when a poll took core time.
     fn round<D>(
         &mut self,
         dp: &mut D,
@@ -446,19 +453,24 @@ impl PmdSet {
         let mut moved = 0;
         for i in 0..self.pmds.len() {
             let core = self.pmds[i].core;
+            // The counters when this PMD's caches went in; `None` while
+            // they are out.
+            let mut since: Option<DpifStats> = None;
             // Indexed: a round never reassigns rxqs, and a copy of the
             // list would allocate every round.
             for j in 0..self.pmds[i].rxqs.len() {
                 let rxq = self.pmds[i].rxqs[j];
                 let pmd = &mut self.pmds[i];
-                let before = live(dp).map(|d| {
-                    d.swap_caches(&mut pmd.emc, &mut pmd.smc);
-                    d.stats
-                });
+                if since.is_none() {
+                    if let Some(d) = live(dp) {
+                        d.swap_caches(&mut pmd.emc, &mut pmd.smc);
+                        since = Some(d.stats);
+                    }
+                }
                 let t0 = kernel.sim.cpus.core_ns(core);
                 let (n, crashed) = poll(dp, kernel, rxq, core);
-                if let Some(d) = live(dp) {
-                    if n > 0 {
+                match live(dp) {
+                    Some(d) if n > 0 => {
                         let c = Self::contention_ns(
                             d,
                             kernel,
@@ -468,16 +480,20 @@ impl PmdSet {
                         if c > 0.0 {
                             kernel.sim.charge(core, Context::User, c * n as f64);
                         }
+                        if let Some(before) = &mut since {
+                            pmd.stats.accumulate(&d.stats.delta(before));
+                            *before = d.stats;
+                        }
                     }
-                    if let Some(before) = before {
-                        let pmd = &mut self.pmds[i];
-                        d.swap_caches(&mut pmd.emc, &mut pmd.smc);
-                        pmd.stats.accumulate(&d.stats.delta(&before));
-                    }
+                    Some(_) => {}
+                    // The caches went down with the datapath.
+                    None => since = None,
                 }
                 let dt = kernel.sim.cpus.core_ns(core).saturating_sub(t0);
-                self.pmds[i].busy_ns += dt;
-                *self.cycles.entry(rxq).or_insert(0) += dt;
+                if dt > 0 {
+                    pmd.busy_ns += dt;
+                    *self.cycles.entry(rxq).or_insert(0) += dt;
+                }
                 if crashed {
                     // The crash took the swapped-in caches down with the
                     // datapath: restart with cold per-PMD caches but the
@@ -485,6 +501,11 @@ impl PmdSet {
                     self.reset_caches();
                 }
                 moved += n;
+            }
+            if let (Some(before), Some(d)) = (since, live(dp)) {
+                let pmd = &mut self.pmds[i];
+                d.swap_caches(&mut pmd.emc, &mut pmd.smc);
+                pmd.stats.accumulate(&d.stats.delta(&before));
             }
         }
         self.rounds += 1;
@@ -762,6 +783,96 @@ mod tests {
         let imp2 = s.auto_lb_check();
         assert!(imp2 < 25, "already balanced: {imp2}%");
         assert_eq!(s.auto_lb.rebalances, 1);
+    }
+
+    #[test]
+    fn a_crash_loses_only_the_crashing_polls_counters() {
+        use ovs_afxdp::{AfxdpPort, OptLevel};
+        use ovs_kernel::dev::{DeviceKind, NetDevice};
+        use ovs_packet::{builder, MacAddr};
+        // eth0 (4 queues) forwards to eth1; every EMC miss is inserted.
+        let mut k = Kernel::new(16);
+        let nics: Vec<u32> = (0..2u8)
+            .map(|i| {
+                let mac = MacAddr::new(2, 0, 0, 0, 0, i + 1);
+                k.add_device(NetDevice::new(
+                    &format!("eth{i}"),
+                    mac,
+                    DeviceKind::Phys { link_gbps: 10.0 },
+                    4,
+                ))
+            })
+            .collect();
+        let mut d = DpifNetdev::new();
+        for (i, &nic) in nics.iter().enumerate() {
+            let port = AfxdpPort::open(&mut k, nic, 1024, OptLevel::O5).unwrap();
+            d.add_port(&format!("eth{i}"), PortType::Afxdp(port));
+        }
+        d.add_flows("table=0, priority=10, udp, actions=output:1")
+            .unwrap();
+        d.set_emc_insert_inv_prob(1);
+        let queue_burst = |k: &mut Kernel, q: usize| {
+            for i in 0..4u16 {
+                let f = builder::udp_ipv4_frame(
+                    MacAddr::new(2, 0, 0, 0, 9, 9),
+                    MacAddr::new(2, 0, 0, 0, 0, 1),
+                    [10, 0, 0, 1],
+                    [10, 0, 0, 2],
+                    1000 + q as u16 * 4 + i,
+                    6000,
+                    64,
+                );
+                k.receive(nics[0], q, f);
+            }
+        };
+        // Round-robin: core 8 polls q0 then q2, core 9 q1 then q3.
+        let mut s = set(&[8, 9], AssignmentPolicy::RoundRobin);
+        s.add_port_rxqs(0, 4);
+        s.rebalance();
+        for q in 0..4 {
+            queue_burst(&mut k, q);
+        }
+        s.run_round(&mut d, &mut k);
+        assert!(s.pmds().iter().all(|p| p.emc_len() > 0), "caches warm");
+
+        // A burst waits on q0; the poll of q2 crashes the datapath.
+        queue_burst(&mut k, 0);
+        let before = d.stats;
+        let pmd_before: Vec<DpifStats> = s.pmds().iter().map(|p| p.stats).collect();
+        let mut dp = Some(d);
+        let mut after_first = None;
+        let moved = s.round(
+            &mut dp,
+            &mut k,
+            |dp| dp.as_mut(),
+            |dp, k, rxq, core| {
+                if rxq == RxqId::new(0, 2) {
+                    *dp = None;
+                    return (0, true);
+                }
+                let Some(d) = dp.as_mut() else {
+                    return (0, false);
+                };
+                let n = d.pmd_poll(k, rxq.port, rxq.queue, core);
+                if rxq == RxqId::new(0, 0) {
+                    after_first = Some(d.stats);
+                }
+                (n, false)
+            },
+        );
+        assert_eq!(moved, 4);
+        assert!(dp.is_none(), "the crash took the datapath down");
+        let first = after_first.expect("q0 was polled").delta(&before);
+        assert_eq!(first.rx_packets, 4);
+        assert_eq!(s.pmds()[0].stats.delta(&pmd_before[0]), first);
+        assert_eq!(
+            s.pmds()[1].stats,
+            pmd_before[1],
+            "core 9 polled no datapath"
+        );
+        for p in s.pmds() {
+            assert_eq!((p.emc_len(), p.smc_len()), (0, 0), "core {} cold", p.core);
+        }
     }
 
     #[test]

@@ -313,3 +313,70 @@ fn appctl_pmd_commands() {
         assert!(err.contains("no PMD scheduler"), "{cmd}: {err}");
     }
 }
+
+/// Idle rounds are pure iterations: k rounds over r rxqs with nothing
+/// to receive add exactly k·r iterations to `pmd-perf-show`, and move no
+/// datapath counter, no PMD's counters or busy time, and no rxq load in
+/// `pmd-rxq-show`. Both entry points alike.
+#[test]
+fn idle_rounds_add_iterations_and_move_nothing_else() {
+    fn show(dp: &mut DpifNetdev, k: &mut Kernel, pmds: &mut PmdSet, cmd: &str) -> String {
+        ovs_core::appctl::dispatch_full(dp, k, None, Some(pmds), cmd, &[]).unwrap()
+    }
+    fn iterations(perf: &str) -> u64 {
+        let all = perf
+            .split("all pmd threads:")
+            .nth(1)
+            .expect("summary block");
+        let n = all.split("iterations: ").nth(1).expect("iterations field");
+        n.split_whitespace().next().unwrap().parse().unwrap()
+    }
+    for supervised in [false, true] {
+        let (mut k, dp, nics) = setup();
+        let blueprint = nics.clone();
+        let mut health = HealthMonitor::new(move |k: &mut Kernel| datapath(k, &blueprint));
+        let mut dp = Some(dp);
+        let mut pmds = PmdSet::new(&[8, 9], AssignmentPolicy::Cycles);
+        pmds.add_port_rxqs(0, NQ);
+        pmds.add_port_rxqs(1, NQ);
+        pmds.rebalance();
+        let mut round = |pmds: &mut PmdSet, dp: &mut Option<DpifNetdev>, k: &mut Kernel| {
+            if supervised {
+                pmds.run_round_supervised(&mut health, dp, k)
+            } else {
+                pmds.run_round(dp.as_mut().unwrap(), k)
+            }
+        };
+        // Traffic first, so counters, busy time and loads are non-zero.
+        for q in 0..NQ {
+            for i in 0..=q {
+                k.receive(nics[0], q, frame((q * 4 + i) as u16));
+            }
+        }
+        assert!(round(&mut pmds, &mut dp, &mut k) > 0);
+
+        let snapshot = |dp: &mut Option<DpifNetdev>, k: &mut Kernel, pmds: &mut PmdSet| {
+            let d = dp.as_mut().unwrap();
+            let per_pmd: Vec<_> = pmds.pmds().iter().map(|p| (p.stats, p.busy_ns)).collect();
+            let rxq_show = show(d, k, pmds, "dpif-netdev/pmd-rxq-show");
+            let iters = iterations(&show(d, k, pmds, "dpif-netdev/pmd-perf-show"));
+            (d.stats, per_pmd, rxq_show, iters)
+        };
+        let (stats, per_pmd, rxq_show, iters) = snapshot(&mut dp, &mut k, &mut pmds);
+        assert!(per_pmd.iter().all(|(_, busy)| *busy > 0), "{rxq_show}");
+        const ROUNDS: u64 = 5;
+        for _ in 0..ROUNDS {
+            assert_eq!(
+                round(&mut pmds, &mut dp, &mut k),
+                0,
+                "an idle round moved packets"
+            );
+        }
+        let after = snapshot(&mut dp, &mut k, &mut pmds);
+        let rxqs = (2 * NQ) as u64;
+        assert_eq!(after.3 - iters, ROUNDS * rxqs, "supervised: {supervised}");
+        assert_eq!(after.0, stats, "supervised: {supervised}");
+        assert_eq!(after.1, per_pmd, "supervised: {supervised}");
+        assert_eq!(after.2, rxq_show, "supervised: {supervised}");
+    }
+}

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ovs_packet::DpPacket;
-use ovs_ring::{Desc, DpPacketPool, SpscRing};
+use ovs_ring::{Desc, DpPacketPool, SpscRing, BATCH_SIZE};
 
 use crate::chain::{ChainId, ChainPolicy, NfChain};
 use crate::nf::{NetworkFunction, NfSpec, NfVerdict};
@@ -340,9 +340,11 @@ impl NfManager {
         false
     }
 
-    /// Pop up to `max` packets off NF `id`'s ring, run `process` under a
-    /// panic boundary, and route the verdicts. `force_panic` arms a
-    /// simulated crash for this invocation (driven by the fault plan).
+    /// Pop up to `max` packets (at most [`BATCH_SIZE`]) off NF `id`'s
+    /// ring, run `process` under a panic boundary, and route the
+    /// verdicts. `force_panic` arms a simulated crash for this invocation
+    /// (driven by the fault plan). A poll of an empty ring allocates
+    /// nothing.
     pub fn poll_nf(&mut self, id: NfId, max: usize, now_ns: u64, force_panic: bool) -> PollOutcome {
         let mut out = PollOutcome {
             restarted: self.maybe_restart(id, now_ns),
@@ -353,8 +355,8 @@ impl NfManager {
             if nf.state != NfState::Running {
                 return out;
             }
-            let mut descs = vec![Desc { frame: 0, len: 0 }; max];
-            let n = nf.ring.pop_batch(&mut descs);
+            let mut descs = [Desc { frame: 0, len: 0 }; BATCH_SIZE];
+            let n = nf.ring.pop_batch(&mut descs[..max.min(BATCH_SIZE)]);
             if n == 0 {
                 return out;
             }

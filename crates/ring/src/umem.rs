@@ -194,8 +194,12 @@ impl UmemPool {
     }
 
     /// Free a batch of frames; one lock acquisition under
-    /// [`LockStrategy::SpinlockBatched`], one per frame otherwise.
+    /// [`LockStrategy::SpinlockBatched`], one per frame otherwise, none
+    /// for an empty batch.
     pub fn free_batch(&self, frames: &[u32]) {
+        if frames.is_empty() {
+            return;
+        }
         match self.strategy {
             LockStrategy::SpinlockBatched => {
                 self.locked(|free| free.extend_from_slice(frames));

@@ -10,7 +10,8 @@
 //! drives them with owned frames: the frame an uplink puts on the wire
 //! (`Host::wire_take`), copied out of the umem, and the frame put in a
 //! guest's ring (`Guest::rx_ring`). Everything between the moment a
-//! frame enters a host and the moment it leaves allocates nothing.
+//! frame enters a host and the moment it leaves allocates nothing, and
+//! so does an idle round or an idle NF poll.
 //!
 //! Run the release build, as the wall-clock benchmark measures it, with
 //! `cargo test --release --test alloc_budget`.
@@ -20,6 +21,7 @@ use ovs_afxdp_repro::kernel::GuestRole;
 use ovs_afxdp_repro::nsx::ruleset;
 use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
 use ovs_afxdp_repro::packet::{builder, DpPacket, MacAddr};
+use ovs_nfv::{ChainPolicy, NfSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -220,4 +222,26 @@ fn warm_fast_path_allocates_only_the_wire_handoff() {
         "switch allocations over {frames} warm frames: {allocs}, against a budget of one \
          per wire frame"
     );
+}
+
+#[test]
+fn idle_nf_poll_allocates_nothing() {
+    // The scheduler polls every NF unit every round, like an rxq, so a
+    // poll of an empty NF ring must cost no allocation either.
+    let cfg = HostConfig::nsx_small(1, AFXDP_O5, VmAttachment::VhostUser);
+    let mut h = Host::build(&cfg);
+    let core = h.switch_core;
+    let dp = h.dp.as_mut().expect("userspace datapath");
+    let uplink = h.ports.uplink;
+    let specs = vec![("pt0".to_string(), NfSpec::PassThrough)];
+    dp.nfv.add_chain(0, specs, 64, uplink, ChainPolicy::Bypass);
+    let nf = dp.nfv.chain_of_tenant(0).expect("chain added").nfs[0];
+    // The first poll opens the core's perf record.
+    assert_eq!(dp.nf_poll(&mut h.kernel, nf, core), 0);
+    let (moved, allocs) = counted(|| {
+        (0..100)
+            .map(|_| dp.nf_poll(&mut h.kernel, nf, core))
+            .sum::<usize>()
+    });
+    assert_eq!((moved, allocs), (0, 0), "100 idle NF polls allocated");
 }

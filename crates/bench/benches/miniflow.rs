@@ -1,13 +1,15 @@
 //! Miniflow fast-path microbenches: sparse extraction against full-key
 //! extraction, the cached slot hash, and the wide-lane bulk dpcls probe
 //! across lane widths — the host-CPU cost of the modeled AVX-512-style
-//! signature compare loop.
+//! signature compare loop. The bulk probe's set-up asserts its verdicts
+//! equal per-key scalar lookups at every lane width.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ovs_core::cache::MegaflowCache;
+use ovs_core::cache::{MegaflowCache, MegaflowEntry};
 use ovs_packet::flow::{extract_flow_key, extract_miniflow, fields, FlowMask, Miniflow};
 use ovs_packet::{builder, DpPacket, MacAddr};
 use std::hint::black_box;
+use std::rc::Rc;
 
 fn frame(flow: u32) -> Vec<u8> {
     builder::udp_ipv4_frame(
@@ -88,12 +90,25 @@ fn bench_bulk_probe(c: &mut Criterion) {
             extract_miniflow(&mut pkt)
         })
         .collect();
+    let verdicts = |hits: &[Option<Rc<MegaflowEntry<u32>>>]| -> Vec<Option<u32>> {
+        hits.iter().map(|h| h.as_ref().map(|e| e.actions)).collect()
+    };
     let mut g = c.benchmark_group("miniflow/bulk_probe_burst32");
     for lane in [1usize, 4, 8, 16] {
         let mut cache = table(512);
         cache.set_lane_width(lane);
+        // At every lane width the bulk verdicts equal per-key scalar
+        // lookups on a twin table, and every key of the burst hits.
+        let mut hits = Vec::new();
+        cache.lookup_bulk(&keys, &mut hits);
+        let mut twin = table(512);
+        let scalar: Vec<_> = keys.iter().map(|k| twin.lookup_mini(k)).collect();
+        assert_eq!(verdicts(&hits), verdicts(&scalar), "lane width {lane}");
+        assert!(
+            scalar.iter().all(Option::is_some),
+            "every burst key has a flow"
+        );
         g.bench_with_input(BenchmarkId::from_parameter(lane), &lane, |b, _| {
-            let mut hits = Vec::new();
             b.iter(|| {
                 cache.lookup_bulk(black_box(&keys), &mut hits);
                 black_box(hits.iter().flatten().count())

@@ -9,8 +9,11 @@
 //!    at megaflows; a hit still verifies the masked key against the
 //!    megaflow, so it can never forward on a colliding signature. OVS's
 //!    `smc-enable` tier, off by default.
-//! 3. **Megaflow cache** — a tuple-space-search table over the wildcarded
-//!    entries produced by slow-path translation.
+//! 3. **Megaflow cache** — the dpcls: a tuple-space-search table over
+//!    the wildcarded entries produced by slow-path translation. Its
+//!    subtables hold the entries themselves, one pointer per flow, and
+//!    [`MegaflowCache::lookup_bulk`] probes a whole burst against each
+//!    subtable in wide lanes.
 //! 4. **Upcall** — the full OpenFlow pipeline (`ofproto`), which installs a
 //!    new megaflow.
 //!
@@ -18,10 +21,13 @@
 //! rejected as an eBPF map type (§2.2.2 footnote), which is why the eBPF
 //! datapath couldn't have it.
 
-use crate::classifier::{Classifier, Rule};
+use crate::classifier::{SubtableInfo, DEFAULT_RANK_INTERVAL};
 use crate::revalidator::{FlowCounters, Ufid, UfidMap, Ukey};
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 /// A cached megaflow: the actions to run and the wildcard mask it was
@@ -374,11 +380,61 @@ impl<A> Default for Smc<A> {
     }
 }
 
-/// The megaflow cache: a priority-free tuple-space-search table of
-/// [`MegaflowEntry`]s.
+/// Default bulk-probe lane width: AVX-512 compares eight 64-bit
+/// signatures per instruction, so upstream's vectorized dpcls probes
+/// eight keys per subtable pass.
+const DEFAULT_LANE_WIDTH: usize = 8;
+
+/// A megaflow as its subtable holds it: the entry's own `Rc`, hashed and
+/// compared by its masked key, so a probe finds it by the masked packet
+/// miniflow and the subtable keeps one pointer per flow. The key is
+/// stable in the set: hashing and equality read only `mini_key`, which
+/// no holder of the shared entry can change, never the entry's `Cell`
+/// counters. (Clippy's `mutable_key_type` cannot see that, and flags a
+/// local binding typed as a set of these; the code binds the subtable
+/// instead.)
+#[derive(Debug)]
+struct SubtableFlow<A>(Rc<MegaflowEntry<A>>);
+
+impl<A> Hash for SubtableFlow<A> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Hash::hash(&self.0.mini_key, state);
+    }
+}
+
+impl<A> PartialEq for SubtableFlow<A> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.mini_key == other.0.mini_key
+    }
+}
+
+impl<A> Eq for SubtableFlow<A> {}
+
+impl<A> Borrow<Miniflow> for SubtableFlow<A> {
+    fn borrow(&self) -> &Miniflow {
+        &self.0.mini_key
+    }
+}
+
+/// One dpcls subtable: the flows installed under one mask. The set keeps
+/// std's keyed `RandomState`, because its keys come from packets.
+#[derive(Debug)]
+struct Subtable<A> {
+    mini_mask: MiniMask,
+    flows: HashSet<SubtableFlow<A>>,
+    /// Lookups this subtable answered (the ranking key).
+    hits: u64,
+}
+
+/// The megaflow cache (upstream's `dpcls`): a priority-free
+/// tuple-space-search table of [`MegaflowEntry`]s, one subtable per mask.
+/// Every entry has priority 0 and installed entries are disjoint, so the
+/// first match in ranked order is *the* match.
 #[derive(Debug)]
 pub struct MegaflowCache<A> {
-    cls: Classifier<Rc<MegaflowEntry<A>>>,
+    /// The subtables in probe order: sorted by hit count (stable) after
+    /// every insert and every [`DEFAULT_RANK_INTERVAL`] lookups.
+    subtables: Vec<Subtable<A>>,
     /// The index: UFID → entry, one flow per masked key whatever its
     /// mask. It finds a flow without hashing its key, and its size is
     /// the flow count.
@@ -391,17 +447,33 @@ pub struct MegaflowCache<A> {
     /// stays valid as long as the generation is unchanged, so the caller
     /// can skip the scalar re-probe when no flow was installed since.
     generation: u64,
+    /// Lookups since the last re-rank.
+    since_rank: u64,
+    subtables_probed: u64,
+    /// Keys probed per bulk step.
+    lane_width: usize,
+    lane_steps: u64,
+    lane_keys: u64,
+    /// The bulk probe's still-unmatched key indices, kept between
+    /// lookups so a warm probe allocates nothing.
+    remaining: Vec<usize>,
 }
 
 impl<A> MegaflowCache<A> {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            cls: Classifier::new(),
+            subtables: Vec::new(),
             installed: UfidMap::default(),
             hits: 0,
             misses: 0,
             generation: 0,
+            since_rank: 0,
+            subtables_probed: 0,
+            lane_width: DEFAULT_LANE_WIDTH,
+            lane_steps: 0,
+            lane_keys: 0,
+            remaining: Vec::new(),
         }
     }
 
@@ -426,47 +498,73 @@ impl<A> MegaflowCache<A> {
         self.installed.is_empty()
     }
 
-    /// Rules in the classifier, summed over its subtables: equal to
-    /// [`Self::len`] unless the index and the classifier drifted apart.
-    pub(crate) fn classifier_len(&self) -> usize {
-        self.cls.len()
+    /// Flows in the subtables, summed: equal to [`Self::len`] unless the
+    /// index and the subtables drifted apart.
+    pub(crate) fn subtable_flows(&self) -> usize {
+        self.subtables.iter().map(|s| s.flows.len()).sum()
     }
 
     /// Distinct masks (subtables probed per miss).
     pub fn subtable_count(&self) -> usize {
-        self.cls.subtable_count()
+        self.subtables.len()
     }
 
     /// Subtables probed so far (work metric).
     pub fn subtables_probed(&self) -> u64 {
-        self.cls.stats.subtables_probed
+        self.subtables_probed
     }
 
     /// Wide-lane bulk steps executed so far (the bulk-probe work metric:
     /// one step = one ≤`lane_width`-key signature pass over a subtable).
     pub fn lane_steps(&self) -> u64 {
-        self.cls.stats.lane_steps
+        self.lane_steps
     }
 
-    /// Keys carried through bulk steps (occupancy numerator).
+    /// Keys carried through bulk steps (occupancy numerator: a fully
+    /// packed run has `lane_keys == lane_steps * lane_width`).
     pub fn lane_keys(&self) -> u64 {
-        self.cls.stats.lane_keys
+        self.lane_keys
     }
 
     /// Keys probed per bulk step.
     pub fn lane_width(&self) -> usize {
-        self.cls.lane_width
+        self.lane_width
     }
 
     /// Set the bulk-probe lane width (1 = scalar-equivalent probing).
     pub fn set_lane_width(&mut self, lane: usize) {
-        self.cls.lane_width = lane.max(1);
+        self.lane_width = lane.max(1);
     }
 
     /// Snapshot of the dpcls subtables in probe (rank) order, for
     /// `dpif-netdev/subtable-ranking`.
-    pub fn subtable_info(&self) -> Vec<crate::classifier::SubtableInfo> {
-        self.cls.subtable_info()
+    pub fn subtable_info(&self) -> Vec<SubtableInfo> {
+        self.subtables
+            .iter()
+            .map(|s| SubtableInfo {
+                mask: s.mini_mask.expand(),
+                max_priority: 0,
+                hits: s.hits,
+                rules: s.flows.len(),
+            })
+            .collect()
+    }
+
+    /// Sort the subtables by hit count. Stable, so re-sorting without new
+    /// hits is a no-op.
+    fn sort_subtables(&mut self) {
+        self.subtables.sort_by_key(|s| std::cmp::Reverse(s.hits));
+    }
+
+    /// Count `n` lookups and re-rank once they reach the interval. Runs
+    /// before a probe walks the subtables, so their order holds for the
+    /// rest of the lookup.
+    fn count_lookups(&mut self, n: u64) {
+        self.since_rank += n;
+        if self.since_rank >= DEFAULT_RANK_INTERVAL {
+            self.since_rank = 0;
+            self.sort_subtables();
+        }
     }
 
     /// Look up a full key (slow path / diagnostics).
@@ -474,12 +572,22 @@ impl<A> MegaflowCache<A> {
         self.lookup_mini(&Miniflow::from_key(key))
     }
 
-    /// Look up one sparse key.
+    /// Look up one sparse key: the subtables in rank order until the
+    /// first whose set holds the key under its mask.
     pub fn lookup_mini(&mut self, key: &Miniflow) -> Option<Rc<MegaflowEntry<A>>> {
-        match self.cls.lookup_mini(key, None) {
-            Some(r) => {
+        self.count_lookups(1);
+        let mut found = None;
+        for st in &mut self.subtables {
+            self.subtables_probed += 1;
+            if let Some(f) = st.flows.get(&st.mini_mask.apply(key)) {
+                st.hits += 1;
+                found = Some(Rc::clone(&f.0));
+                break;
+            }
+        }
+        match found {
+            Some(e) => {
                 self.hits += 1;
-                let e = Rc::clone(&r.value);
                 e.hits.set(e.hits.get() + 1);
                 Some(e)
             }
@@ -490,11 +598,13 @@ impl<A> MegaflowCache<A> {
         }
     }
 
-    /// Probe a whole burst of sparse keys in wide lanes (valid here
-    /// because every megaflow rule has priority 0 and installed entries
-    /// are disjoint — first match in ranked order is *the* match). Keys
-    /// leave the probe set as they match; see
-    /// [`Classifier::lookup_bulk`].
+    /// Probe a whole burst of sparse keys in wide lanes: per subtable,
+    /// the still-unmatched keys are masked, hashed, and compared in
+    /// groups of [`Self::lane_width`] ([`Self::lane_steps`] counts the
+    /// groups), and a key that matches leaves the remaining set —
+    /// upstream `dpcls_lookup`'s `keys_map` walk over vectorized subtable
+    /// probes. First match in ranked order is the match, because every
+    /// entry has priority 0 and installed entries are disjoint.
     ///
     /// Only hits are counted here: the caller re-probes each bulk miss
     /// with a scalar [`Self::lookup_mini`] before upcalling (an earlier
@@ -510,13 +620,43 @@ impl<A> MegaflowCache<A> {
     ) {
         results.clear();
         results.resize_with(keys.len(), || None);
-        let mut hits = 0;
-        self.cls.lookup_bulk(keys, |ki, r| {
-            hits += 1;
-            r.value.hits.set(r.value.hits.get() + 1);
-            results[ki] = Some(Rc::clone(&r.value));
-        });
-        self.hits += hits;
+        self.count_lookups(keys.len() as u64);
+        let lane = self.lane_width;
+        let Self {
+            subtables,
+            hits,
+            subtables_probed,
+            lane_steps,
+            lane_keys,
+            remaining,
+            ..
+        } = self;
+        remaining.clear();
+        remaining.extend(0..keys.len());
+        for st in subtables.iter_mut() {
+            if remaining.is_empty() {
+                break;
+            }
+            let n = remaining.len() as u64;
+            *subtables_probed += n;
+            *lane_keys += n;
+            *lane_steps += remaining.len().div_ceil(lane) as u64;
+            let Subtable {
+                mini_mask,
+                flows,
+                hits: st_hits,
+            } = st;
+            remaining.retain(|&ki| match flows.get(&mini_mask.apply(&keys[ki])) {
+                Some(f) => {
+                    *st_hits += 1;
+                    *hits += 1;
+                    f.0.hits.set(f.0.hits.get() + 1);
+                    results[ki] = Some(Rc::clone(&f.0));
+                    false
+                }
+                None => true,
+            });
+        }
     }
 
     /// Install a megaflow produced by translation (created/used = 0; the
@@ -536,23 +676,56 @@ impl<A> MegaflowCache<A> {
         self.insert(MegaflowEntry::new(key.masked(&mask), mask, actions, now_ns))
     }
 
-    /// Install a built entry. Reinstalling over an existing masked key
-    /// (the same UFID, whatever the mask) kills the old entry: any EMC
-    /// reference to it must not survive the replacement.
+    /// Install a built entry, whose key is masked by its mask.
+    /// Reinstalling over an existing masked key (the same UFID, whatever
+    /// the mask) kills the old entry: any EMC reference to it must not
+    /// survive the replacement.
     pub(crate) fn insert(&mut self, entry: MegaflowEntry<A>) -> Rc<MegaflowEntry<A>> {
+        debug_assert_eq!(entry.mini_key, entry.mini_mask.apply(&entry.mini_key));
         self.generation += 1;
         let entry = Rc::new(entry);
         if let Some(old) = self.installed.insert(entry.ufid, Rc::clone(&entry)) {
             old.dead.set(true);
-            self.cls.remove(&old.key, &old.mask);
+            self.unlink(&old);
         }
-        self.cls.insert(Rule {
-            key: entry.key,
-            mask: entry.mask,
-            priority: 0,
-            value: Rc::clone(&entry),
-        });
+        let i = match self
+            .subtables
+            .iter()
+            .position(|s| s.mini_mask == entry.mini_mask)
+        {
+            Some(i) => i,
+            None => {
+                self.subtables.push(Subtable {
+                    mini_mask: entry.mini_mask,
+                    flows: HashSet::new(),
+                    hits: 0,
+                });
+                self.subtables.len() - 1
+            }
+        };
+        let fresh = self.subtables[i]
+            .flows
+            .insert(SubtableFlow(Rc::clone(&entry)));
+        debug_assert!(fresh, "a masked key is installed once");
+        self.sort_subtables();
         entry
+    }
+
+    /// Unlink an entry from its subtable by its own masked key, dropping
+    /// the subtable when it empties.
+    fn unlink(&mut self, e: &MegaflowEntry<A>) {
+        let Some(i) = self
+            .subtables
+            .iter()
+            .position(|s| s.mini_mask == e.mini_mask)
+        else {
+            return;
+        };
+        let st = &mut self.subtables[i];
+        st.flows.remove(&e.mini_key);
+        if st.flows.is_empty() {
+            self.subtables.remove(i);
+        }
     }
 
     /// Whether the megaflow with this UFID is installed.
@@ -566,13 +739,16 @@ impl<A> MegaflowCache<A> {
         self.generation += 1;
         let e = self.installed.remove(&ufid)?;
         e.dead.set(true);
-        self.cls.remove(&e.key, &e.mask);
+        self.unlink(&e);
         Some(e)
     }
 
-    /// Iterate over installed megaflows (masked key, mask, hits, actions).
+    /// Iterate over installed megaflows in place: subtable by subtable in
+    /// rank order, each subtable's flows in its set's order.
     pub fn iter(&self) -> impl Iterator<Item = &Rc<MegaflowEntry<A>>> + '_ {
-        self.cls.iter().map(|r| &r.value)
+        self.subtables
+            .iter()
+            .flat_map(|s| s.flows.iter().map(|f| &f.0))
     }
 }
 
@@ -787,6 +963,93 @@ mod tests {
             smc.insert(h(i), e);
         }
         assert!(smc.len() <= 2 * SMC_WAYS, "bounded by geometry");
+    }
+
+    fn dst(ip: [u8; 4]) -> FlowKey {
+        let mut k = FlowKey::default();
+        k.set_nw_dst_v4(ip);
+        k
+    }
+
+    fn prefix(plen: u8) -> FlowMask {
+        let mut mask = FlowMask::EMPTY;
+        mask.set_nw_dst_v4_prefix(plen);
+        mask
+    }
+
+    fn actions(results: &[Option<Rc<MegaflowEntry<u32>>>]) -> Vec<Option<u32>> {
+        results
+            .iter()
+            .map(|r| r.as_ref().map(|e| e.actions))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_lookup_matches_scalar() {
+        // Two subtables (/16 and /8), a burst mixing hits in each plus
+        // misses: the bulk result must equal key-by-key scalar lookups.
+        let build = || {
+            let mut mf: MegaflowCache<u32> = MegaflowCache::new();
+            mf.install(dst([10, 1, 0, 0]), prefix(16), 200);
+            mf.install(dst([10, 0, 0, 0]), prefix(8), 100);
+            mf
+        };
+        let minis: Vec<Miniflow> = [
+            dst([10, 1, 2, 3]), // /16
+            dst([10, 9, 9, 9]), // /8
+            dst([99, 0, 0, 1]), // miss
+            dst([10, 1, 0, 7]), // /16
+        ]
+        .iter()
+        .map(Miniflow::from_key)
+        .collect();
+        let mut scalar_mf = build();
+        let scalar: Vec<Option<u32>> = minis
+            .iter()
+            .map(|k| scalar_mf.lookup_mini(k).map(|e| e.actions))
+            .collect();
+        let mut mf = build();
+        let mut results = Vec::new();
+        mf.lookup_bulk(&minis, &mut results);
+        assert_eq!(actions(&results), scalar);
+        assert_eq!(scalar, vec![Some(200), Some(100), None, Some(200)]);
+        assert_eq!(
+            (mf.hits, mf.misses),
+            (3, 0),
+            "a bulk probe counts hits only"
+        );
+    }
+
+    #[test]
+    fn bulk_lane_accounting() {
+        // One subtable, lane width 8: a 20-key burst takes ceil(20/8) = 3
+        // steps and carries 20 keys. A matched key leaves the remaining
+        // set, so a second subtable only sees the misses.
+        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
+        mf.set_lane_width(8);
+        for i in 1..=4u8 {
+            mf.install(dst([10, 0, 0, i]), prefix(32), u32::from(i));
+        }
+        let minis: Vec<Miniflow> = (0..20u8)
+            .map(|i| Miniflow::from_key(&dst([10, 0, 0, i])))
+            .collect();
+        let mut results = Vec::new();
+        mf.lookup_bulk(&minis, &mut results);
+        assert_eq!(results.iter().flatten().count(), 4);
+        assert_eq!(mf.lane_steps(), 3);
+        assert_eq!(mf.lane_keys(), 20);
+        assert_eq!(mf.subtables_probed(), 20);
+
+        // Add a second subtable (/8 catch-all): the 16 keys unmatched by
+        // the /32 subtable carry over, 2 more steps.
+        mf.install(dst([10, 0, 0, 0]), prefix(8), 999);
+        let (steps, keys) = (mf.lane_steps(), mf.lane_keys());
+        mf.lookup_bulk(&minis, &mut results);
+        assert_eq!(results.iter().flatten().count(), minis.len());
+        // Ranked order puts the hot /32 subtable first (4 prior hits).
+        assert_eq!(mf.subtable_info()[0].hits, 4 + 4);
+        assert_eq!(mf.lane_steps() - steps, 3 + 2);
+        assert_eq!(mf.lane_keys() - keys, 20 + 16);
     }
 
     #[test]

@@ -9,18 +9,23 @@
 //!
 //! Within a priority tier, subtables are additionally *ranked* by hit
 //! count and periodically re-sorted (OVS's `dpcls_sort_subtable_vector`),
-//! so skewed traffic probes its hot subtable first. For the megaflow
-//! cache — where every entry has priority 0 and a lookup stops at the
-//! first match — ranking directly cuts `subtables_probed`.
+//! so skewed traffic probes its hot subtable first. Within a tier the
+//! ranking also decides which subtable masks a translation unites into
+//! its megaflow mask.
 //!
 //! Subtables store and match rules as sparse [`Miniflow`]s under a
 //! [`MiniMask`]: masking, hashing, and comparing touch only the mask's
-//! populated 8-byte slots. [`Classifier::lookup_bulk`] probes a whole
-//! burst against each subtable in wide lanes (one signature pass per
-//! `lane_width` keys, upstream's AVX-512 `dpcls_subtable_lookup` shape),
-//! removing keys from the remaining set as they match.
+//! populated 8-byte slots.
+//!
+//! This is the OpenFlow tables' classifier: priorities, several rules per
+//! masked key, and wildcard tracking. The megaflow cache has its own
+//! single-tier subtables and wide-lane bulk probe
+//! ([`MegaflowCache::lookup_bulk`](crate::cache::MegaflowCache::lookup_bulk)),
+//! as upstream keeps `dpcls` apart from `classifier`.
 
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A classifier rule: match (key under mask), priority, and an opaque
@@ -47,8 +52,10 @@ struct Subtable<V> {
     rules: HashMap<Miniflow, Vec<Rule<V>>>,
     max_priority: i32,
     rule_count: usize,
-    /// Lookups this subtable answered (the ranking key).
-    hits: u64,
+    /// Lookups this subtable answered (the ranking key). A `Cell`, so a
+    /// lookup can count the hit through the shared borrow that holds its
+    /// winning rule.
+    hits: Cell<u64>,
 }
 
 /// One subtable's entry in the ranked probe vector, as dumped by
@@ -70,22 +77,11 @@ pub struct SubtableInfo {
 pub struct ClassifierStats {
     pub lookups: u64,
     pub subtables_probed: u64,
-    /// Wide-lane bulk steps executed: one per `ceil(keys/lane)` per
-    /// subtable probed by [`Classifier::lookup_bulk`].
-    pub lane_steps: u64,
-    /// Keys carried through bulk steps (occupancy numerator: a fully
-    /// packed run has `lane_keys == lane_steps * lane_width`).
-    pub lane_keys: u64,
 }
 
 /// Lookups between subtable-ranking re-sorts (OVS re-sorts its pvector
 /// once per second; a lookup count is the deterministic stand-in).
 pub const DEFAULT_RANK_INTERVAL: u64 = 256;
-
-/// Default bulk-probe lane width: AVX-512 compares eight 64-bit
-/// signatures per instruction, so upstream's vectorized dpcls probes
-/// eight keys per subtable pass.
-pub const DEFAULT_LANE_WIDTH: usize = 8;
 
 /// The tuple-space-search classifier.
 #[derive(Debug)]
@@ -95,12 +91,7 @@ pub struct Classifier<V> {
     pub stats: ClassifierStats,
     /// Lookups between hit-count re-sorts of the subtable vector.
     pub rank_interval: u64,
-    /// Keys probed per bulk step ([`Classifier::lookup_bulk`]).
-    pub lane_width: usize,
     since_rank: u64,
-    /// The bulk probe's still-unmatched key indices, kept between
-    /// lookups so a warm probe allocates nothing.
-    remaining: Vec<usize>,
 }
 
 impl<V> Default for Classifier<V> {
@@ -116,9 +107,7 @@ impl<V> Classifier<V> {
             subtables: Vec::new(),
             stats: ClassifierStats::default(),
             rank_interval: DEFAULT_RANK_INTERVAL,
-            lane_width: DEFAULT_LANE_WIDTH,
             since_rank: 0,
-            remaining: Vec::new(),
         }
     }
 
@@ -149,21 +138,30 @@ impl<V> Classifier<V> {
                     rules: HashMap::new(),
                     max_priority: i32::MIN,
                     rule_count: 0,
-                    hits: 0,
+                    hits: Cell::new(0),
                 });
                 self.subtables.len() - 1
             }
         };
         let st = &mut self.subtables[idx];
         st.max_priority = st.max_priority.max(rule.priority);
-        let bucket = st.rules.entry(masked).or_default();
-        if let Some(existing) = bucket.iter_mut().find(|r| r.priority == rule.priority) {
-            *existing = rule;
-        } else {
-            bucket.push(rule);
-            // Keep each bucket ordered by descending priority.
-            bucket.sort_by_key(|r| std::cmp::Reverse(r.priority));
-            st.rule_count += 1;
+        match st.rules.entry(masked) {
+            // A new bucket holds exactly its one rule.
+            Entry::Vacant(v) => {
+                v.insert(vec![rule]);
+                st.rule_count += 1;
+            }
+            Entry::Occupied(mut o) => {
+                let bucket = o.get_mut();
+                if let Some(existing) = bucket.iter_mut().find(|r| r.priority == rule.priority) {
+                    *existing = rule;
+                } else {
+                    bucket.push(rule);
+                    // Keep each bucket ordered by descending priority.
+                    bucket.sort_by_key(|r| std::cmp::Reverse(r.priority));
+                    st.rule_count += 1;
+                }
+            }
         }
         // Keep subtables ordered by descending max priority so lookups can
         // stop early (OVS's pvector).
@@ -174,8 +172,12 @@ impl<V> Classifier<V> {
     /// hit count within a priority tier (the ranking). Stable under
     /// equal keys so re-sorting without new hits is a no-op.
     fn sort_subtables(&mut self) {
-        self.subtables
-            .sort_by_key(|s| (std::cmp::Reverse(s.max_priority), std::cmp::Reverse(s.hits)));
+        self.subtables.sort_by_key(|s| {
+            (
+                std::cmp::Reverse(s.max_priority),
+                std::cmp::Reverse(s.hits.get()),
+            )
+        });
     }
 
     /// Re-rank every `rank_interval` lookups. Runs *before* the probe
@@ -195,7 +197,7 @@ impl<V> Classifier<V> {
             .map(|s| SubtableInfo {
                 mask: s.mask,
                 max_priority: s.max_priority,
-                hits: s.hits,
+                hits: s.hits.get(),
                 rules: s.rule_count,
             })
             .collect()
@@ -239,10 +241,12 @@ impl<V> Classifier<V> {
     ) -> Option<&Rule<V>> {
         self.stats.lookups += 1;
         self.maybe_rerank();
-        let mut best: Option<(usize, i32)> = None;
-        for (i, st) in self.subtables.iter().enumerate() {
-            if let Some((_, bp)) = best {
-                if st.max_priority <= bp {
+        // The winner's subtable and rule, kept from the probe that found
+        // them.
+        let mut best: Option<(&Subtable<V>, &Rule<V>)> = None;
+        for st in &self.subtables {
+            if let Some((_, b)) = best {
+                if st.max_priority <= b.priority {
                     break; // no remaining subtable can outrank the match
                 }
             }
@@ -250,88 +254,17 @@ impl<V> Classifier<V> {
             if let Some(wc) = wc.as_deref_mut() {
                 wc.unite(&st.mask);
             }
-            let masked = st.mini_mask.apply(key);
-            if let Some(bucket) = st.rules.get(&masked) {
+            if let Some(bucket) = st.rules.get(&st.mini_mask.apply(key)) {
                 // Buckets are sorted by descending priority.
                 let r = &bucket[0];
-                match best {
-                    Some((_, bp)) if bp >= r.priority => {}
-                    _ => best = Some((i, r.priority)),
+                if best.is_none_or(|(_, b)| r.priority > b.priority) {
+                    best = Some((st, r));
                 }
             }
         }
-        let (i, prio) = best?;
-        self.subtables[i].hits += 1;
-        let st = &self.subtables[i];
-        let masked = st.mini_mask.apply(key);
-        st.rules
-            .get(&masked)
-            .and_then(|b| b.iter().find(|r| r.priority == prio))
-    }
-
-    /// Probe a whole burst of keys in wide lanes: per subtable, the
-    /// still-unmatched keys are masked, hashed, and compared in groups of
-    /// [`Classifier::lane_width`] (`stats.lane_steps` counts the groups),
-    /// and a key that matches leaves the remaining set — upstream
-    /// `dpcls_lookup`'s `keys_map` walk over vectorized subtable probes.
-    /// Each match is reported as `hit(key index, rule)`; the caller keeps
-    /// the verdicts wherever it likes.
-    ///
-    /// First-match-in-ranked-order equals highest-priority-match only
-    /// when every subtable sits in one priority tier, which holds for the
-    /// megaflow cache (all rules priority 0, entries disjoint); callers
-    /// with mixed priorities must use the scalar lookup.
-    pub fn lookup_bulk<'a>(
-        &'a mut self,
-        keys: &[Miniflow],
-        mut hit: impl FnMut(usize, &'a Rule<V>),
-    ) {
-        debug_assert!(
-            self.subtables
-                .windows(2)
-                .all(|w| w[0].max_priority == w[1].max_priority),
-            "bulk lookup requires a single priority tier"
-        );
-        let lane = self.lane_width.max(1);
-        self.stats.lookups += keys.len() as u64;
-        self.since_rank += keys.len() as u64;
-        if self.since_rank >= self.rank_interval {
-            self.since_rank = 0;
-            self.sort_subtables();
-        }
-        let Self {
-            subtables,
-            stats,
-            remaining,
-            ..
-        } = self;
-        remaining.clear();
-        remaining.extend(0..keys.len());
-        for st in subtables.iter_mut() {
-            if remaining.is_empty() {
-                break;
-            }
-            let n = remaining.len() as u64;
-            stats.subtables_probed += n;
-            stats.lane_keys += n;
-            stats.lane_steps += remaining.len().div_ceil(lane) as u64;
-            let Subtable {
-                mini_mask,
-                rules,
-                hits,
-                ..
-            } = st;
-            let rules: &'a HashMap<Miniflow, Vec<Rule<V>>> = rules;
-            remaining.retain(|&ki| match rules.get(&mini_mask.apply(&keys[ki])) {
-                Some(bucket) => {
-                    *hits += 1;
-                    // Buckets are sorted by descending priority.
-                    hit(ki, &bucket[0]);
-                    false
-                }
-                None => true,
-            });
-        }
+        let (st, r) = best?;
+        st.hits.set(st.hits.get() + 1);
+        Some(r)
     }
 
     /// Union of every subtable mask — the conservative wildcard a miss
@@ -519,69 +452,6 @@ mod tests {
         assert_eq!(c.lookup(&key_dst([10, 1, 2, 3])).unwrap().value, 1);
         let info = c.subtable_info();
         assert_eq!(info[0].max_priority, 10, "priority order preserved");
-    }
-
-    #[test]
-    fn bulk_lookup_matches_scalar() {
-        // Two same-priority subtables (/16 and /8), a burst mixing hits
-        // in each plus misses: the bulk result must equal key-by-key
-        // scalar lookups.
-        let mut c = Classifier::new();
-        c.insert(rule([10, 1, 0, 0], 16, 0, 200));
-        c.insert(rule([10, 0, 0, 0], 8, 0, 100));
-        let burst = [
-            key_dst([10, 1, 2, 3]), // /16
-            key_dst([10, 9, 9, 9]), // /8
-            key_dst([99, 0, 0, 1]), // miss
-            key_dst([10, 1, 0, 7]), // /16
-        ];
-        let minis: Vec<Miniflow> = burst.iter().map(Miniflow::from_key).collect();
-        let scalar: Vec<Option<u32>> = {
-            let mut c2 = Classifier::new();
-            c2.insert(rule([10, 1, 0, 0], 16, 0, 200));
-            c2.insert(rule([10, 0, 0, 0], 8, 0, 100));
-            burst
-                .iter()
-                .map(|k| c2.lookup(k).map(|r| r.value))
-                .collect()
-        };
-        let mut bulk = vec![None; minis.len()];
-        c.lookup_bulk(&minis, |i, r| bulk[i] = Some(r.value));
-        assert_eq!(bulk, scalar);
-        assert_eq!(bulk, vec![Some(200), Some(100), None, Some(200)]);
-    }
-
-    #[test]
-    fn bulk_lane_accounting() {
-        // One subtable, lane width 8: a 20-key burst takes ceil(20/8) = 3
-        // steps and carries 20 keys. A matched key leaves the remaining
-        // set, so a second subtable only sees the misses.
-        let mut c = Classifier::new();
-        c.lane_width = 8;
-        for i in 0..4u8 {
-            c.insert(rule([10, 0, 0, i], 32, 0, u32::from(i)));
-        }
-        let minis: Vec<Miniflow> = (0..20u8)
-            .map(|i| Miniflow::from_key(&key_dst([10, 0, 0, i])))
-            .collect();
-        c.stats = ClassifierStats::default();
-        let mut hits = 0;
-        c.lookup_bulk(&minis, |_, _| hits += 1);
-        assert_eq!(hits, 4);
-        assert_eq!(c.stats.lane_steps, 3);
-        assert_eq!(c.stats.lane_keys, 20);
-        assert_eq!(c.stats.subtables_probed, 20);
-
-        // Add a second subtable (/8 catch-all): the 16 keys unmatched by
-        // the /32 subtable carry over, 2 more steps.
-        c.insert(rule([10, 0, 0, 0], 8, 0, 999));
-        c.stats = ClassifierStats::default();
-        let mut hits = 0;
-        c.lookup_bulk(&minis, |_, _| hits += 1);
-        assert_eq!(hits, minis.len());
-        // Ranked order puts the hot /32 subtable first (4 prior hits).
-        assert_eq!(c.stats.lane_steps, 3 + 2);
-        assert_eq!(c.stats.lane_keys, 20 + 16);
     }
 
     #[test]

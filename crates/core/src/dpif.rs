@@ -524,6 +524,9 @@ pub struct DpifNetdev {
     /// What a poll receives, kept between polls.
     rx: PacketBatch,
     scratch: BurstScratch,
+    /// The flows a walk over the megaflow cache condemned, deleted after
+    /// the walk; kept between walks so a warm sweep allocates nothing.
+    condemned: Vec<Ufid>,
 }
 
 impl Default for DpifNetdev {
@@ -558,6 +561,7 @@ impl DpifNetdev {
             pool: DpPacketPool::new(0, PKT_DATA_CAPACITY),
             rx: PacketBatch::default(),
             scratch: BurstScratch::default(),
+            condemned: Vec::new(),
         }
     }
 
@@ -713,10 +717,9 @@ impl DpifNetdev {
     /// its residual stats pushed up to the OpenFlow rules first so no
     /// `n_packets` are lost.
     pub fn flush_caches(&mut self) {
-        let flows: Vec<Ufid> = self.megaflow.iter().map(|e| e.ufid).collect();
-        for ufid in flows {
-            self.delete_megaflow(ufid);
-        }
+        let mut condemned = std::mem::take(&mut self.condemned);
+        condemned.extend(self.megaflow.iter().map(|e| e.ufid));
+        self.delete_condemned(condemned);
         self.emc.flush();
         self.smc.flush();
     }
@@ -854,11 +857,16 @@ impl DpifNetdev {
     /// checked at the current table version are re-translated. Restored
     /// flows wait for reconciliation in [`revalidate`](Self::revalidate).
     pub fn revalidate_changed(&mut self) -> usize {
-        let flows: Vec<_> = self.megaflow.iter().cloned().collect();
         let mut sweep = Sweep::flow_mod(self.ofproto.version());
-        for e in &flows {
-            self.revalidate_megaflow(&mut sweep, e);
+        let mut condemned = std::mem::take(&mut self.condemned);
+        for e in self.megaflow.iter() {
+            let verdict =
+                Self::revalidate_megaflow(&mut self.revalidator, &mut self.ofproto, &mut sweep, e);
+            if verdict == Verdict::Delete {
+                condemned.push(e.ufid);
+            }
         }
+        self.delete_condemned(condemned);
         self.emc.purge_dead();
         self.smc.purge_dead();
         self.revalidator.close(sweep).deleted() as usize
@@ -1029,18 +1037,28 @@ impl DpifNetdev {
         }
     }
 
-    /// The pass's per-flow step on one megaflow, deleting it on that
-    /// verdict: the entry is the flow as a dump returns it (masked key,
-    /// mask, actions, counters and ukey), and a re-translation (when the
-    /// step needs one) goes through this datapath's tables.
+    /// Delete the flows a walk condemned, in the order it condemned
+    /// them, and keep the emptied list for the next walk.
+    fn delete_condemned(&mut self, mut condemned: Vec<Ufid>) {
+        for ufid in condemned.drain(..) {
+            self.delete_megaflow(ufid);
+        }
+        self.condemned = condemned;
+    }
+
+    /// The pass's per-flow step on one megaflow: the entry is the flow as
+    /// a dump returns it (masked key, mask, actions, counters and ukey),
+    /// and a re-translation (when the step needs one) goes through
+    /// `ofproto`. The walk that calls it holds the megaflow cache, so a
+    /// flow this condemns is deleted after the walk.
     fn revalidate_megaflow(
-        &mut self,
+        revalidator: &mut Revalidator,
+        ofproto: &mut Ofproto,
         sweep: &mut Sweep,
         e: &MegaflowEntry<Vec<DpAction>>,
     ) -> Verdict {
-        let ofproto = &mut self.ofproto;
-        // The ukey's borrow ends with this statement, before a delete.
-        let verdict = self.revalidator.revalidate_flow(
+        // The ukey's borrow ends with this statement.
+        revalidator.revalidate_flow(
             sweep,
             DumpedFlow {
                 key: &e.key,
@@ -1053,11 +1071,7 @@ impl DpifNetdev {
                 let t = ofproto.translate(k);
                 (t.actions, t.mask, t.rules)
             },
-        );
-        if verdict == Verdict::Delete {
-            self.delete_megaflow(e.ufid);
-        }
-        verdict
+        )
     }
 
     /// One full revalidator round over the userspace datapath: the
@@ -1083,8 +1097,11 @@ impl DpifNetdev {
         let mut sweep =
             self.revalidator
                 .begin_sweep(self.megaflow.len(), now, self.ofproto.version());
-        let flows: Vec<_> = self.megaflow.iter().cloned().collect();
-        for e in &flows {
+        // The walk holds the cache and only condemns; the deletes follow
+        // it, so the flows are walked, charged and judged in the same
+        // order as if each were deleted on the spot.
+        let mut condemned = std::mem::take(&mut self.condemned);
+        for e in self.megaflow.iter() {
             let c = kernel.sim.costs.revalidate_flow_ns;
             kernel.sim.charge(core, Context::User, c);
             // Orphan reconciliation of a restored flow: re-translating
@@ -1092,8 +1109,14 @@ impl DpifNetdev {
             // re-adopts the flow (rules re-resolved, stats pushback
             // resumes exactly where the snapshot left off) or deletes it
             // as an orphan.
-            if self.revalidate_megaflow(&mut sweep, e) != Verdict::Reconcile || budget == 0 {
-                continue;
+            match Self::revalidate_megaflow(&mut self.revalidator, &mut self.ofproto, &mut sweep, e)
+            {
+                Verdict::Delete => {
+                    condemned.push(e.ufid);
+                    continue;
+                }
+                Verdict::Reconcile if budget > 0 => {}
+                _ => continue,
             }
             budget -= 1;
             let version = self.ofproto.version();
@@ -1111,9 +1134,10 @@ impl DpifNetdev {
                 self.stats.restore_orphaned += 1;
                 coverage!("restore_orphaned");
                 sweep.summary.orphaned += 1;
-                self.delete_megaflow(e.ufid);
+                condemned.push(e.ufid);
             }
         }
+        self.delete_condemned(condemned);
         // While the gate is up the restored flows are the only
         // forwarding state there is — never evict them.
         let gated = self.restore.wait;
@@ -1160,8 +1184,8 @@ impl DpifNetdev {
         );
         assert_eq!(
             self.megaflow.len(),
-            self.megaflow.classifier_len(),
-            "the megaflow index and the classifier drifted apart"
+            self.megaflow.subtable_flows(),
+            "the megaflow index and the dpcls subtables drifted apart"
         );
         summary
     }

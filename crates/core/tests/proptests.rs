@@ -1,12 +1,13 @@
-//! Property tests for the classifier and caches: the classifier must
-//! agree with a brute-force linear scan on every lookup, and cache
-//! install/lookup must be consistent.
+//! Property tests for the classifier and caches: the classifier and the
+//! megaflow cache's dpcls must agree with a brute-force linear scan on
+//! every lookup, and cache install/lookup must be consistent.
 
-use ovs_core::cache::MegaflowCache;
+use ovs_core::cache::{MegaflowCache, MegaflowEntry};
 use ovs_core::classifier::{Classifier, Rule};
 use ovs_core::meter::Meter;
-use ovs_packet::flow::{FlowKey, FlowMask, WORDS};
+use ovs_packet::flow::{fields, FlowKey, FlowMask, Miniflow, WORDS};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 /// A generated rule: masks restricted to a few plausible shapes so that
 /// rules actually overlap with probe keys.
@@ -56,6 +57,29 @@ fn arb_probe() -> impl Strategy<Value = FlowKey> {
         k.set_tp_dst(port % 16);
         k
     })
+}
+
+/// The four masks the dpcls property installs under. Each matches
+/// `in_port`, so flows on different ports never overlap; an `M0` key
+/// with `tp_dst` 0 is an `M1` key too, and an `M1` key ending in .0 is
+/// an `M2` key too.
+fn dpcls_masks() -> [FlowMask; 4] {
+    let port = FlowMask::of_fields(&[&fields::IN_PORT]);
+    let (mut m0, mut m1, mut m2, mut m3) = (port, port, port, port);
+    m0.set_nw_dst_v4_prefix(32);
+    m0.set_field(&fields::TP_DST);
+    m1.set_nw_dst_v4_prefix(32);
+    m2.set_nw_dst_v4_prefix(24);
+    m3.set_field(&fields::TP_DST);
+    [m0, m1, m2, m3]
+}
+
+fn dpcls_key(in_port: u32, c: u8, d: u8, tp_dst: u16) -> FlowKey {
+    let mut k = FlowKey::default();
+    k.set_in_port(in_port);
+    k.set_nw_dst_v4([10, 0, c, d]);
+    k.set_tp_dst(tp_dst);
+    k
 }
 
 /// Brute force: the highest-priority rule whose masked key matches.
@@ -135,6 +159,87 @@ proptest! {
             // Wildcarded fields must not affect the hit.
             k.set_tp_src(9999);
             prop_assert!(mf.lookup(&k).is_some());
+        }
+    }
+
+    #[test]
+    fn dpcls_agrees_with_linear_scan(
+        // (install unless 3, mask, in_port, 3rd octet, 4th octet,
+        // tp_dst, which live flow a removal takes)
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..4, 1u32..3, 0u8..2, 0u8..3, 0u16..3, any::<usize>()),
+            1..48,
+        ),
+    ) {
+        let masks = dpcls_masks();
+        // Every key the installs can match, plus a port with no flows.
+        let mut probes = Vec::new();
+        for port in 1..=3 {
+            for c in 0..2 {
+                for d in 0..3 {
+                    for tp in 0..3 {
+                        probes.push(dpcls_key(port, c, d, tp));
+                    }
+                }
+            }
+        }
+        let minis: Vec<Miniflow> = probes.iter().map(Miniflow::from_key).collect();
+        let mut mf: MegaflowCache<usize> = MegaflowCache::new();
+        let mut live: Vec<Rc<MegaflowEntry<usize>>> = Vec::new();
+        let mut gone: Vec<Rc<MegaflowEntry<usize>>> = Vec::new();
+        let mut results = Vec::new();
+        for (step, &(op, m, port, c, d, tp, victim)) in ops.iter().enumerate() {
+            if op < 3 {
+                let mask = masks[m];
+                let key = dpcls_key(port, c, d, tp).masked(&mask);
+                // The same masked key under any mask is replaced. The
+                // datapath never installs overlapping flows, so neither
+                // does this: an install that would overlap is skipped.
+                let replaced = live.iter().position(|e| e.key == key);
+                let overlaps = live
+                    .iter()
+                    .enumerate()
+                    .any(|(i, e)| Some(i) != replaced && e.key.masked(&mask) == key.masked(&e.mask));
+                if overlaps {
+                    continue;
+                }
+                let e = mf.install(key, mask, step);
+                if let Some(i) = replaced {
+                    gone.push(live.swap_remove(i));
+                }
+                live.push(e);
+            } else if !live.is_empty() {
+                let e = live.swap_remove(victim % live.len());
+                let removed = mf.remove(e.ufid).expect("a live flow is installed");
+                prop_assert!(Rc::ptr_eq(&removed, &e));
+                prop_assert!(mf.remove(e.ufid).is_none(), "removed once");
+                gone.push(e);
+            }
+
+            mf.lookup_bulk(&minis, &mut results);
+            for (i, p) in probes.iter().enumerate() {
+                let mut hits = live.iter().filter(|e| p.matches(&e.key, &e.mask));
+                let want = hits.next().map(|e| e.actions);
+                prop_assert!(hits.next().is_none(), "live flows overlap");
+                prop_assert_eq!(results[i].as_ref().map(|e| e.actions), want);
+                prop_assert_eq!(mf.lookup_mini(&minis[i]).map(|e| e.actions), want);
+            }
+            prop_assert_eq!(mf.len(), live.len());
+            prop_assert_eq!(mf.iter().count(), live.len());
+            for e in &live {
+                prop_assert_eq!(mf.iter().filter(|w| Rc::ptr_eq(w, e)).count(), 1);
+                prop_assert!(!e.dead.get());
+            }
+            let mut live_masks: Vec<FlowMask> = Vec::new();
+            for e in &live {
+                if !live_masks.contains(&e.mask) {
+                    live_masks.push(e.mask);
+                }
+            }
+            prop_assert_eq!(mf.subtable_count(), live_masks.len());
+            for e in &gone {
+                prop_assert!(e.dead.get(), "a removed or replaced flow is dead");
+            }
         }
     }
 

@@ -843,13 +843,14 @@ impl Miniflow {
 
 /// `HashMap` keying must agree with `PartialEq` while touching only the
 /// populated slots — this is what makes a dpcls subtable probe cheap for
-/// sparse keys.
+/// sparse keys. The map goes in as a `u64` and the values as one slice,
+/// so the hash stays word-aligned: a 2-byte map would leave every later
+/// word straddling SipHash's 8-byte blocks, each taking its byte-tail
+/// path. The map fixes the slice's length, so no length prefix is needed.
 impl std::hash::Hash for Miniflow {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.map.hash(state);
-        for v in self.values() {
-            v.hash(state);
-        }
+        state.write_u64(u64::from(self.map));
+        u64::hash_slice(self.values(), state);
     }
 }
 

@@ -13,51 +13,75 @@
 //! frame enters a host and the moment it leaves allocates nothing, and
 //! so does an idle round or an idle NF poll.
 //!
+//! The allocator also counts live heap bytes, so the same binary budgets
+//! the memory one megaflow and one OpenFlow rule hold, and holds a
+//! revalidator sweep over warm flows to no allocation at all.
+//!
 //! Run the release build, as the wall-clock benchmark measures it, with
 //! `cargo test --release --test alloc_budget`.
 
-use ovs_afxdp_repro::afxdp::OptLevel;
-use ovs_afxdp_repro::kernel::GuestRole;
+use ovs_afxdp_repro::afxdp::{AfxdpPort, OptLevel};
+use ovs_afxdp_repro::kernel::dev::{DeviceKind, NetDevice};
+use ovs_afxdp_repro::kernel::{GuestRole, Kernel};
 use ovs_afxdp_repro::nsx::ruleset;
 use ovs_afxdp_repro::nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
+use ovs_afxdp_repro::ovs::dpif::{DpifNetdev, PortType};
+use ovs_afxdp_repro::ovs::ofproto::{OfAction, OfRule};
+use ovs_afxdp_repro::packet::ethernet::EtherType;
+use ovs_afxdp_repro::packet::flow::{fields, FlowKey, FlowMask};
 use ovs_afxdp_repro::packet::{builder, DpPacket, MacAddr};
 use ovs_nfv::{ChainPolicy, NfSpec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Counts the allocations of the thread that armed it; every other
-/// thread (the test harness runs tests in parallel) goes uncounted.
+/// Counts the allocations, and the change in live heap bytes, of the
+/// thread that armed it; every other thread (the test harness runs tests
+/// in parallel) goes uncounted.
 struct Counting;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn note_alloc() {
+/// Count one allocation (`new` bytes, replacing `old` bytes) if armed.
+fn note_alloc(old: usize, new: usize) {
     let armed = ARMED.try_with(Cell::get).unwrap_or(false);
     if armed {
         let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        note_live(new as i64 - old as i64);
     }
+}
+
+fn note_free(size: usize) {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        note_live(-(size as i64));
+    }
+}
+
+fn note_live(delta: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(0, layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(0, layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size(), new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_free(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -65,13 +89,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Run `f`, returning its result and the allocations it made.
-fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCS.with(Cell::get);
+/// What a counted stretch did to the heap.
+struct Heap {
+    allocs: u64,
+    /// Bytes still allocated at its end, less those it freed.
+    live_bytes: i64,
+}
+
+/// Run `f`, returning its result and what it did to the heap.
+fn heap<R>(f: impl FnOnce() -> R) -> (R, Heap) {
+    let (allocs, live) = (ALLOCS.with(Cell::get), LIVE.with(Cell::get));
     ARMED.with(|a| a.set(true));
     let r = f();
     ARMED.with(|a| a.set(false));
-    (r, ALLOCS.with(Cell::get) - before)
+    let h = Heap {
+        allocs: ALLOCS.with(Cell::get) - allocs,
+        live_bytes: LIVE.with(Cell::get) - live,
+    };
+    (r, h)
+}
+
+/// Run `f`, returning its result and the allocations it made.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let (r, h) = heap(f);
+    (r, h.allocs)
 }
 
 const AFXDP_O5: DatapathKind = DatapathKind::UserspaceAfxdp {
@@ -244,4 +285,107 @@ fn idle_nf_poll_allocates_nothing() {
             .sum::<usize>()
     });
     assert_eq!((moved, allocs), (0, 0), "100 idle NF polls allocated");
+}
+
+/// The `revalidate` bench's rule: UDP from `tp` goes out port 1.
+fn tp_src_rule(tp: u16) -> OfRule {
+    let mut key = FlowKey::default();
+    key.set_eth_type(EtherType::Ipv4);
+    key.set_nw_proto(17);
+    key.set_tp_src(tp);
+    OfRule {
+        table: 0,
+        priority: 10,
+        key,
+        mask: FlowMask::of_fields(&[&fields::ETH_TYPE, &fields::NW_PROTO, &fields::TP_SRC]),
+        actions: vec![OfAction::Output(1)],
+        cookie: 0,
+    }
+}
+
+/// One UDP frame from `tp_src`, matching the `tp_src_rule` of that port.
+fn tp_src_frame(tp_src: u16) -> Vec<u8> {
+    builder::udp_ipv4_frame(
+        MacAddr::new(2, 0, 0, 0, 9, 9),
+        MacAddr::new(2, 0, 0, 0, 0, 1),
+        [10, 0, 0, 1],
+        [10, 0, 0, 2],
+        tp_src,
+        6000,
+        96,
+    )
+}
+
+#[test]
+fn megaflows_and_rules_fit_their_memory_budgets_and_a_warm_sweep_allocates_nothing() {
+    // The `revalidate` bench's rig: two AF_XDP O5 ports, one tp_src rule
+    // per flow, each flow installed by a real upcall.
+    const FLOWS: u16 = 16_384;
+    const BYTES_PER_FLOW: i64 = 1024;
+    const BYTES_PER_RULE: i64 = 1024;
+    let mut k = Kernel::new(4);
+    let mut dp = DpifNetdev::new();
+    dp.revalidator.cfg.flow_limit_max = 1 << 20;
+    dp.revalidator.flow_limit = 1 << 20;
+    let mut rx_nic = 0;
+    for i in 0..2u8 {
+        let nic = k.add_device(NetDevice::new(
+            &format!("eth{i}"),
+            MacAddr::new(2, 0, 0, 0, 0, i + 1),
+            DeviceKind::Phys { link_gbps: 10.0 },
+            1,
+        ));
+        let port = AfxdpPort::open(&mut k, nic, 256, OptLevel::O5).expect("AF_XDP port");
+        dp.add_port(&format!("eth{i}"), PortType::Afxdp(port));
+        if i == 0 {
+            rx_nic = nic;
+        }
+    }
+    let n = i64::from(FLOWS);
+
+    let ((), rules) = heap(|| {
+        for tp in 0..FLOWS {
+            dp.ofproto.add_rule(tp_src_rule(1000 + tp));
+        }
+    });
+    assert!(
+        rules.live_bytes <= BYTES_PER_RULE * n,
+        "{FLOWS} OpenFlow rules hold {} live bytes, {} per rule against a budget of \
+         {BYTES_PER_RULE}",
+        rules.live_bytes,
+        rules.live_bytes / n
+    );
+
+    let mut frames: Vec<Vec<u8>> = (0..FLOWS).map(|tp| tp_src_frame(1000 + tp)).collect();
+    // The kernel copies each frame into the umem and frees it inside the
+    // window; adding the frames' bytes back leaves what the switch keeps.
+    let frame_bytes: i64 = frames.iter().map(|f| f.capacity() as i64).sum();
+    let ((), flows) = heap(|| {
+        for f in frames.drain(..) {
+            k.receive(rx_nic, 0, f);
+            dp.pmd_poll(&mut k, 0, 0, 1);
+        }
+    });
+    assert_eq!(dp.megaflow_count(), usize::from(FLOWS));
+    let flow_bytes = flows.live_bytes + frame_bytes;
+    assert!(
+        flow_bytes <= BYTES_PER_FLOW * n,
+        "{FLOWS} megaflows hold {flow_bytes} live bytes, {} per flow against a budget of \
+         {BYTES_PER_FLOW}",
+        flow_bytes / n
+    );
+    assert!(
+        flows.allocs * 2 < 9 * u64::from(FLOWS),
+        "installing {FLOWS} megaflows made {} allocations, {:.3} per flow against a \
+         budget of under 4.5",
+        flows.allocs,
+        flows.allocs as f64 / n as f64
+    );
+
+    // The first sweep sizes what a sweep keeps; the second, over the
+    // same kept flows, allocates nothing.
+    assert_eq!(dp.revalidate(&mut k, 0).dumped, u64::from(FLOWS));
+    let (sweep, allocs) = counted(|| dp.revalidate(&mut k, 0));
+    assert_eq!((sweep.dumped, sweep.deleted()), (u64::from(FLOWS), 0));
+    assert_eq!(allocs, 0, "a sweep over {FLOWS} kept flows allocated");
 }

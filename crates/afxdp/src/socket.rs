@@ -220,7 +220,7 @@ impl XskSocket {
         accounted == self.pool.nframes() as usize
     }
 
-    /// Enable preferred busy polling ([64]): the kernel-side XSK work for
+    /// Enable preferred busy polling (\[64\]): the kernel-side XSK work for
     /// this socket runs inline on `core` (the PMD's own hyperthread),
     /// trading a little PMD headroom for a whole softirq thread — the
     /// "optimizations being proposed to the kernel community" the paper

@@ -2,7 +2,7 @@
 //! and rule count — the structure behind the 1 vs 1,000 flow gap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ovs_core::classifier::{Classifier, Rule};
+use ovs_core::classifier::Classifier;
 use ovs_packet::flow::{fields, FlowKey, FlowMask};
 use std::hint::black_box;
 
@@ -25,15 +25,15 @@ fn build(subtables: usize, per_table: usize) -> Classifier<u32> {
             mask.set_field(&fields::TP_DST);
         }
         for r in 0..per_table {
-            c.insert(Rule {
-                key: key(
+            c.insert(
+                &key(
                     [10, (s % 250) as u8, (r >> 8) as u8, r as u8],
                     (r % 1000) as u16,
                 ),
                 mask,
-                priority: (s * 10) as i32,
-                value: (s * per_table + r) as u32,
-            });
+                (s * 10) as i32,
+                (s * per_table + r) as u32,
+            );
         }
     }
     c

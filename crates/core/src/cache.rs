@@ -21,7 +21,7 @@
 //! rejected as an eBPF map type (§2.2.2 footnote), which is why the eBPF
 //! datapath couldn't have it.
 
-use crate::classifier::{SubtableInfo, DEFAULT_RANK_INTERVAL};
+use crate::classifier::DEFAULT_RANK_INTERVAL;
 use crate::revalidator::{FlowCounters, Ufid, UfidMap, Ukey};
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::borrow::Borrow;
@@ -426,6 +426,18 @@ struct Subtable<A> {
     hits: u64,
 }
 
+/// One dpcls subtable's entry in the ranked probe vector, as dumped by
+/// `dpif-netdev/subtable-ranking`.
+#[derive(Debug, Clone, Copy)]
+pub struct SubtableInfo {
+    /// The subtable's wildcard mask.
+    pub mask: FlowMask,
+    /// Lookup hits (the ranking key).
+    pub hits: u64,
+    /// Flows installed under this mask.
+    pub rules: usize,
+}
+
 /// The megaflow cache (upstream's `dpcls`): a priority-free
 /// tuple-space-search table of [`MegaflowEntry`]s, one subtable per mask.
 /// Every entry has priority 0 and installed entries are disjoint, so the
@@ -543,7 +555,6 @@ impl<A> MegaflowCache<A> {
             .iter()
             .map(|s| SubtableInfo {
                 mask: s.mini_mask.expand(),
-                max_priority: 0,
                 hits: s.hits,
                 rules: s.flows.len(),
             })

@@ -13,43 +13,31 @@
 //! ranking also decides which subtable masks a translation unites into
 //! its megaflow mask.
 //!
-//! Subtables store and match rules as sparse [`Miniflow`]s under a
-//! [`MiniMask`]: masking, hashing, and comparing touch only the mask's
-//! populated 8-byte slots.
+//! Each rule is held once: its match is its subtable's mask plus its
+//! bucket's masked key, a sparse [`Miniflow`], and the bucket keeps only
+//! the rule's `(priority, value)`. Masking, hashing, and comparing touch
+//! only the [`MiniMask`]'s populated 8-byte slots.
 //!
 //! This is the OpenFlow tables' classifier: priorities, several rules per
-//! masked key, and wildcard tracking. The megaflow cache has its own
-//! single-tier subtables and wide-lane bulk probe
+//! masked key, wildcard tracking, and hit-count ranking. The megaflow
+//! cache has its own single-tier subtables and wide-lane bulk probe
 //! ([`MegaflowCache::lookup_bulk`](crate::cache::MegaflowCache::lookup_bulk)),
 //! as upstream keeps `dpcls` apart from `classifier`.
 
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-
-/// A classifier rule: match (key under mask), priority, and an opaque
-/// value (rule id / actions handle).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rule<V> {
-    /// Match key (only bits under `mask` are significant).
-    pub key: FlowKey,
-    /// Wildcard mask.
-    pub mask: FlowMask,
-    /// Higher wins.
-    pub priority: i32,
-    /// Payload.
-    pub value: V,
-}
 
 #[derive(Debug)]
 struct Subtable<V> {
     mask: FlowMask,
     /// The sparse form every probe actually uses.
     mini_mask: MiniMask,
-    /// Masked key (sparse, canonical) → rules (several priorities may
-    /// share a masked key).
-    rules: HashMap<Miniflow, Vec<Rule<V>>>,
+    /// Masked key (sparse, canonical) → the `(priority, value)` of every
+    /// rule matching it, highest priority first.
+    rules: HashMap<Miniflow, Vec<(i32, V)>>,
     max_priority: i32,
     rule_count: usize,
     /// Lookups this subtable answered (the ranking key). A `Cell`, so a
@@ -58,24 +46,11 @@ struct Subtable<V> {
     hits: Cell<u64>,
 }
 
-/// One subtable's entry in the ranked probe vector, as dumped by
-/// `dpif-netdev/subtable-ranking`.
-#[derive(Debug, Clone, Copy)]
-pub struct SubtableInfo {
-    /// The subtable's wildcard mask.
-    pub mask: FlowMask,
-    /// Highest rule priority in the subtable (primary sort key).
-    pub max_priority: i32,
-    /// Lookup hits (secondary sort key).
-    pub hits: u64,
-    /// Rules sharing this mask.
-    pub rules: usize,
-}
-
 /// Statistics from lookups.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ClassifierStats {
-    pub lookups: u64,
+    /// Subtables probed, summed over lookups (the classifier's work
+    /// metric).
     pub subtables_probed: u64,
 }
 
@@ -89,8 +64,6 @@ pub struct Classifier<V> {
     subtables: Vec<Subtable<V>>,
     /// Probe counters.
     pub stats: ClassifierStats,
-    /// Lookups between hit-count re-sorts of the subtable vector.
-    pub rank_interval: u64,
     since_rank: u64,
 }
 
@@ -106,7 +79,6 @@ impl<V> Classifier<V> {
         Self {
             subtables: Vec::new(),
             stats: ClassifierStats::default(),
-            rank_interval: DEFAULT_RANK_INTERVAL,
             since_rank: 0,
         }
     }
@@ -126,15 +98,16 @@ impl<V> Classifier<V> {
         self.subtables.len()
     }
 
-    /// Insert a rule. Replaces an identical (key, mask, priority) rule.
-    pub fn insert(&mut self, rule: Rule<V>) {
-        let masked = Miniflow::from_key(&rule.key.masked(&rule.mask));
-        let idx = match self.subtables.iter().position(|s| s.mask == rule.mask) {
+    /// Insert a rule matching `key` under `mask`. Replaces the value of
+    /// an identical (masked key, mask, priority) rule.
+    pub fn insert(&mut self, key: &FlowKey, mask: FlowMask, priority: i32, value: V) {
+        let masked = Miniflow::from_key(&key.masked(&mask));
+        let idx = match self.subtables.iter().position(|s| s.mask == mask) {
             Some(i) => i,
             None => {
                 self.subtables.push(Subtable {
-                    mask: rule.mask,
-                    mini_mask: MiniMask::from_mask(&rule.mask),
+                    mask,
+                    mini_mask: MiniMask::from_mask(&mask),
                     rules: HashMap::new(),
                     max_priority: i32::MIN,
                     rule_count: 0,
@@ -144,22 +117,21 @@ impl<V> Classifier<V> {
             }
         };
         let st = &mut self.subtables[idx];
-        st.max_priority = st.max_priority.max(rule.priority);
+        st.max_priority = st.max_priority.max(priority);
         match st.rules.entry(masked) {
             // A new bucket holds exactly its one rule.
             Entry::Vacant(v) => {
-                v.insert(vec![rule]);
+                v.insert(vec![(priority, value)]);
                 st.rule_count += 1;
             }
             Entry::Occupied(mut o) => {
                 let bucket = o.get_mut();
-                if let Some(existing) = bucket.iter_mut().find(|r| r.priority == rule.priority) {
-                    *existing = rule;
-                } else {
-                    bucket.push(rule);
-                    // Keep each bucket ordered by descending priority.
-                    bucket.sort_by_key(|r| std::cmp::Reverse(r.priority));
-                    st.rule_count += 1;
+                match bucket.binary_search_by_key(&Reverse(priority), |&(p, _)| Reverse(p)) {
+                    Ok(i) => bucket[i].1 = value,
+                    Err(i) => {
+                        bucket.insert(i, (priority, value));
+                        st.rule_count += 1;
+                    }
                 }
             }
         }
@@ -172,55 +144,26 @@ impl<V> Classifier<V> {
     /// hit count within a priority tier (the ranking). Stable under
     /// equal keys so re-sorting without new hits is a no-op.
     fn sort_subtables(&mut self) {
-        self.subtables.sort_by_key(|s| {
-            (
-                std::cmp::Reverse(s.max_priority),
-                std::cmp::Reverse(s.hits.get()),
-            )
-        });
+        self.subtables
+            .sort_by_key(|s| (Reverse(s.max_priority), Reverse(s.hits.get())));
     }
 
-    /// Re-rank every `rank_interval` lookups. Runs *before* the probe
-    /// loop so subtable indices stay stable for the rest of a lookup.
+    /// Re-rank every [`DEFAULT_RANK_INTERVAL`] lookups. Runs *before* the
+    /// probe loop so subtable indices stay stable for the rest of a
+    /// lookup.
     fn maybe_rerank(&mut self) {
         self.since_rank += 1;
-        if self.since_rank >= self.rank_interval {
+        if self.since_rank >= DEFAULT_RANK_INTERVAL {
             self.since_rank = 0;
             self.sort_subtables();
         }
     }
 
-    /// The ranked probe vector, in current probe order.
-    pub fn subtable_info(&self) -> Vec<SubtableInfo> {
-        self.subtables
-            .iter()
-            .map(|s| SubtableInfo {
-                mask: s.mask,
-                max_priority: s.max_priority,
-                hits: s.hits.get(),
-                rules: s.rule_count,
-            })
-            .collect()
-    }
-
-    /// Remove rules matching (key, mask); returns how many were removed.
-    pub fn remove(&mut self, key: &FlowKey, mask: &FlowMask) -> usize {
-        let mut removed = 0;
-        if let Some(st) = self.subtables.iter_mut().find(|s| s.mask == *mask) {
-            let masked = Miniflow::from_key(&key.masked(mask));
-            if let Some(bucket) = st.rules.remove(&masked) {
-                removed = bucket.len();
-                st.rule_count -= removed;
-            }
-        }
-        self.subtables.retain(|s| s.rule_count > 0);
-        removed
-    }
-
-    /// Find the highest-priority matching rule. Also reports how many
-    /// subtables were probed (the classifier's work metric), and feeds
-    /// the hit-count ranking that periodically re-sorts the vector.
-    pub fn lookup(&mut self, key: &FlowKey) -> Option<&Rule<V>> {
+    /// Find the highest-priority matching rule and return its
+    /// `(priority, value)`. Also counts how many subtables were probed
+    /// (the classifier's work metric), and feeds the hit-count ranking
+    /// that periodically re-sorts the vector.
+    pub fn lookup(&mut self, key: &FlowKey) -> Option<(i32, &V)> {
         self.lookup_mini(&Miniflow::from_key(key), None)
     }
 
@@ -233,20 +176,21 @@ impl<V> Classifier<V> {
     /// as specific as every rule the lookup *examined*, not just the one
     /// it matched, or two packets that diverge on an examined-but-missed
     /// rule would share a megaflow (and overlapping megaflows make the
-    /// dpcls winner probe-order dependent).
+    /// dpcls winner probe-order dependent). The winner's subtable is
+    /// probed, so its mask is in `wc`; a miss never stops early, so it
+    /// unites every subtable's mask.
     pub fn lookup_mini(
         &mut self,
         key: &Miniflow,
         mut wc: Option<&mut FlowMask>,
-    ) -> Option<&Rule<V>> {
-        self.stats.lookups += 1;
+    ) -> Option<(i32, &V)> {
         self.maybe_rerank();
         // The winner's subtable and rule, kept from the probe that found
         // them.
-        let mut best: Option<(&Subtable<V>, &Rule<V>)> = None;
+        let mut best: Option<(&Subtable<V>, &(i32, V))> = None;
         for st in &self.subtables {
-            if let Some((_, b)) = best {
-                if st.max_priority <= b.priority {
+            if let Some((_, &(priority, _))) = best {
+                if st.max_priority <= priority {
                     break; // no remaining subtable can outrank the match
                 }
             }
@@ -257,19 +201,17 @@ impl<V> Classifier<V> {
             if let Some(bucket) = st.rules.get(&st.mini_mask.apply(key)) {
                 // Buckets are sorted by descending priority.
                 let r = &bucket[0];
-                if best.is_none_or(|(_, b)| r.priority > b.priority) {
+                if best.is_none_or(|(_, b)| r.0 > b.0) {
                     best = Some((st, r));
                 }
             }
         }
-        let (st, r) = best?;
+        let (st, (priority, value)) = best?;
         st.hits.set(st.hits.get() + 1);
-        Some(r)
+        Some((*priority, value))
     }
 
-    /// Union of every subtable mask — the conservative wildcard a miss
-    /// must carry (a megaflow for a miss must be as specific as anything
-    /// that *could* have matched).
+    /// Union of every subtable mask: every field some rule matches on.
     pub fn total_mask(&self) -> FlowMask {
         let mut m = FlowMask::EMPTY;
         for st in &self.subtables {
@@ -278,11 +220,12 @@ impl<V> Classifier<V> {
         m
     }
 
-    /// Iterate over all rules (diagnostics, rule counting).
-    pub fn iter(&self) -> impl Iterator<Item = &Rule<V>> {
+    /// Iterate over every rule's value (diagnostics, rule dumps).
+    pub fn iter(&self) -> impl Iterator<Item = &V> {
         self.subtables
             .iter()
             .flat_map(|s| s.rules.values().flatten())
+            .map(|(_, v)| v)
     }
 }
 
@@ -297,37 +240,36 @@ mod tests {
         k
     }
 
-    fn rule(ip: [u8; 4], plen: u8, prio: i32, v: u32) -> Rule<u32> {
+    /// Insert a rule matching the `plen`-bit prefix of `ip`.
+    fn insert(c: &mut Classifier<u32>, ip: [u8; 4], plen: u8, prio: i32, v: u32) {
         let mut mask = FlowMask::EMPTY;
         mask.set_nw_dst_v4_prefix(plen);
-        Rule {
-            key: key_dst(ip),
-            mask,
-            priority: prio,
-            value: v,
-        }
+        c.insert(&key_dst(ip), mask, prio, v);
+    }
+
+    /// The winning rule's value.
+    fn value(c: &mut Classifier<u32>, ip: [u8; 4]) -> Option<u32> {
+        c.lookup(&key_dst(ip)).map(|(_, &v)| v)
     }
 
     #[test]
     fn highest_priority_wins_across_subtables() {
         let mut c = Classifier::new();
-        c.insert(rule([10, 0, 0, 0], 8, 1, 100)); // /8 low prio
-        c.insert(rule([10, 1, 0, 0], 16, 10, 200)); // /16 high prio
+        insert(&mut c, [10, 0, 0, 0], 8, 1, 100); // /8 low prio
+        insert(&mut c, [10, 1, 0, 0], 16, 10, 200); // /16 high prio
         assert_eq!(c.subtable_count(), 2);
 
-        let hit = c.lookup(&key_dst([10, 1, 2, 3])).unwrap();
-        assert_eq!(hit.value, 200);
+        assert_eq!(c.lookup(&key_dst([10, 1, 2, 3])), Some((10, &200)));
         // Outside the /16, the /8 matches.
-        let hit = c.lookup(&key_dst([10, 9, 9, 9])).unwrap();
-        assert_eq!(hit.value, 100);
+        assert_eq!(c.lookup(&key_dst([10, 9, 9, 9])), Some((1, &100)));
         assert!(c.lookup(&key_dst([11, 0, 0, 1])).is_none());
     }
 
     #[test]
     fn early_exit_when_match_outranks_rest() {
         let mut c = Classifier::new();
-        c.insert(rule([10, 1, 0, 0], 16, 10, 1)); // probed first (max prio)
-        c.insert(rule([10, 0, 0, 0], 8, 1, 2));
+        insert(&mut c, [10, 1, 0, 0], 16, 10, 1); // probed first (max prio)
+        insert(&mut c, [10, 0, 0, 0], 8, 1, 2);
         c.stats = ClassifierStats::default();
         c.lookup(&key_dst([10, 1, 0, 5]));
         // The /16 matched with priority 10 > the /8 subtable's max (1), so
@@ -342,58 +284,42 @@ mod tests {
     fn same_mask_shares_subtable() {
         let mut c = Classifier::new();
         for i in 0..100u8 {
-            c.insert(rule([10, 0, 0, i], 32, 5, u32::from(i)));
+            insert(&mut c, [10, 0, 0, i], 32, 5, u32::from(i));
         }
         assert_eq!(c.subtable_count(), 1);
         assert_eq!(c.len(), 100);
-        assert_eq!(c.lookup(&key_dst([10, 0, 0, 42])).unwrap().value, 42);
+        assert_eq!(value(&mut c, [10, 0, 0, 42]), Some(42));
     }
 
     #[test]
     fn replace_same_key_mask_priority() {
         let mut c = Classifier::new();
-        c.insert(rule([1, 1, 1, 1], 32, 5, 1));
-        c.insert(rule([1, 1, 1, 1], 32, 5, 2));
+        insert(&mut c, [1, 1, 1, 1], 32, 5, 1);
+        insert(&mut c, [1, 1, 1, 1], 32, 5, 2);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.lookup(&key_dst([1, 1, 1, 1])).unwrap().value, 2);
+        assert_eq!(value(&mut c, [1, 1, 1, 1]), Some(2));
     }
 
     #[test]
     fn same_masked_key_different_priorities() {
         let mut c = Classifier::new();
-        c.insert(rule([1, 1, 1, 1], 32, 5, 1));
-        c.insert(rule([1, 1, 1, 1], 32, 9, 2));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(&key_dst([1, 1, 1, 1])).unwrap().value, 2);
-    }
-
-    #[test]
-    fn remove_drops_emptied_subtables() {
-        let mut c = Classifier::new();
-        c.insert(rule([1, 1, 1, 1], 32, 5, 1));
-        c.insert(rule([2, 2, 2, 2], 32, 5, 2));
-        let mut mask = FlowMask::EMPTY;
-        mask.set_nw_dst_v4_prefix(32);
-        assert_eq!(c.remove(&key_dst([1, 1, 1, 1]), &mask), 1);
-        assert!(c.lookup(&key_dst([1, 1, 1, 1])).is_none());
-        assert!(c.lookup(&key_dst([2, 2, 2, 2])).is_some());
-        assert_eq!(c.remove(&key_dst([2, 2, 2, 2]), &mask), 1);
-        assert!(c.is_empty());
-        assert_eq!(c.subtable_count(), 0);
+        insert(&mut c, [1, 1, 1, 1], 32, 5, 1);
+        insert(&mut c, [1, 1, 1, 1], 32, 9, 2);
+        insert(&mut c, [1, 1, 1, 1], 32, 7, 3);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.lookup(&key_dst([1, 1, 1, 1])), Some((9, &2)));
+        let mut values: Vec<u32> = c.iter().copied().collect();
+        values.sort_unstable();
+        assert_eq!(values, [1, 2, 3]);
     }
 
     #[test]
     fn total_mask_unions_subtables() {
         let mut c = Classifier::new();
-        c.insert(rule([10, 0, 0, 0], 8, 1, 1));
+        insert(&mut c, [10, 0, 0, 0], 8, 1, 1);
         let mut m2 = FlowMask::EMPTY;
         m2.set_field(&fields::TP_DST);
-        c.insert(Rule {
-            key: FlowKey::default(),
-            mask: m2,
-            priority: 2,
-            value: 9,
-        });
+        c.insert(&FlowKey::default(), m2, 2, 9);
         let total = c.total_mask();
         assert!(m2.subset_of(&total));
         let mut m1 = FlowMask::EMPTY;
@@ -407,32 +333,28 @@ mod tests {
         // patterns); traffic hits only the last-inserted one, which
         // starts at the back of the probe vector.
         let mut c = Classifier::new();
-        c.rank_interval = 16;
         for (i, plen) in (25..=32).rev().enumerate() {
-            c.insert(rule([10, i as u8, 0, 0], plen, 5, i as u32));
+            insert(&mut c, [10, i as u8, 0, 0], plen, 5, i as u32);
         }
         assert_eq!(c.subtable_count(), 8);
-        let hot = key_dst([10, 7, 0, 0]); // matches the /25 inserted last
-        c.stats = ClassifierStats::default();
-        for _ in 0..15 {
-            assert_eq!(c.lookup(&hot).unwrap().value, 7);
+        let hot = [10, 7, 0, 0]; // matches the /25 inserted last
+        let interval = DEFAULT_RANK_INTERVAL;
+        for _ in 1..interval {
+            assert_eq!(value(&mut c, hot), Some(7));
         }
         assert_eq!(
             c.stats.subtables_probed,
-            15 * 8,
+            (interval - 1) * 8,
             "hot subtable probed last, pre-rank"
         );
-        // The 16th lookup triggers the re-rank: the hot subtable now
-        // leads the vector and every lookup stops after one probe.
-        assert_eq!(c.lookup(&hot).unwrap().value, 7);
+        // The interval's last lookup re-ranks before it probes: the hot
+        // subtable now leads the vector and every lookup stops after one
+        // probe.
         c.stats = ClassifierStats::default();
         for _ in 0..8 {
-            assert_eq!(c.lookup(&hot).unwrap().value, 7);
+            assert_eq!(value(&mut c, hot), Some(7));
         }
         assert_eq!(c.stats.subtables_probed, 8, "ranked: one probe each");
-        let info = c.subtable_info();
-        assert_eq!(info[0].hits, 24, "hot subtable leads the dump");
-        assert_eq!(info[0].rules, 1);
     }
 
     #[test]
@@ -440,31 +362,33 @@ mod tests {
         // A hammered low-priority subtable must not outrank a
         // higher-priority one — early exit depends on priority order.
         let mut c = Classifier::new();
-        c.rank_interval = 4;
-        c.insert(rule([10, 1, 0, 0], 16, 10, 1)); // high priority
-        c.insert(rule([10, 0, 0, 0], 8, 1, 2)); // low priority, hot
-        for _ in 0..32 {
+        insert(&mut c, [10, 1, 0, 0], 16, 10, 1); // high priority
+        insert(&mut c, [10, 0, 0, 0], 8, 1, 2); // low priority, hot
+        let lookups = 2 * DEFAULT_RANK_INTERVAL;
+        for _ in 0..lookups {
             // Hits only the /8 (outside the /16).
-            assert_eq!(c.lookup(&key_dst([10, 9, 9, 9])).unwrap().value, 2);
+            assert_eq!(value(&mut c, [10, 9, 9, 9]), Some(2));
         }
+        // Every lookup probed the /16 before the /8, re-ranks included.
+        assert_eq!(c.stats.subtables_probed, lookups * 2);
         // The /16 keeps probe precedence despite zero hits, so a key
-        // matching both still gets the high-priority rule.
-        assert_eq!(c.lookup(&key_dst([10, 1, 2, 3])).unwrap().value, 1);
-        let info = c.subtable_info();
-        assert_eq!(info[0].max_priority, 10, "priority order preserved");
+        // matching both gets the high-priority rule from one probe.
+        c.stats = ClassifierStats::default();
+        assert_eq!(value(&mut c, [10, 1, 2, 3]), Some(1));
+        assert_eq!(c.stats.subtables_probed, 1, "priority order preserved");
     }
 
     #[test]
     fn lookup_mini_equals_lookup() {
         let mut c = Classifier::new();
-        c.insert(rule([10, 1, 0, 0], 16, 10, 1));
-        c.insert(rule([10, 0, 0, 0], 8, 1, 2));
+        insert(&mut c, [10, 1, 0, 0], 16, 10, 1);
+        insert(&mut c, [10, 0, 0, 0], 8, 1, 2);
         for ip in [[10, 1, 2, 3], [10, 9, 9, 9], [8, 8, 8, 8]] {
             let k = key_dst(ip);
-            let scalar = c.lookup(&k).map(|r| r.value);
+            let scalar = c.lookup(&k).map(|(p, &v)| (p, v));
             let mini = c
                 .lookup_mini(&Miniflow::from_key(&k), None)
-                .map(|r| r.value);
+                .map(|(p, &v)| (p, v));
             assert_eq!(scalar, mini, "ip {ip:?}");
         }
     }
@@ -472,15 +396,10 @@ mod tests {
     #[test]
     fn wildcard_all_rule_matches_everything() {
         let mut c = Classifier::new();
-        c.insert(Rule {
-            key: FlowKey::default(),
-            mask: FlowMask::EMPTY,
-            priority: 0,
-            value: 7,
-        });
-        assert_eq!(c.lookup(&key_dst([8, 8, 8, 8])).unwrap().value, 7);
+        c.insert(&FlowKey::default(), FlowMask::EMPTY, 0, 7);
+        assert_eq!(value(&mut c, [8, 8, 8, 8]), Some(7));
         let mut k = FlowKey::default();
         k.set_tp_src(9999);
-        assert_eq!(c.lookup(&k).unwrap().value, 7);
+        assert_eq!(c.lookup(&k), Some((0, &7)));
     }
 }

@@ -755,9 +755,9 @@ impl DpifNetdev {
     }
 
     /// `dpif-netdev/subtable-ranking` render: the dpcls subtable probe
-    /// order (hit-count sorted within each priority band), with per-
-    /// subtable hit counts — shows why `subtables_probed` stays low on
-    /// skewed traffic.
+    /// order (sorted by hit count; the dpcls has no priorities), with
+    /// per-subtable hit counts — shows why `subtables_probed` stays low
+    /// on skewed traffic.
     pub fn subtable_ranking_show(&self) -> String {
         use std::fmt::Write as _;
         let info = self.megaflow.subtable_info();
@@ -769,9 +769,8 @@ impl DpifNetdev {
         for (rank, s) in info.iter().enumerate() {
             let _ = writeln!(
                 out,
-                "  rank {rank}: mask_bits={} max_priority={} hits={} rules={}",
+                "  rank {rank}: mask_bits={} hits={} rules={}",
                 s.mask.bit_count(),
-                s.max_priority,
                 s.hits,
                 s.rules
             );

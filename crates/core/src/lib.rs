@@ -65,7 +65,7 @@ pub mod tso;
 pub mod tunnel;
 
 pub use cache::{Emc, MegaflowCache};
-pub use classifier::{Classifier, Rule};
+pub use classifier::Classifier;
 pub use controller::{ControllerSession, FailMode};
 pub use dpif::{DpAction, DpifNetdev, DpifNetlink, PortNo, PortType, NF_WORK_PORT};
 pub use health::{HealthMonitor, HealthState};

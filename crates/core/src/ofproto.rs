@@ -9,12 +9,17 @@
 //! recirculates, so a packet that hits the firewall passes through the
 //! datapath multiple times (§5.1 describes three passes in the NSX
 //! pipeline).
+//!
+//! Each table is a [`Classifier`] over [`RuleEntry`] handles: the entry
+//! holds the rule, and the classifier files only its priority and handle
+//! under its subtable's mask and masked key, so no rule carries a second
+//! copy of its key and mask.
 
-use crate::classifier::{Classifier, Rule};
+use crate::classifier::Classifier;
 use crate::dpif::{DpAction, PortNo};
 use ovs_packet::flow::fields;
 use ovs_packet::{FlowKey, FlowMask, MacAddr, Miniflow};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 /// Maximum tables traversed in one translation (loop guard).
@@ -137,7 +142,8 @@ pub struct OfprotoStats {
 
 /// The OpenFlow switch model.
 pub struct Ofproto {
-    tables: HashMap<u8, Classifier<Rc<RuleEntry>>>,
+    /// Table id → its rules, each held once as the classifier's value.
+    tables: BTreeMap<u8, Classifier<Rc<RuleEntry>>>,
     /// Changes whenever the tables do; see [`Ofproto::version`].
     version: u64,
     recirc: HashMap<u32, ResumeCtx>,
@@ -156,7 +162,7 @@ impl Ofproto {
     /// An empty pipeline (all misses drop, as OpenFlow 1.3+ default).
     pub fn new() -> Self {
         Self {
-            tables: HashMap::new(),
+            tables: BTreeMap::new(),
             version: next_version(),
             recirc: HashMap::new(),
             next_recirc_id: 1,
@@ -176,25 +182,19 @@ impl Ofproto {
     pub fn add_rule(&mut self, rule: OfRule) {
         self.version = next_version();
         let table = self.tables.entry(rule.table).or_default();
-        table.insert(Rule {
-            key: rule.key,
-            mask: rule.mask,
-            priority: rule.priority,
-            value: Rc::new(RuleEntry {
-                rule,
-                n_packets: std::cell::Cell::new(0),
-                n_bytes: std::cell::Cell::new(0),
-            }),
+        let (key, mask, priority) = (rule.key, rule.mask, rule.priority);
+        let entry = Rc::new(RuleEntry {
+            rule,
+            n_packets: std::cell::Cell::new(0),
+            n_bytes: std::cell::Cell::new(0),
         });
+        table.insert(&key, mask, priority, entry);
     }
 
-    /// Iterate every installed rule (for `ovs-ofctl dump-flows`).
+    /// Iterate every installed rule, table by table (for `ovs-ofctl
+    /// dump-flows`).
     pub fn iter_rules(&self) -> impl Iterator<Item = &Rc<RuleEntry>> + '_ {
-        let mut tables: Vec<_> = self.tables.iter().collect();
-        tables.sort_by_key(|(t, _)| **t);
-        tables
-            .into_iter()
-            .flat_map(|(_, cls)| cls.iter().map(|r| &r.value))
+        self.tables.values().flat_map(Classifier::iter)
     }
 
     /// Total rules across tables.
@@ -212,9 +212,7 @@ impl Ofproto {
     pub fn distinct_match_fields(&self) -> usize {
         let mut total = FlowMask::EMPTY;
         for t in self.tables.values() {
-            for r in t.iter() {
-                total.unite(&r.mask);
-            }
+            total.unite(&t.total_mask());
         }
         fields::ALL
             .iter()
@@ -291,21 +289,17 @@ impl Ofproto {
                 }
                 break;
             };
+            // The probe unites every subtable it examines into `wc`: the
+            // winner's on a hit, and on a miss every subtable, so the
+            // megaflow is as specific as anything that could have matched.
             let mf = Miniflow::from_key(&work_key);
-            let (entry, rule_mask) = match cls.lookup_mini(&mf, Some(&mut wc)) {
-                Some(r) => (Rc::clone(&r.value), r.mask),
-                None => {
-                    // A miss must be as specific as anything that could
-                    // have matched in this table.
-                    let tm = cls.total_mask();
-                    wc.unite(&tm);
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.note(format!("table {table}: no match -> drop"));
-                    }
-                    break;
+            let Some((_, entry)) = cls.lookup_mini(&mf, Some(&mut wc)) else {
+                if let Some(t) = trace.as_deref_mut() {
+                    t.note(format!("table {table}: no match -> drop"));
                 }
+                break;
             };
-            wc.unite(&rule_mask);
+            let entry = Rc::clone(entry);
             matched.push(Rc::clone(&entry));
             let rule = &entry.rule;
             if let Some(t) = trace.as_deref_mut() {

@@ -1,17 +1,31 @@
-//! Property tests for the classifier and caches: the classifier and the
-//! megaflow cache's dpcls must agree with a brute-force linear scan on
-//! every lookup, and cache install/lookup must be consistent.
+//! Property tests for the classifier, translation and caches: the
+//! classifier and the megaflow cache's dpcls must agree with a
+//! brute-force linear scan on every lookup, a translation's mask must
+//! cover everything that decided it, and cache install/lookup must be
+//! consistent.
 
 use ovs_core::cache::{MegaflowCache, MegaflowEntry};
-use ovs_core::classifier::{Classifier, Rule};
+use ovs_core::classifier::Classifier;
 use ovs_core::meter::Meter;
+use ovs_core::ofproto::{OfAction, OfRule, Ofproto};
 use ovs_packet::flow::{fields, FlowKey, FlowMask, Miniflow, WORDS};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::rc::Rc;
+
+/// A classifier rule as the reference scan sees it: match (key under
+/// mask), priority, and value.
+#[derive(Debug, Clone)]
+struct Rule {
+    key: FlowKey,
+    mask: FlowMask,
+    priority: i32,
+    value: u32,
+}
 
 /// A generated rule: masks restricted to a few plausible shapes so that
 /// rules actually overlap with probe keys.
-fn arb_rule() -> impl Strategy<Value = Rule<u32>> {
+fn arb_rule() -> impl Strategy<Value = Rule> {
     (
         0u8..4,           // mask shape
         any::<[u8; 4]>(), // dst ip
@@ -74,6 +88,126 @@ fn dpcls_masks() -> [FlowMask; 4] {
     [m0, m1, m2, m3]
 }
 
+/// A table-0 rule of the translation property: it matches `in_port`, an
+/// `nw_dst` prefix or `tp_dst`, and outputs, drops, or goes to table 1,
+/// optionally setting `metadata` first.
+fn arb_table0_rule() -> impl Strategy<Value = OfRule> {
+    (
+        0u8..3,             // match shape
+        (1u32..4, 0u16..4), // in_port, tp_dst
+        (0u8..4, 0u8..4),   // nw_dst 10.0.c.d
+        22u8..33,           // nw_dst prefix length
+        0i32..1000,         // priority
+        0u8..3,             // output, drop, goto table 1
+        prop::bool::ANY,    // set metadata first
+        (0u64..3, 1u32..8), // metadata value, output port
+    )
+        .prop_map(
+            |(shape, (port, tp), (c, d), plen, priority, act, set_meta, (meta, out))| {
+                let mut key = FlowKey::default();
+                let mut mask = FlowMask::EMPTY;
+                match shape {
+                    0 => {
+                        key.set_in_port(port);
+                        mask.set_field(&fields::IN_PORT);
+                    }
+                    1 => {
+                        key.set_nw_dst_v4([10, 0, c, d]);
+                        mask.set_nw_dst_v4_prefix(plen);
+                    }
+                    _ => {
+                        key.set_tp_dst(tp);
+                        mask.set_field(&fields::TP_DST);
+                    }
+                }
+                let mut actions = Vec::new();
+                if set_meta {
+                    actions.push(OfAction::SetMetadata(meta));
+                }
+                actions.push(match act {
+                    0 => OfAction::Output(out),
+                    1 => OfAction::Drop,
+                    _ => OfAction::Goto(1),
+                });
+                OfRule {
+                    table: 0,
+                    priority,
+                    key,
+                    mask,
+                    actions,
+                    cookie: 0,
+                }
+            },
+        )
+}
+
+/// A table-1 rule of the translation property: it matches `metadata`,
+/// `tp_src` or an `nw_src` prefix, and outputs or drops.
+fn arb_table1_rule() -> impl Strategy<Value = OfRule> {
+    (
+        0u8..3,             // match shape
+        (0u64..3, 0u16..4), // metadata, tp_src
+        (0u8..4, 0u8..4),   // nw_src 10.1.c.d
+        22u8..33,           // nw_src prefix length
+        0i32..1000,         // priority
+        prop::bool::ANY,    // drop instead of output
+        1u32..8,            // output port
+    )
+        .prop_map(|(shape, (meta, tp), (c, d), plen, priority, drop, out)| {
+            let mut key = FlowKey::default();
+            let mut mask = FlowMask::EMPTY;
+            match shape {
+                0 => {
+                    key.set_metadata(meta);
+                    mask.set_field(&fields::METADATA);
+                }
+                1 => {
+                    key.set_tp_src(tp);
+                    mask.set_field(&fields::TP_SRC);
+                }
+                _ => {
+                    key.set_nw_src_v4([10, 1, c, d]);
+                    mask.set_nw_src_v4_prefix(plen);
+                }
+            }
+            let action = if drop {
+                OfAction::Drop
+            } else {
+                OfAction::Output(out)
+            };
+            OfRule {
+                table: 1,
+                priority,
+                key,
+                mask,
+                actions: vec![action],
+                cookie: 0,
+            }
+        })
+}
+
+/// A key for the translation property: random bits everywhere, the
+/// fields the pipeline matches drawn from the rules' small domains, and
+/// `recirc_id` 0 so translation starts at table 0.
+fn arb_pipeline_key() -> impl Strategy<Value = FlowKey> {
+    (
+        proptest::array::uniform12(any::<u64>()),
+        (1u32..4, 0u16..4, 0u16..4, 0u64..3),
+        proptest::array::uniform4(0u8..4),
+    )
+        .prop_map(|(words, (port, tp_dst, tp_src, meta), [a, b, c, d])| {
+            let mut k = FlowKey::from_words(words);
+            k.set_recirc_id(0);
+            k.set_in_port(port);
+            k.set_tp_dst(tp_dst);
+            k.set_tp_src(tp_src);
+            k.set_metadata(meta);
+            k.set_nw_dst_v4([10, 0, a, b]);
+            k.set_nw_src_v4([10, 1, c, d]);
+            k
+        })
+}
+
 fn dpcls_key(in_port: u32, c: u8, d: u8, tp_dst: u16) -> FlowKey {
     let mut k = FlowKey::default();
     k.set_in_port(in_port);
@@ -83,7 +217,7 @@ fn dpcls_key(in_port: u32, c: u8, d: u8, tp_dst: u16) -> FlowKey {
 }
 
 /// Brute force: the highest-priority rule whose masked key matches.
-fn linear_scan<'a>(rules: &'a [Rule<u32>], key: &FlowKey) -> Option<&'a Rule<u32>> {
+fn linear_scan<'a>(rules: &'a [Rule], key: &FlowKey) -> Option<&'a Rule> {
     rules
         .iter()
         .filter(|r| key.matches(&r.key, &r.mask))
@@ -100,11 +234,11 @@ proptest! {
         // Deduplicate (key,mask,priority) collisions the same way the
         // classifier does (last insert wins) by inserting in order.
         for r in &rules {
-            cls.insert(r.clone());
+            cls.insert(&r.key, r.mask, r.priority, r.value);
         }
         // Build the reference WITHOUT duplicate (masked-key, mask, prio)
         // entries: keep the last.
-        let mut dedup: Vec<Rule<u32>> = Vec::new();
+        let mut dedup: Vec<Rule> = Vec::new();
         for r in &rules {
             let masked = r.key.masked(&r.mask);
             if let Some(existing) = dedup.iter_mut().find(|e| {
@@ -116,7 +250,7 @@ proptest! {
             }
         }
         for p in &probes {
-            let got = cls.lookup(p).map(|r| r.priority);
+            let got = cls.lookup(p).map(|(priority, _)| priority);
             let want = linear_scan(&dedup, p).map(|r| r.priority);
             // Priorities must agree (values may differ among equal-priority
             // matches, which is unspecified in OVS too).
@@ -125,20 +259,41 @@ proptest! {
     }
 
     #[test]
-    fn classifier_insert_remove_roundtrip(
-        rules in proptest::collection::vec(arb_rule(), 1..20),
+    fn translation_mask_covers_everything_that_decided_it(
+        table0 in proptest::collection::vec(arb_table0_rule(), 1..10),
+        table1 in proptest::collection::vec(arb_table1_rule(), 0..10),
+        keys in proptest::collection::vec(arb_pipeline_key(), 1..8),
+        noise in proptest::array::uniform4(proptest::array::uniform12(any::<u64>())),
     ) {
-        let mut cls = Classifier::new();
-        for r in &rules {
-            cls.insert(r.clone());
+        let mut of = Ofproto::new();
+        // OVS leaves overlapping equal-priority rules unspecified, so each
+        // table keeps the first rule of each priority.
+        for rules in [table0, table1] {
+            let mut seen = HashSet::new();
+            for r in rules.into_iter().filter(|r| seen.insert(r.priority)) {
+                of.add_rule(r);
+            }
         }
-        let total = cls.len();
-        // Remove everything that was inserted; the classifier must empty.
-        for r in &rules {
-            cls.remove(&r.key, &r.mask);
+        for key in &keys {
+            let t = of.translate(key);
+            for r in &t.rules {
+                prop_assert!(r.rule.mask.subset_of(&t.mask), "matched rule {:?}", r.rule);
+            }
+            // A key that agrees with `key` under the mask and carries
+            // random bits everywhere else takes the same path.
+            let (k, m) = (key.words(), t.mask.words());
+            for bits in &noise {
+                let other = FlowKey::from_words(std::array::from_fn(|i| {
+                    (k[i] & m[i]) | (bits[i] & !m[i])
+                }));
+                let u = of.translate(&other);
+                prop_assert_eq!(&u.actions, &t.actions, "key {:?}", other);
+                prop_assert_eq!(u.rules.len(), t.rules.len());
+                for (a, b) in u.rules.iter().zip(&t.rules) {
+                    prop_assert!(Rc::ptr_eq(a, b), "key {:?} matched {:?}", other, a.rule);
+                }
+            }
         }
-        prop_assert_eq!(cls.len(), 0, "started with {} rules", total);
-        prop_assert_eq!(cls.subtable_count(), 0);
     }
 
     #[test]

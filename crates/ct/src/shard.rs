@@ -48,7 +48,7 @@ impl Shard {
         self.conns.insert(key, conn);
     }
 
-    /// Advance the CLOCK hand up to [`CLOCK_PROBES`] steps and return a
+    /// Advance the CLOCK hand up to `CLOCK_PROBES` steps and return a
     /// victim. With `allow_established` false (the early-drop defense)
     /// the hand honours second chances and only ever returns expired or
     /// never-established entries — ESTABLISHED connections are immune.

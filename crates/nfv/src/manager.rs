@@ -187,14 +187,6 @@ impl NfManager {
         self.nfs.is_empty()
     }
 
-    pub fn nf_count(&self) -> usize {
-        self.nfs.len()
-    }
-
-    pub fn chain_count(&self) -> usize {
-        self.chains.len()
-    }
-
     pub fn nf(&self, id: NfId) -> Option<&NfInstance> {
         self.nfs.get(id as usize)
     }

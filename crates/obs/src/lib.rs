@@ -2,7 +2,7 @@
 //!
 //! Three pillars, mirroring real OVS introspection:
 //!
-//! * [`coverage`] — cheap named event counters (`COVERAGE_INC` style)
+//! * [`coverage`](mod@coverage) — cheap named event counters (`COVERAGE_INC` style)
 //!   with per-epoch rate windows, rendered by `coverage/show`;
 //! * [`perf`] — per-PMD per-stage cycle attribution driven by the
 //!   deterministic sim clock, rendered by `dpif-netdev/pmd-perf-show`;

@@ -44,18 +44,6 @@ pub fn pseudo_header_ipv4(src: [u8; 4], dst: [u8; 4], proto: u8, len: u16) -> u1
     ])
 }
 
-/// One's-complement sum of the IPv6 pseudo-header used by TCP/UDP/ICMPv6.
-pub fn pseudo_header_ipv6(src: [u8; 16], dst: [u8; 16], proto: u8, len: u32) -> u16 {
-    let mut sums = Vec::with_capacity(20);
-    for b in src.chunks_exact(2).chain(dst.chunks_exact(2)) {
-        sums.push(u16::from_be_bytes([b[0], b[1]]));
-    }
-    sums.push((len >> 16) as u16);
-    sums.push(len as u16);
-    sums.push(u16::from(proto));
-    combine(&sums)
-}
-
 /// Verify a buffer whose checksum field is already in place: the folded sum
 /// over the whole buffer (including the checksum) must be 0xffff.
 pub fn verify(data: &[u8]) -> bool {

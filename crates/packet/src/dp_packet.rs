@@ -7,8 +7,6 @@
 //! array and pre-initializes the packet-independent fields; the pool lives
 //! in `ovs-ring`, and [`DpPacket::reset`] is the reuse hook.
 
-use crate::MacAddr;
-
 /// Offset value meaning "not present / not parsed".
 pub const OFS_INVALID: u16 = u16::MAX;
 
@@ -228,11 +226,6 @@ impl DpPacket {
             return None;
         }
         self.data().get(self.l4_ofs as usize..)
-    }
-
-    /// Destination MAC of the (assumed Ethernet) frame, if long enough.
-    pub fn eth_dst(&self) -> Option<MacAddr> {
-        MacAddr::from_slice(self.data())
     }
 
     /// Reset all metadata and contents for reuse from a preallocated pool

@@ -103,16 +103,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> GenevePacket<T> {
         self.buffer.as_mut()[field::RESERVED] = 0;
     }
 
-    /// Set the OAM bit.
-    pub fn set_oam(&mut self, v: bool) {
-        let b = &mut self.buffer.as_mut()[field::FLAGS];
-        if v {
-            *b |= 0x80;
-        } else {
-            *b &= !0x80;
-        }
-    }
-
     /// Set the encapsulated protocol type.
     pub fn set_protocol(&mut self, p: u16) {
         self.buffer.as_mut()[field::PROTO].copy_from_slice(&p.to_be_bytes());

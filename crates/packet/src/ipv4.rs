@@ -118,12 +118,6 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
         self.buffer.as_ref()[field::PROTOCOL]
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        let b = &self.buffer.as_ref()[field::CHECKSUM];
-        u16::from_be_bytes([b[0], b[1]])
-    }
-
     /// Source address.
     pub fn src(&self) -> [u8; 4] {
         self.buffer.as_ref()[field::SRC].try_into().unwrap()

@@ -22,7 +22,6 @@ mod field {
     pub const FLAGS: usize = 13;
     pub const WINDOW: core::ops::Range<usize> = 14..16;
     pub const CHECKSUM: core::ops::Range<usize> = 16..18;
-    pub const URGENT: core::ops::Range<usize> = 18..20;
 }
 
 /// Minimum TCP header length (no options).
@@ -158,11 +157,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     /// Write the checksum field.
     pub fn set_checksum(&mut self, c: u16) {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&c.to_be_bytes());
-    }
-
-    /// Set the urgent pointer.
-    pub fn set_urgent(&mut self, u: u16) {
-        self.buffer.as_mut()[field::URGENT].copy_from_slice(&u.to_be_bytes());
     }
 
     /// Compute and fill the checksum over an IPv4 pseudo-header.

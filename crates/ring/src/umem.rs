@@ -49,12 +49,6 @@ impl Umem {
         &self.data[start..start + self.frame_size]
     }
 
-    /// Write access to frame `idx`.
-    pub fn frame_mut(&mut self, idx: u32) -> &mut [u8] {
-        let start = idx as usize * self.frame_size;
-        &mut self.data[start..start + self.frame_size]
-    }
-
     /// Copy a packet into frame `idx`, returning the stored length.
     /// Panics if the packet exceeds the frame size — callers must respect
     /// the MTU contract.

@@ -2,11 +2,11 @@
 //!
 //! Every constant here is the modelled cost, in nanoseconds, of one operation
 //! that the paper's testbed performed on real hardware and a real Linux 5.3
-//! kernel. Constants marked **[paper]** are taken directly from a measurement
+//! kernel. Constants marked **\[paper\]** are taken directly from a measurement
 //! the paper reports (e.g. the 2 µs `sendto` cost in §3.3); constants marked
-//! **[calibrated]** were fitted so that the reproduction harness regenerates
+//! **\[calibrated\]** were fitted so that the reproduction harness regenerates
 //! the paper's tables and figures with the right *shape* (ordering, ratios,
-//! crossover points); constants marked **[estimate]** are order-of-magnitude
+//! crossover points); constants marked **\[estimate\]** are order-of-magnitude
 //! figures for operations the paper does not isolate.
 //!
 //! Centralizing the model here keeps the substitution auditable: changing a
@@ -17,123 +17,123 @@
 /// Ubuntu kernel 5.3).
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    /// CPU frequency of both testbeds. **[paper]** (§3.1, §5.1, §5.2)
+    /// CPU frequency of both testbeds. **\[paper\]** (§3.1, §5.1, §5.2)
     pub cpu_hz: u64,
 
     // ------------------------------------------------------------------
     // Syscalls and context switches
     // ------------------------------------------------------------------
-    /// One `sendto()` on a tap device. **[paper]**: "We measured the cost of
+    /// One `sendto()` on a tap device. **\[paper\]**: "We measured the cost of
     /// this system call as 2 µs on average" (§3.3).
     pub syscall_sendto_ns: f64,
     /// A generic light syscall (`recvmsg`, `poll` returning ready).
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub syscall_light_ns: f64,
     /// A blocking wakeup: interrupt + scheduler + context switch back into
     /// the waiting thread. Governs interrupt-mode AF_XDP (Fig 8a) and tap
-    /// reads. **[calibrated]** to the Fig 8a interrupt-vs-poll gap.
+    /// reads. **\[calibrated\]** to the Fig 8a interrupt-vs-poll gap.
     pub wakeup_ns: f64,
-    /// One process context switch. **[estimate]** ~1.2 µs on Xeon v3.
+    /// One process context switch. **\[estimate\]** ~1.2 µs on Xeon v3.
     pub context_switch_ns: f64,
 
     // ------------------------------------------------------------------
     // Memory
     // ------------------------------------------------------------------
     /// Copying one byte between buffers (packet copies, user<->kernel).
-    /// **[estimate]** ~0.08 ns/B (≈12 GB/s effective single-core memcpy).
+    /// **\[estimate\]** ~0.08 ns/B (≈12 GB/s effective single-core memcpy).
     pub copy_per_byte_ns: f64,
     /// Software checksum over one byte, per direction (verify on RX, fill
-    /// on TX). **[calibrated]** to the O4→O5 step in Table 2 (~24 ns over
+    /// on TX). **\[calibrated\]** to the O4→O5 step in Table 2 (~24 ns over
     /// a 64-byte frame across both directions ⇒ 0.19 ns/B each way).
     pub csum_per_byte_ns: f64,
     /// One `mmap`-backed metadata allocation for a `dp_packet`.
-    /// **[calibrated]** to the O3→O4 step in Table 2 (7.2 ns/packet
+    /// **\[calibrated\]** to the O3→O4 step in Table 2 (7.2 ns/packet
     /// amortized).
     pub dp_packet_alloc_ns: f64,
     /// Locking an uncontended POSIX mutex instead of a spinlock, per packet.
-    /// **[calibrated]** to the O1→O2 step in Table 2: the paper saw ~5% CPU
+    /// **\[calibrated\]** to the O1→O2 step in Table 2: the paper saw ~5% CPU
     /// in `pthread_mutex_lock`; 4.8→6.0 Mpps ⇒ 41.6 ns/packet.
     pub mutex_extra_ns: f64,
     /// Extra per-packet cost of taking the umem spinlock per packet instead
-    /// of once per batch. **[calibrated]** to the O2→O3 step in Table 2
+    /// of once per batch. **\[calibrated\]** to the O2→O3 step in Table 2
     /// (6.0→6.3 Mpps ⇒ 8 ns/packet).
     pub unbatched_lock_extra_ns: f64,
     /// Contention penalty per *additional* AF_XDP queue sharing umem state,
-    /// per packet. **[calibrated]** to Fig 12 (AF_XDP 64 B tops out ~12 Mpps
+    /// per packet. **\[calibrated\]** to Fig 12 (AF_XDP 64 B tops out ~12 Mpps
     /// at 6 queues).
     pub afxdp_queue_contention_ns: f64,
     /// Contention penalty per additional DPDK queue, per packet.
-    /// **[calibrated]** to Fig 12 (DPDK scales close to linearly).
+    /// **\[calibrated\]** to Fig 12 (DPDK scales close to linearly).
     pub dpdk_queue_contention_ns: f64,
 
     // ------------------------------------------------------------------
     // Kernel datapath (baseline OVS kernel module)
     // ------------------------------------------------------------------
     /// skb allocation + population, the "expensive step" XDP avoids (§2.2.3).
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub skb_alloc_ns: f64,
     /// NIC driver RX work per packet in softirq (DMA sync, descriptor).
-    /// **[calibrated]** with `xdp_dispatch_ns` to Table 5 task A (14 Mpps
+    /// **\[calibrated\]** with `xdp_dispatch_ns` to Table 5 task A (14 Mpps
     /// ⇒ ~70 ns kernel-side for drop-without-looking).
     pub driver_rx_ns: f64,
-    /// NIC driver TX work per packet. **[estimate]**
+    /// NIC driver TX work per packet. **\[estimate\]**
     pub driver_tx_ns: f64,
     /// OVS kernel-module datapath: flow-cache lookup + actions, per packet,
-    /// simple L2 forward. **[calibrated]** so the single-core 64 B kernel
+    /// simple L2 forward. **\[calibrated\]** so the single-core 64 B kernel
     /// forwarding rate lands near 1.9 Mpps (Fig 2, Fig 9a single flow).
     pub kernel_ovs_flow_ns: f64,
     /// Multiplicative penalty on all softirq work when RSS spreads one
     /// workload across all hyperthreads (cache bounce, HT sharing, tx-queue
-    /// lock contention). **[calibrated]** to Table 4 P2P kernel: 9.7 softirq
+    /// lock contention). **\[calibrated\]** to Table 4 P2P kernel: 9.7 softirq
     /// hyperthreads for ~4.6 Mpps ⇒ ~2.1 µs/packet aggregate.
     pub kernel_rss_penalty: f64,
     /// Kernel TCP/IP stack receive+deliver per MTU-sized segment (socket
-    /// path, no GRO aggregation modelled separately). **[estimate]**
+    /// path, no GRO aggregation modelled separately). **\[estimate\]**
     pub kernel_tcp_segment_ns: f64,
-    /// veth pair crossing (xmit into peer namespace, no copy). **[estimate]**
+    /// veth pair crossing (xmit into peer namespace, no copy). **\[estimate\]**
     pub veth_xmit_ns: f64,
     /// tap device kernel-side delivery (queue to fd / read by consumer).
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub tap_kernel_ns: f64,
     /// vhost-net kernel thread, per packet (kernel backend for tap-attached
-    /// VMs). **[estimate]**
+    /// VMs). **\[estimate\]**
     pub vhost_net_ns: f64,
-    /// Kernel conntrack lookup/update per packet. **[estimate]**
+    /// Kernel conntrack lookup/update per packet. **\[estimate\]**
     pub kernel_conntrack_ns: f64,
-    /// Kernel tunnel (Geneve/VXLAN) encap or decap per packet. **[estimate]**
+    /// Kernel tunnel (Geneve/VXLAN) encap or decap per packet. **\[estimate\]**
     pub kernel_tunnel_ns: f64,
 
     // ------------------------------------------------------------------
     // eBPF / XDP
     // ------------------------------------------------------------------
-    /// Interpreting one eBPF instruction. **[calibrated]** so the eBPF tc
+    /// Interpreting one eBPF instruction. **\[calibrated\]** so the eBPF tc
     /// datapath is 10–20% slower than the kernel module (Fig 2) and so
     /// Table 5's task ladder (14 / 8.1 / 7.1 / 4.7 Mpps) reproduces.
     pub ebpf_insn_ns: f64,
     /// Fixed cost of the tc-hook eBPF datapath stage beyond the bytecode
-    /// itself (skb context setup, action dispatch). **[calibrated]** so
+    /// itself (skb context setup, action dispatch). **\[calibrated\]** so
     /// the Fig 2 eBPF bar lands 10–20% below the kernel module.
     pub tc_bpf_fixed_ns: f64,
-    /// An eBPF helper call: hash-map lookup. **[calibrated]** Table 5 B→C.
+    /// An eBPF helper call: hash-map lookup. **\[calibrated\]** Table 5 B→C.
     pub ebpf_map_lookup_ns: f64,
     /// XDP driver-hook fixed overhead per packet (program dispatch before
-    /// skb allocation). **[calibrated]** Table 5 task A: 14 Mpps ⇒ ~70 ns
+    /// skb allocation). **\[calibrated\]** Table 5 task A: 14 Mpps ⇒ ~70 ns
     /// total with the minimal program.
     pub xdp_dispatch_ns: f64,
     /// First touch of cold packet bytes by an XDP program ("the CPU now
     /// must read the packet, triggering cache misses" — Table 5 B).
-    /// **[calibrated]** to the A→B step.
+    /// **\[calibrated\]** to the A→B step.
     pub xdp_pkt_touch_ns: f64,
     /// XDP_TX: re-post the frame to the same NIC's TX ring from the hook.
-    /// **[calibrated]** to Table 5 task D (4.7 Mpps).
+    /// **\[calibrated\]** to Table 5 task D (4.7 Mpps).
     pub xdp_tx_ns: f64,
     /// Kernel-side XSK delivery on redirect: fill-ring pop, DMA address
-    /// setup, RX-ring push, wakeup check. **[calibrated]** so the minimal
+    /// setup, RX-ring push, wakeup check. **\[calibrated\]** so the minimal
     /// OVS hook's total kernel-side cost is ~140 ns/packet (Table 2 O5 at
     /// 7.1 Mpps with userspace at ~127 ns).
     pub xsk_deliver_ns: f64,
     /// XDP_REDIRECT to another device (devmap), excluding the target
-    /// device's own cost. **[calibrated]** to Fig 8c/9c XDP fast path.
+    /// device's own cost. **\[calibrated\]** to Fig 8c/9c XDP fast path.
     pub xdp_redirect_ns: f64,
 
     // ------------------------------------------------------------------
@@ -141,17 +141,17 @@ pub struct CostModel {
     // ------------------------------------------------------------------
     /// Extra kernel-side cost in copy (XDP_SKB / generic) mode: one packet
     /// copy into the umem plus skb handling. Universal fallback per §3.5
-    /// "Limitations". **[estimate]**
+    /// "Limitations". **\[estimate\]**
     pub afxdp_copy_mode_extra_ns: f64,
     /// Userspace XSK rx-ring pop + fill-ring push, amortized per packet at
-    /// the default 32-packet batch. **[calibrated]** part of the 127 ns/pkt
+    /// the default 32-packet batch. **\[calibrated\]** part of the 127 ns/pkt
     /// userspace budget at O5 (Table 2).
     pub xsk_ring_ns: f64,
     /// Software rxhash (5-tuple hash for RSS) that AF_XDP must compute
-    /// because XDP exposes no NIC hash hint yet (§5.5). **[calibrated]**
+    /// because XDP exposes no NIC hash hint yet (§5.5). **\[calibrated\]**
     pub sw_rxhash_ns: f64,
     /// `sendto` TX kick amortized per packet when need_wakeup is armed and
-    /// the TX ring was idle; busy TX rings skip the kick. **[calibrated]**
+    /// the TX ring was idle; busy TX rings skip the kick. **\[calibrated\]**
     /// to §5.5's observed TX context-switch overhead.
     pub xsk_tx_kick_ns: f64,
 
@@ -161,77 +161,77 @@ pub struct CostModel {
     /// Sparse miniflow extraction: parse writes only the populated 8-byte
     /// slots (bitmap + packed array) instead of zeroing and filling a full
     /// 96-byte key, so a typical 5-tuple packet touches half the cache
-    /// lines a full-key extract would. **[estimate]**
+    /// lines a full-key extract would. **\[estimate\]**
     pub miniflow_extract_ns: f64,
     /// Hashing the populated miniflow slots once per packet; the result is
     /// cached in the `dp_packet` and reused by every cache tier probe
-    /// (upstream's `dp_packet_get_rss_hash` behavior). **[estimate]**
+    /// (upstream's `dp_packet_get_rss_hash` behavior). **\[estimate\]**
     pub flow_hash_ns: f64,
     /// EMC probe against a miniflow: bitmap compare + packed-word compare
-    /// over the populated slots only, hash already cached. **[estimate]**
+    /// over the populated slots only, hash already cached. **\[estimate\]**
     pub emc_mini_hit_ns: f64,
     /// SMC probe with a cached hash and a sparse masked verify (the
-    /// `MiniMask` iterates its populated slots only). **[estimate]**
+    /// `MiniMask` iterates its populated slots only). **\[estimate\]**
     pub smc_mini_hit_ns: f64,
     /// One wide-lane bulk dpcls step: hashing and probing up to `lane_width`
     /// keys against one subtable's signature array in a single pass with
     /// the next bucket prefetched — models the AVX-512 batched signature
     /// compare upstream ships. Charged per `ceil(keys/lane)` per subtable.
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub dpcls_bulk_step_ns: f64,
     /// Per-key masked verify inside a bulk dpcls step (walking the
-    /// candidate rule's packed mask slots). **[estimate]**
+    /// candidate rule's packed mask slots). **\[estimate\]**
     pub dpcls_bulk_key_ns: f64,
-    /// Exact-match cache hit. **[estimate]** (a few cache lines + compare)
+    /// Exact-match cache hit. **\[estimate\]** (a few cache lines + compare)
     pub emc_hit_ns: f64,
     /// Extra per-lookup cost when the flow working set no longer fits the
     /// L1/L2 caches (the 1,000-random-flow "worst case for the OVS caching
     /// layer" of §5.2). Charged once the EMC holds more than
-    /// `emc_pressure_threshold` entries. **[calibrated]** to the 1 vs
+    /// `emc_pressure_threshold` entries. **\[calibrated\]** to the 1 vs
     /// 1000 flow gap in Fig 9a.
     pub emc_pressure_ns: f64,
-    /// EMC occupancy above which `emc_pressure_ns` applies. **[calibrated]**
+    /// EMC occupancy above which `emc_pressure_ns` applies. **\[calibrated\]**
     pub emc_pressure_threshold: usize,
     /// Megaflow (dpcls, tuple-space search) lookup on EMC miss, per
     /// subtable probed ~20 ns; typical production pipeline probes ~4.
-    /// **[calibrated]** to the 1 vs 1000 flow gap in Fig 9.
+    /// **\[calibrated\]** to the 1 vs 1000 flow gap in Fig 9.
     pub dpcls_lookup_ns: f64,
     /// Each dpcls subtable probed *beyond the first* (hash + masked
     /// compare per tuple). The first probe is folded into
     /// `dpcls_lookup_ns`, so single-mask tables keep the calibrated base
     /// cost and subtable ranking has something to win back on skewed
-    /// multi-mask tables. **[estimate]**
+    /// multi-mask tables. **\[estimate\]**
     pub dpcls_subtable_extra_ns: f64,
     /// Fixed per-batch cost of executing one megaflow's action batch:
     /// action-context setup, tx-queue locking, and the flush — paid once
     /// per `PacketBatch` rather than per packet, consistent with the
     /// O3/O4 lock/syscall batching on the AF_XDP side. A scalar
     /// (one-packet-batch) caller pays all of it per packet.
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub dp_batch_fixed_ns: f64,
     /// Marginal per-packet cost inside a batched action execution
-    /// (pointer bumps, per-packet action dispatch). **[estimate]**
+    /// (pointer bumps, per-packet action dispatch). **\[estimate\]**
     pub dp_batch_pkt_ns: f64,
     /// Full upcall: slow-path trip through the OpenFlow tables, per table
-    /// pass. Only hit on megaflow misses. **[estimate]**
+    /// pass. Only hit on megaflow misses. **\[estimate\]**
     pub upcall_per_table_ns: f64,
     /// Revalidator work per dumped datapath flow: fetch the flow + stats,
     /// re-translate its masked key, compare actions, push stats. Drives
     /// the simulated dump duration that feeds the dynamic flow-limit
-    /// algorithm. **[estimate]** (OVS revalidates a few hundred thousand
+    /// algorithm. **\[estimate\]** (OVS revalidates a few hundred thousand
     /// flows per second per thread ⇒ a few µs each.)
     pub revalidate_flow_ns: f64,
-    /// Userspace conntrack lookup/update. **[estimate]**
+    /// Userspace conntrack lookup/update. **\[estimate\]**
     pub userspace_ct_ns: f64,
     /// Userspace tunnel encap/decap (Geneve header build + route/ARP cache
-    /// hit). **[estimate]**
+    /// hit). **\[estimate\]**
     pub userspace_tunnel_ns: f64,
     /// One recirculation pass (re-extract + re-lookup bookkeeping, not
-    /// counting the lookup itself). **[estimate]**
+    /// counting the lookup itself). **\[estimate\]**
     pub recirc_ns: f64,
     /// Per-packet share of main-thread work when the datapath runs in the
     /// non-PMD general-purpose thread (O0 in Table 2: poll loop shared with
-    /// OpenFlow/OVSDB processing ⇒ 0.8 Mpps). **[calibrated]**
+    /// OpenFlow/OVSDB processing ⇒ 0.8 Mpps). **\[calibrated\]**
     pub non_pmd_overhead_ns: f64,
 
     // ------------------------------------------------------------------
@@ -239,28 +239,28 @@ pub struct CostModel {
     // ------------------------------------------------------------------
     /// Fixed per-packet cost of one NF invocation (batch amortized: verdict
     /// dispatch, header re-parse, table touch) on top of whatever the NF's
-    /// own logic costs. **[estimate]**
+    /// own logic costs. **\[estimate\]**
     pub nf_exec_ns: f64,
     /// One NF SPSC ring crossing per packet (descriptor push/pop + slot
-    /// slab bookkeeping; the openNetVM shared-ring handoff). **[estimate]**
+    /// slab bookkeeping; the openNetVM shared-ring handoff). **\[estimate\]**
     pub nf_ring_ns: f64,
 
     // ------------------------------------------------------------------
     // DPDK-style PMD
     // ------------------------------------------------------------------
     /// DPDK ethdev burst RX+TX per packet, including mbuf management.
-    /// **[calibrated]** so DPDK P2P single-flow lands near 9.5 Mpps (Fig 2,
+    /// **\[calibrated\]** so DPDK P2P single-flow lands near 9.5 Mpps (Fig 2,
     /// Fig 9a).
     pub dpdk_io_ns: f64,
     /// DPDK per-byte cost (mbuf copy/DMA-sync on the slower X540 path).
-    /// **[calibrated]** to Fig 12's 1518 B series.
+    /// **\[calibrated\]** to Fig 12's 1518 B series.
     pub dpdk_per_byte_ns: f64,
     /// AF_XDP per-byte cost (umem DMA sync + the copy the kernel still does
-    /// on the ConnectX TX path). **[calibrated]** to Fig 12's 1518 B series
+    /// on the ConnectX TX path). **\[calibrated\]** to Fig 12's 1518 B series
     /// (line rate only at 6 queues).
     pub afxdp_per_byte_ns: f64,
     /// DPDK af_packet vdev per packet (the container access path in Fig 11):
-    /// a pair of user/kernel transitions plus a copy. **[calibrated]** to
+    /// a pair of user/kernel transitions plus a copy. **\[calibrated\]** to
     /// Fig 11's 81/136/241 µs DPDK container latency.
     pub dpdk_af_packet_ns: f64,
 
@@ -268,27 +268,27 @@ pub struct CostModel {
     // Virtio / vhost
     // ------------------------------------------------------------------
     /// vhostuser ring push/pop + descriptor handling per packet (shared
-    /// memory, no syscall). **[estimate]**
+    /// memory, no syscall). **\[estimate\]**
     pub vhostuser_ring_ns: f64,
     /// Guest-side virtio-net PMD forwarding per packet (testpmd-style guest,
-    /// used in PVP). **[estimate]**
+    /// used in PVP). **\[estimate\]**
     pub guest_pmd_fwd_ns: f64,
     /// Guest kernel TCP/IP per MTU segment (netperf/iperf guests).
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub guest_tcp_segment_ns: f64,
     /// Per-packet guest->host notification cost charged as host system time
     /// (eventfd kick path) when the backend isn't busy-polling.
-    /// **[calibrated]** to Table 4 PVP "system" columns.
+    /// **\[calibrated\]** to Table 4 PVP "system" columns.
     pub vhost_kick_ns: f64,
 
     // ------------------------------------------------------------------
     // Wire
     // ------------------------------------------------------------------
     /// One-way propagation + PHY latency of the back-to-back cable, ns.
-    /// **[estimate]**
+    /// **\[estimate\]**
     pub wire_latency_ns: f64,
     /// NIC interrupt moderation delay under the adaptive interrupt scheme
-    /// (kernel datapath latency tests, Fig 10). **[calibrated]**
+    /// (kernel datapath latency tests, Fig 10). **\[calibrated\]**
     pub irq_moderation_ns: f64,
 }
 

@@ -34,11 +34,6 @@ impl LineRate {
         Self::gbps(25.0)
     }
 
-    /// Nominal bit rate in Gbps.
-    pub fn as_gbps(&self) -> f64 {
-        self.bits_per_sec / 1e9
-    }
-
     /// Maximum frames per second for `frame_len`-byte frames (including FCS).
     pub fn max_pps(&self, frame_len: usize) -> f64 {
         self.bits_per_sec / (((frame_len + WIRE_OVERHEAD_BYTES) * 8) as f64)

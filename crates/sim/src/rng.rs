@@ -32,11 +32,6 @@ impl SimRng {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, n)`. `n` must be nonzero.
     pub fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);

@@ -515,7 +515,7 @@ fn make_flows_to(n_flows: usize, frame_len: usize, dst: [u8; 4]) -> Vec<Vec<u8>>
         .collect()
 }
 
-/// Future-work ablation (Outcome #2): preferred busy polling [64] runs the
+/// Future-work ablation (Outcome #2): preferred busy polling \[64\] runs the
 /// kernel-side XSK work inline on the PMD cores. Returns (baseline,
 /// busy-poll) measurements: the rate dips slightly (the PMD absorbs the
 /// softirq work) but total CPU drops toward DPDK's footprint.

@@ -322,7 +322,7 @@ fn megaflows_and_rules_fit_their_memory_budgets_and_a_warm_sweep_allocates_nothi
     // per flow, each flow installed by a real upcall.
     const FLOWS: u16 = 16_384;
     const BYTES_PER_FLOW: i64 = 1024;
-    const BYTES_PER_RULE: i64 = 1024;
+    const BYTES_PER_RULE: i64 = 640;
     let mut k = Kernel::new(4);
     let mut dp = DpifNetdev::new();
     dp.revalidator.cfg.flow_limit_max = 1 << 20;

@@ -37,7 +37,7 @@ use ovs_obs::latency::LatencySummary;
 use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
 use ovs_packet::flow::{extract_miniflow, FlowKey, FlowMask, Miniflow, WORDS};
-use ovs_packet::{builder, DpPacket, MacAddr};
+use ovs_packet::{DpPacket, MacAddr};
 use ovs_ring::{DpPacketPool, PacketBatch};
 use ovs_sim::Context;
 use std::collections::BTreeMap;
@@ -1686,8 +1686,7 @@ megaflows installed: {}
         let mut s = std::mem::take(&mut self.scratch);
         let mut n = 0;
         for mut pkt in pkts {
-            let stamp = pmd_now_ns(kernel, core);
-            pkt.rx_ts.get_or_insert(stamp);
+            pkt.rx_ts.get_or_insert_with(|| pmd_now_ns(kernel, core));
             self.stats.packets_processed += 1;
             coverage!("dpif_packet");
             self.try_tunnel_rx(kernel, &mut pkt, core);
@@ -2188,7 +2187,7 @@ megaflows installed: {}
                     // The vring accepts a prefix of the burst; the rest
                     // is a counted drop (guest disconnected or ring
                     // full).
-                    let accepted = v.enqueue_burst(kernel, pkts.iter().map(DpPacket::data), core);
+                    let accepted = v.enqueue_burst(kernel, pkts.iter().map(|p| p.data()), core);
                     delivered_ts.extend(pkts.iter().take(accepted).map(|p| p.rx_ts));
                     let lost = (pkts.len() - accepted) as u64;
                     dropped += lost;
@@ -2272,19 +2271,8 @@ megaflows installed: {}
                         f.set_dst(*m);
                     }
                 }
-                DpAction::PushVlan(tci) => {
-                    let tagged = builder::push_vlan(pkt.data(), tci & 0x0fff, (tci >> 13) as u8);
-                    pkt.set_data(&tagged);
-                }
-                DpAction::PopVlan => {
-                    let data = pkt.data().to_vec();
-                    if data.len() >= 18 && data[12] == 0x81 && data[13] == 0x00 {
-                        let mut untagged = Vec::with_capacity(data.len() - 4);
-                        untagged.extend_from_slice(&data[..12]);
-                        untagged.extend_from_slice(&data[16..]);
-                        pkt.set_data(&untagged);
-                    }
-                }
+                DpAction::PushVlan(tci) => pkt.push_vlan(*tci),
+                DpAction::PopVlan => pkt.pop_vlan(),
                 DpAction::Ct { zone, commit, nat } => {
                     // Everything up to here was generic action work;
                     // the conntrack pass gets its own stage.
@@ -2885,6 +2873,7 @@ mod tests {
     use ovs_afxdp::OptLevel;
     use ovs_kernel::dev::{DeviceKind, NetDevice};
     use ovs_kernel::guest::{Guest, GuestRole, VirtioBackend};
+    use ovs_packet::builder;
     use ovs_packet::ethernet::EtherType;
     use ovs_packet::flow::{fields, FlowKey, FlowMask};
 
@@ -2944,6 +2933,20 @@ mod tests {
         assert_eq!(dp.stats.upcalls, 1, "only the first packet upcalls");
         assert_eq!(dp.stats.megaflow_hits + dp.stats.emc_hits, 9);
         assert_eq!(dp.megaflow_count(), 1);
+    }
+
+    #[test]
+    fn a_runt_through_a_push_vlan_rule_is_forwarded_unchanged() {
+        let (mut k, mut dp, _eth0, eth1) = p2p_setup();
+        let mut rule = port_forward_rule(0, 1);
+        rule.priority = 20;
+        rule.actions = vec![OfAction::PushVlan(100), OfAction::Output(1)];
+        dp.ofproto.add_rule(rule);
+        let runt = [0xabu8; 10];
+        let mut pkt = DpPacket::from_data(&runt);
+        pkt.in_port = 0;
+        dp.process_packet(&mut k, pkt, 1);
+        assert_eq!(k.device(eth1).tx_wire, [runt.to_vec()]);
     }
 
     #[test]

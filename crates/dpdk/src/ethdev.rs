@@ -2,8 +2,7 @@
 
 use crate::mbuf::{Mbuf, Mempool};
 use ovs_kernel::Kernel;
-use ovs_packet::flow::extract_flow_key;
-use ovs_packet::DpPacket;
+use ovs_packet::flow::extract_frame_key;
 use ovs_sim::Context;
 
 /// Burst size used by rx/tx (DPDK's conventional 32).
@@ -66,8 +65,7 @@ impl EthDev {
             m.port = self.ifindex;
             // NIC-provided hash: model it with the same function the
             // software path uses, charged to nobody.
-            let mut p = DpPacket::from_data(&frame);
-            m.rss_hash = extract_flow_key(&mut p).rss_hash();
+            m.rss_hash = extract_frame_key(&frame).rss_hash();
             out.push(m);
             self.stats.rx_packets += 1;
         }

@@ -3,7 +3,7 @@
 //! Before a program may attach to a hook it must pass verification, which
 //! enforces the restrictions that shaped the paper's design space:
 //!
-//! * **bounded size** (≤ [`MAX_INSNS`](crate::insn::MAX_INSNS));
+//! * **bounded size** (≤ [`MAX_INSNS`]);
 //! * **no loops**: every jump must be strictly forward, so execution length
 //!   is bounded by program length (this is what "the sandbox also caps
 //!   eBPF complexity by disallowing loops" means in practice — and why a
@@ -23,7 +23,7 @@ use crate::insn::{reg, AluOp, Helper, Insn, Operand, Reg, MAX_INSNS};
 pub enum VerifyError {
     /// The program is empty.
     Empty,
-    /// The program exceeds [`MAX_INSNS`](crate::insn::MAX_INSNS).
+    /// The program exceeds [`MAX_INSNS`].
     TooLong(usize),
     /// A register number above r10 was used.
     BadRegister { pc: usize },

@@ -18,8 +18,8 @@
 //! | map values | `0x4_0000_0000` | `(fd << 40) \| (slot << 16) \| offset` |
 //!
 //! Loads and stores are little-endian, as on the paper's x86 testbed;
-//! programs use [`AluOp::ToBe`](crate::insn::AluOp::ToBe) for network
-//! byte order, as real eBPF does.
+//! programs use [`AluOp::ToBe`] for network byte order, as real eBPF
+//! does.
 
 use crate::insn::{reg, AluOp, CmpOp, Helper, Insn, Operand, Reg, Size, STACK_SIZE};
 use crate::maps::MapSet;

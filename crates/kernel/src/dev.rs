@@ -239,8 +239,7 @@ impl NetDevice {
     /// Pick the RX queue for a frame: ntuple steering rules first, then
     /// RSS over the 5-tuple hash — what the NIC does in hardware.
     pub fn hw_queue_for(&self, frame: &[u8]) -> usize {
-        let mut pkt = ovs_packet::DpPacket::from_data(frame);
-        let key = ovs_packet::flow::extract_flow_key(&mut pkt);
+        let key = ovs_packet::flow::extract_frame_key(frame);
         for r in &self.ntuple {
             if r.matches(&key) {
                 return r.queue % self.num_queues;

@@ -13,7 +13,7 @@ use crate::neigh::NeighTable;
 use crate::route::RouteTable;
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
-use ovs_packet::flow::extract_flow_key;
+use ovs_packet::flow::{extract_flow_key, extract_frame_key};
 use ovs_packet::{builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr};
 use std::collections::HashMap;
 
@@ -439,27 +439,15 @@ impl OvsModule {
                         ttl: spec.ttl,
                     });
                 }
-                KAction::PushVlan(tci) => {
-                    let tagged = builder::push_vlan(pkt.data(), tci & 0x0fff, (tci >> 13) as u8);
-                    pkt.set_data(&tagged);
-                }
-                KAction::PopVlan => {
-                    let data = pkt.data().to_vec();
-                    if data.len() >= 18 && data[12] == 0x81 && data[13] == 0x00 {
-                        let mut untagged = Vec::with_capacity(data.len() - 4);
-                        untagged.extend_from_slice(&data[..12]);
-                        untagged.extend_from_slice(&data[16..]);
-                        pkt.set_data(&untagged);
-                    }
-                }
+                KAction::PushVlan(tci) => pkt.push_vlan(*tci),
+                KAction::PopVlan => pkt.pop_vlan(),
                 KAction::Ct {
                     zone,
                     commit,
                     mark,
                     nat,
                 } => {
-                    let mut tmp = DpPacket::from_data(pkt.data());
-                    let key = extract_flow_key(&mut tmp);
+                    let key = extract_frame_key(pkt.data());
                     let ck = ConnKey {
                         zone: *zone,
                         src_ip: key.nw_src_v4(),
@@ -552,9 +540,7 @@ impl OvsModule {
             .map(|(_, m)| *m)?;
         // Source port derived from the inner flow for ECMP entropy, as
         // real implementations do.
-        let mut tmp = DpPacket::from_data(pkt.data());
-        let key = extract_flow_key(&mut tmp);
-        let sport = 0xc000 | (key.rss_hash() as u16 & 0x3fff);
+        let sport = 0xc000 | (extract_frame_key(pkt.data()).rss_hash() as u16 & 0x3fff);
         let outer = builder::geneve_encap(
             src_mac,
             dst_mac,
@@ -841,6 +827,35 @@ mod tests {
         };
         assert_eq!(tagged.len(), f.len() + 4);
         assert_eq!(&tagged[12..14], &[0x81, 0x00]);
+    }
+
+    #[test]
+    fn a_runt_through_a_push_vlan_flow_is_forwarded_unchanged() {
+        let mut m = OvsModule::new();
+        let p0 = m.add_vport(Vport::Netdev { ifindex: 1 });
+        m.add_vport(Vport::Netdev { ifindex: 2 });
+        let mut key = FlowKey::default();
+        key.set_in_port(p0);
+        let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
+        m.install_flow(
+            &key,
+            &mask,
+            vec![KAction::PushVlan(100), KAction::Output(1)],
+        );
+        let routes = RouteTable::new();
+        let neigh = NeighTable::new();
+        let mut ct = CtTable::new();
+        let macs = [];
+        let mut env = test_env(&routes, &neigh, &mut ct, &macs);
+        let runt = vec![0xab; 10];
+        let v = m.receive(runt.clone(), 1, &mut env);
+        assert_eq!(
+            v,
+            vec![DpVerdict::Emit {
+                ifindex: 2,
+                frame: runt
+            }]
+        );
     }
 
     #[test]

@@ -203,11 +203,17 @@ pub fn arp_frame(
 pub fn push_vlan(frame: &[u8], vid: u16, pcp: u8) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame.len() + vlan::TAG_LEN);
     out.extend_from_slice(&frame[..12]);
-    out.extend_from_slice(&EtherType::Vlan.to_u16().to_be_bytes());
-    let tci = (u16::from(pcp & 0x7) << 13) | (vid & 0x0fff);
-    out.extend_from_slice(&tci.to_be_bytes());
+    out.extend_from_slice(&vlan_tag(vid, pcp));
     out.extend_from_slice(&frame[12..]);
     out
+}
+
+/// The 802.1Q tag [`push_vlan`] writes after the MACs: TPID 0x8100, then
+/// a TCI of `pcp` and `vid` with the DEI bit clear.
+pub(crate) fn vlan_tag(vid: u16, pcp: u8) -> [u8; vlan::TAG_LEN] {
+    let [t0, t1] = EtherType::Vlan.to_u16().to_be_bytes();
+    let [c0, c1] = ((u16::from(pcp & 0x7) << 13) | (vid & 0x0fff)).to_be_bytes();
+    [t0, t1, c0, c1]
 }
 
 /// Bytes of outer header [`geneve_encap`] puts in front of the inner

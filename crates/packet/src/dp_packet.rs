@@ -5,10 +5,21 @@
 //! offload flags, conntrack and tunnel state, recirculation id). The paper's
 //! optimization **O4** (§3.2) preallocates these descriptors in a contiguous
 //! array and pre-initializes the packet-independent fields; the pool lives
-//! in `ovs-ring`, and [`DpPacket::reset`] is the reuse hook.
+//! in `ovs-ring`, and [`Descriptor::reset`] is the reuse hook.
+//!
+//! A [`DpPacket`] is a pointer-sized owning handle to its [`Descriptor`],
+//! the way upstream's `dp_packet_batch` holds `struct dp_packet *`: rx
+//! batches, bursts, flow batches and tx queues move the handle, not the
+//! descriptor, and the pool recycles the handle with its allocation.
+
+use crate::ethernet::{self, EtherType};
+use crate::{builder, vlan};
 
 /// Offset value meaning "not present / not parsed".
 pub const OFS_INVALID: u16 = u16::MAX;
+
+/// Bytes of destination and source MAC in front of an Ethernet type.
+const MACS_LEN: usize = 12;
 
 /// Checksum/segmentation offload state, mirroring OVS dp-packet flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,13 +65,17 @@ pub mod ct_state {
     pub const INVALID: u8 = 0x20;
 }
 
+/// A packet: an owning handle to its [`Descriptor`], which it derefs to.
+#[derive(Debug, Clone)]
+pub struct DpPacket(Box<Descriptor>);
+
 /// A packet buffer plus OVS per-packet metadata.
 ///
 /// The buffer keeps `headroom` spare bytes in front of the packet so tunnel
 /// encapsulation can prepend headers without reallocating, as the real
 /// dp_packet does.
 #[derive(Debug, Clone)]
-pub struct DpPacket {
+pub struct Descriptor {
     buf: Vec<u8>,
     /// Offset of the first packet byte within `buf`.
     head: usize,
@@ -110,7 +125,7 @@ impl DpPacket {
     /// An empty packet with the default headroom and `capacity` bytes of
     /// data room.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self {
+        Self(Box::new(Descriptor {
             buf: vec![0; DEFAULT_HEADROOM + capacity],
             head: DEFAULT_HEADROOM,
             len: 0,
@@ -126,7 +141,7 @@ impl DpPacket {
             ct_mark: 0,
             tunnel: None,
             rx_ts: None,
-        }
+        }))
     }
 
     /// A packet initialized from raw frame bytes.
@@ -135,7 +150,23 @@ impl DpPacket {
         p.set_data(data);
         p
     }
+}
 
+impl std::ops::Deref for DpPacket {
+    type Target = Descriptor;
+
+    fn deref(&self) -> &Descriptor {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for DpPacket {
+    fn deref_mut(&mut self) -> &mut Descriptor {
+        &mut self.0
+    }
+}
+
+impl Descriptor {
     /// Replace the packet contents, keeping headroom available.
     pub fn set_data(&mut self, data: &[u8]) {
         let needed = DEFAULT_HEADROOM + data.len();
@@ -210,6 +241,40 @@ impl DpPacket {
     /// Truncate the packet to `len` bytes.
     pub fn truncate(&mut self, len: usize) {
         self.len = self.len.min(len);
+    }
+
+    /// Tag the frame with an 802.1Q header carrying `tci`'s VID and PCP,
+    /// in place: the MACs move 4 bytes into the headroom and the tag
+    /// fills the gap. The bytes equal [`builder::push_vlan`]'s. A frame
+    /// too short to hold the MACs is left untouched; one with under 4
+    /// bytes of headroom takes the builder's copy.
+    pub fn push_vlan(&mut self, tci: u16) {
+        let (vid, pcp) = (tci & 0x0fff, (tci >> 13) as u8);
+        if self.len < MACS_LEN {
+            return;
+        }
+        if self.head < vlan::TAG_LEN {
+            let tagged = builder::push_vlan(self.data(), vid, pcp);
+            self.set_data(&tagged);
+            return;
+        }
+        self.push_front(vlan::TAG_LEN);
+        let d = self.data_mut();
+        d.copy_within(vlan::TAG_LEN..vlan::TAG_LEN + MACS_LEN, 0);
+        d[MACS_LEN..MACS_LEN + vlan::TAG_LEN].copy_from_slice(&builder::vlan_tag(vid, pcp));
+    }
+
+    /// Strip the outer 802.1Q tag in place: the MACs move 4 bytes back
+    /// over it. A frame under 18 bytes or without TPID 0x8100 is left
+    /// untouched.
+    pub fn pop_vlan(&mut self) {
+        let d = self.data_mut();
+        if d.len() >= ethernet::HEADER_LEN + vlan::TAG_LEN
+            && u16::from_be_bytes([d[12], d[13]]) == EtherType::Vlan.to_u16()
+        {
+            d.copy_within(..MACS_LEN, vlan::TAG_LEN);
+            self.pull_front(vlan::TAG_LEN);
+        }
     }
 
     /// The parsed L3 slice, if the extractor recorded an offset.
@@ -323,6 +388,75 @@ mod tests {
         assert!(p.tunnel.is_none());
         assert!(p.rx_ts.is_none());
         assert_eq!(p.buf.capacity(), cap_before);
+    }
+
+    #[test]
+    fn a_packet_is_one_pointer() {
+        assert_eq!(
+            std::mem::size_of::<DpPacket>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    /// The pop the datapaths did before it worked in place.
+    fn copying_pop(d: &[u8]) -> Vec<u8> {
+        if d.len() >= 18 && d[12] == 0x81 && d[13] == 0x00 {
+            [&d[..12], &d[16..]].concat()
+        } else {
+            d.to_vec()
+        }
+    }
+
+    /// `frame` in a packet with `room` bytes of headroom, the nearest of
+    /// them stale (as after a decap or on a reused descriptor).
+    fn packet_with_headroom(frame: &[u8], room: usize) -> DpPacket {
+        if room >= DEFAULT_HEADROOM {
+            let stale = room - DEFAULT_HEADROOM;
+            let mut p = DpPacket::from_data(&[vec![0xa5; stale], frame.to_vec()].concat());
+            p.pull_front(stale);
+            p
+        } else {
+            let k = DEFAULT_HEADROOM - room;
+            let mut p = DpPacket::from_data(&frame[k..]);
+            p.push_front(k).copy_from_slice(&frame[..k]);
+            p
+        }
+    }
+
+    #[test]
+    fn vlan_push_and_pop_in_place_equal_the_copying_forms() {
+        for len in 0..=1514usize {
+            for tagged in [false, true] {
+                let mut frame: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                if len >= 14 {
+                    frame[12..14].copy_from_slice(if tagged { &[0x81, 0] } else { &[8, 0] });
+                }
+                let tci = (len as u16).wrapping_mul(40_503);
+                let pushed = if len < 12 {
+                    frame.clone()
+                } else {
+                    builder::push_vlan(&frame, tci & 0x0fff, (tci >> 13) as u8)
+                };
+                let rooms: &[usize] = if len >= DEFAULT_HEADROOM {
+                    &[DEFAULT_HEADROOM, DEFAULT_HEADROOM + 40, 2]
+                } else {
+                    &[DEFAULT_HEADROOM, DEFAULT_HEADROOM + 40]
+                };
+                for &room in rooms {
+                    let mut p = packet_with_headroom(&frame, room);
+                    assert_eq!((p.data(), p.headroom()), (&frame[..], room));
+                    p.push_vlan(tci);
+                    assert_eq!(p.data(), &pushed[..], "push: {len} B, headroom {room}");
+                    let mut p = packet_with_headroom(&frame, room);
+                    p.pop_vlan();
+                    assert_eq!(
+                        p.data(),
+                        copying_pop(&frame),
+                        "pop: {len} B, headroom {room}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

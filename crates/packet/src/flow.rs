@@ -663,12 +663,14 @@ pub mod fields {
 /// `Miniflow` ↔ `FlowKey` is a bijection and equality/hashing touch only
 /// the populated slots instead of all twelve words.
 ///
-/// The packed invariant: `vals[..map.count_ones()]` hold the populated
-/// slot values in ascending slot order; everything after is zero (so the
-/// derived `PartialEq` is exact).
+/// The packed invariant: `n == map.count_ones()`, `vals[..n]` hold the
+/// populated slot values in ascending slot order, and everything after is
+/// zero (so the derived `PartialEq` is exact). The count sits in the
+/// padding after `map`, so readers of the packed slots take no popcount.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Miniflow {
     map: u16,
+    n: u8,
     vals: [u64; WORDS],
 }
 
@@ -682,6 +684,7 @@ impl Miniflow {
     /// The all-wildcard (all-zero) key.
     pub const EMPTY: Miniflow = Miniflow {
         map: 0,
+        n: 0,
         vals: [0; WORDS],
     };
 
@@ -692,7 +695,7 @@ impl Miniflow {
 
     /// Number of populated slots.
     pub fn n_slots(&self) -> usize {
-        self.map.count_ones() as usize
+        usize::from(self.n)
     }
 
     /// The packed non-zero slot values, in ascending slot order.
@@ -716,27 +719,26 @@ impl Miniflow {
         }
     }
 
-    /// Append slot `w` (which must be greater than every populated slot).
-    /// Zero values are skipped to keep the representation canonical.
+    /// Pack the non-zero words in ascending slot order with a running
+    /// index — the one packer behind extraction and [`Self::from_key`].
     #[inline]
-    fn push(&mut self, w: usize, v: u64) {
-        debug_assert!(
-            self.map >> w == 0,
-            "slots must be pushed in ascending order"
-        );
-        if v != 0 {
-            self.vals[self.n_slots()] = v;
-            self.map |= 1 << w;
+    fn from_words(words: &[u64; WORDS]) -> Miniflow {
+        let mut mf = Miniflow::EMPTY;
+        let mut n = 0;
+        for (w, &v) in words.iter().enumerate() {
+            if v != 0 {
+                mf.vals[n] = v;
+                mf.map |= 1 << w;
+                n += 1;
+            }
         }
+        mf.n = n as u8;
+        mf
     }
 
     /// Compress a full key (slow path; the fast path extracts directly).
     pub fn from_key(key: &FlowKey) -> Miniflow {
-        let mut mf = Miniflow::EMPTY;
-        for (w, &v) in key.words().iter().enumerate() {
-            mf.push(w, v);
-        }
-        mf
+        Miniflow::from_words(key.words())
     }
 
     /// Expand to a full [`FlowKey`] — the **only** full-key
@@ -919,12 +921,30 @@ impl MiniMask {
     }
 
     /// `flow & mask` as a canonical [`Miniflow`] (slots masked to zero are
-    /// dropped). This is the sparse `FlowKey::masked`.
+    /// dropped). This is the sparse `FlowKey::masked`. One pass over the
+    /// slots either side holds, with a running index into each packed
+    /// array.
     pub fn apply(&self, flow: &Miniflow) -> Miniflow {
         let mut out = Miniflow::EMPTY;
-        for (w, m) in self.iter() {
-            out.push(w, flow.get(w) & m);
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        let mut both = self.map | flow.map;
+        while both != 0 {
+            let bit = both & both.wrapping_neg();
+            both &= both - 1;
+            let in_mask = self.map & bit != 0;
+            let in_flow = flow.map & bit != 0;
+            if in_mask && in_flow {
+                let v = flow.vals[j] & self.masks[i];
+                if v != 0 {
+                    out.vals[n] = v;
+                    out.map |= bit;
+                    n += 1;
+                }
+            }
+            i += usize::from(in_mask);
+            j += usize::from(in_flow);
         }
+        out.n = n as u8;
         out
     }
 
@@ -990,17 +1010,21 @@ pub fn extract_miniflow(pkt: &mut DpPacket) -> Miniflow {
         pkt.l4_ofs = o;
     }
 
-    let mut mf = Miniflow::EMPTY;
-    for (w, &v) in ws.iter().enumerate() {
-        mf.push(w, v);
-    }
-    mf
+    Miniflow::from_words(&ws)
 }
 
 /// Extract a full [`FlowKey`] — the expansion of the miniflow, kept for
 /// the slow path and the kernel datapath (which key on full keys).
 pub fn extract_flow_key(pkt: &mut DpPacket) -> FlowKey {
     extract_miniflow(pkt).expand()
+}
+
+/// The key of bare frame bytes, with no packet metadata: what a NIC's
+/// RSS hash and ntuple filters see. Builds no packet descriptor.
+pub fn extract_frame_key(frame: &[u8]) -> FlowKey {
+    let mut ws = [0u64; WORDS];
+    parse_frame(frame, &mut ws);
+    FlowKey::from_words(ws)
 }
 
 /// Parse L2–L4 into the scratch words; returns the L3/L4 offsets found.

@@ -40,9 +40,7 @@ impl PacketBatch {
     }
 
     /// Add a packet. Returns `Err(pkt)` when full — the rejected packet
-    /// goes back to the caller by value so it can be retried or counted,
-    /// which is worth the large `Err` variant.
-    #[allow(clippy::result_large_err)]
+    /// goes back to the caller by value so it can be retried or counted.
     pub fn push(&mut self, pkt: DpPacket) -> Result<(), DpPacket> {
         if self.is_full() {
             return Err(pkt);

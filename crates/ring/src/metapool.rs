@@ -171,6 +171,20 @@ mod tests {
     }
 
     #[test]
+    fn a_recycled_descriptor_keeps_its_allocation() {
+        let mut pool = DpPacketPool::new(4, 64);
+        let p = pool.take();
+        let at: *const ovs_packet::dp_packet::Descriptor = &*p;
+        pool.put(p);
+        let p = pool.take();
+        assert!(
+            std::ptr::eq(&*p, at),
+            "put then take handed back another box"
+        );
+        assert_eq!((pool.fresh_allocs, pool.reuses), (1, 1));
+    }
+
+    #[test]
     fn put_resets_metadata() {
         let mut pool = DpPacketPool::with_preallocated(1, 64);
         let mut p = pool.take();

@@ -9,6 +9,8 @@
 //! then convert the accumulated busy time into hyperthread units by dividing
 //! by the experiment's virtual duration.
 
+use std::cell::Cell;
+
 /// The execution context a cost is charged to, mirroring `/proc/stat` fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Context {
@@ -44,12 +46,15 @@ impl Context {
 }
 
 /// Accumulated busy time for one core, split by context.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Core {
     user_ns: f64,
     system_ns: f64,
     softirq_ns: f64,
     guest_ns: f64,
+    /// [`CpuSet::core_ns`] of this core, kept until the next charge:
+    /// stage marks read the clock far more often than it moves.
+    rounded: Cell<Option<u64>>,
 }
 
 impl Core {
@@ -76,6 +81,7 @@ impl Core {
             Context::Guest => &mut self.guest_ns,
         };
         *slot += ns;
+        self.rounded.set(None);
     }
 }
 
@@ -156,7 +162,12 @@ impl CpuSet {
     /// is monotone and integer deltas telescope, so per-stage times sum
     /// exactly to the poll total.
     pub fn core_ns(&self, core: usize) -> u64 {
-        round_ns(self.cores[core].total_ns())
+        let c = &self.cores[core];
+        c.rounded.get().unwrap_or_else(|| {
+            let ns = round_ns(c.total_ns());
+            c.rounded.set(Some(ns));
+            ns
+        })
     }
 
     /// The busiest core's total busy time — the pipeline bottleneck.
@@ -203,15 +214,17 @@ impl CpuSet {
 }
 
 /// `x.round() as u64` with integer ops: `f64::round` is a library call
-/// on baseline x86-64, and stage attribution rounds on every mark. Equal
-/// for the non-negative times below 2^53 a core accumulates; both
-/// saturate (negative and NaN to 0, huge to `u64::MAX`).
+/// on baseline x86-64. Below 2^52 the conversions go through `i64`, one
+/// instruction each way (`u64`'s take a branch and a fix-up); from 2^52
+/// up every `f64` is already whole. Both saturate (negative and NaN to
+/// 0, huge to `u64::MAX`).
 fn round_ns(x: f64) -> u64 {
-    let whole = x as u64;
-    if x - whole as f64 >= 0.5 {
-        whole.saturating_add(1)
+    const WHOLE_FROM: f64 = (1u64 << 52) as f64;
+    if (0.0..WHOLE_FROM).contains(&x) {
+        let whole = x as i64;
+        (whole + i64::from(x - whole as f64 >= 0.5)) as u64
     } else {
-        whole
+        x as u64
     }
 }
 
@@ -295,6 +308,35 @@ mod tests {
         cpus.charge(0, Context::System, 7.0);
         cpus.reset();
         assert_eq!(cpus.core(0).total_ns(), 0.0);
+    }
+
+    #[test]
+    fn core_ns_is_the_rounded_total_at_every_read() {
+        let mut rng = crate::rng::SimRng::new(0xc0de);
+        let mut cpus = CpuSet::new(3, 1);
+        let check = |cpus: &CpuSet, c: usize| {
+            let want = cpus.core(c).total_ns().round() as u64;
+            assert_eq!(cpus.core_ns(c), want, "core {c}");
+        };
+        for step in 0..10_000 {
+            if step == 5_000 {
+                (0..3).for_each(|c| check(&cpus, c));
+                cpus.reset();
+                (0..3).for_each(|c| check(&cpus, c));
+            }
+            let c = rng.below(3) as usize;
+            match rng.below(4) {
+                0 | 1 => {
+                    let ctx = Context::ALL[rng.below(4) as usize];
+                    cpus.charge(c, ctx, rng.f64() * 1_000.0);
+                }
+                2 => {
+                    check(&cpus, c);
+                    check(&cpus, c);
+                }
+                _ => (0..3).for_each(|c| check(&cpus, c)),
+            }
+        }
     }
 
     #[test]

@@ -287,6 +287,73 @@ fn idle_nf_poll_allocates_nothing() {
     assert_eq!((moved, allocs), (0, 0), "100 idle NF polls allocated");
 }
 
+#[test]
+fn warm_vlan_push_and_pop_allocate_only_the_wire_handoff() {
+    // Two AF_XDP O5 ports: port 0's frames are tagged out port 1, port
+    // 1's are untagged out port 0. The tag moves in the headroom.
+    let mut k = Kernel::new(4);
+    let mut dp = DpifNetdev::new();
+    let mut nics = [0; 2];
+    for (i, nic) in nics.iter_mut().enumerate() {
+        *nic = k.add_device(NetDevice::new(
+            &format!("eth{i}"),
+            MacAddr::new(2, 0, 0, 0, 0, i as u8 + 1),
+            DeviceKind::Phys { link_gbps: 10.0 },
+            1,
+        ));
+        let port = AfxdpPort::open(&mut k, *nic, 256, OptLevel::O5).expect("AF_XDP port");
+        dp.add_port(&format!("eth{i}"), PortType::Afxdp(port));
+    }
+    for (in_port, vlan, out) in [(0, OfAction::PushVlan(100), 1), (1, OfAction::PopVlan, 0)] {
+        let mut key = FlowKey::default();
+        key.set_in_port(in_port);
+        dp.ofproto.add_rule(OfRule {
+            table: 0,
+            priority: 10,
+            key,
+            mask: FlowMask::of_fields(&[&fields::IN_PORT]),
+            actions: vec![vlan, OfAction::Output(out)],
+            cookie: 0,
+        });
+    }
+    const WARM: usize = 64;
+    const COUNTED: usize = 500;
+    for (in_port, tagged) in [(0u32, false), (1, true)] {
+        let (mut allocs, mut wired) = (0, 0);
+        for b in 0..WARM + COUNTED {
+            let pkts: Vec<DpPacket> = burst_frames(b)
+                .iter()
+                .map(|f| {
+                    let mut p = if tagged {
+                        DpPacket::from_data(&builder::push_vlan(f, 100, 0))
+                    } else {
+                        DpPacket::from_data(f)
+                    };
+                    p.in_port = in_port;
+                    p
+                })
+                .collect();
+            let (_, a) = counted(|| dp.process_burst(&mut k, pkts, 1));
+            let out = &mut k.dev_mut(nics[1 - in_port as usize]).tx_wire;
+            if b >= WARM {
+                allocs += a;
+                wired += out.len() as u64;
+            }
+            out.clear();
+        }
+        let frames = (COUNTED * BURST) as u64;
+        assert_eq!(wired, frames, "every frame went out (tagged: {tagged})");
+        assert_eq!(
+            allocs,
+            wired,
+            "{} over {frames} warm frames: {allocs} allocations ({:.2} per frame), against a \
+             budget of one per wire frame",
+            if tagged { "pop_vlan" } else { "push_vlan" },
+            allocs as f64 / frames as f64
+        );
+    }
+}
+
 /// The `revalidate` bench's rule: UDP from `tp` goes out port 1.
 fn tp_src_rule(tp: u16) -> OfRule {
     let mut key = FlowKey::default();

@@ -9,7 +9,7 @@
 
 use ovs_afxdp_repro::ovs::cache::{Emc, MegaflowEntry, Smc};
 use ovs_afxdp_repro::packet::dp_packet::TunnelMetadata;
-use ovs_afxdp_repro::packet::flow::WORDS;
+use ovs_afxdp_repro::packet::flow::{extract_frame_key, WORDS};
 use ovs_afxdp_repro::packet::{
     builder, extract_flow_key, extract_miniflow, DpPacket, FlowMask, MacAddr, MiniMask, Miniflow,
 };
@@ -175,6 +175,12 @@ proptest! {
             // The legacy full extractor agrees with expand().
             let mut pkt2 = packet(&bytes, meta);
             prop_assert_eq!(extract_flow_key(&mut pkt2), key, "extractors diverged");
+            // A bare frame's key is the key of a packet without metadata.
+            prop_assert_eq!(
+                extract_frame_key(&bytes),
+                extract_flow_key(&mut DpPacket::from_data(&bytes)),
+                "frame key diverged"
+            );
 
             // Compression of the expansion is the original sparse key.
             prop_assert_eq!(Miniflow::from_key(&key), mf, "round trip broke");
@@ -188,6 +194,8 @@ proptest! {
                 );
             }
             prop_assert_eq!(mf.n_slots(), mf.map().count_ones() as usize);
+            let packed = Miniflow::from_key(&key);
+            prop_assert_eq!(packed.n_slots(), packed.map().count_ones() as usize);
 
             // Sparse hashing is deterministic and representation-stable.
             prop_assert_eq!(mf.hash(), Miniflow::from_key(&key).hash());
@@ -225,6 +233,9 @@ proptest! {
             // Sparse masking ≡ full-width masking.
             prop_assert_eq!(mm.apply(&mf1).expand(), key1.masked(&mask));
             prop_assert_eq!(mm.apply(&mf2).expand(), key2.masked(&mask));
+            for r in [mm.apply(&mf1), mm.apply(&mf2)] {
+                prop_assert_eq!(r.n_slots(), r.map().count_ones() as usize, "apply's count");
+            }
 
             // Sparse matching ≡ full-width matching against the
             // pre-masked rule key, both ways around.

@@ -1,5 +1,5 @@
-//! The O4 ablation for real: preallocated, reused dp_packet metadata vs a
-//! fresh allocation per packet.
+//! The O4 ablation for real: reused dp_packet metadata from a warm pool
+//! vs a fresh allocation per packet.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ovs_ring::DpPacketPool;
@@ -11,7 +11,9 @@ fn bench_prealloc_vs_fresh(c: &mut Criterion) {
     let mut g = c.benchmark_group("dp_packet_alloc");
 
     g.bench_function("preallocated_pool (O4)", |b| {
-        let mut pool = DpPacketPool::with_preallocated(64, 2048);
+        let mut pool = DpPacketPool::new(64, 2048);
+        let warm = pool.take();
+        pool.put(warm);
         b.iter(|| {
             let mut p = pool.take();
             p.set_data(black_box(&FRAME));
@@ -23,7 +25,7 @@ fn bench_prealloc_vs_fresh(c: &mut Criterion) {
     });
 
     g.bench_function("fresh_alloc_per_packet (pre-O4)", |b| {
-        let mut pool = DpPacketPool::without_preallocation(2048);
+        let mut pool = DpPacketPool::new(0, 2048);
         b.iter(|| {
             let mut p = pool.take();
             p.set_data(black_box(&FRAME));

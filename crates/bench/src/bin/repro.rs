@@ -130,17 +130,16 @@ fn chains() {
 
     println!("  schedule seed                {:>#10x}", r.seed);
     println!("  tenant scaling:");
-    println!("    tenants   nf-units    offered  delivered    drops  unacct  pool-reuse");
+    println!("    tenants   nf-units    offered  delivered    drops  unacct");
     for rep in &reports {
         println!(
-            "    {:>7}   {:>8}   {:>8}  {:>9}  {:>7}  {:>6}  {:>10}",
+            "    {:>7}   {:>8}   {:>8}  {:>9}  {:>7}  {:>6}",
             rep.tenants,
             rep.nf_instances,
             rep.frames_offered,
             rep.delivered,
             rep.counted_drops,
             rep.unaccounted,
-            rep.pool_reuses,
         );
     }
     println!(
@@ -214,7 +213,6 @@ fn chains() {
             ("ring_full_drops", r.ring_full_drops.into()),
             ("fail_closed_drops", r.fail_closed_drops.into()),
             ("steered", r.steered.into()),
-            ("pool_reuses", r.pool_reuses.into()),
             ("lb_improvement_pct", r.lb_improvement_pct.into()),
             ("lb_rebalances", r.lb_rebalances.into()),
             ("probe_sent", r.probe_sent.into()),

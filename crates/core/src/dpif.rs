@@ -29,8 +29,8 @@ use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
 use ovs_afxdp::AfxdpPort;
+use ovs_ct::{ConnKey, CtAction, CtTable};
 use ovs_dpdk::{AfPacketDev, EthDev, VhostUserDev};
-use ovs_kernel::conntrack::{ConnKey, CtAction, CtTable};
 use ovs_kernel::rtnetlink::RtnlCache;
 use ovs_kernel::Kernel;
 use ovs_obs::latency::LatencySummary;
@@ -254,7 +254,7 @@ pub enum DpAction {
     Ct {
         zone: u16,
         commit: bool,
-        nat: Option<ovs_kernel::conntrack::NatSpec>,
+        nat: Option<ovs_ct::NatSpec>,
     },
     Recirc(u32),
     Meter(u32),
@@ -1408,7 +1408,8 @@ megaflows installed: {}
             frame.len()
         ));
         self.trace = Some(t);
-        let mut pkt = DpPacket::from_data(frame);
+        let mut pkt = self.pool.take();
+        pkt.set_data(frame);
         pkt.in_port = in_port;
         self.process_packet(kernel, pkt, core);
         let t = self.trace.take().expect("trace ctx survives the pipeline");
@@ -1524,9 +1525,7 @@ megaflows installed: {}
         // inside the manager's catch_unwind; consuming it here keeps the
         // crash attributable to exactly the targeted NF.
         let force_panic = kernel.sim.faults.take_for(FaultKind::NfPanic, nf_id);
-        let out = self
-            .nfv
-            .poll_nf(nf_id, ovs_ring::BATCH_SIZE, now_ns, force_panic);
+        let out = self.nfv.poll_nf(nf_id, now_ns, force_panic, &mut self.pool);
         if out.restarted {
             coverage!("nf_restart");
         }
@@ -1536,7 +1535,7 @@ megaflows installed: {}
         let n = out.processed;
         if n > 0 {
             // Ring dequeue crossing plus the invocation itself; exits pay
-            // their copy back out of the mempool below.
+            // their hand-back to the datapath below.
             let c = (kernel.sim.costs.nf_ring_ns + kernel.sim.costs.nf_exec_ns) * n as f64;
             kernel.sim.charge(core, Context::User, c);
         }
@@ -1558,10 +1557,10 @@ megaflows installed: {}
             coverage!("nf_crash_drop", out.crash_drops);
         }
         timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
-        if !out.exits.is_empty() {
+        if out.exits > 0 {
             let mut tx = std::mem::take(&mut self.scratch.tx);
             let now = pmd_now_ns(kernel, core);
-            for (mut pkt, port) in out.exits {
+            while let Some((mut pkt, port)) = self.nfv.pop_exit() {
                 // Cross-core handoff: the rx stamp lives in the rx
                 // core's virtual-time domain, which is not ordered
                 // against this core's. Clamp it so the recorded latency
@@ -1569,6 +1568,7 @@ megaflows installed: {}
                 if let Some(ts) = pkt.rx_ts {
                     pkt.rx_ts = Some(ts.min(now));
                 }
+                // The hand-back out of the NF framework's memory.
                 let c = kernel.sim.costs.copy_ns(pkt.len());
                 kernel.sim.charge(core, Context::User, c);
                 self.port_send(kernel, port, pkt, core, &mut tx);
@@ -2336,7 +2336,7 @@ megaflows installed: {}
                     }
                     if let Some(rw) = v.nat {
                         coverage!("dpif_ct_nat");
-                        ovs_kernel::conntrack::apply_rewrite(pkt.data_mut(), &rw);
+                        ovs_ct::apply_rewrite(pkt.data_mut(), &rw);
                         let c = kernel.sim.costs.csum_ns(pkt.len());
                         kernel.sim.charge(core, Context::User, c);
                     }
@@ -2370,18 +2370,19 @@ megaflows installed: {}
                 DpAction::NfChain(chain_id) => {
                     // Terminal: the packet leaves the classification
                     // pipeline and enters the NF subsystem. One ring
-                    // enqueue plus the copy into the manager's mempool.
+                    // enqueue plus the hand-off into the NF framework's
+                    // memory (DESIGN.md §17).
                     timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
                     let c = kernel.sim.costs.nf_ring_ns + kernel.sim.costs.copy_ns(pkt.len());
                     kernel.sim.charge(core, Context::User, c);
-                    match self.nfv.ingress(*chain_id, &pkt) {
+                    match self.nfv.ingress(*chain_id, pkt, &mut self.pool) {
                         ovs_nfv::Ingress::Queued { nf } => {
                             coverage!("nf_chain_enqueue");
                             if let Some(t) = self.trace.as_mut() {
                                 t.note(format!("nf_chain({chain_id}): queued on nf {nf}"));
                             }
                         }
-                        ovs_nfv::Ingress::Exit { pkt: out, port } => {
+                        ovs_nfv::Ingress::Exit { pkt, port } => {
                             // Every NF bypassed (or empty chain): the
                             // chain degenerates to an output.
                             timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
@@ -2390,9 +2391,8 @@ megaflows installed: {}
                                     "nf_chain({chain_id}): all NFs bypassed, output:{port}"
                                 ));
                             }
-                            self.port_send(kernel, port, out, core, tx);
+                            self.port_send(kernel, port, pkt, core, tx);
                             timer.mark(Stage::Tx, kernel.sim.cpus.core_ns(core));
-                            self.pool.put(pkt);
                             return None;
                         }
                         ovs_nfv::Ingress::RingFull { nf } => {
@@ -2424,8 +2424,6 @@ megaflows installed: {}
                         }
                     }
                     timer.mark(Stage::NfExec, kernel.sim.cpus.core_ns(core));
-                    // The chain holds its own copy.
-                    self.pool.put(pkt);
                     return None;
                 }
             }
@@ -2494,7 +2492,8 @@ megaflows installed: {}
                 if segs.len() > 1 {
                     self.stats.tso_segments += segs.len() as u64;
                     for seg in segs {
-                        let mut p = DpPacket::from_data(&seg);
+                        let mut p = self.pool.take();
+                        p.set_data(&seg);
                         p.tunnel = pkt.tunnel;
                         p.offloads = pkt.offloads;
                         p.rx_ts = pkt.rx_ts;
@@ -2586,7 +2585,8 @@ megaflows installed: {}
                 ));
             }
             for seg in segs {
-                let mut p = DpPacket::from_data(&seg);
+                let mut p = self.pool.take();
+                p.set_data(&seg);
                 p.offloads = pkt.offloads;
                 p.rx_ts = pkt.rx_ts;
                 self.port_tx_raw(kernel, port, p, core, tx);
@@ -2618,7 +2618,8 @@ megaflows installed: {}
             let wrapped = self.mirrors[i].encapsulate(pkt.data());
             let c = kernel.sim.costs.userspace_tunnel_ns + kernel.sim.costs.copy_ns(pkt.len());
             kernel.sim.charge(core, Context::User, c);
-            let mut mirror_pkt = DpPacket::from_data(&wrapped);
+            let mut mirror_pkt = self.pool.take();
+            mirror_pkt.set_data(&wrapped);
             mirror_pkt.rx_ts = pkt.rx_ts;
             self.port_tx_raw(kernel, out, mirror_pkt, core, tx);
         }
@@ -3296,6 +3297,19 @@ mod tests {
             "segmented to MSS on AF_XDP egress"
         );
         assert_eq!(k.device(eth1).tx_wire.len(), 3);
+        // A second, warm super-frame: each segment reuses a descriptor
+        // the first frame returned to the pool.
+        let reuses = dp.packet_pool().reuses;
+        let mut pkt = DpPacket::from_data(&f);
+        pkt.in_port = 0;
+        dp.process_packet(&mut k, pkt, 1);
+        assert_eq!(dp.stats.tso_segments, 6);
+        assert_eq!(k.device(eth1).tx_wire.len(), 6);
+        assert_eq!(
+            dp.packet_pool().reuses,
+            reuses + 3,
+            "a segment took a fresh descriptor beside a warm pool"
+        );
     }
 
     #[test]

@@ -613,11 +613,6 @@ impl CtTable {
         self.sweep_slice(now_ns, self.shards.len())
     }
 
-    /// Legacy name for a full-table expiry pass.
-    pub fn expire(&mut self, now_ns: u64) -> usize {
-        self.sweep_all(now_ns)
-    }
-
     /// Drop tracked connections — all of them, or one zone's. Returns
     /// how many were removed.
     pub fn flush(&mut self, zone: Option<u16>) -> usize {

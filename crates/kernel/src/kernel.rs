@@ -6,7 +6,6 @@
 //! [`Kernel::receive`] and [`Kernel::transmit`]; every modelled operation
 //! charges the cost model through `self.sim`.
 
-use crate::conntrack::CtTable;
 use crate::dev::{Attachment, DeviceKind, NetDevice, Owner, XdpAttachment, XdpMode};
 use crate::guest::{Guest, GuestRole, VirtioBackend};
 use crate::namespace::{reflect_frame, ContainerRole, Namespace};
@@ -15,6 +14,7 @@ use crate::ovs_module::{DpEnv, DpVerdict, OvsModule};
 use crate::route::{Route, RouteTable};
 use crate::rtnetlink::RtnlEvent;
 use crate::xsk::XskHandle;
+use ovs_ct::CtTable;
 use ovs_ebpf::xdp::{RedirectTarget, XdpAction};
 use ovs_ebpf::{MapSet, Vm, XdpProgram};
 use ovs_obs::coverage;

@@ -12,7 +12,7 @@
 //!   devices, then the skb path into the stack or the OVS kernel module;
 //! * **the OVS kernel datapath** ([`ovs_module`]) — the baseline the paper
 //!   is moving away from: megaflow table, upcalls, actions including
-//!   Geneve tunnelling and conntrack ([`conntrack`]);
+//!   Geneve tunnelling and conntrack (the `ovs-ct` crate);
 //! * **rtnetlink and the standard tools** ([`rtnetlink`], [`tools`]):
 //!   `ip link/addr/route/neigh`, `ping`, `arping`, `nstat`, `tcpdump` —
 //!   which keep working with kernel- and AF_XDP-managed NICs and fail on
@@ -20,7 +20,6 @@
 //! * **containers and guests** ([`namespace`], [`guest`]): network
 //!   namespaces behind veth pairs, VMs behind tap/vhost-net or vhostuser.
 
-pub mod conntrack;
 pub mod dev;
 pub mod guest;
 pub mod kernel;
@@ -32,7 +31,6 @@ pub mod rtnetlink;
 pub mod tools;
 pub mod xsk;
 
-pub use conntrack::{ConnKey, CtAction, CtTable};
 pub use dev::{
     Attachment, DevStats, DeviceKind, NetDevice, NtupleRule, OffloadCaps, Owner, XdpAttachment,
     XdpMode,

@@ -8,14 +8,15 @@
 //! miss, and an action set including output, VLAN push/pop, tunnel
 //! set/encap/decap, connection tracking, and recirculation.
 
-use crate::conntrack::{ConnKey, CtAction, CtTable};
 use crate::neigh::NeighTable;
 use crate::route::RouteTable;
+use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatSpec};
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
 use ovs_packet::flow::{extract_flow_key, extract_frame_key};
 use ovs_packet::{builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Maximum recirculations before the module drops a packet (loop guard,
 /// as in the real datapath).
@@ -57,7 +58,7 @@ pub enum KAction {
         zone: u16,
         commit: bool,
         mark: Option<u32>,
-        nat: Option<crate::conntrack::NatSpec>,
+        nat: Option<NatSpec>,
     },
     /// Recirculate with a new recirc id (re-extract, re-lookup).
     Recirc(u32),
@@ -124,6 +125,15 @@ pub struct ModStats {
     pub recirculations: u64,
     pub tunnel_encaps: u64,
     pub tunnel_decaps: u64,
+    /// Packets a `Drop` action dropped (coverage `kmod_drop`).
+    pub action_drops: u64,
+    /// Tunnel outputs with no tunnel spec (`kmod_tunnel_no_md`).
+    pub tunnel_no_md: u64,
+    /// Tunnel outputs with no route, neighbour or source MAC
+    /// (`kmod_tunnel_encap_fail`).
+    pub tunnel_encap_fails: u64,
+    /// Outputs to a port the datapath does not have (`kmod_tx_no_port`).
+    pub tx_no_port: u64,
 }
 
 /// One megaflow.
@@ -335,14 +345,16 @@ impl OvsModule {
 
         let mut pkt = DpPacket::from_data(&frame);
 
-        // Tunnel decapsulation: a UDP/6081 packet addressed to the Geneve
-        // vport's local IP enters the pipeline as if received on the
-        // tunnel port, carrying tunnel metadata.
+        // Tunnel decapsulation, in place: a UDP/6081 packet addressed to
+        // the Geneve vport's local IP loses its outer headers and enters
+        // the pipeline as if received on the tunnel port, carrying tunnel
+        // metadata.
         if let Some((gport, local_ip)) = self.geneve_vport() {
-            if let Some((inner, meta)) = try_geneve_decap(pkt.data(), local_ip) {
+            if let Some((inner, meta)) = geneve_inner(pkt.data(), local_ip) {
                 self.stats.tunnel_decaps += 1;
                 coverage!("kmod_tunnel_decap");
-                pkt = DpPacket::from_data(&inner);
+                pkt.truncate(inner.end);
+                pkt.pull_front(inner.start);
                 pkt.tunnel = Some(meta);
                 in_port = gport;
             }
@@ -417,6 +429,8 @@ impl OvsModule {
         for act in actions {
             match act {
                 KAction::Drop => {
+                    self.stats.action_drops += 1;
+                    coverage!("kmod_drop");
                     out.push(DpVerdict::Drop);
                     return None;
                 }
@@ -470,7 +484,7 @@ impl OvsModule {
                     pkt.ct_zone = *zone;
                     pkt.ct_mark = v.mark;
                     if let Some(rw) = v.nat {
-                        crate::conntrack::apply_rewrite(pkt.data_mut(), &rw);
+                        apply_rewrite(pkt.data_mut(), &rw);
                     }
                 }
                 KAction::Recirc(id) => return Some(*id),
@@ -504,6 +518,8 @@ impl OvsModule {
                                 ttl: t.ttl,
                             })
                         }) else {
+                            self.stats.tunnel_no_md += 1;
+                            coverage!("kmod_tunnel_no_md");
                             out.push(DpVerdict::Drop);
                             continue;
                         };
@@ -513,10 +529,18 @@ impl OvsModule {
                                 coverage!("kmod_tunnel_encap");
                                 out.push(v);
                             }
-                            None => out.push(DpVerdict::Drop),
+                            None => {
+                                self.stats.tunnel_encap_fails += 1;
+                                coverage!("kmod_tunnel_encap_fail");
+                                out.push(DpVerdict::Drop);
+                            }
                         }
                     }
-                    None => out.push(DpVerdict::Drop),
+                    None => {
+                        self.stats.tx_no_port += 1;
+                        coverage!("kmod_tx_no_port");
+                        out.push(DpVerdict::Drop);
+                    }
                 },
             }
         }
@@ -557,9 +581,9 @@ impl OvsModule {
     }
 }
 
-/// If `frame` is a Geneve packet addressed to `local_ip`, return the inner
-/// frame and its tunnel metadata.
-fn try_geneve_decap(frame: &[u8], local_ip: [u8; 4]) -> Option<(Vec<u8>, TunnelMetadata)> {
+/// If `frame` is a Geneve packet addressed to `local_ip`, return where
+/// the inner frame sits within it and the tunnel metadata.
+fn geneve_inner(frame: &[u8], local_ip: [u8; 4]) -> Option<(Range<usize>, TunnelMetadata)> {
     let eth = EthernetFrame::new_checked(frame).ok()?;
     if eth.ethertype() != ovs_packet::EtherType::Ipv4 {
         return None;
@@ -573,8 +597,9 @@ fn try_geneve_decap(frame: &[u8], local_ip: [u8; 4]) -> Option<(Vec<u8>, TunnelM
         return None;
     }
     let g = geneve::GenevePacket::new_checked(u.payload()).ok()?;
+    let start = g.payload().as_ptr() as usize - frame.as_ptr() as usize;
     Some((
-        g.payload().to_vec(),
+        start..start + g.payload().len(),
         TunnelMetadata {
             tun_id: u64::from(g.vni()),
             src: ip.src(),
@@ -858,21 +883,65 @@ mod tests {
         );
     }
 
-    #[test]
-    fn unknown_output_port_drops() {
+    /// Receive one frame on port 0 (ifindex 1) of a module with a Geneve
+    /// vport as port 1 whose only flow runs `actions`, with no routes,
+    /// neighbours or device MACs, and return its verdicts and stats.
+    fn drop_case(actions: Vec<KAction>) -> (Vec<DpVerdict>, ModStats) {
         let mut m = OvsModule::new();
         let p0 = m.add_vport(Vport::Netdev { ifindex: 1 });
+        m.add_vport(Vport::Geneve {
+            local_ip: [172, 16, 0, 1],
+        });
         let mut key = FlowKey::default();
         key.set_in_port(p0);
         let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
-        m.install_flow(&key, &mask, vec![KAction::Output(42)]);
+        m.install_flow(&key, &mask, actions);
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
         let mut ct = CtTable::new();
         let macs = [];
         let mut env = test_env(&routes, &neigh, &mut ct, &macs);
         let v = m.receive(frame([1, 1, 1, 1]), 1, &mut env);
+        (v, m.stats)
+    }
+
+    #[test]
+    fn unknown_output_port_drops() {
+        let (v, stats) = drop_case(vec![KAction::Output(42)]);
         assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!(stats.tx_no_port, 1);
+        assert_eq!(ovs_obs::coverage::total("kmod_tx_no_port"), 1);
+    }
+
+    #[test]
+    fn drop_action_is_counted() {
+        let (v, stats) = drop_case(vec![KAction::Drop]);
+        assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!(stats.action_drops, 1);
+        assert_eq!(ovs_obs::coverage::total("kmod_drop"), 1);
+    }
+
+    #[test]
+    fn tunnel_output_without_a_spec_drops() {
+        let (v, stats) = drop_case(vec![KAction::Output(1)]);
+        assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!((stats.tunnel_no_md, stats.tunnel_encaps), (1, 0));
+        assert_eq!(ovs_obs::coverage::total("kmod_tunnel_no_md"), 1);
+    }
+
+    #[test]
+    fn tunnel_output_without_a_route_drops() {
+        let spec = TunnelSpec {
+            id: 5001,
+            src: [172, 16, 0, 1],
+            dst: [172, 16, 0, 2],
+            tos: 0,
+            ttl: 64,
+        };
+        let (v, stats) = drop_case(vec![KAction::SetTunnel(spec), KAction::Output(1)]);
+        assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!((stats.tunnel_encap_fails, stats.tunnel_encaps), (1, 0));
+        assert_eq!(ovs_obs::coverage::total("kmod_tunnel_encap_fail"), 1);
     }
 
     #[test]

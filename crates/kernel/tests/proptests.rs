@@ -1,7 +1,7 @@
 //! Property tests for the kernel substrate: conntrack invariants, and
 //! total robustness of the RX path against arbitrary bytes.
 
-use ovs_kernel::conntrack::{apply_rewrite, ConnKey, CtAction, CtTable, NatRewrite, NatSpec};
+use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatRewrite, NatSpec};
 use ovs_kernel::dev::{DeviceKind, NetDevice, XdpMode};
 use ovs_kernel::Kernel;
 use ovs_packet::dp_packet::ct_state;
@@ -154,7 +154,7 @@ proptest! {
             ct.process(*k, CtAction::commit(k.zone), i as u64);
         }
         let live = ct.len();
-        let removed = ct.expire(1_000_000);
+        let removed = ct.sweep_all(1_000_000);
         prop_assert_eq!(removed, live);
         prop_assert!(ct.is_empty());
     }

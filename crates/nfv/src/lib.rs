@@ -5,9 +5,11 @@
 //! it engages with (Niu et al.; Zhang et al., see PAPERS.md) evaluates
 //! software switches *through* NF service chains. This crate adds the
 //! missing half of that rig: a centralized NF manager in the openNetVM
-//! mold — the manager owns the packet mempool, per-NF SPSC descriptor
-//! rings, and the tenant→chain table; NFs are isolated workers that see
-//! nothing but batches.
+//! mold — the manager owns the per-NF rings and the tenant→chain table;
+//! NFs are isolated workers that see nothing but the packets handed to
+//! them. A ring carries the datapath's own `DpPacket` handles, so a
+//! packet crosses a chain without a copy and the datapath's descriptor
+//! pool is the only pool.
 //!
 //! Layering:
 //!
@@ -15,8 +17,8 @@
 //!   NFs (pass-through, firewall, L4 LB, flow monitor, DPI-lite).
 //! - [`chain`] — per-tenant [`NfChain`]s and the dead-NF policy
 //!   (bypass vs fail-closed).
-//! - [`manager`] — the [`NfManager`]: rings, slots, mempool, crash
-//!   isolation (`catch_unwind` per invocation, rebuild-from-spec with
+//! - [`manager`] — the [`NfManager`]: rings, the exit list, crash
+//!   isolation (`catch_unwind` per popped batch, rebuild-from-spec with
 //!   exponential backoff and a bounded restart budget).
 //!
 //! `ovs-core` wires chains into the datapath via `DpAction::NfChain` and

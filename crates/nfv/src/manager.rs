@@ -1,26 +1,26 @@
-//! The NF manager: owns every NF instance, its SPSC descriptor ring, the
-//! shared packet mempool, and the per-tenant chain table.
+//! The NF manager: owns every NF instance, its ring, and the per-tenant
+//! chain table.
 //!
-//! The shape is openNetVM's: a centralized manager owns ports, rings and
-//! the mempool; NFs are isolated workers that only ever see batches of
-//! packets handed to them through their ring. Crossing from the datapath
-//! into the NF subsystem copies the frame into a pooled descriptor (the
-//! "shared mempool"); between NFs the pooled descriptor moves ring-to-ring
-//! with no further copies; exiting back to the datapath copies out and
-//! returns the descriptor to the pool. Every descriptor taken is
-//! eventually put back, so pool reuse statistics directly measure NF
-//! subsystem throughput.
+//! The shape is openNetVM's: a centralized manager owns the rings and the
+//! chain table; NFs are isolated workers that only ever see the packets
+//! handed to them through their ring. As openNetVM's rings carry buffer
+//! pointers, a ring here carries `DpPacket` handles: the packet that
+//! matched `nf_chain:N` is the one that moves from NF to NF and leaves
+//! the chain, with no copy in or out, and the datapath's O4 descriptor
+//! pool is the only pool. The manager owns a packet while it is queued;
+//! one it refuses, drops or loses to a crash goes back to the pool the
+//! caller lends `ingress` and `poll_nf`.
 //!
 //! The manager is deliberately kernel-free: it never charges simulated
 //! cycles, reads clocks, or touches datapath stats. `ovs-core` drives it
 //! (`DpifNetdev::nf_poll`) and owns all cost/ledger accounting; the
 //! manager just reports exact outcomes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use ovs_packet::DpPacket;
-use ovs_ring::{Desc, DpPacketPool, SpscRing, BATCH_SIZE};
+use ovs_ring::{DpPacketPool, BATCH_SIZE};
 
 use crate::chain::{ChainId, ChainPolicy, NfChain};
 use crate::nf::{NetworkFunction, NfSpec, NfVerdict};
@@ -68,17 +68,17 @@ pub enum NfState {
     Failed,
 }
 
-/// One NF worker: the spec it was built from, the live instance, its
-/// SPSC descriptor ring, and the slot slab the ring's `Desc::frame`
-/// indexes into.
+/// One NF worker: the spec it was built from, the live instance, and its
+/// ring of queued packets.
 pub struct NfInstance {
     pub id: NfId,
     pub name: String,
     spec: NfSpec,
     nf: Box<dyn NetworkFunction>,
-    ring: SpscRing,
-    slots: Vec<Option<DpPacket>>,
-    free: Vec<u32>,
+    /// Queued packets, oldest first.
+    ring: VecDeque<DpPacket>,
+    /// Most packets `ring` holds: a power of two, as an SPSC ring's.
+    capacity: usize,
     pub stats: NfStats,
     pub state: NfState,
     backoff_ns: u64,
@@ -94,15 +94,7 @@ impl NfInstance {
     }
 
     pub fn ring_capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
-    pub fn kind(&self) -> &'static str {
-        self.spec.kind()
-    }
-
-    pub fn chain(&self) -> ChainId {
-        self.chain
+        self.capacity
     }
 
     fn state_label(&self) -> &'static str {
@@ -114,15 +106,16 @@ impl NfInstance {
     }
 }
 
-/// Outcome of handing a datapath packet to a chain.
+/// Outcome of handing a datapath packet to a chain. A refused packet
+/// (every outcome but `Queued` and `Exit`) went back to the pool.
 pub enum Ingress {
-    /// Copied into the mempool and queued on an NF ring.
+    /// Queued on an NF ring.
     Queued { nf: NfId },
     /// Every NF was bypassed (dead under a bypass policy, or the chain is
     /// empty): the packet exits immediately on this port, untouched.
     Exit { pkt: DpPacket, port: u32 },
-    /// The target NF's ring was full; the packet is gone and must be
-    /// accounted as a named `nf_ring_full` drop.
+    /// The target NF's ring was full; the packet must be accounted as a
+    /// named `nf_ring_full` drop.
     RingFull { nf: NfId },
     /// A dead NF under a fail-closed policy refused the packet.
     FailClosed { nf: NfId },
@@ -132,14 +125,15 @@ pub enum Ingress {
 }
 
 /// Outcome of polling one NF: everything `nf_poll` needs to charge costs
-/// and settle the ledger, with exits carrying fully materialized packets.
-#[derive(Default)]
+/// and settle the ledger. The packets leaving the chain wait in the
+/// manager's exit list ([`NfManager::pop_exit`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PollOutcome {
     /// Packets popped from the ring and offered to `process`.
     pub processed: usize,
-    /// Packets leaving the NF subsystem: (packet, output port).
-    pub exits: Vec<(DpPacket, u32)>,
-    /// Forward verdicts whose next-hop enqueue succeeded: (next NF, count).
+    /// Packets this poll put on the exit list.
+    pub exits: u64,
+    /// Forward verdicts whose next-hop enqueue succeeded.
     pub forwarded: u64,
     pub verdict_drops: u64,
     /// Forward verdicts that hit a full next-hop ring: (nf, count) pairs
@@ -158,7 +152,11 @@ pub struct NfManager {
     nfs: Vec<NfInstance>,
     chains: Vec<NfChain>,
     tenant_chain: BTreeMap<u32, ChainId>,
-    pool: DpPacketPool,
+    /// The batch a poll pops and the verdicts it gets, kept between polls.
+    batch: Vec<DpPacket>,
+    verdicts: Vec<NfVerdict>,
+    /// Packets leaving the subsystem: (packet, output port), oldest first.
+    exits: VecDeque<(DpPacket, u32)>,
     /// First-crash restart delay; doubles per crash, capped at 64x.
     pub restart_backoff_ns: u64,
     /// Rebuilds allowed per NF before it is marked `Failed`.
@@ -177,22 +175,16 @@ impl NfManager {
             nfs: Vec::new(),
             chains: Vec::new(),
             tenant_chain: BTreeMap::new(),
-            pool: DpPacketPool::with_preallocated(256, 2048),
+            batch: Vec::new(),
+            verdicts: Vec::new(),
+            exits: VecDeque::new(),
             restart_backoff_ns: 1_000_000,
             restart_budget: 8,
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.nfs.is_empty()
-    }
-
     pub fn nf(&self, id: NfId) -> Option<&NfInstance> {
         self.nfs.get(id as usize)
-    }
-
-    pub fn nfs(&self) -> &[NfInstance] {
-        &self.nfs
     }
 
     pub fn chains(&self) -> &[NfChain] {
@@ -205,14 +197,10 @@ impl NfManager {
             .and_then(|c| self.chains.get(*c as usize))
     }
 
-    /// Descriptor-pool reuse counters: (reuses, fresh allocations).
-    pub fn pool_stats(&self) -> (u64, u64) {
-        (self.pool.reuses, self.pool.fresh_allocs)
-    }
-
     /// Add a chain for `tenant` built from `specs`, instantiating one
-    /// dedicated NF per position. Returns the chain id used by
-    /// `DpAction::NfChain`.
+    /// dedicated NF per position, each with a ring of
+    /// `ring_capacity.max(2).next_power_of_two()` packets. Returns the
+    /// chain id used by `DpAction::NfChain`.
     pub fn add_chain(
         &mut self,
         tenant: u32,
@@ -225,16 +213,14 @@ impl NfManager {
         let mut nf_ids = Vec::with_capacity(specs.len());
         for (pos, (name, spec)) in specs.into_iter().enumerate() {
             let id = self.nfs.len() as NfId;
-            let ring = SpscRing::new(ring_capacity);
-            let cap = ring.capacity();
+            let capacity = ring_capacity.max(2).next_power_of_two();
             self.nfs.push(NfInstance {
                 id,
                 name,
                 nf: spec.build(),
                 spec,
-                ring,
-                slots: (0..cap).map(|_| None).collect(),
-                free: (0..cap as u32).rev().collect(),
+                ring: VecDeque::with_capacity(capacity),
+                capacity,
                 stats: NfStats::default(),
                 state: NfState::Running,
                 backoff_ns: 0,
@@ -254,66 +240,87 @@ impl NfManager {
         chain_id
     }
 
-    /// Copy a datapath packet into the mempool and queue it on the
-    /// chain's first live NF.
-    pub fn ingress(&mut self, chain: ChainId, pkt: &DpPacket) -> Ingress {
+    /// Queue a datapath packet on the chain's first live NF. A packet the
+    /// chain refuses goes back to `pool`.
+    pub fn ingress(&mut self, chain: ChainId, pkt: DpPacket, pool: &mut DpPacketPool) -> Ingress {
         if self.chains.get(chain as usize).is_none() {
+            pool.put(pkt);
             return Ingress::NoChain;
         }
-        let mut pooled = self.pool.take();
-        pooled.set_data(pkt.data());
-        copy_meta(&mut pooled, pkt);
-        self.enqueue_from(chain, 0, pooled)
+        self.enqueue_from(chain, 0, pkt, pool)
     }
 
-    /// Queue `pkt` (already pooled) on the first live NF at or after
-    /// `from_pos`, honoring the chain's dead-NF policy. Walking off the
-    /// end of the chain exits on the default output.
-    fn enqueue_from(&mut self, chain: ChainId, from_pos: usize, pkt: DpPacket) -> Ingress {
-        let (nf_ids, default_output, policy) = {
-            let c = &self.chains[chain as usize];
-            (c.nfs.clone(), c.default_output, c.policy)
-        };
-        for &nf_id in &nf_ids[from_pos..] {
+    /// Queue `pkt` on the first live NF at or after `from_pos`, honoring
+    /// the chain's dead-NF policy. Walking off the end of the chain exits
+    /// on the default output.
+    fn enqueue_from(
+        &mut self,
+        chain: ChainId,
+        from_pos: usize,
+        pkt: DpPacket,
+        pool: &mut DpPacketPool,
+    ) -> Ingress {
+        let c = &self.chains[chain as usize];
+        for &nf_id in &c.nfs[from_pos..] {
             let nf = &mut self.nfs[nf_id as usize];
             if nf.state != NfState::Running {
-                match policy {
+                match c.policy {
                     ChainPolicy::Bypass => continue,
                     ChainPolicy::FailClosed => {
                         nf.stats.fail_closed_drops += 1;
-                        let id = nf.id;
-                        self.pool.put(pkt);
-                        return Ingress::FailClosed { nf: id };
+                        pool.put(pkt);
+                        return Ingress::FailClosed { nf: nf_id };
                     }
                 }
             }
-            if nf.ring.is_full() {
+            if nf.ring.len() == nf.capacity {
                 nf.stats.ring_full_drops += 1;
-                let id = nf.id;
-                self.pool.put(pkt);
-                return Ingress::RingFull { nf: id };
+                pool.put(pkt);
+                return Ingress::RingFull { nf: nf_id };
             }
-            let slot = nf.free.pop().expect("free slots track ring occupancy");
-            let len = pkt.len() as u32;
-            nf.slots[slot as usize] = Some(pkt);
-            let pushed = nf.ring.push_batch(&[Desc { frame: slot, len }]);
-            debug_assert_eq!(pushed, 1);
+            nf.ring.push_back(pkt);
             return Ingress::Queued { nf: nf_id };
         }
         // Ran past the last NF: the packet leaves the subsystem.
         Ingress::Exit {
-            pkt: self.egress(pkt),
-            port: default_output,
+            pkt,
+            port: c.default_output,
         }
     }
 
-    /// Copy a pooled packet back out for the datapath and return the
-    /// descriptor to the mempool.
-    fn egress(&mut self, pooled: DpPacket) -> DpPacket {
-        let mut out = DpPacket::from_data(pooled.data());
-        copy_meta(&mut out, &pooled);
-        self.pool.put(pooled);
-        out
+    /// Pass a packet NF `pos` is done with down the chain, onto the next
+    /// live NF's ring or the exit list. Returns whether it went on rather
+    /// than being refused.
+    fn pass_on(
+        &mut self,
+        chain: ChainId,
+        pos: usize,
+        pkt: DpPacket,
+        pool: &mut DpPacketPool,
+        out: &mut PollOutcome,
+    ) -> bool {
+        match self.enqueue_from(chain, pos + 1, pkt, pool) {
+            Ingress::Queued { .. } => out.forwarded += 1,
+            Ingress::Exit { pkt, port } => {
+                self.exits.push_back((pkt, port));
+                out.exits += 1;
+            }
+            Ingress::RingFull { .. } => {
+                out.ring_full += 1;
+                return false;
+            }
+            Ingress::FailClosed { .. } => {
+                out.fail_closed += 1;
+                return false;
+            }
+            Ingress::NoChain => unreachable!("instance chains always exist"),
+        }
+        true
+    }
+
+    /// The oldest packet on the exit list, with its output port.
+    pub fn pop_exit(&mut self) -> Option<(DpPacket, u32)> {
+        self.exits.pop_front()
     }
 
     /// Rebuild a dead NF if its backoff has elapsed and budget remains.
@@ -332,156 +339,115 @@ impl NfManager {
         false
     }
 
-    /// Pop up to `max` packets (at most [`BATCH_SIZE`]) off NF `id`'s
-    /// ring, run `process` under a panic boundary, and route the
-    /// verdicts. `force_panic` arms a simulated crash for this invocation
-    /// (driven by the fault plan). A poll of an empty ring allocates
-    /// nothing.
-    pub fn poll_nf(&mut self, id: NfId, max: usize, now_ns: u64, force_panic: bool) -> PollOutcome {
+    /// Pop up to [`BATCH_SIZE`] packets off NF `id`'s ring, run `process`
+    /// on each under one panic boundary, and route the verdicts: onward, onto the
+    /// exit list, or back to `pool`. `force_panic` arms a simulated crash
+    /// for this invocation (driven by the fault plan). A poll allocates
+    /// nothing once the kept batch and exit lists have grown.
+    pub fn poll_nf(
+        &mut self,
+        id: NfId,
+        now_ns: u64,
+        force_panic: bool,
+        pool: &mut DpPacketPool,
+    ) -> PollOutcome {
         let mut out = PollOutcome {
             restarted: self.maybe_restart(id, now_ns),
             ..Default::default()
         };
-        let (chain, pos, batch) = {
-            let nf = &mut self.nfs[id as usize];
-            if nf.state != NfState::Running {
-                return out;
+        let nf = &mut self.nfs[id as usize];
+        let n = nf.ring.len().min(BATCH_SIZE);
+        if nf.state != NfState::Running || n == 0 {
+            return out;
+        }
+        let (mut batch, mut verdicts) = (
+            std::mem::take(&mut self.batch),
+            std::mem::take(&mut self.verdicts),
+        );
+        batch.extend(nf.ring.drain(..n));
+        nf.stats.rx += n as u64;
+        out.processed = n;
+        let (chain, pos) = (nf.chain, nf.pos);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            if force_panic {
+                // panic_any keeps the payload a &'static str so test
+                // harness hooks can recognize and quiet it.
+                std::panic::panic_any(NF_PANIC_MSG);
             }
-            let mut descs = [Desc { frame: 0, len: 0 }; BATCH_SIZE];
-            let n = nf.ring.pop_batch(&mut descs[..max.min(BATCH_SIZE)]);
-            if n == 0 {
-                return out;
-            }
-            let mut batch = Vec::with_capacity(n);
-            for d in &descs[..n] {
-                batch.push(
-                    nf.slots[d.frame as usize]
-                        .take()
-                        .expect("desc points at a filled slot"),
-                );
-                nf.free.push(d.frame);
-            }
-            nf.stats.rx += n as u64;
-            (nf.chain, nf.pos, batch)
-        };
-        out.processed = batch.len();
+            verdicts.extend(batch.iter_mut().map(|p| nf.nf.process(p)));
+        }));
 
-        let mut batch = batch;
-        let verdicts = {
+        if ran.is_err() {
+            // The worker died mid-batch: its in-flight packets are
+            // unrecoverable, its state is garbage. Account the loss,
+            // schedule the rebuild, leave the ring (manager-owned)
+            // intact for the survivors' packets. A panic part-way through
+            // the batch leaves the verdicts of the packets before it.
+            verdicts.clear();
             let nf = &mut self.nfs[id as usize];
-            catch_unwind(AssertUnwindSafe(|| {
-                if force_panic {
-                    // panic_any keeps the payload a &'static str so test
-                    // harness hooks can recognize and quiet it.
-                    std::panic::panic_any(NF_PANIC_MSG);
-                }
-                let v = nf.nf.process(&mut batch);
-                assert_eq!(v.len(), batch.len(), "NF returned wrong verdict count");
-                v
-            }))
-        };
-
-        let verdicts = match verdicts {
-            Ok(v) => v,
-            Err(_) => {
-                // The worker died mid-batch: its in-flight packets are
-                // unrecoverable, its state is garbage. Account the loss,
-                // schedule the rebuild, leave the ring (manager-owned)
-                // intact for the survivors' packets.
-                let nf = &mut self.nfs[id as usize];
-                nf.stats.crashes += 1;
-                out.crashed = true;
-                out.crash_drops = batch.len() as u64;
-                nf.stats.crash_drops += out.crash_drops;
-                let failed = nf.stats.restarts >= self.restart_budget as u64;
-                if failed {
-                    nf.state = NfState::Failed;
+            nf.stats.crashes += 1;
+            out.crashed = true;
+            out.crash_drops = n as u64;
+            nf.stats.crash_drops += out.crash_drops;
+            let failed = nf.stats.restarts >= self.restart_budget as u64;
+            if failed {
+                nf.state = NfState::Failed;
+            } else {
+                nf.backoff_ns = if nf.backoff_ns == 0 {
+                    self.restart_backoff_ns
                 } else {
-                    nf.backoff_ns = if nf.backoff_ns == 0 {
-                        self.restart_backoff_ns
-                    } else {
-                        (nf.backoff_ns * 2).min(self.restart_backoff_ns * 64)
-                    };
-                    nf.state = NfState::Dead {
-                        restart_at_ns: now_ns + nf.backoff_ns,
-                    };
-                }
-                for p in batch {
-                    self.pool.put(p);
-                }
-                if failed {
-                    // Restart budget exhausted: nothing will ever drain
-                    // this ring again, so flush the queued packets
-                    // through the dead-NF policy — otherwise they are
-                    // stranded, offered-but-uncounted, and the ledger
-                    // breaks silently.
-                    let mut stranded = Vec::new();
-                    {
-                        let nf = &mut self.nfs[id as usize];
-                        let mut descs = vec![Desc { frame: 0, len: 0 }; nf.slots.len()];
-                        let n = nf.ring.pop_batch(&mut descs);
-                        for d in &descs[..n] {
-                            stranded.push(
-                                nf.slots[d.frame as usize]
-                                    .take()
-                                    .expect("desc points at a filled slot"),
-                            );
-                            nf.free.push(d.frame);
-                        }
-                    }
-                    let policy = self.chains[chain as usize].policy;
-                    for pkt in stranded {
-                        match policy {
-                            ChainPolicy::FailClosed => {
-                                self.nfs[id as usize].stats.fail_closed_drops += 1;
-                                out.fail_closed += 1;
-                                self.pool.put(pkt);
-                            }
-                            ChainPolicy::Bypass => match self.enqueue_from(chain, pos + 1, pkt) {
-                                Ingress::Queued { .. } => out.forwarded += 1,
-                                Ingress::Exit { pkt, port } => out.exits.push((pkt, port)),
-                                Ingress::RingFull { .. } => out.ring_full += 1,
-                                Ingress::FailClosed { .. } => out.fail_closed += 1,
-                                Ingress::NoChain => {
-                                    unreachable!("instance chains always exist")
-                                }
-                            },
-                        }
-                    }
-                }
-                return out;
+                    (nf.backoff_ns * 2).min(self.restart_backoff_ns * 64)
+                };
+                nf.state = NfState::Dead {
+                    restart_at_ns: now_ns + nf.backoff_ns,
+                };
             }
-        };
-
-        for (pkt, verdict) in batch.into_iter().zip(verdicts) {
-            match verdict {
-                NfVerdict::Forward => match self.enqueue_from(chain, pos + 1, pkt) {
-                    Ingress::Queued { .. } => {
-                        self.nfs[id as usize].stats.tx += 1;
-                        out.forwarded += 1;
+            for p in batch.drain(..) {
+                pool.put(p);
+            }
+            if failed {
+                // Restart budget exhausted: nothing will ever drain this
+                // ring again, so flush the queued packets through the
+                // dead-NF policy — otherwise they are stranded,
+                // offered-but-uncounted, and the ledger breaks silently.
+                let policy = self.chains[chain as usize].policy;
+                while let Some(pkt) = self.nfs[id as usize].ring.pop_front() {
+                    match policy {
+                        ChainPolicy::FailClosed => {
+                            self.nfs[id as usize].stats.fail_closed_drops += 1;
+                            out.fail_closed += 1;
+                            pool.put(pkt);
+                        }
+                        ChainPolicy::Bypass => {
+                            self.pass_on(chain, pos, pkt, pool, &mut out);
+                        }
                     }
-                    Ingress::Exit { pkt, port } => {
-                        self.nfs[id as usize].stats.tx += 1;
-                        out.exits.push((pkt, port));
-                    }
-                    Ingress::RingFull { .. } => out.ring_full += 1,
-                    Ingress::FailClosed { .. } => out.fail_closed += 1,
-                    Ingress::NoChain => unreachable!("instance chains always exist"),
-                },
-                NfVerdict::Steer(port) => {
-                    let nf = &mut self.nfs[id as usize];
-                    nf.stats.tx += 1;
-                    nf.stats.steered += 1;
-                    let pkt = self.egress(pkt);
-                    out.exits.push((pkt, port));
                 }
-                NfVerdict::Drop => {
-                    self.nfs[id as usize].stats.verdict_drops += 1;
-                    out.verdict_drops += 1;
-                    self.pool.put(pkt);
+            }
+        } else {
+            for (pkt, verdict) in batch.drain(..).zip(verdicts.drain(..)) {
+                match verdict {
+                    NfVerdict::Forward => {
+                        if self.pass_on(chain, pos, pkt, pool, &mut out) {
+                            self.nfs[id as usize].stats.tx += 1;
+                        }
+                    }
+                    NfVerdict::Steer(port) => {
+                        let nf = &mut self.nfs[id as usize];
+                        nf.stats.tx += 1;
+                        nf.stats.steered += 1;
+                        self.exits.push_back((pkt, port));
+                        out.exits += 1;
+                    }
+                    NfVerdict::Drop => {
+                        self.nfs[id as usize].stats.verdict_drops += 1;
+                        out.verdict_drops += 1;
+                        pool.put(pkt);
+                    }
                 }
             }
         }
+        (self.batch, self.verdicts) = (batch, verdicts);
         out
     }
 
@@ -525,7 +491,7 @@ impl NfManager {
                 "nf {:>3} {:<12} ({:<11}) {:<8} chain {:>3} rx {:>8} tx {:>8} drops {:>6} ring {:>3}/{:<3} restarts {}\n",
                 nf.id,
                 nf.name,
-                nf.kind(),
+                nf.spec.kind(),
                 nf.state_label(),
                 nf.chain,
                 nf.stats.rx,
@@ -564,7 +530,7 @@ impl NfManager {
                 pos,
                 nf.id,
                 nf.name,
-                nf.kind(),
+                nf.spec.kind(),
                 nf.state_label(),
                 pmd,
                 nf.ring_len(),
@@ -575,14 +541,12 @@ impl NfManager {
         s
     }
 
-    /// `nfv/stats`: subsystem totals plus the mempool reuse counters.
+    /// `nfv/stats`: subsystem totals.
     pub fn stats_show(&self) -> String {
         let t = self.totals();
-        let (reuses, fresh) = self.pool_stats();
         format!(
             "nfv totals: rx {} tx {} steered {} verdict-drops {} ring-full {} crash-drops {} fail-closed {}\n\
-             nfv health: crashes {} restarts {}\n\
-             nfv mempool: reuses {} fresh-allocs {}\n",
+             nfv health: crashes {} restarts {}\n",
             t.rx,
             t.tx,
             t.steered,
@@ -591,26 +555,9 @@ impl NfManager {
             t.crash_drops,
             t.fail_closed_drops,
             t.crashes,
-            t.restarts,
-            reuses,
-            fresh
+            t.restarts
         )
     }
-}
-
-/// Carry the metadata that must survive the mempool crossing: provenance
-/// (`in_port`), hashes (so EMC/SMC-computed work isn't redone), offload
-/// flags and tunnel state, and above all `rx_ts` — NF transit time must
-/// show up in the end-to-end latency histograms, not vanish from them.
-fn copy_meta(dst: &mut DpPacket, src: &DpPacket) {
-    dst.in_port = src.in_port;
-    dst.rxhash = src.rxhash;
-    dst.flow_hash = src.flow_hash;
-    dst.l3_ofs = src.l3_ofs;
-    dst.l4_ofs = src.l4_ofs;
-    dst.offloads = src.offloads;
-    dst.tunnel = src.tunnel;
-    dst.rx_ts = src.rx_ts;
 }
 
 #[cfg(test)]
@@ -636,22 +583,46 @@ mod tests {
         (m, c)
     }
 
+    /// A pool that keeps up to 64 descriptors, and a packet from it.
+    fn pool() -> DpPacketPool {
+        DpPacketPool::new(64, 256)
+    }
+
+    fn packet(pool: &mut DpPacketPool, dport: u16) -> DpPacket {
+        let mut p = pool.take();
+        p.set_data(&udp_frame(dport));
+        p
+    }
+
+    /// Run `f` with panic messages silenced (simulated NF crashes).
+    fn quietly<R>(f: impl FnOnce() -> R) -> R {
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = f();
+        std::panic::set_hook(hook);
+        r
+    }
+
     #[test]
-    fn passthrough_chain_round_trips_packets() {
+    fn passthrough_chain_hands_back_the_same_packet() {
         let (mut m, c) = one_nf_chain(NfSpec::PassThrough, ChainPolicy::Bypass);
-        let pkt = DpPacket::from_data(&udp_frame(6000));
-        let Ingress::Queued { nf } = m.ingress(c, &pkt) else {
+        let mut pool = pool();
+        let mut pkt = packet(&mut pool, 6000);
+        pkt.in_port = 3;
+        pkt.rx_ts = Some(42);
+        let at: *const ovs_packet::dp_packet::Descriptor = &*pkt;
+        let Ingress::Queued { nf } = m.ingress(c, pkt, &mut pool) else {
             panic!("expected queue")
         };
-        let out = m.poll_nf(nf, 32, 0, false);
-        assert_eq!(out.processed, 1);
-        assert_eq!(out.exits.len(), 1);
-        assert_eq!(out.exits[0].1, 1);
-        assert_eq!(out.exits[0].0.data(), pkt.data());
-        // Descriptor went back: one reuse on the next ingress.
-        let before = m.pool_stats().0;
-        m.ingress(c, &pkt);
-        assert_eq!(m.pool_stats().0, before + 1);
+        let out = m.poll_nf(nf, 0, false, &mut pool);
+        assert_eq!((out.processed, out.exits), (1, 1));
+        let (pkt, port) = m.pop_exit().expect("one exit");
+        assert_eq!(port, 1);
+        assert!(std::ptr::eq(&*pkt, at), "the chain swapped the descriptor");
+        assert_eq!(pkt.data(), &udp_frame(6000)[..]);
+        assert_eq!((pkt.in_port, pkt.rx_ts), (3, Some(42)));
+        assert!(m.pop_exit().is_none());
+        assert_eq!((pool.fresh_allocs, pool.reuses), (1, 0), "nothing copied");
     }
 
     #[test]
@@ -666,52 +637,176 @@ mod tests {
             default_allow: true,
         };
         let (mut m, c) = one_nf_chain(spec, ChainPolicy::Bypass);
+        let mut pool = pool();
         for dport in [6050u16, 7000] {
-            let pkt = DpPacket::from_data(&udp_frame(dport));
-            let Ingress::Queued { nf } = m.ingress(c, &pkt) else {
+            let pkt = packet(&mut pool, dport);
+            let Ingress::Queued { nf } = m.ingress(c, pkt, &mut pool) else {
                 panic!()
             };
-            m.poll_nf(nf, 32, 0, false);
+            m.poll_nf(nf, 0, false, &mut pool);
         }
         let t = m.totals();
         assert_eq!(t.verdict_drops, 1);
         assert_eq!(t.tx, 1);
+        assert_eq!(
+            (pool.fresh_allocs, pool.reuses),
+            (1, 1),
+            "the dropped packet's descriptor served the next"
+        );
     }
 
     #[test]
     fn ring_full_is_named_loss() {
         let (mut m, c) = one_nf_chain(NfSpec::PassThrough, ChainPolicy::Bypass);
-        let pkt = DpPacket::from_data(&udp_frame(6000));
+        let mut pool = pool();
         let cap = m.nf(0).unwrap().ring_capacity();
         for _ in 0..cap {
-            assert!(matches!(m.ingress(c, &pkt), Ingress::Queued { .. }));
+            let pkt = packet(&mut pool, 6000);
+            assert!(matches!(
+                m.ingress(c, pkt, &mut pool),
+                Ingress::Queued { .. }
+            ));
         }
-        assert!(matches!(m.ingress(c, &pkt), Ingress::RingFull { .. }));
+        let pkt = packet(&mut pool, 6000);
+        assert!(matches!(
+            m.ingress(c, pkt, &mut pool),
+            Ingress::RingFull { .. }
+        ));
         assert_eq!(m.totals().ring_full_drops, 1);
+        assert_eq!(pool.available(), 1, "the refused packet went back");
+    }
+
+    #[test]
+    fn a_ring_holds_a_power_of_two_of_at_least_two() {
+        let mut m = NfManager::new();
+        for (asked, holds) in [(5, 8), (8, 8), (16, 16), (1, 2), (0, 2)] {
+            let c = m.add_chain(
+                asked as u32,
+                vec![("nf".into(), NfSpec::PassThrough)],
+                asked,
+                1,
+                ChainPolicy::Bypass,
+            );
+            let nf = m.chains()[c as usize].nfs[0];
+            assert_eq!(
+                m.nf(nf).unwrap().ring_capacity(),
+                holds,
+                "asked for {asked}"
+            );
+            let mut pool = pool();
+            let queued = (0..holds + 1)
+                .filter(|_| {
+                    let pkt = packet(&mut pool, 6000);
+                    matches!(m.ingress(c, pkt, &mut pool), Ingress::Queued { .. })
+                })
+                .count();
+            assert_eq!(queued, holds, "asked for {asked}");
+            assert_eq!(m.nf(nf).unwrap().ring_len(), holds);
+        }
+    }
+
+    #[test]
+    fn every_packet_the_manager_gives_up_goes_back_to_the_pool() {
+        // Warm a pool with 64 descriptors; every outcome below returns
+        // its packet, so the pool ends as it began.
+        let mut pool = pool();
+        let warm: Vec<DpPacket> = (0..64).map(|_| pool.take()).collect();
+        for p in warm {
+            pool.put(p);
+        }
+        let start = pool.available();
+        let mut m = NfManager::new();
+        m.restart_budget = 0;
+        let fw = NfSpec::Firewall {
+            rules: vec![FwRule {
+                proto: None,
+                dport_lo: 0,
+                dport_hi: 0xffff,
+                allow: false,
+            }],
+            default_allow: false,
+        };
+        let drop_all = m.add_chain(0, vec![("fw".into(), fw)], 4, 1, ChainPolicy::Bypass);
+        let two_nfs = |a: &str, b: &str| {
+            vec![
+                (a.to_string(), NfSpec::PassThrough),
+                (b.to_string(), NfSpec::Monitor),
+            ]
+        };
+        let closed = m.add_chain(1, two_nfs("a", "b"), 64, 1, ChainPolicy::FailClosed);
+        let bypass = m.add_chain(2, two_nfs("c", "d"), 64, 2, ChainPolicy::Bypass);
+        let nf_of = |m: &NfManager, c: ChainId, pos: usize| m.chains()[c as usize].nfs[pos];
+        let mut exits = 0;
+        let mut offer = |m: &mut NfManager, pool: &mut DpPacketPool, c: ChainId, n: usize| {
+            for _ in 0..n {
+                let pkt = packet(pool, 6000);
+                if let Ingress::Exit { pkt, .. } = m.ingress(c, pkt, pool) {
+                    exits += 1;
+                    pool.put(pkt);
+                }
+            }
+        };
+        // Verdict drops, ring full, and no such chain.
+        offer(&mut m, &mut pool, drop_all, 6);
+        m.poll_nf(nf_of(&m, drop_all, 0), 0, false, &mut pool);
+        offer(&mut m, &mut pool, 99, 1);
+        // A crash out of budget: its batch is lost, the rest of its ring
+        // flushed fail-closed, and later traffic refused fail-closed.
+        offer(&mut m, &mut pool, closed, BATCH_SIZE + 2);
+        let out = quietly(|| m.poll_nf(nf_of(&m, closed, 0), 0, true, &mut pool));
+        assert_eq!((out.crash_drops, out.fail_closed), (BATCH_SIZE as u64, 2));
+        offer(&mut m, &mut pool, closed, 3);
+        // A crash out of budget on a bypass chain: the rest of its ring
+        // flushes into the next NF, which later traffic reaches directly.
+        offer(&mut m, &mut pool, bypass, BATCH_SIZE + 2);
+        quietly(|| m.poll_nf(nf_of(&m, bypass, 0), 0, true, &mut pool));
+        offer(&mut m, &mut pool, bypass, 1);
+        let out = m.poll_nf(nf_of(&m, bypass, 1), 0, false, &mut pool);
+        assert_eq!(out.exits, 3);
+        while let Some((pkt, port)) = m.pop_exit() {
+            assert_eq!(port, 2);
+            exits += 1;
+            pool.put(pkt);
+        }
+        let t = m.totals();
+        assert_eq!(t.verdict_drops, 4);
+        assert_eq!(t.ring_full_drops, 2);
+        assert_eq!(t.crash_drops, 2 * BATCH_SIZE as u64);
+        assert_eq!(t.fail_closed_drops, 5);
+        assert_eq!(exits, 3);
+        assert_eq!(m.chain_occupancy(&m.chains()[closed as usize]), 0);
+        assert_eq!(pool.available(), start, "a packet went missing");
+        assert_eq!(pool.fresh_allocs, 64, "a packet was copied");
     }
 
     #[test]
     fn crash_restart_backoff_and_policies() {
         let (mut m, c) = one_nf_chain(NfSpec::PassThrough, ChainPolicy::FailClosed);
-        let pkt = DpPacket::from_data(&udp_frame(6000));
-        let Ingress::Queued { nf } = m.ingress(c, &pkt) else {
+        let mut pool = pool();
+        let pkt = packet(&mut pool, 6000);
+        let Ingress::Queued { nf } = m.ingress(c, pkt, &mut pool) else {
             panic!()
         };
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = m.poll_nf(nf, 32, 1000, true);
-        std::panic::set_hook(hook);
+        let out = quietly(|| m.poll_nf(nf, 1000, true, &mut pool));
         assert!(out.crashed);
         assert_eq!(out.crash_drops, 1);
         // Dead + fail-closed: new ingress refused with a named drop.
-        assert!(matches!(m.ingress(c, &pkt), Ingress::FailClosed { .. }));
+        let pkt = packet(&mut pool, 6000);
+        assert!(matches!(
+            m.ingress(c, pkt, &mut pool),
+            Ingress::FailClosed { .. }
+        ));
         // Before backoff elapses: still dead.
         assert!(!m.maybe_restart(nf, 1000));
         // After: rebuilt, traffic flows again.
         assert!(m.maybe_restart(nf, 1000 + m.restart_backoff_ns));
-        assert!(matches!(m.ingress(c, &pkt), Ingress::Queued { .. }));
-        let out = m.poll_nf(nf, 32, 0, false);
-        assert_eq!(out.exits.len(), 1);
+        let pkt = packet(&mut pool, 6000);
+        assert!(matches!(
+            m.ingress(c, pkt, &mut pool),
+            Ingress::Queued { .. }
+        ));
+        let out = m.poll_nf(nf, 0, false, &mut pool);
+        assert_eq!(out.exits, 1);
         assert_eq!(m.totals().restarts, 1);
     }
 
@@ -728,22 +823,21 @@ mod tests {
             2,
             ChainPolicy::Bypass,
         );
-        let pkt = DpPacket::from_data(&udp_frame(6000));
+        let mut pool = pool();
         // Kill NF 0.
-        let Ingress::Queued { nf } = m.ingress(c, &pkt) else {
+        let pkt = packet(&mut pool, 6000);
+        let Ingress::Queued { nf } = m.ingress(c, pkt, &mut pool) else {
             panic!()
         };
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        m.poll_nf(nf, 32, 0, true);
-        std::panic::set_hook(hook);
+        quietly(|| m.poll_nf(nf, 0, true, &mut pool));
         // New traffic bypasses straight into NF 1 and still exits.
-        let Ingress::Queued { nf } = m.ingress(c, &pkt) else {
+        let pkt = packet(&mut pool, 6000);
+        let Ingress::Queued { nf } = m.ingress(c, pkt, &mut pool) else {
             panic!("bypass should queue on b")
         };
         assert_eq!(nf, 1);
-        let out = m.poll_nf(nf, 32, 0, false);
-        assert_eq!(out.exits.len(), 1);
-        assert_eq!(out.exits[0].1, 2);
+        let out = m.poll_nf(nf, 0, false, &mut pool);
+        assert_eq!(out.exits, 1);
+        assert_eq!(m.pop_exit().map(|(_, port)| port), Some(2));
     }
 }

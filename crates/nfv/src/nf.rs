@@ -1,9 +1,9 @@
 //! The NF API and the built-in network functions.
 //!
-//! An NF receives a batch of packets and returns one [`NfVerdict`] per
-//! packet. NFs are deliberately tiny state machines: they never touch the
+//! An NF is handed one packet at a time and returns its [`NfVerdict`].
+//! NFs are deliberately tiny state machines: they never touch the
 //! datapath, the kernel, or each other — the manager owns all transport
-//! (rings, slots, pool) and all policy (chain wiring, crash handling).
+//! (rings, the exit list) and all policy (chain wiring, crash handling).
 //! That separation is what makes `catch_unwind` a meaningful isolation
 //! boundary: a panicking NF can corrupt nothing but its own state, which
 //! the manager throws away and rebuilds from the [`NfSpec`].
@@ -24,13 +24,12 @@ pub enum NfVerdict {
     Steer(u32),
 }
 
-/// A network function: processes batches, returns one verdict per packet.
+/// A network function: decides one packet at a time.
 pub trait NetworkFunction {
     /// Short kind label rendered by `nfv/show` (e.g. `"firewall"`).
     fn kind(&self) -> &'static str;
-    /// Process a batch. MUST return exactly one verdict per packet; a
-    /// length mismatch is treated as an NF bug and handled like a crash.
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict>;
+    /// Process one packet, which the NF may rewrite, and decide its fate.
+    fn process(&mut self, pkt: &mut DpPacket) -> NfVerdict;
 }
 
 /// Declarative NF config. The manager keeps the spec alongside the live
@@ -69,14 +68,12 @@ impl NfSpec {
             }),
             NfSpec::LoadBalancer { backends } => Box::new(L4LoadBalancer {
                 backends: backends.clone(),
-                picks: vec![0; backends.len()],
             }),
             NfSpec::Monitor => Box::new(FlowMonitor {
                 flows: std::collections::BTreeMap::new(),
             }),
             NfSpec::Dpi { patterns } => Box::new(DpiLite {
                 patterns: patterns.clone(),
-                hits: 0,
             }),
         }
     }
@@ -185,8 +182,8 @@ impl NetworkFunction for PassThrough {
     fn kind(&self) -> &'static str {
         "passthrough"
     }
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict> {
-        vec![NfVerdict::Forward; batch.len()]
+    fn process(&mut self, _pkt: &mut DpPacket) -> NfVerdict {
+        NfVerdict::Forward
     }
 }
 
@@ -200,54 +197,44 @@ impl NetworkFunction for Firewall {
     fn kind(&self) -> &'static str {
         "firewall"
     }
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict> {
-        batch
-            .iter()
-            .map(|p| {
-                let allow = match parse_five_tuple(p.data()) {
-                    Some(t) => self
-                        .rules
-                        .iter()
-                        .find(|r| {
-                            r.proto.is_none_or(|pr| pr == t.proto)
-                                && t.dport >= r.dport_lo
-                                && t.dport <= r.dport_hi
-                        })
-                        .map_or(self.default_allow, |r| r.allow),
-                    None => self.default_allow,
-                };
-                if allow {
-                    NfVerdict::Forward
-                } else {
-                    NfVerdict::Drop
-                }
-            })
-            .collect()
+    fn process(&mut self, pkt: &mut DpPacket) -> NfVerdict {
+        let allow = match parse_five_tuple(pkt.data()) {
+            Some(t) => self
+                .rules
+                .iter()
+                .find(|r| {
+                    r.proto.is_none_or(|pr| pr == t.proto)
+                        && t.dport >= r.dport_lo
+                        && t.dport <= r.dport_hi
+                })
+                .map_or(self.default_allow, |r| r.allow),
+            None => self.default_allow,
+        };
+        if allow {
+            NfVerdict::Forward
+        } else {
+            NfVerdict::Drop
+        }
     }
 }
 
 /// Built-in: L4 load balancer, steers by 5-tuple hash mod backends.
 pub struct L4LoadBalancer {
     backends: Vec<u32>,
-    picks: Vec<u64>,
 }
 
 impl NetworkFunction for L4LoadBalancer {
     fn kind(&self) -> &'static str {
         "l4lb"
     }
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict> {
-        batch
-            .iter()
-            .map(|p| match parse_five_tuple(p.data()) {
-                Some(t) if !self.backends.is_empty() => {
-                    let i = (five_tuple_hash(&t) % self.backends.len() as u64) as usize;
-                    self.picks[i] += 1;
-                    NfVerdict::Steer(self.backends[i])
-                }
-                _ => NfVerdict::Forward,
-            })
-            .collect()
+    fn process(&mut self, pkt: &mut DpPacket) -> NfVerdict {
+        match parse_five_tuple(pkt.data()) {
+            Some(t) if !self.backends.is_empty() => {
+                let i = (five_tuple_hash(&t) % self.backends.len() as u64) as usize;
+                NfVerdict::Steer(self.backends[i])
+            }
+            _ => NfVerdict::Forward,
+        }
     }
 }
 
@@ -260,43 +247,34 @@ impl NetworkFunction for FlowMonitor {
     fn kind(&self) -> &'static str {
         "monitor"
     }
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict> {
-        for p in batch.iter() {
-            if let Some(t) = parse_five_tuple(p.data()) {
-                *self.flows.entry(five_tuple_hash(&t)).or_insert(0) += 1;
-            }
+    fn process(&mut self, pkt: &mut DpPacket) -> NfVerdict {
+        if let Some(t) = parse_five_tuple(pkt.data()) {
+            *self.flows.entry(five_tuple_hash(&t)).or_insert(0) += 1;
         }
-        vec![NfVerdict::Forward; batch.len()]
+        NfVerdict::Forward
     }
 }
 
 /// Built-in: naive payload substring matcher, drops on match.
 pub struct DpiLite {
     patterns: Vec<Vec<u8>>,
-    hits: u64,
 }
 
 impl NetworkFunction for DpiLite {
     fn kind(&self) -> &'static str {
         "dpi"
     }
-    fn process(&mut self, batch: &mut [DpPacket]) -> Vec<NfVerdict> {
-        batch
-            .iter()
-            .map(|p| {
-                let hit = payload_offset(p.data()).is_some_and(|off| {
-                    let pay = &p.data()[off..];
-                    self.patterns
-                        .iter()
-                        .any(|pat| !pat.is_empty() && pay.windows(pat.len()).any(|w| w == &pat[..]))
-                });
-                if hit {
-                    self.hits += 1;
-                    NfVerdict::Drop
-                } else {
-                    NfVerdict::Forward
-                }
-            })
-            .collect()
+    fn process(&mut self, pkt: &mut DpPacket) -> NfVerdict {
+        let hit = payload_offset(pkt.data()).is_some_and(|off| {
+            let pay = &pkt.data()[off..];
+            self.patterns
+                .iter()
+                .any(|pat| !pat.is_empty() && pay.windows(pat.len()).any(|w| w == &pat[..]))
+        });
+        if hit {
+            NfVerdict::Drop
+        } else {
+            NfVerdict::Forward
+        }
     }
 }

@@ -36,6 +36,11 @@ struct Counter {
 /// index a call site cached stays valid for the life of the process.
 static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
+/// Slots the name table and each thread's counters reserve at first, more
+/// than the workspace has names: a path's first event on a warm thread
+/// then allocates nothing, whatever order the names were interned in.
+const SLOTS: usize = 256;
+
 thread_local! {
     /// This thread's counters, indexed by slot; `None` until the slot's
     /// first event since the last reset.
@@ -93,6 +98,8 @@ impl Slot {
         let i = match names.iter().position(|&n| n == self.name) {
             Some(i) => i,
             None => {
+                let len = names.len();
+                names.reserve(SLOTS.saturating_sub(len));
                 names.push(self.name);
                 names.len() - 1
             }
@@ -107,6 +114,7 @@ impl Slot {
 #[cold]
 fn first_event(counters: &mut Vec<Option<Counter>>, i: usize, n: u64) {
     if counters.len() <= i {
+        counters.reserve(SLOTS.saturating_sub(counters.len()));
         counters.resize(i + 1, None);
     }
     counters[i].get_or_insert_with(Counter::default).total += n;

@@ -37,15 +37,16 @@ pub struct DpPacketPool {
     bound: usize,
     /// How many packets were handed out from the pool.
     pub reuses: u64,
-    /// How many packets had to be freshly allocated (pool empty, or
-    /// pooling disabled).
+    /// How many packets had to be freshly allocated (pool empty, or a
+    /// bound of 0).
     pub fresh_allocs: u64,
 }
 
 impl DpPacketPool {
     /// An empty pool that fills lazily: it keeps up to `bound` returned
     /// descriptors, each allocated with `data_capacity` bytes of packet
-    /// room when the pool first runs dry.
+    /// room when the pool first runs dry. A `bound` of 0 keeps nothing,
+    /// so every take allocates: the pre-O4 behaviour.
     pub fn new(bound: usize, data_capacity: usize) -> Self {
         Self {
             free: Vec::new(),
@@ -54,24 +55,6 @@ impl DpPacketPool {
             reuses: 0,
             fresh_allocs: 0,
         }
-    }
-
-    /// Preallocate `n` descriptors, each with `data_capacity` bytes of
-    /// packet room, with packet-independent fields already initialized.
-    /// The pool keeps every descriptor put back.
-    pub fn with_preallocated(n: usize, data_capacity: usize) -> Self {
-        Self {
-            free: (0..n)
-                .map(|_| DpPacket::with_capacity(data_capacity))
-                .collect(),
-            ..Self::new(usize::MAX, data_capacity)
-        }
-    }
-
-    /// A pool that keeps nothing: every take is a fresh allocation. This
-    /// reproduces the pre-O4 behaviour.
-    pub fn without_preallocation(data_capacity: usize) -> Self {
-        Self::new(0, data_capacity)
     }
 
     /// Number of descriptors currently pooled.
@@ -122,24 +105,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn preallocated_pool_reuses() {
-        let mut pool = DpPacketPool::with_preallocated(2, 256);
-        let a = pool.take();
-        let _b = pool.take();
-        assert_eq!(pool.reuses, 2);
-        assert_eq!(pool.fresh_allocs, 0);
-        // Pool empty: next take allocates fresh.
-        let _c = pool.take();
-        assert_eq!(pool.fresh_allocs, 1);
-        pool.put(a);
-        assert_eq!(pool.available(), 1);
-        let _a2 = pool.take();
-        assert_eq!(pool.reuses, 3);
-    }
-
-    #[test]
     fn unpooled_always_allocates() {
-        let mut pool = DpPacketPool::without_preallocation(64);
+        let mut pool = DpPacketPool::new(0, 64);
         for _ in 0..5 {
             let p = pool.take();
             // Returned, but a pre-O4 pool keeps nothing.
@@ -186,7 +153,7 @@ mod tests {
 
     #[test]
     fn put_resets_metadata() {
-        let mut pool = DpPacketPool::with_preallocated(1, 64);
+        let mut pool = DpPacketPool::new(1, 64);
         let mut p = pool.take();
         p.set_data(&[1, 2, 3]);
         p.in_port = 9;

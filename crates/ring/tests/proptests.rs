@@ -82,7 +82,7 @@ proptest! {
             1..30
         ),
     ) {
-        let mut pool = DpPacketPool::with_preallocated(4, 256);
+        let mut pool = DpPacketPool::new(4, 256);
         for data in contents {
             let mut p = pool.take();
             prop_assert_eq!(p.len(), 0, "fresh packet is empty");

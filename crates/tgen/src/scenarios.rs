@@ -1802,9 +1802,6 @@ pub struct ChainsReport {
     pub fail_closed_drops: u64,
     /// Packets the load balancer steered off the default output.
     pub steered: u64,
-    /// Mempool descriptor reuses vs fresh allocations (throughput proxy).
-    pub pool_reuses: u64,
-    pub pool_fresh: u64,
     /// Switch-core cost per frame by chain length 1..=4 (must rise
     /// monotonically — each hop adds ring + exec + nothing else).
     pub chain_ns_per_pkt: Vec<(usize, f64)>,
@@ -2134,7 +2131,6 @@ pub fn run_chains(tenants: usize, seed: u64) -> ChainsReport {
     let delivered = delivered_now(&k);
     let (drops_by_counter, counted_drops) = counted_drops();
     let totals = dp.nfv.totals();
-    let (pool_reuses, pool_fresh) = dp.nfv.pool_stats();
     ChainsReport {
         seed,
         tenants: tenants as u64,
@@ -2150,8 +2146,6 @@ pub fn run_chains(tenants: usize, seed: u64) -> ChainsReport {
         ring_full_drops: totals.ring_full_drops,
         fail_closed_drops: totals.fail_closed_drops,
         steered: totals.steered,
-        pool_reuses,
-        pool_fresh,
         chain_ns_per_pkt,
         lb_improvement_pct,
         lb_rebalances: pmds.auto_lb.rebalances,

@@ -18,7 +18,8 @@ use ovs_core::{AssignmentPolicy, DpifNetdev, PmdSet};
 use ovs_kernel::dev::{DeviceKind, NetDevice};
 use ovs_kernel::Kernel;
 use ovs_nfv::{ChainPolicy, FwRule, Ingress, NfManager, NfSpec};
-use ovs_packet::{builder, DpPacket, MacAddr};
+use ovs_packet::{builder, MacAddr};
+use ovs_ring::DpPacketPool;
 use ovs_tgen::scenarios::counted_drops;
 
 use proptest::prelude::*;
@@ -202,10 +203,19 @@ fn single_nf_run(spec: NfSpec, frames: &[Vec<u8>]) -> (Vec<(Vec<u8>, u32)>, u64)
         ChainPolicy::Bypass,
     );
     let nf0 = mgr.chain_of_tenant(0).unwrap().nfs[0];
+    let mut pool = DpPacketPool::new(128, 2048);
     let mut exits = Vec::new();
+    // Record each exit and hand its descriptor back.
+    fn take_exits(mgr: &mut NfManager, pool: &mut DpPacketPool, exits: &mut Vec<(Vec<u8>, u32)>) {
+        while let Some((p, port)) = mgr.pop_exit() {
+            exits.push((p.data().to_vec(), port));
+            pool.put(p);
+        }
+    }
     for f in frames {
-        let pkt = DpPacket::from_data(f);
-        match mgr.ingress(cid, &pkt) {
+        let mut pkt = pool.take();
+        pkt.set_data(f);
+        match mgr.ingress(cid, pkt, &mut pool) {
             Ingress::Queued { .. } => {}
             Ingress::Exit { pkt, port } => exits.push((pkt.data().to_vec(), port)),
             Ingress::RingFull { .. } => panic!("128-slot ring must not fill under eager drain"),
@@ -214,15 +224,15 @@ fn single_nf_run(spec: NfSpec, frames: &[Vec<u8>]) -> (Vec<(Vec<u8>, u32)>, u64)
             }
         }
         // Drain eagerly so the 128-slot ring never backpressures.
-        let out = mgr.poll_nf(nf0, 32, 0, false);
-        exits.extend(out.exits.iter().map(|(p, port)| (p.data().to_vec(), *port)));
+        mgr.poll_nf(nf0, 0, false, &mut pool);
+        take_exits(&mut mgr, &mut pool, &mut exits);
     }
     loop {
-        let out = mgr.poll_nf(nf0, 32, 0, false);
+        let out = mgr.poll_nf(nf0, 0, false, &mut pool);
         if out.processed == 0 {
             break;
         }
-        exits.extend(out.exits.iter().map(|(p, port)| (p.data().to_vec(), *port)));
+        take_exits(&mut mgr, &mut pool, &mut exits);
     }
     (exits, mgr.totals().verdict_drops)
 }

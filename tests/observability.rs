@@ -535,7 +535,6 @@ tenant 0 chain 0 (policy bypass, default output 1):
 const GOLDEN_NFV_STATS: &str = "\
 nfv totals: rx 9 tx 8 steered 0 verdict-drops 1 ring-full 0 crash-drops 0 fail-closed 0
 nfv health: crashes 0 restarts 0
-nfv mempool: reuses 6 fresh-allocs 0
 ";
 
 /// Two tenants — a bypass firewall+monitor chain and a fail-closed

@@ -3,7 +3,6 @@
 use ovs_kernel::xsk::{XskBinding, XskHandle};
 use ovs_kernel::Kernel;
 use ovs_obs::coverage;
-use ovs_packet::flow::extract_miniflow;
 use ovs_packet::OffloadFlags;
 use ovs_ring::{Desc, DpPacketPool, LockStrategy, PacketBatch, UmemPool, BATCH_SIZE};
 use ovs_sim::faults::FaultKind;
@@ -310,9 +309,10 @@ impl XskSocket {
             pkt.set_data(&self.handle.borrow().umem.frame(d.frame)[..d.len as usize]);
             bytes += pkt.len();
             pkt.in_port = self.ifindex;
-            // Software rxhash: XDP exposes no NIC hash hint yet. The
-            // sparse extractor computes it without expanding a full key.
-            pkt.rxhash = Some(extract_miniflow(&mut pkt).rss_hash());
+            // Software rxhash: XDP exposes no NIC hash hint yet. It is
+            // read off the descriptor's parse, which the datapath's
+            // extraction then reuses.
+            pkt.rxhash = Some(pkt.parse().rss_hash());
             if rx_csum_hw {
                 pkt.offloads = OffloadFlags {
                     csum_verified: true,

@@ -185,6 +185,15 @@ impl<A> Emc<A> {
         }
     }
 
+    /// Count a hit on `e` without probing: `e` is what a lookup of the
+    /// same key just returned, and nothing touched the cache since.
+    /// Bumps exactly what that lookup bumps.
+    pub fn repeat_hit(&mut self, e: Rc<MegaflowEntry<A>>) -> Rc<MegaflowEntry<A>> {
+        self.hits += 1;
+        e.hits.set(e.hits.get() + 1);
+        e
+    }
+
     /// Offer an entry for insertion after a miss; inserted with
     /// probability 1/`insert_inv_prob` (deterministic round-robin stand-in
     /// for OVS's RNG). Returns whether it was inserted.

@@ -29,7 +29,7 @@ use crate::snapshot::{DpSnapshot, FlowRecord, RestoreState, SNAPSHOT_VERSION};
 use crate::tso;
 use crate::tunnel::{self, TunnelConfig};
 use ovs_afxdp::AfxdpPort;
-use ovs_ct::{ConnKey, CtAction, CtTable};
+use ovs_ct::{ConnKey, CtAction, CtPacket, CtTable, CtVerdict};
 use ovs_dpdk::{AfPacketDev, EthDev, VhostUserDev};
 use ovs_kernel::rtnetlink::RtnlCache;
 use ovs_kernel::Kernel;
@@ -54,6 +54,15 @@ fn pmd_now_ns(kernel: &Kernel, core: usize) -> u64 {
         .clock
         .now_ns()
         .saturating_add(kernel.sim.cpus.core_ns(core))
+}
+
+/// A packet's conntrack input for `ct(zone=zone)`: its 5-tuple, read
+/// from the descriptor's parse, and its TCP flags.
+fn ct_packet(pkt: &mut DpPacket, zone: u16) -> CtPacket {
+    CtPacket {
+        key: ConnKey::from_parse(zone, pkt.parse()),
+        tcp_flags: ovs_ct::tcp_flags_of(pkt.data()),
+    }
 }
 
 /// One line of `ofproto/trace` flow description, straight off the
@@ -134,6 +143,9 @@ impl MiniflowStats {
 /// A datapath port number.
 pub type PortNo = u32;
 
+/// A shared reference to a datapath flow, as the caches hand it out.
+type FlowRef = Rc<MegaflowEntry<Vec<DpAction>>>;
+
 /// Sentinel "port" under which NF instances are scheduled on the PMD
 /// scheduler: `RxqId::new(NF_WORK_PORT, nf_id)` makes each NF an
 /// assignable, cycle-measured unit exactly like an rx queue, so
@@ -187,14 +199,18 @@ struct BurstScratch {
     /// keys, and the bulk lookup's verdicts.
     pending: Vec<(BurstPkt, Miniflow)>,
     keys: Vec<Miniflow>,
-    results: Vec<Option<Rc<MegaflowEntry<Vec<DpAction>>>>>,
+    results: Vec<Option<FlowRef>>,
+    /// A flow batch's conntrack inputs and verdicts, when its actions
+    /// start with their only `ct`.
+    ct_pkts: Vec<CtPacket>,
+    ct_verdicts: Vec<CtVerdict>,
     tx: TxAccum,
 }
 
 /// What a [`FlowBatch`] executes.
 enum BatchActions {
     /// The actions of the megaflow the packets hit, shared, not copied.
-    Flow(Rc<MegaflowEntry<Vec<DpAction>>>),
+    Flow(FlowRef),
     /// An upcall at the flow limit: one-off actions with no backing flow.
     OneOff(Vec<DpAction>),
 }
@@ -1719,6 +1735,14 @@ megaflows installed: {}
     /// extraction — no full `FlowKey` is materialized on the hit path —
     /// and the slot hash is computed once and cached in
     /// `DpPacket::flow_hash` for every probe tier to reuse.
+    ///
+    /// A run of one flow is looked up once: a packet whose miniflow
+    /// equals the previous packet's reuses its hash, and, when that
+    /// packet hit the EMC, its hit too (nothing touched the EMC in
+    /// between, so the probe would return the same entry). A miss is
+    /// probed again: the previous packet's SMC hit may have just put
+    /// the flow in the EMC. Every charge, mark and counter stays per
+    /// packet.
     fn dfc_processing(
         &mut self,
         kernel: &mut Kernel,
@@ -1726,6 +1750,8 @@ megaflows installed: {}
         core: usize,
         timer: &mut StageTimer,
     ) {
+        // The previous packet's key, hash and EMC hit.
+        let mut prev: Option<(Miniflow, u64, Option<FlowRef>)> = None;
         for mut bp in s.burst.drain(..) {
             if bp.pass == MAX_RECIRC {
                 // Recirculation limit exceeded.
@@ -1742,7 +1768,8 @@ megaflows installed: {}
                 coverage!("dpif_recirc");
             }
             let mf = extract_miniflow(&mut bp.pkt);
-            let hash = mf.hash();
+            let run = prev.take().filter(|(key, ..)| *key == mf);
+            let hash = run.as_ref().map_or_else(|| mf.hash(), |&(_, h, _)| h);
             bp.pkt.flow_hash = Some(hash);
             self.miniflow_stats.record(&mf);
             let c = kernel.sim.costs.miniflow_extract_ns + kernel.sim.costs.flow_hash_ns;
@@ -1753,7 +1780,11 @@ megaflows installed: {}
             }
 
             // Level 1: EMC. Hit or miss, the probe is paid here.
-            let hit = self.emc.lookup(&mf, hash);
+            let hit = match run.and_then(|(.., e)| e) {
+                Some(e) => Some(self.emc.repeat_hit(e)),
+                None => self.emc.lookup(&mf, hash),
+            };
+            prev = Some((mf, hash, hit.clone()));
             let mut c = kernel.sim.costs.emc_mini_hit_ns;
             if hit.is_some() && self.emc.len() > kernel.sim.costs.emc_pressure_threshold {
                 c += kernel.sim.costs.emc_pressure_ns;
@@ -1783,13 +1814,7 @@ megaflows installed: {}
 
     /// Count an EMC hit and queue the packet on its flow's batch. The
     /// caller charges the probe.
-    fn emc_hit(
-        &mut self,
-        batches: &mut FlowBatches,
-        e: Rc<MegaflowEntry<Vec<DpAction>>>,
-        bp: BurstPkt,
-        now_ns: u64,
-    ) {
+    fn emc_hit(&mut self, batches: &mut FlowBatches, e: FlowRef, bp: BurstPkt, now_ns: u64) {
         self.stats.emc_hits += 1;
         coverage!("dpif_emc_hit");
         if let Some(t) = self.trace.as_mut() {
@@ -1805,7 +1830,7 @@ megaflows installed: {}
     fn smc_hit(
         &mut self,
         batches: &mut FlowBatches,
-        e: Rc<MegaflowEntry<Vec<DpAction>>>,
+        e: FlowRef,
         bp: BurstPkt,
         mf: Miniflow,
         hash: u64,
@@ -2048,6 +2073,14 @@ megaflows installed: {}
     /// Phase three: execute each batch's actions — the per-batch fixed
     /// cost is paid once per megaflow, not once per packet. The
     /// recirculated packets refill `s.burst` as the next sub-burst.
+    ///
+    /// When the actions start with their only `ct`, as every
+    /// `ct(...),recirc(...)` freeze does, conntrack tracks the whole
+    /// batch first, in packet order (OVS's `conntrack_execute` over a
+    /// batch), and each packet's `ct` action takes its verdict. No
+    /// action ahead of the `ct` can change a packet, and nothing after
+    /// it touches conntrack, so each verdict is the one the packet
+    /// would get at its turn.
     fn execute_batches(
         &mut self,
         kernel: &mut Kernel,
@@ -2062,13 +2095,31 @@ megaflows installed: {}
             timer.mark(Stage::Batch, kernel.sim.cpus.core_ns(core));
             coverage!("batch_flush");
             let actions = b.actions.as_slice();
-            for bp in b.pkts.drain(..) {
+            s.ct_verdicts.clear();
+            if let [DpAction::Ct { zone, commit, nat }, rest @ ..] = actions {
+                if !rest.iter().any(|a| matches!(a, DpAction::Ct { .. })) {
+                    s.ct_pkts.clear();
+                    s.ct_pkts
+                        .extend(b.pkts.iter_mut().map(|bp| ct_packet(&mut bp.pkt, *zone)));
+                    let action = CtAction {
+                        zone: *zone,
+                        commit: *commit,
+                        mark: None,
+                        nat: *nat,
+                    };
+                    let now = kernel.sim.clock.now_ns();
+                    self.ct
+                        .execute(&s.ct_pkts, action, Some(core), now, &mut s.ct_verdicts);
+                }
+            }
+            for (i, bp) in b.pkts.drain(..).enumerate() {
                 if let Some(t) = self.trace.as_mut() {
                     t.note(format!("Datapath actions: {actions:?}"));
                 }
                 let pass = bp.pass;
+                let verdict = s.ct_verdicts.get(i).copied();
                 if let Some(p) =
-                    self.execute_actions(kernel, bp.pkt, actions, core, timer, &mut s.tx)
+                    self.execute_actions(kernel, bp.pkt, actions, verdict, core, timer, &mut s.tx)
                 {
                     s.burst.push(BurstPkt {
                         pkt: p,
@@ -2223,11 +2274,16 @@ megaflows installed: {}
     /// Execute actions; returns `Some(pkt)` if the packet recirculates.
     /// Output actions queue frames on `tx` (tunnel encap and software
     /// TSO still run here); the real burst leaves in `flush_tx`.
+    /// `ct_verdict` is the packet's verdict for the first `ct` action
+    /// when its batch was tracked ahead; a `ct` action without one
+    /// tracks the packet as a batch of one.
+    #[allow(clippy::too_many_arguments)]
     fn execute_actions(
         &mut self,
         kernel: &mut Kernel,
         mut pkt: DpPacket,
         actions: &[DpAction],
+        mut ct_verdict: Option<CtVerdict>,
         core: usize,
         timer: &mut StageTimer,
         tx: &mut TxAccum,
@@ -2277,28 +2333,18 @@ megaflows installed: {}
                     // Everything up to here was generic action work;
                     // the conntrack pass gets its own stage.
                     timer.mark(Stage::Actions, kernel.sim.cpus.core_ns(core));
-                    let key = extract_miniflow(&mut pkt);
-                    let ck = ConnKey {
-                        zone: *zone,
-                        src_ip: key.nw_src_v4(),
-                        dst_ip: key.nw_dst_v4(),
-                        src_port: key.tp_src(),
-                        dst_port: key.tp_dst(),
-                        proto: key.nw_proto(),
-                    };
-                    let tcp_flags = ovs_ct::tcp_flags_of(pkt.data());
-                    let v = self.ct.process_full(
-                        ck,
-                        CtAction {
+                    let v = ct_verdict.take().unwrap_or_else(|| {
+                        let p = ct_packet(&mut pkt, *zone);
+                        let action = CtAction {
                             zone: *zone,
                             commit: *commit,
                             mark: None,
                             nat: *nat,
-                        },
-                        tcp_flags,
-                        Some(core),
-                        kernel.sim.clock.now_ns(),
-                    );
+                        };
+                        let now = kernel.sim.clock.now_ns();
+                        self.ct
+                            .process_full(p.key, action, p.tcp_flags, Some(core), now)
+                    });
                     coverage!("dpif_ct_lookup");
                     pkt.ct_state = v.state;
                     pkt.ct_zone = *zone;
@@ -2510,7 +2556,7 @@ megaflows installed: {}
                 return;
             };
             meta.src = cfg.local_ip;
-            let entropy = extract_miniflow(&mut pkt).rss_hash() as u16;
+            let entropy = pkt.parse().rss_hash() as u16;
             let c = kernel.sim.costs.userspace_tunnel_ns;
             kernel.sim.charge(core, Context::User, c);
             // The egress MAC is the MAC of the datapath port on the

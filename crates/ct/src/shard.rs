@@ -4,13 +4,14 @@
 //! per-PMD access pattern (flows pinned to rxqs pinned to PMDs) keeps
 //! each shard hot in one thread's cache.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use crate::expiry::CtTimeouts;
 use crate::{ConnKey, NatSpec, ProtoState};
 
 /// One tracked connection.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Conn {
     pub state: ProtoState,
     pub created_ns: u64,
@@ -43,9 +44,17 @@ pub struct Shard {
 }
 
 impl Shard {
-    pub fn insert(&mut self, key: ConnKey, conn: Conn) {
+    /// Insert (or replace) `key`'s connection and queue it on the
+    /// CLOCK; returns the stored connection.
+    pub fn insert(&mut self, key: ConnKey, conn: Conn) -> &mut Conn {
         self.clock.push_back(key);
-        self.conns.insert(key, conn);
+        match self.conns.entry(key) {
+            Entry::Occupied(mut e) => {
+                e.insert(conn);
+                e.into_mut()
+            }
+            Entry::Vacant(e) => e.insert(conn),
+        }
     }
 
     /// Advance the CLOCK hand up to `CLOCK_PROBES` steps and return a

@@ -10,10 +10,10 @@
 
 use crate::neigh::NeighTable;
 use crate::route::RouteTable;
-use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatSpec};
+use ovs_ct::{apply_rewrite, tcp_flags_of, ConnKey, CtAction, CtTable, NatSpec};
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
-use ovs_packet::flow::{extract_flow_key, extract_frame_key};
+use ovs_packet::flow::extract_flow_key;
 use ovs_packet::{builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -134,6 +134,9 @@ pub struct ModStats {
     pub tunnel_encap_fails: u64,
     /// Outputs to a port the datapath does not have (`kmod_tx_no_port`).
     pub tx_no_port: u64,
+    /// Packets conntrack refused — zone limit, table full or invalid
+    /// (`kmod_ct_drop`).
+    pub ct_drops: u64,
 }
 
 /// One megaflow.
@@ -161,6 +164,9 @@ pub struct OvsModule {
     mask_refs: Vec<usize>,
     /// Flows keyed by `(mask index, masked key)`.
     flows: HashMap<(usize, FlowKey), Megaflow>,
+    /// The descriptor of the last frame, kept for the next one: a frame
+    /// runs to completion before the next arrives, so one spare serves.
+    spare: Option<DpPacket>,
     /// Statistics.
     pub stats: ModStats,
 }
@@ -343,7 +349,9 @@ impl OvsModule {
             return vec![DpVerdict::ToHost { frame }];
         };
 
-        let mut pkt = DpPacket::from_data(&frame);
+        let mut pkt = self.spare.take().unwrap_or_default();
+        pkt.reset();
+        pkt.set_data(&frame);
 
         // Tunnel decapsulation, in place: a UDP/6081 packet addressed to
         // the Geneve vport's local IP loses its outer headers and enters
@@ -377,13 +385,24 @@ impl OvsModule {
         let recirc = self.apply_actions(&mut pkt, actions, &mut tunnel_out, env, &mut out);
         if let Some(rid) = recirc {
             pkt.recirc_id = rid;
-            out.extend(self.run_pipeline(pkt, env));
+            self.lookup_loop(&mut pkt, env, &mut out);
         }
+        self.spare = Some(pkt);
         out
     }
 
+    /// Run the lookup/recirculation loop, then keep the descriptor as
+    /// the next frame's.
     fn run_pipeline(&mut self, mut pkt: DpPacket, env: &mut DpEnv<'_>) -> Vec<DpVerdict> {
         let mut out = Vec::new();
+        self.lookup_loop(&mut pkt, env, &mut out);
+        self.spare = Some(pkt);
+        out
+    }
+
+    /// Look the packet up, apply the actions, and again for each
+    /// recirculation.
+    fn lookup_loop(&mut self, pkt: &mut DpPacket, env: &mut DpEnv<'_>, out: &mut Vec<DpVerdict>) {
         let mut rounds = 0;
         loop {
             rounds += 1;
@@ -391,9 +410,9 @@ impl OvsModule {
                 self.stats.recirculations += 1;
                 coverage!("kmod_recirc_limit");
                 out.push(DpVerdict::Drop);
-                return out;
+                return;
             }
-            let key = extract_flow_key(&mut pkt);
+            let key = extract_flow_key(pkt);
             let Some(actions) = self.lookup(&key, pkt.len(), env.now_ns) else {
                 out.push(DpVerdict::Upcall(Upcall {
                     in_port: pkt.in_port,
@@ -401,17 +420,17 @@ impl OvsModule {
                     frame: pkt.data().to_vec(),
                     tunnel: pkt.tunnel,
                 }));
-                return out;
+                return;
             };
             let mut tunnel_out = None;
-            match self.apply_actions(&mut pkt, &actions, &mut tunnel_out, env, &mut out) {
+            match self.apply_actions(pkt, &actions, &mut tunnel_out, env, out) {
                 Some(recirc_id) => {
                     self.stats.recirculations += 1;
                     coverage!("kmod_recirc");
                     pkt.recirc_id = recirc_id;
                     // Loop: re-extract and re-lookup.
                 }
-                None => return out,
+                None => return,
             }
         }
     }
@@ -461,25 +480,24 @@ impl OvsModule {
                     mark,
                     nat,
                 } => {
-                    let key = extract_frame_key(pkt.data());
-                    let ck = ConnKey {
-                        zone: *zone,
-                        src_ip: key.nw_src_v4(),
-                        dst_ip: key.nw_dst_v4(),
-                        src_port: key.tp_src(),
-                        dst_port: key.tp_dst(),
-                        proto: key.nw_proto(),
-                    };
-                    let v = env.conntrack.process(
-                        ck,
+                    let v = env.conntrack.process_full(
+                        ConnKey::from_parse(*zone, pkt.parse()),
                         CtAction {
                             zone: *zone,
                             commit: *commit,
                             mark: *mark,
                             nat: *nat,
                         },
+                        tcp_flags_of(pkt.data()),
+                        None,
                         env.now_ns,
                     );
+                    if v.drop.is_some() {
+                        self.stats.ct_drops += 1;
+                        coverage!("kmod_ct_drop");
+                        out.push(DpVerdict::Drop);
+                        return None;
+                    }
                     pkt.ct_state = v.state;
                     pkt.ct_zone = *zone;
                     pkt.ct_mark = v.mark;
@@ -523,7 +541,7 @@ impl OvsModule {
                             out.push(DpVerdict::Drop);
                             continue;
                         };
-                        match self.geneve_encap_out(pkt, spec, env) {
+                        match Self::geneve_encap_out(pkt, spec, env) {
                             Some(v) => {
                                 self.stats.tunnel_encaps += 1;
                                 coverage!("kmod_tunnel_encap");
@@ -549,8 +567,7 @@ impl OvsModule {
 
     /// Encapsulate and route a tunnel output.
     fn geneve_encap_out(
-        &self,
-        pkt: &DpPacket,
+        pkt: &mut DpPacket,
         spec: TunnelSpec,
         env: &DpEnv<'_>,
     ) -> Option<DpVerdict> {
@@ -564,7 +581,7 @@ impl OvsModule {
             .map(|(_, m)| *m)?;
         // Source port derived from the inner flow for ECMP entropy, as
         // real implementations do.
-        let sport = 0xc000 | (extract_frame_key(pkt.data()).rss_hash() as u16 & 0x3fff);
+        let sport = 0xc000 | (pkt.parse().rss_hash() as u16 & 0x3fff);
         let outer = builder::geneve_encap(
             src_mac,
             dst_mac,

@@ -11,8 +11,14 @@
 //! the way upstream's `dp_packet_batch` holds `struct dp_packet *`: rx
 //! batches, bursts, flow batches and tx queues move the handle, not the
 //! descriptor, and the pool recycles the handle with its allocation.
+//!
+//! A descriptor keeps the header parse of its current bytes
+//! ([`Descriptor::parse`]). The bytes are private, and every method that
+//! can change them clears the parse, so a packet is parsed once per host
+//! however many passes, conntrack keys and hashes read it.
 
 use crate::ethernet::{self, EtherType};
+use crate::flow::FrameParse;
 use crate::{builder, vlan};
 
 /// Offset value meaning "not present / not parsed".
@@ -81,6 +87,8 @@ pub struct Descriptor {
     head: usize,
     /// Packet length in bytes.
     len: usize,
+    /// The header parse of the current bytes, until they change.
+    parse: Option<FrameParse>,
 
     /// Datapath port the packet arrived on.
     pub in_port: u32,
@@ -129,6 +137,7 @@ impl DpPacket {
             buf: vec![0; DEFAULT_HEADROOM + capacity],
             head: DEFAULT_HEADROOM,
             len: 0,
+            parse: None,
             in_port: 0,
             rxhash: None,
             flow_hash: None,
@@ -169,6 +178,7 @@ impl std::ops::DerefMut for DpPacket {
 impl Descriptor {
     /// Replace the packet contents, keeping headroom available.
     pub fn set_data(&mut self, data: &[u8]) {
+        self.parse = None;
         let needed = DEFAULT_HEADROOM + data.len();
         if self.buf.len() < needed {
             self.buf.resize(needed, 0);
@@ -185,6 +195,7 @@ impl Descriptor {
 
     /// Mutable packet bytes.
     pub fn data_mut(&mut self) -> &mut [u8] {
+        self.parse = None;
         &mut self.buf[self.head..self.head + self.len]
     }
 
@@ -213,6 +224,7 @@ impl Descriptor {
             "headroom exhausted: need {n}, have {}",
             self.head
         );
+        self.parse = None;
         self.head -= n;
         self.len += n;
         &mut self.buf[self.head..self.head + n]
@@ -222,6 +234,7 @@ impl Descriptor {
     /// packet is shorter than `n`.
     pub fn pull_front(&mut self, n: usize) {
         assert!(n <= self.len, "pull beyond packet end");
+        self.parse = None;
         self.head += n;
         self.len -= n;
     }
@@ -229,6 +242,7 @@ impl Descriptor {
     /// Append `n` zero bytes at the tail, returning a mutable slice over
     /// them.
     pub fn push_back(&mut self, n: usize) -> &mut [u8] {
+        self.parse = None;
         let needed = self.head + self.len + n;
         if self.buf.len() < needed {
             self.buf.resize(needed, 0);
@@ -240,6 +254,7 @@ impl Descriptor {
 
     /// Truncate the packet to `len` bytes.
     pub fn truncate(&mut self, len: usize) {
+        self.parse = None;
         self.len = self.len.min(len);
     }
 
@@ -277,6 +292,17 @@ impl Descriptor {
         }
     }
 
+    /// The header parse of the current bytes: parsed on the first call
+    /// after the bytes last changed, then kept. Extraction, the
+    /// conntrack key, the tunnel entropy and the software rxhash all
+    /// read it, so a frame that meets all of them is parsed once.
+    pub fn parse(&mut self) -> &FrameParse {
+        if self.parse.is_none() {
+            self.parse = Some(FrameParse::of(self.data()));
+        }
+        self.parse.as_ref().expect("parsed above")
+    }
+
     /// The parsed L3 slice, if the extractor recorded an offset.
     pub fn l3(&self) -> Option<&[u8]> {
         if self.l3_ofs == OFS_INVALID {
@@ -304,6 +330,7 @@ impl Descriptor {
     /// Reset all metadata but keep the bytes: the state of a packet
     /// freshly built from them.
     pub fn reset_metadata(&mut self) {
+        self.parse = None;
         self.in_port = 0;
         self.rxhash = None;
         self.flow_hash = None;
@@ -457,6 +484,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_parse_is_kept_until_the_bytes_change() {
+        let frame = builder::udp_ipv4_frame(
+            crate::MacAddr::new(2, 0, 0, 0, 0, 1),
+            crate::MacAddr::new(2, 0, 0, 0, 0, 2),
+            [10, 0, 0, 1],
+            [10, 0, 0, 2],
+            1000,
+            2000,
+            64,
+        );
+        let mut p = DpPacket::from_data(&frame);
+        assert!(p.parse.is_none());
+        assert_eq!(*p.parse(), FrameParse::of(&frame));
+        assert!(p.parse.is_some());
+        p.in_port = 3;
+        p.rx_ts = Some(9);
+        assert!(p.parse.is_some(), "metadata edits keep the parse");
+        p.data_mut()[29] = 9;
+        assert!(p.parse.is_none());
+        assert_eq!(p.parse().nw_src_v4(), [10, 0, 0, 9]);
     }
 
     #[test]

@@ -333,19 +333,21 @@ impl FlowKey {
     /// The 5-tuple RSS hash (src/dst IP, proto, src/dst port), the value
     /// AF_XDP must compute in software per §5.5.
     pub fn rss_hash(&self) -> u32 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in [
-            self.words[3],
-            self.words[4],
-            self.words[5],
-            self.words[6],
-            self.words[7] & 0xff00_0000_ffff_ffff, // proto + ports
-        ] {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h >> 32) as u32 ^ h as u32
+        rss_hash_words(self.words[3..8].try_into().expect("words 3-7"))
     }
+}
+
+/// The 5-tuple RSS hash over key words 3–7 (the addresses, then protocol
+/// and ports; TOS, TTL and fragment bits are masked off): FNV-1a folded
+/// to 32 bits. The one function behind [`FlowKey::rss_hash`],
+/// [`Miniflow::rss_hash`] and [`FrameParse::rss_hash`].
+fn rss_hash_words(w: [u64; 5]) -> u32 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in [w[0], w[1], w[2], w[3], w[4] & 0xff00_0000_ffff_ffff] {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (h >> 32) as u32 ^ h as u32
 }
 
 /// A per-bit wildcard mask over a [`FlowKey`]: 1-bits are significant.
@@ -778,18 +780,13 @@ impl Miniflow {
     /// The 5-tuple RSS hash — bit-identical to
     /// [`FlowKey::rss_hash`] of the expansion, without expanding.
     pub fn rss_hash(&self) -> u32 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in [
+        rss_hash_words([
             self.get(3),
             self.get(4),
             self.get(5),
             self.get(6),
-            self.get(7) & 0xff00_0000_ffff_ffff, // proto + ports
-        ] {
-            h ^= w;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h >> 32) as u32 ^ h as u32
+            self.get(7),
+        ])
     }
 
     /// Datapath input port.
@@ -983,30 +980,107 @@ const W7_TTL_SHIFT: u32 = 40;
 const W7_FRAG_SHIFT: u32 = 32;
 const W7_TP_SRC_SHIFT: u32 = 16;
 
+/// Key words 1–7 — the ones a frame's bytes fill — are what a
+/// [`FrameParse`] keeps.
+const PARSED_WORDS: usize = 7;
+
+/// One header parse of a frame: flow-key words 1–7 (MACs, EtherType and
+/// VLAN, the L3 addresses, and protocol, TOS, TTL, fragment bits and L4
+/// ports) and the L3/L4 offsets found. A
+/// [`Descriptor`](crate::dp_packet::Descriptor) keeps the parse of its
+/// current bytes ([`Descriptor::parse`](crate::dp_packet::Descriptor::parse)),
+/// so a packet is parsed once however many readers it meets:
+/// extraction, the conntrack key, the tunnel entropy and the software
+/// rxhash. Readers that need only L3/L4 fields read them here and skip
+/// packing a [`Miniflow`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameParse {
+    words: [u64; PARSED_WORDS],
+    l3_ofs: Option<u16>,
+    l4_ofs: Option<u16>,
+}
+
+impl FrameParse {
+    /// Parse `frame`'s L2–L4 headers. Unparseable or unsupported layers
+    /// stop the parse, leaving their words zero.
+    pub(crate) fn of(frame: &[u8]) -> FrameParse {
+        let mut ws = [0u64; WORDS];
+        let (l3_ofs, l4_ofs) = parse_frame(frame, &mut ws);
+        let mut words = [0u64; PARSED_WORDS];
+        words.copy_from_slice(&ws[1..=PARSED_WORDS]);
+        FrameParse {
+            words,
+            l3_ofs,
+            l4_ofs,
+        }
+    }
+
+    /// Key word `w` (1–7).
+    #[inline]
+    fn word(&self, w: usize) -> u64 {
+        self.words[w - 1]
+    }
+
+    /// IPv4 source address (ARP: sender).
+    pub fn nw_src_v4(&self) -> [u8; 4] {
+        (self.word(4) as u32).to_be_bytes()
+    }
+
+    /// IPv4 destination address (ARP: target).
+    pub fn nw_dst_v4(&self) -> [u8; 4] {
+        (self.word(6) as u32).to_be_bytes()
+    }
+
+    /// IP protocol / ARP opcode.
+    pub fn nw_proto(&self) -> u8 {
+        (self.word(7) >> W7_PROTO_SHIFT) as u8
+    }
+
+    /// L4 source port (ICMP: type).
+    pub fn tp_src(&self) -> u16 {
+        (self.word(7) >> W7_TP_SRC_SHIFT) as u16
+    }
+
+    /// L4 destination port (ICMP: code).
+    pub fn tp_dst(&self) -> u16 {
+        self.word(7) as u16
+    }
+
+    /// The 5-tuple RSS hash — bit-identical to [`Miniflow::rss_hash`]
+    /// of the packet's extraction.
+    pub fn rss_hash(&self) -> u32 {
+        rss_hash_words(self.words[2..].try_into().expect("words 3-7"))
+    }
+}
+
 /// Extract a [`Miniflow`] from a packet, recording L3/L4 offsets in the
-/// packet's metadata — OVS's `miniflow_extract`. The parse stages values
-/// into a scratch word array (upstream's staging buffer) and packs the
-/// non-zero slots in ascending order; no full [`FlowKey`] is built, and
-/// nothing downstream needs one until an upcall expands it.
+/// packet's metadata — OVS's `miniflow_extract`. The header words come
+/// from the descriptor's parse, which parses the bytes only when they
+/// changed since the last one; the metadata words (port, recirculation
+/// id, tunnel, conntrack) are rebuilt from the descriptor's fields every
+/// time. Values are staged in a scratch word array (upstream's staging
+/// buffer) and the non-zero slots packed in ascending order; no full
+/// [`FlowKey`] is built, and nothing downstream needs one until an
+/// upcall expands it.
 ///
 /// Unparseable or unsupported layers simply stop extraction — the key
 /// holds whatever was valid, which matches OVS semantics (a garbage L4
 /// just means no L4 fields).
 pub fn extract_miniflow(pkt: &mut DpPacket) -> Miniflow {
+    let parse = *pkt.parse();
     let mut ws = [0u64; WORDS];
     ws[0] = (u64::from(pkt.in_port) << 32) | u64::from(pkt.recirc_id);
+    ws[1..=PARSED_WORDS].copy_from_slice(&parse.words);
     ws[10] =
         (u64::from(pkt.ct_state) << 56) | (u64::from(pkt.ct_zone) << 32) | u64::from(pkt.ct_mark);
     if let Some(t) = &pkt.tunnel {
         ws[8] = t.tun_id;
         ws[9] = (u64::from(u32::from_be_bytes(t.src)) << 32) | u64::from(u32::from_be_bytes(t.dst));
     }
-
-    let (l3_ofs, l4_ofs) = parse_frame(pkt.data(), &mut ws);
-    if let Some(o) = l3_ofs {
+    if let Some(o) = parse.l3_ofs {
         pkt.l3_ofs = o;
     }
-    if let Some(o) = l4_ofs {
+    if let Some(o) = parse.l4_ofs {
         pkt.l4_ofs = o;
     }
 

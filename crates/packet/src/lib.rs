@@ -10,7 +10,10 @@
 //! * [`DpPacket`] — a packet buffer plus the metadata OVS tracks per packet
 //!   (input port, layer offsets, RSS hash, offload flags, conntrack and
 //!   tunnel state). The paper's optimization **O4** (§3.2) preallocates
-//!   these; `ovs-ring` provides the preallocated pool.
+//!   these; `ovs-ring` provides the preallocated pool. A descriptor keeps
+//!   the header parse of its bytes ([`FrameParse`]) until they change, so
+//!   extraction, the conntrack key, the tunnel entropy and the software
+//!   rxhash share one parse.
 //! * [`FlowKey`] — the fixed-width header fingerprint extracted from a
 //!   packet, stored as maskable 64-bit words so the exact-match cache,
 //!   megaflow cache, and tuple-space-search classifier can hash and compare
@@ -43,7 +46,9 @@ pub mod vxlan;
 
 pub use dp_packet::{DpPacket, OffloadFlags};
 pub use ethernet::{EtherType, EthernetFrame};
-pub use flow::{extract_flow_key, extract_miniflow, FlowKey, FlowMask, MiniMask, Miniflow};
+pub use flow::{
+    extract_flow_key, extract_miniflow, FlowKey, FlowMask, FrameParse, MiniMask, Miniflow,
+};
 pub use mac::MacAddr;
 
 /// Error returned when a buffer is too short or a field is malformed.

@@ -371,11 +371,13 @@ fn warm_nf_chains_allocate_only_the_wire_handoff() {
 #[test]
 fn warm_kernel_overlay_decaps_in_place() {
     // Kernel-datapath hosts with tap VMs and a sink on host 2. The kernel
-    // module keeps no descriptor pool, so a frame still allocates along
-    // its way (16.031 per frame: 102,600 over 6,400). The budget holds
-    // that, and decapsulation takes no part in it: the inner frame stays
-    // in the descriptor the outer one came in.
-    const ALLOCS_PER_FRAME: f64 = 16.032;
+    // module keeps one spare descriptor between frames, but a frame
+    // still allocates along its way (12.031 per frame: 77,000 over
+    // 6,400): the verdict list, the actions each lookup clones and the
+    // frames the verdicts carry are `Vec`s. The budget holds that, and
+    // decapsulation takes no part in it: the inner frame stays in the
+    // descriptor the outer one came in.
+    const ALLOCS_PER_FRAME: f64 = 12.032;
     let mut pair = HostPair::new(|id| {
         let mut cfg = HostConfig::nsx_small(id, DatapathKind::Kernel, VmAttachment::Tap);
         if id == 2 {

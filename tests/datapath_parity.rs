@@ -11,6 +11,7 @@ use ovs_afxdp_repro::kernel::Kernel;
 use ovs_afxdp_repro::ovs::dpif::{DpifNetdev, DpifNetlink, PortType};
 use ovs_afxdp_repro::ovs::ofproto::{OfAction, OfRule, Ofproto};
 use ovs_afxdp_repro::packet::flow::{fields, FlowKey, FlowMask};
+use ovs_afxdp_repro::packet::tcp::flags;
 use ovs_afxdp_repro::packet::{builder, MacAddr};
 use ovs_sim::SimRng;
 
@@ -80,9 +81,17 @@ fn probe_frames() -> Vec<Vec<u8>> {
     frames
 }
 
+/// Per-frame delivery: the egress port and frame, or `None` if dropped.
+type Delivered = Vec<Option<(u32, Vec<u8>)>>;
+
 /// Run through the userspace datapath; returns per-frame delivery port
 /// (None = dropped) and the delivered frame.
-fn run_userspace(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
+fn run_userspace(frames: &[Vec<u8>]) -> Delivered {
+    run_userspace_with(pipeline(), frames).0
+}
+
+/// [`run_userspace`] under `of`, also returning the datapath.
+fn run_userspace_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, DpifNetdev) {
     let mut k = Kernel::new(8);
     let mut dp = DpifNetdev::new();
     let mut nics = Vec::new();
@@ -100,7 +109,7 @@ fn run_userspace(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
         assert_eq!(port, p);
         nics.push(nic);
     }
-    dp.ofproto = pipeline();
+    dp.ofproto = of;
 
     let mut out = Vec::new();
     for f in frames {
@@ -114,11 +123,16 @@ fn run_userspace(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
         }
         out.push(delivered);
     }
-    out
+    (out, dp)
 }
 
 /// Run through the kernel datapath driven by dpif-netlink.
-fn run_kernel_dp(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
+fn run_kernel_dp(frames: &[Vec<u8>]) -> Delivered {
+    run_kernel_dp_with(pipeline(), frames).0
+}
+
+/// [`run_kernel_dp`] under `of`, also returning the kernel.
+fn run_kernel_dp_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, Kernel) {
     let mut k = Kernel::new(8);
     let mut nics = Vec::new();
     for p in 0..N_PORTS {
@@ -134,7 +148,7 @@ fn run_kernel_dp(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
         nics.push(nic);
     }
     let mut nl = DpifNetlink::new([0, 0, 0, 0]);
-    nl.ofproto = pipeline();
+    nl.ofproto = of;
 
     let mut out = Vec::new();
     for f in frames {
@@ -148,7 +162,7 @@ fn run_kernel_dp(frames: &[Vec<u8>]) -> Vec<Option<(u32, Vec<u8>)>> {
         }
         out.push(delivered);
     }
-    out
+    (out, k)
 }
 
 #[test]
@@ -204,4 +218,83 @@ fn more_specific_higher_priority_rule_wins_in_both() {
     let n = run_kernel_dp(std::slice::from_ref(&frame));
     assert_eq!(u[0].as_ref().unwrap().0, 3);
     assert_eq!(n[0].as_ref().unwrap().0, 3);
+}
+
+/// Everything from port 0 goes through `ct(commit,zone=1)` and out port 1.
+fn ct_commit_pipeline() -> Ofproto {
+    let mut of = Ofproto::new();
+    let mut k = FlowKey::default();
+    k.set_in_port(0);
+    of.add_rule(OfRule {
+        table: 0,
+        priority: 10,
+        key: k,
+        mask: FlowMask::of_fields(&[&fields::IN_PORT]),
+        actions: vec![OfAction::Ct {
+            zone: 1,
+            commit: true,
+            resume_table: 1,
+            nat: None,
+        }],
+        cookie: 1,
+    });
+    of.add_rule(OfRule {
+        table: 1,
+        priority: 0,
+        key: FlowKey::default(),
+        mask: FlowMask::EMPTY,
+        actions: vec![OfAction::Output(1)],
+        cookie: 2,
+    });
+    of
+}
+
+#[test]
+fn tcp_flags_and_ct_refusals_agree_in_both() {
+    // A SYN, SYN-ACK, FIN, FIN exchange closes the connection to
+    // TIME_WAIT on both datapaths, and an RST that would open a new
+    // connection is refused and dropped on both.
+    let (a, b, c) = ([172, 16, 9, 9], [10, 1, 0, 5], [172, 16, 9, 10]);
+    let seg = |src, dst, sport, dport, f| {
+        builder::tcp_ipv4(
+            MacAddr::new(2, 0, 0, 0, 9, 9),
+            MacAddr::new(2, 0, 0, 0, 0, 1),
+            src,
+            dst,
+            sport,
+            dport,
+            1,
+            0,
+            f,
+            b"",
+        )
+    };
+    let frames = [
+        seg(a, b, 1000, 80, flags::SYN),
+        seg(b, a, 80, 1000, flags::SYN | flags::ACK),
+        seg(a, b, 1000, 80, flags::FIN | flags::ACK),
+        seg(b, a, 80, 1000, flags::FIN | flags::ACK),
+        seg(c, b, 2000, 80, flags::RST),
+    ];
+    let (user, dp) = run_userspace_with(ct_commit_pipeline(), &frames);
+    let (kern, k) = run_kernel_dp_with(ct_commit_pipeline(), &frames);
+
+    let ports = |d: &Delivered| {
+        d.iter()
+            .map(|o| o.as_ref().map(|(p, _)| *p))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(ports(&user), [Some(1), Some(1), Some(1), Some(1), None]);
+    assert_eq!(
+        ports(&kern),
+        ports(&user),
+        "same forwarding and the same drop"
+    );
+    let dump = dp.ct.dump(None, 0);
+    assert!(dump.contains("state=TIME_WAIT"), "{dump}");
+    assert!(dump.ends_with("ct: 1 connection(s)\n"), "{dump}");
+    assert_eq!(k.conntrack.dump(None, 0), dump, "same conntrack state");
+    assert_eq!(dp.stats.ct_invalid_drops, 1);
+    assert_eq!(k.ovs.stats.ct_drops, 1);
+    assert_eq!(k.conntrack.stats.invalid_drops, 1);
 }

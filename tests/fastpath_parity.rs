@@ -8,12 +8,19 @@
 //! Also pins the SMC lifecycle guarantee the revalidator relies on: once
 //! a sweep invalidates a megaflow, the signature match cache must never
 //! serve it again.
+//!
+//! And a conntrack pipeline with runs of one flow: a run reuses its EMC
+//! hit and shares one conntrack probe, which must count exactly what one
+//! packet at a time counts.
 
 use ovs_afxdp_repro::afxdp::{AfxdpPort, OptLevel};
 use ovs_afxdp_repro::kernel::dev::{DeviceKind, NetDevice};
 use ovs_afxdp_repro::kernel::Kernel;
-use ovs_afxdp_repro::ovs::dpif::{DpifNetdev, PortType};
+use ovs_afxdp_repro::ovs::cache::{Emc, Smc};
+use ovs_afxdp_repro::ovs::ct::CtStats;
+use ovs_afxdp_repro::ovs::dpif::{DpifNetdev, DpifStats, PortType};
 use ovs_afxdp_repro::ovs::ofproto::{OfAction, OfRule, Ofproto};
+use ovs_afxdp_repro::packet::dp_packet::ct_state;
 use ovs_afxdp_repro::packet::flow::{fields, FlowKey, FlowMask};
 use ovs_afxdp_repro::packet::{builder, DpPacket, MacAddr};
 use proptest::prelude::*;
@@ -66,6 +73,10 @@ struct Rig {
 }
 
 fn build_rig(smc: bool) -> Rig {
+    build_rig_with(pipeline(), smc)
+}
+
+fn build_rig_with(of: Ofproto, smc: bool) -> Rig {
     let mut kernel = Kernel::new(8);
     let mut dp = DpifNetdev::new();
     let mut nics = Vec::new();
@@ -83,7 +94,7 @@ fn build_rig(smc: bool) -> Rig {
         assert_eq!(port, p);
         nics.push(nic);
     }
-    dp.ofproto = pipeline();
+    dp.ofproto = of;
     dp.smc_enable = smc;
     // Deterministic EMC insertion so both paths populate the cache on
     // exactly the same packets.
@@ -187,6 +198,167 @@ proptest! {
         );
         prop_assert_eq!(stats_smc.tx_packets, stats_scalar.tx_packets);
         prop_assert_eq!(stats_smc.dropped, stats_scalar.dropped);
+    }
+}
+
+/// A conntrack pipeline: pass 1 tracks in zone 5 and recirculates, pass
+/// 2 commits a `+new` packet and recirculates again, and pass 3 routes
+/// by destination /16 to ports 1–3. An established packet skips the
+/// commit.
+fn ct_pipeline() -> Ofproto {
+    let mut of = Ofproto::new();
+    let mut k = FlowKey::default();
+    k.set_in_port(0);
+    of.add_rule(OfRule {
+        table: 0,
+        priority: 10,
+        key: k,
+        mask: FlowMask::of_fields(&[&fields::IN_PORT]),
+        actions: vec![OfAction::Ct {
+            zone: 5,
+            commit: false,
+            resume_table: 1,
+            nat: None,
+        }],
+        cookie: 1,
+    });
+    let mut new = FlowKey::default();
+    new.set_ct_state(ct_state::TRACKED | ct_state::NEW);
+    of.add_rule(OfRule {
+        table: 1,
+        priority: 10,
+        key: new,
+        mask: FlowMask::of_fields(&[&fields::CT_STATE]),
+        actions: vec![OfAction::Ct {
+            zone: 5,
+            commit: true,
+            resume_table: 2,
+            nat: None,
+        }],
+        cookie: 2,
+    });
+    of.add_rule(OfRule {
+        table: 1,
+        priority: 5,
+        key: FlowKey::default(),
+        mask: FlowMask::EMPTY,
+        actions: vec![OfAction::Goto(2)],
+        cookie: 3,
+    });
+    for (b, port) in [(1u8, 1u32), (2, 2), (3, 3)] {
+        let mut key = FlowKey::default();
+        key.set_nw_dst_v4([10, b, 0, 0]);
+        let mut mask = FlowMask::EMPTY;
+        mask.set_nw_dst_v4_prefix(16);
+        of.add_rule(OfRule {
+            table: 2,
+            priority: 10,
+            key,
+            mask,
+            actions: vec![OfAction::Output(port)],
+            cookie: 4,
+        });
+    }
+    of
+}
+
+/// Empty the EMC and keep the SMC, so each flow's next packet at each
+/// pass misses the EMC and hits the SMC, which puts the flow back in the
+/// EMC. Returns how many entries the EMC held.
+fn empty_emc(dp: &mut DpifNetdev) -> usize {
+    let (mut emc, mut smc) = (Emc::new(), Smc::new());
+    dp.swap_caches(&mut emc, &mut smc);
+    let held = emc.len();
+    dp.swap_caches(&mut Emc::new(), &mut smc);
+    held
+}
+
+/// What a conntrack-pipeline run ends with: per-port delivered frames
+/// (sorted), the datapath and conntrack counters, and the connections
+/// held.
+type CtRun = (Vec<Vec<Vec<u8>>>, DpifStats, CtStats, usize);
+
+/// The conntrack pipeline over `frames`, cut into `bursts` (one packet
+/// per call when `scalar`), after every flow of `flows` was sent once,
+/// one at a time, and the EMC emptied. `None` when two of the warm
+/// flows share an EMC slot or an SMC way: which of them a slot holds
+/// then depends on the order passes run in, which batching changes by
+/// design.
+fn run_ct(flows: &[Vec<u8>], frames: &[Vec<u8>], bursts: &[usize], scalar: bool) -> Option<CtRun> {
+    let mut rig = build_rig_with(ct_pipeline(), true);
+    let mut out: Vec<Vec<Vec<u8>>> = vec![Vec::new(); N_PORTS as usize];
+    let packet = |f: &Vec<u8>| {
+        let mut p = DpPacket::from_data(f);
+        p.in_port = 0;
+        p
+    };
+    for f in flows {
+        rig.dp.process_packet(&mut rig.kernel, packet(f), 0);
+    }
+    // Each flow makes three EMC and SMC entries, one per pass.
+    let entries = 3 * flows.len();
+    if rig.dp.smc_count() != entries || empty_emc(&mut rig.dp) != entries {
+        return None;
+    }
+    rig.drain(&mut out);
+    let mut it = frames.iter();
+    for &n in bursts.iter().cycle() {
+        let chunk: Vec<DpPacket> = it.by_ref().take(n).map(packet).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        if scalar {
+            for p in chunk {
+                rig.dp.process_packet(&mut rig.kernel, p, 0);
+            }
+        } else {
+            rig.dp.process_burst(&mut rig.kernel, chunk, 0);
+        }
+        rig.drain(&mut out);
+    }
+    for v in &mut out {
+        v.sort();
+    }
+    Some((out, rig.dp.stats, rig.dp.ct.stats, rig.dp.ct.len()))
+}
+
+proptest! {
+    /// Frames in runs of 1–6 packets of one flow through the conntrack
+    /// pipeline, SMC on and every miss inserted into the EMC: the
+    /// batched pipeline, which reuses a run's EMC hit and tracks a run
+    /// with one probe, forwards the same frames and counts the same
+    /// datapath and conntrack statistics as one packet at a time. A
+    /// reused EMC miss would send the packet after an SMC hit to the SMC
+    /// again, where one at a time it hits the EMC.
+    #[test]
+    fn ct_pipeline_runs_match_one_packet_at_a_time(
+        flows in proptest::collection::vec((1u8..4, 0u8..=255, 0u16..64), 2..12),
+        runs in proptest::collection::vec((0usize..12, 1usize..=6), 1..24),
+        bursts in proptest::collection::vec(1usize..=32, 1..6),
+    ) {
+        let flows: Vec<Vec<u8>> = flows
+            .iter()
+            .map(|&(b, c, s)| frame([10, b, c, 1], 2000 + s))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let frames: Vec<Vec<u8>> = runs
+            .iter()
+            .flat_map(|&(f, n)| std::iter::repeat_n(flows[f % flows.len()].clone(), n))
+            .collect();
+        let scalar = run_ct(&flows, &frames, &[1], true);
+        let batched = run_ct(&flows, &frames, &bursts, false);
+        prop_assume!(scalar.is_some());
+        let (fwd_s, stats_s, ct_s, conns_s) = scalar.unwrap();
+        let (fwd_b, stats_b, ct_b, conns_b) = batched.expect("same warm-up, same caches");
+        prop_assert_eq!(&fwd_s, &fwd_b, "forwarding diverged");
+        prop_assert_eq!(stats_s, stats_b, "dpif stats diverged");
+        prop_assert_eq!(ct_s, ct_b, "ct stats diverged");
+        prop_assert_eq!(conns_s, conns_b);
+        // Every frame crossed the three passes and left on a port.
+        let sent: usize = fwd_s.iter().map(Vec::len).sum();
+        prop_assert_eq!(sent, flows.len() + frames.len());
+        prop_assert!(stats_s.emc_hits > 0 && stats_s.smc_hits > 0);
     }
 }
 

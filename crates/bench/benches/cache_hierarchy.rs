@@ -1,9 +1,11 @@
 //! The EMC → megaflow → full-pipeline hierarchy ablation: real lookup
 //! costs at each cache level, and the effect of working-set size — the
-//! mechanism behind the paper's 1 vs 1,000 flow results.
+//! mechanism behind the paper's 1 vs 1,000 flow results — up to a full
+//! EMC that 100,000 flows probe and almost always miss. That bench's
+//! set-up asserts its hit and miss counts against a reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ovs_core::cache::{Emc, MegaflowCache};
+use ovs_core::cache::{Emc, MegaflowCache, EMC_ENTRIES};
 use ovs_core::ofproto::Ofproto;
 use ovs_packet::flow::{fields, FlowKey, FlowMask, Miniflow};
 use std::hint::black_box;
@@ -95,6 +97,53 @@ fn bench_working_set(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_emc_miss_wide(c: &mut Criterion) {
+    // A full EMC probed in turn by 100,000 distinct flows, as
+    // `overlay_wide`'s flows probe it: a key hits only while it is the
+    // last one filed in its slot, so almost every probe misses.
+    const FILLED: u32 = 4 * EMC_ENTRIES as u32;
+    const PROBES: u32 = 100_000;
+    let mut emc: Emc<u32> = Emc::new();
+    let mut mf: MegaflowCache<u32> = MegaflowCache::new();
+    let mask = FlowMask::of_fields(&[&fields::IN_PORT, &fields::NW_DST]);
+    let entry = mf.install(flow_key(0), mask, 0);
+    let probes: Vec<(Miniflow, u64)> = (0..PROBES)
+        .map(|i| {
+            let m = Miniflow::from_key(&flow_key(i));
+            (m, m.hash())
+        })
+        .collect();
+    // The reference: which key each slot holds, the last filed winning.
+    let slot = |h: u64| h as usize % EMC_ENTRIES;
+    let mut owner: Vec<Option<u32>> = vec![None; EMC_ENTRIES];
+    for (i, (m, h)) in probes.iter().take(FILLED as usize).enumerate() {
+        emc.insert(*m, *h, Rc::clone(&entry));
+        owner[slot(*h)] = Some(i as u32);
+    }
+    assert_eq!(emc.len(), owner.iter().flatten().count());
+    assert!(emc.len() > EMC_ENTRIES * 9 / 10, "the EMC is full");
+    let want_hits = (0..PROBES)
+        .filter(|&i| owner[slot(probes[i as usize].1)] == Some(i))
+        .count() as u64;
+    for (m, h) in &probes {
+        emc.lookup(m, *h);
+    }
+    assert_eq!(
+        (emc.hits, emc.misses),
+        (want_hits, u64::from(PROBES) - want_hits)
+    );
+    let mut g = c.benchmark_group("cache_hierarchy/emc_miss_wide");
+    let mut i = 0usize;
+    g.bench_function("100k_flows", |b| {
+        b.iter(|| {
+            i = (i + 1) % probes.len();
+            let (m, h) = &probes[i];
+            black_box(emc.lookup(black_box(m), black_box(*h)).is_some())
+        })
+    });
+    g.finish();
+}
+
 fn bench_megaflow_subtables(c: &mut Criterion) {
     // Megaflow lookup vs distinct-mask count (subtables probed on miss).
     let mut g = c.benchmark_group("cache_hierarchy/megaflow_subtables");
@@ -129,6 +178,6 @@ fn quick() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_levels, bench_working_set, bench_megaflow_subtables
+    targets = bench_levels, bench_working_set, bench_emc_miss_wide, bench_megaflow_subtables
 }
 criterion_main!(benches);

@@ -4,16 +4,18 @@
 //! The fast path is a multi-level hierarchy (§5.2, \[56\]):
 //!
 //! 1. **EMC** — a small exact-match hash over the full flow key; one probe,
-//!    no masking.
+//!    no masking, and a slot is loaded only when its stored hash equals
+//!    the packet's.
 //! 2. **SMC** — a larger, denser cache of 16-bit hash *signatures* pointing
 //!    at megaflows; a hit still verifies the masked key against the
 //!    megaflow, so it can never forward on a colliding signature. OVS's
 //!    `smc-enable` tier, off by default.
 //! 3. **Megaflow cache** — the dpcls: a tuple-space-search table over
 //!    the wildcarded entries produced by slow-path translation. Its
-//!    subtables hold the entries themselves, one pointer per flow, and
+//!    subtables hold the entries themselves, one pointer per flow, filed
+//!    under the keyed hash each flow keeps, and
 //!    [`MegaflowCache::lookup_bulk`] probes a whole burst against each
-//!    subtable in wide lanes.
+//!    subtable in wide lanes, hashing every key before probing any.
 //! 4. **Upcall** — the full OpenFlow pipeline (`ofproto`), which installs a
 //!    new megaflow.
 //!
@@ -22,12 +24,12 @@
 //! datapath couldn't have it.
 
 use crate::classifier::DEFAULT_RANK_INTERVAL;
-use crate::revalidator::{FlowCounters, Ufid, UfidMap, Ukey};
+use crate::revalidator::{FlowCounters, Ufid, UfidHasher, UfidMap, Ukey};
 use ovs_packet::{FlowKey, FlowMask, MiniMask, Miniflow};
 use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 
 /// A cached megaflow: the actions to run and the wildcard mask it was
@@ -36,8 +38,8 @@ use std::rc::Rc;
 /// ukey — one record per datapath flow.
 #[derive(Debug)]
 pub struct MegaflowEntry<A> {
-    /// The flow's unique ID, the hash of `key`; its index entry is found
-    /// by it.
+    /// The flow's unique ID, the keyed hash of `mini_key`; its index
+    /// entry is found by it, and its subtable files it under the low half.
     pub ufid: Ufid,
     /// Masked match key.
     pub key: FlowKey,
@@ -74,9 +76,10 @@ impl<A> MegaflowEntry<A> {
     /// Its UFID is computed here, once; its ukey is the default one until
     /// the datapath records the flow's translation in it.
     pub fn new(key: FlowKey, mask: FlowMask, actions: A, now_ns: u64) -> Self {
+        let mini_key = Miniflow::from_key(&key);
         Self {
-            ufid: Ufid::of(&key),
-            mini_key: Miniflow::from_key(&key),
+            ufid: Ufid::of(&mini_key),
+            mini_key,
             mini_mask: MiniMask::from_mask(&mask),
             key,
             mask,
@@ -114,8 +117,18 @@ pub const EMC_ENTRIES: usize = 8192;
 /// The exact-match cache. Insertion uses OVS's probabilistic policy
 /// (insert roughly 1 in `insert_inv_prob` misses) so that churny workloads
 /// don't thrash it; eviction is by hash-slot replacement.
+///
+/// Every `hash` passed in is a function of its key (the datapath passes
+/// [`Miniflow::hash`]), so equal keys come with equal hashes: a probe
+/// compares the slot's stored hash first and loads the slot only on a
+/// match, as OVS's `emc_lookup` compares `flow->hash` before the key.
 #[derive(Debug)]
 pub struct Emc<A> {
+    /// The hash each slot was last filed under, one word a slot (64 KiB
+    /// at the default size) beside the 112-byte slots, so a probe that
+    /// will miss reads only this dense array. A slot emptied since keeps
+    /// its stale hash; a probe that matches one finds the slot empty.
+    hashes: Vec<u64>,
     slots: Vec<Option<(Miniflow, Rc<MegaflowEntry<A>>)>>,
     mask: usize,
     /// 1/N insertion probability denominator (OVS default 100).
@@ -138,6 +151,7 @@ impl<A> Emc<A> {
     pub fn with_capacity(n: usize) -> Self {
         let cap = n.max(2).next_power_of_two();
         Self {
+            hashes: vec![0; cap],
             slots: (0..cap).map(|_| None).collect(),
             mask: cap - 1,
             insert_inv_prob: 100,
@@ -160,29 +174,29 @@ impl<A> Emc<A> {
 
     /// Look up the full (unmasked) sparse key; `hash` is the packet's
     /// cached extracted-slot hash ([`Miniflow::hash`], computed once per
-    /// packet). The compare is bitmap + packed words — populated slots
-    /// only. A slot whose megaflow has been revalidated away
-    /// ([`MegaflowEntry::dead`]) counts as a miss and is reclaimed, so a
-    /// stale EMC entry can never forward a packet.
+    /// packet). A slot filed under another hash cannot hold the key, so
+    /// it misses without being loaded; otherwise the compare is bitmap +
+    /// packed words — populated slots only. A slot whose megaflow has
+    /// been revalidated away ([`MegaflowEntry::dead`]) counts as a miss
+    /// and is reclaimed, so a stale EMC entry can never forward a packet.
     pub fn lookup(&mut self, key: &Miniflow, hash: u64) -> Option<Rc<MegaflowEntry<A>>> {
         let slot = (hash as usize) & self.mask;
-        match &self.slots[slot] {
-            Some((k, e)) if k == key => {
-                if e.dead.get() {
+        if self.hashes[slot] == hash {
+            match &self.slots[slot] {
+                Some((k, e)) if k == key => {
+                    if !e.dead.get() {
+                        self.hits += 1;
+                        e.hits.set(e.hits.get() + 1);
+                        return Some(Rc::clone(e));
+                    }
                     self.slots[slot] = None;
                     self.occupied -= 1;
-                    self.misses += 1;
-                    return None;
                 }
-                self.hits += 1;
-                e.hits.set(e.hits.get() + 1);
-                Some(Rc::clone(e))
-            }
-            _ => {
-                self.misses += 1;
-                None
+                _ => {}
             }
         }
+        self.misses += 1;
+        None
     }
 
     /// Count a hit on `e` without probing: `e` is what a lookup of the
@@ -212,6 +226,7 @@ impl<A> Emc<A> {
         if self.slots[slot].is_none() {
             self.occupied += 1;
         }
+        self.hashes[slot] = hash;
         self.slots[slot] = Some((key, entry));
     }
 
@@ -367,8 +382,12 @@ impl<A> Smc<A> {
     }
 
     /// Reclaim every way whose megaflow is dead (end-of-sweep cleanup;
-    /// the lookup path also reclaims lazily). Returns slots freed.
+    /// the lookup path also reclaims lazily). Returns slots freed. An
+    /// empty SMC (the tier is off by default) is not walked.
     pub fn purge_dead(&mut self) -> usize {
+        if self.occupied == 0 {
+            return 0;
+        }
         let mut freed = 0;
         for b in &mut self.buckets {
             for w in b.iter_mut() {
@@ -394,43 +413,116 @@ impl<A> Default for Smc<A> {
 /// eight keys per subtable pass.
 const DEFAULT_LANE_WIDTH: usize = 8;
 
+/// What a dpcls subtable files a flow under and compares it by: a keyed
+/// hash of its masked miniflow, then the miniflow itself. An installed
+/// flow answers with the hash it keeps (the low half of its UFID), a
+/// probe with the one it computed, so the set never hashes a key. The
+/// impls are `#[inline]`: where the set compares a probe with a flow both
+/// vtables are known, and inlined they compile to plain loads instead of
+/// an out-of-line call making four virtual ones.
+trait FlowId {
+    /// `Ufid::low_of` the masked key.
+    fn flow_hash(&self) -> u64;
+    /// The masked key.
+    fn masked_key(&self) -> &Miniflow;
+}
+
+impl Hash for dyn FlowId + '_ {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.flow_hash());
+    }
+}
+
+impl PartialEq for dyn FlowId + '_ {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        self.flow_hash() == other.flow_hash() && self.masked_key() == other.masked_key()
+    }
+}
+
+impl Eq for dyn FlowId + '_ {}
+
+impl<A> FlowId for MegaflowEntry<A> {
+    #[inline]
+    fn flow_hash(&self) -> u64 {
+        self.ufid.low()
+    }
+
+    #[inline]
+    fn masked_key(&self) -> &Miniflow {
+        &self.mini_key
+    }
+}
+
+/// A packet key masked by one subtable's mask, with its keyed hash.
+#[derive(Debug)]
+struct Probe {
+    hash: u64,
+    key: Miniflow,
+}
+
+impl Probe {
+    #[inline]
+    fn new(key: Miniflow) -> Self {
+        Self {
+            hash: Ufid::low_of(&key),
+            key,
+        }
+    }
+}
+
+impl FlowId for Probe {
+    #[inline]
+    fn flow_hash(&self) -> u64 {
+        self.hash
+    }
+
+    #[inline]
+    fn masked_key(&self) -> &Miniflow {
+        &self.key
+    }
+}
+
 /// A megaflow as its subtable holds it: the entry's own `Rc`, hashed and
-/// compared by its masked key, so a probe finds it by the masked packet
+/// compared as a [`FlowId`], so a probe finds it by the masked packet
 /// miniflow and the subtable keeps one pointer per flow. The key is
-/// stable in the set: hashing and equality read only `mini_key`, which
-/// no holder of the shared entry can change, never the entry's `Cell`
-/// counters. (Clippy's `mutable_key_type` cannot see that, and flags a
-/// local binding typed as a set of these; the code binds the subtable
-/// instead.)
+/// stable in the set: hashing and equality read only `ufid` and
+/// `mini_key`, which no holder of the shared entry can change, never the
+/// entry's `Cell` counters. (Clippy's `mutable_key_type` cannot see
+/// that, and flags a local binding typed as a set of these; the code
+/// binds the subtable instead.)
 #[derive(Debug)]
 struct SubtableFlow<A>(Rc<MegaflowEntry<A>>);
 
 impl<A> Hash for SubtableFlow<A> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        Hash::hash(&self.0.mini_key, state);
+        state.write_u64(self.0.flow_hash());
     }
 }
 
 impl<A> PartialEq for SubtableFlow<A> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.mini_key == other.0.mini_key
+        let (a, b): (&dyn FlowId, &dyn FlowId) = (&*self.0, &*other.0);
+        a == b
     }
 }
 
 impl<A> Eq for SubtableFlow<A> {}
 
-impl<A> Borrow<Miniflow> for SubtableFlow<A> {
-    fn borrow(&self) -> &Miniflow {
-        &self.0.mini_key
+impl<'a, A: 'a> Borrow<dyn FlowId + 'a> for SubtableFlow<A> {
+    fn borrow(&self) -> &(dyn FlowId + 'a) {
+        &*self.0
     }
 }
 
-/// One dpcls subtable: the flows installed under one mask. The set keeps
-/// std's keyed `RandomState`, because its keys come from packets.
+/// One dpcls subtable: the flows installed under one mask. The set
+/// hashes a flow by the keyed hash it keeps, unchanged: its keys come
+/// from packets, so that hash stays keyed with the per-process secret.
 #[derive(Debug)]
 struct Subtable<A> {
     mini_mask: MiniMask,
-    flows: HashSet<SubtableFlow<A>>,
+    flows: HashSet<SubtableFlow<A>, BuildHasherDefault<UfidHasher>>,
     /// Lookups this subtable answered (the ranking key).
     hits: u64,
 }
@@ -475,9 +567,11 @@ pub struct MegaflowCache<A> {
     lane_width: usize,
     lane_steps: u64,
     lane_keys: u64,
-    /// The bulk probe's still-unmatched key indices, kept between
+    /// The bulk probe's still-unmatched key indices, and their masked
+    /// keys and hashes for the subtable being probed, kept between
     /// lookups so a warm probe allocates nothing.
     remaining: Vec<usize>,
+    probes: Vec<Probe>,
 }
 
 impl<A> MegaflowCache<A> {
@@ -495,6 +589,7 @@ impl<A> MegaflowCache<A> {
             lane_steps: 0,
             lane_keys: 0,
             remaining: Vec::new(),
+            probes: Vec::new(),
         }
     }
 
@@ -599,7 +694,8 @@ impl<A> MegaflowCache<A> {
         let mut found = None;
         for st in &mut self.subtables {
             self.subtables_probed += 1;
-            if let Some(f) = st.flows.get(&st.mini_mask.apply(key)) {
+            let probe = Probe::new(st.mini_mask.apply(key));
+            if let Some(f) = st.flows.get(&probe as &dyn FlowId) {
                 st.hits += 1;
                 found = Some(Rc::clone(&f.0));
                 break;
@@ -626,6 +722,12 @@ impl<A> MegaflowCache<A> {
     /// probes. First match in ranked order is the match, because every
     /// entry has priority 0 and installed entries are disjoint.
     ///
+    /// Each subtable takes two passes over the remaining keys, as
+    /// upstream's `cmap_find_batch` does: the first masks and hashes
+    /// them all, touching no table memory, and the second probes them
+    /// all, so the cache misses of a large subtable's probes overlap
+    /// instead of each waiting behind the next key's hashing.
+    ///
     /// Only hits are counted here: the caller re-probes each bulk miss
     /// with a scalar [`Self::lookup_mini`] before upcalling (an earlier
     /// miss in the same burst may have installed the flow), and that
@@ -649,6 +751,7 @@ impl<A> MegaflowCache<A> {
             lane_steps,
             lane_keys,
             remaining,
+            probes,
             ..
         } = self;
         remaining.clear();
@@ -666,15 +769,25 @@ impl<A> MegaflowCache<A> {
                 flows,
                 hits: st_hits,
             } = st;
-            remaining.retain(|&ki| match flows.get(&mini_mask.apply(&keys[ki])) {
-                Some(f) => {
-                    *st_hits += 1;
-                    *hits += 1;
-                    f.0.hits.set(f.0.hits.get() + 1);
-                    results[ki] = Some(Rc::clone(&f.0));
-                    false
+            probes.clear();
+            probes.extend(
+                remaining
+                    .iter()
+                    .map(|&ki| Probe::new(mini_mask.apply(&keys[ki]))),
+            );
+            let mut probe = probes.iter();
+            remaining.retain(|&ki| {
+                let p = probe.next().expect("one probe per remaining key");
+                match flows.get(p as &dyn FlowId) {
+                    Some(f) => {
+                        *st_hits += 1;
+                        *hits += 1;
+                        f.0.hits.set(f.0.hits.get() + 1);
+                        results[ki] = Some(Rc::clone(&f.0));
+                        false
+                    }
+                    None => true,
                 }
-                None => true,
             });
         }
     }
@@ -717,7 +830,7 @@ impl<A> MegaflowCache<A> {
             None => {
                 self.subtables.push(Subtable {
                     mini_mask: entry.mini_mask,
-                    flows: HashSet::new(),
+                    flows: HashSet::default(),
                     hits: 0,
                 });
                 self.subtables.len() - 1
@@ -742,7 +855,7 @@ impl<A> MegaflowCache<A> {
             return;
         };
         let st = &mut self.subtables[i];
-        st.flows.remove(&e.mini_key);
+        st.flows.remove(e as &dyn FlowId);
         if st.flows.is_empty() {
             self.subtables.remove(i);
         }
@@ -781,6 +894,7 @@ impl<A> Default for MegaflowCache<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::revalidator::FORCED_LOW;
     use ovs_packet::flow::fields;
 
     fn key(n: u8) -> FlowKey {
@@ -1070,6 +1184,47 @@ mod tests {
         assert_eq!(mf.subtable_info()[0].hits, 4 + 4);
         assert_eq!(mf.lane_steps() - steps, 3 + 2);
         assert_eq!(mf.lane_keys() - keys, 20 + 16);
+    }
+
+    #[test]
+    fn flows_sharing_a_stored_hash_stay_apart() {
+        // Every low half this thread computes is forced to one value, so
+        // two flows under one mask share the hash their subtable files
+        // them under and differ only in their masked keys (and in their
+        // UFIDs' high halves).
+        FORCED_LOW.with(|f| f.set(Some(0x5eed)));
+        let mut mf: MegaflowCache<u32> = MegaflowCache::new();
+        let mask = FlowMask::of_fields(&[&fields::NW_DST]);
+        let a = mf.install(key(1), mask, 1);
+        let b = mf.install(key(2), mask, 2);
+        assert_eq!(a.ufid.low(), b.ufid.low());
+        assert_ne!(a.ufid, b.ufid);
+        assert_eq!((mf.len(), mf.subtable_count()), (2, 1), "both installed");
+        assert_eq!(mf.lookup(&key(1)).unwrap().actions, 1);
+        assert_eq!(mf.lookup(&key(2)).unwrap().actions, 2);
+        let mut results = Vec::new();
+        mf.lookup_bulk(&[m(2), m(3), m(1)], &mut results);
+        assert_eq!(actions(&results), [Some(2), None, Some(1)]);
+        assert!(mf.remove(a.ufid).is_some());
+        assert!(mf.lookup(&key(1)).is_none());
+        assert_eq!(mf.lookup(&key(2)).unwrap().actions, 2, "the other stays");
+        assert_eq!(mf.iter().count(), 1);
+        FORCED_LOW.with(|f| f.set(None));
+    }
+
+    #[test]
+    fn a_megaflow_entry_stays_within_its_size() {
+        // The entry keeps one keyed hash, the low half of its UFID, and
+        // gains no field for it.
+        let size = std::mem::size_of::<MegaflowEntry<Vec<crate::dpif::DpAction>>>();
+        assert!(size <= 544, "a megaflow entry is {size} bytes");
+    }
+
+    #[test]
+    fn smc_purge_of_an_empty_smc_frees_nothing() {
+        let mut smc: Smc<u32> = Smc::new();
+        assert_eq!(smc.purge_dead(), 0);
+        assert_eq!((smc.len(), smc.hits, smc.misses), (0, 0, 0));
     }
 
     #[test]

@@ -56,12 +56,13 @@ fn pmd_now_ns(kernel: &Kernel, core: usize) -> u64 {
         .saturating_add(kernel.sim.cpus.core_ns(core))
 }
 
-/// A packet's conntrack input for `ct(zone=zone)`: its 5-tuple, read
-/// from the descriptor's parse, and its TCP flags.
+/// A packet's conntrack input for `ct(zone=zone)`: its 5-tuple and its
+/// TCP flags, both read through the descriptor's parse.
 fn ct_packet(pkt: &mut DpPacket, zone: u16) -> CtPacket {
+    let parse = *pkt.parse();
     CtPacket {
-        key: ConnKey::from_parse(zone, pkt.parse()),
-        tcp_flags: ovs_ct::tcp_flags_of(pkt.data()),
+        key: ConnKey::from_parse(zone, &parse),
+        tcp_flags: parse.tcp_flags(pkt.data()),
     }
 }
 
@@ -2760,7 +2761,7 @@ impl DpifNetlink {
             }
             let kactions = Self::map_actions(&t.actions, self.tunnel_local_ip);
             let key = u.key.masked(&t.mask);
-            let ufid = Ufid::of(&key);
+            let ufid = Ufid::of(&Miniflow::from_key(&key));
             // One flow per masked key, as in the userspace datapath: the
             // kernel would keep a flow under another mask beside the new
             // one, so replace it.

@@ -42,39 +42,72 @@
 
 use crate::ofproto::RuleEntry;
 use ovs_obs::coverage;
-use ovs_packet::{FlowKey, FlowMask};
+use ovs_packet::{FlowKey, FlowMask, Miniflow};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// A datapath flow's unique flow ID (OVS's UFID): a keyed 128-bit hash of
-/// its masked key, computed once when the flow is installed. The megaflow
-/// cache's index and the kernel dpif's flows are found by it, so a sweep
-/// never hashes a 96-byte key. The hash key is a secret drawn once per
+/// its masked miniflow, computed once when the flow is installed. The
+/// megaflow cache's index and the kernel dpif's flows are found by it, so
+/// a sweep never hashes a key, and its low half is the hash a dpcls
+/// subtable files the flow under. The hash key is a secret drawn once per
 /// process, as OVS seeds `dpif_flow_hash`: packets cannot be crafted to
 /// collide in the maps keyed by it, and a UFID differs between runs, so
 /// it never reaches output or a snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ufid(u128);
 
+/// The per-process secret both halves of a UFID are keyed with.
+fn secret() -> &'static [RandomState; 2] {
+    static SECRET: OnceLock<[RandomState; 2]> = OnceLock::new();
+    SECRET.get_or_init(|| [RandomState::new(), RandomState::new()])
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A test's stand-in for every low half this thread computes, so
+    /// flows can be made to share one.
+    pub(crate) static FORCED_LOW: std::cell::Cell<Option<u64>> =
+        const { std::cell::Cell::new(None) };
+}
+
 impl Ufid {
     /// The UFID of the flow installed under the masked key `masked`.
-    pub fn of(masked: &FlowKey) -> Self {
-        static SECRET: OnceLock<[RandomState; 2]> = OnceLock::new();
-        let [hi, lo] = SECRET.get_or_init(|| [RandomState::new(), RandomState::new()]);
-        Self(u128::from(hi.hash_one(masked)) << 64 | u128::from(lo.hash_one(masked)))
+    pub fn of(masked: &Miniflow) -> Self {
+        let hi = secret()[0].hash_one(masked);
+        Self(u128::from(hi) << 64 | u128::from(Self::low_of(masked)))
+    }
+
+    /// The low half of [`Ufid::of`]`(masked)`, which alone is what a
+    /// dpcls subtable probe hashes a masked packet key into.
+    #[inline]
+    pub(crate) fn low_of(masked: &Miniflow) -> u64 {
+        #[cfg(test)]
+        if let Some(h) = FORCED_LOW.with(std::cell::Cell::get) {
+            return h;
+        }
+        secret()[1].hash_one(masked)
+    }
+
+    /// The low half, as [`Ufid::low_of`] computed it: what a
+    /// [`UfidMap`] and a dpcls subtable hash the flow by.
+    #[inline]
+    pub(crate) fn low(self) -> u64 {
+        self.0 as u64
     }
 }
 
 impl Hash for Ufid {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.0 as u64);
+        state.write_u64(self.low());
     }
 }
 
 /// Hashes a [`Ufid`] as its low 64 bits, unchanged: a UFID is already a
-/// keyed hash, so mixing it again would buy no protection.
+/// keyed hash, so mixing it again would buy no protection. A dpcls
+/// subtable hashes its flows the same way, by that low half.
 #[derive(Debug, Default)]
 pub(crate) struct UfidHasher(u64);
 
@@ -84,7 +117,7 @@ impl Hasher for UfidHasher {
     }
 
     fn write(&mut self, _: &[u8]) {
-        unreachable!("UfidHasher hashes only a Ufid");
+        unreachable!("UfidHasher hashes only a keyed hash word");
     }
 
     fn write_u64(&mut self, n: u64) {
@@ -713,17 +746,20 @@ mod tests {
 
     #[test]
     fn a_ufid_names_one_masked_key() {
-        let mut flows = UfidMap::default();
-        for i in 0..32u32 {
+        let key = |i: u32| {
             let mut k = FlowKey::default();
             k.set_in_port(i);
+            Miniflow::from_key(&k)
+        };
+        let mut flows = UfidMap::default();
+        for i in 0..32u32 {
+            let k = key(i);
             assert_eq!(Ufid::of(&k), Ufid::of(&k), "a function of the key");
+            assert_eq!(Ufid::of(&k).low(), Ufid::low_of(&k), "its low half");
             flows.insert(Ufid::of(&k), i);
         }
         assert_eq!(flows.len(), 32, "distinct keys, distinct UFIDs");
-        let mut k = FlowKey::default();
-        k.set_in_port(7);
-        assert_eq!(flows.remove(&Ufid::of(&k)), Some(7));
+        assert_eq!(flows.remove(&Ufid::of(&key(7))), Some(7));
         assert_eq!(flows.len(), 31);
     }
 }

@@ -4,7 +4,7 @@
 //! cover everything that decided it, and cache install/lookup must be
 //! consistent.
 
-use ovs_core::cache::{MegaflowCache, MegaflowEntry};
+use ovs_core::cache::{Emc, MegaflowCache, MegaflowEntry};
 use ovs_core::classifier::Classifier;
 use ovs_core::meter::Meter;
 use ovs_core::ofproto::{OfAction, OfRule, Ofproto};
@@ -216,6 +216,85 @@ fn dpcls_key(in_port: u32, c: u8, d: u8, tp_dst: u16) -> FlowKey {
     k
 }
 
+/// The EMC without its stored-hash check: a probe loads its slot and
+/// compares the key, as the cache did before it kept each slot's hash.
+/// The reference for the hash-check property.
+struct EmcModel {
+    slots: Vec<Option<(Miniflow, Rc<MegaflowEntry<u32>>)>>,
+    insert_inv_prob: u64,
+    insert_counter: u64,
+    occupied: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl EmcModel {
+    fn new(cap: usize, insert_inv_prob: u64) -> Self {
+        Self {
+            slots: vec![None; cap],
+            insert_inv_prob,
+            insert_counter: 0,
+            occupied: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn lookup(&mut self, key: &Miniflow, hash: u64) -> Option<Rc<MegaflowEntry<u32>>> {
+        let slot = hash as usize % self.slots.len();
+        match &self.slots[slot] {
+            Some((k, e)) if k == key && !e.dead.get() => {
+                self.hits += 1;
+                Some(Rc::clone(e))
+            }
+            Some((k, _)) if k == key => {
+                self.slots[slot] = None;
+                self.occupied -= 1;
+                self.misses += 1;
+                None
+            }
+            _ => {
+                self.misses += 1;
+                None
+            }
+        }
+    }
+
+    fn insert(&mut self, key: Miniflow, hash: u64, entry: Rc<MegaflowEntry<u32>>) {
+        let slot = hash as usize % self.slots.len();
+        if self.slots[slot].is_none() {
+            self.occupied += 1;
+        }
+        self.slots[slot] = Some((key, entry));
+    }
+
+    fn maybe_insert(&mut self, key: Miniflow, hash: u64, entry: Rc<MegaflowEntry<u32>>) -> bool {
+        self.insert_counter += 1;
+        let chosen = self.insert_counter.is_multiple_of(self.insert_inv_prob);
+        if chosen {
+            self.insert(key, hash, entry);
+        }
+        chosen
+    }
+
+    fn flush(&mut self) {
+        self.slots.iter_mut().for_each(|s| *s = None);
+        self.occupied = 0;
+    }
+
+    fn purge_dead(&mut self) -> usize {
+        let mut freed = 0;
+        for s in &mut self.slots {
+            if matches!(s, Some((_, e)) if e.dead.get()) {
+                *s = None;
+                freed += 1;
+            }
+        }
+        self.occupied -= freed;
+        freed
+    }
+}
+
 /// Brute force: the highest-priority rule whose masked key matches.
 fn linear_scan<'a>(rules: &'a [Rule], key: &FlowKey) -> Option<&'a Rule> {
     rules
@@ -395,6 +474,79 @@ proptest! {
             for e in &gone {
                 prop_assert!(e.dead.get(), "a removed or replaced flow is dead");
             }
+        }
+    }
+
+    #[test]
+    fn emc_hash_check_changes_no_verdict(
+        slot_of in proptest::array::uniform8(0u64..4),
+        tag_of in proptest::array::uniform8(0u64..3),
+        ops in proptest::collection::vec((0u8..8, 0usize..8), 1..160),
+    ) {
+        // Eight keys in a four-slot EMC. A key's hash is a function of the
+        // key, drawn per case from twelve values, so keys share slots
+        // under equal and unequal hashes alike, and a flushed, purged or
+        // reclaimed slot keeps a stale hash that later probes match.
+        let keys: Vec<Miniflow> = (0..8u8)
+            .map(|i| {
+                let mut k = FlowKey::default();
+                k.set_nw_dst_v4([10, 0, 0, i]);
+                Miniflow::from_key(&k)
+            })
+            .collect();
+        let hash = |k: usize| slot_of[k] | tag_of[k] << 32;
+        let mut emc: Emc<u32> = Emc::with_capacity(4);
+        emc.insert_inv_prob = 2;
+        let mut model = EmcModel::new(4, 2);
+        let mut entries: Vec<Option<Rc<MegaflowEntry<u32>>>> = vec![None; keys.len()];
+        for (step, &(op, k)) in ops.iter().enumerate() {
+            // The key's live flow, or a fresh one once it died.
+            let mut entry = || {
+                let e = entries[k]
+                    .take()
+                    .filter(|e| !e.dead.get())
+                    .unwrap_or_else(|| {
+                        let key = keys[k].expand();
+                        Rc::new(MegaflowEntry::new(key, FlowMask::EXACT, step as u32, 0))
+                    });
+                entries[k] = Some(Rc::clone(&e));
+                e
+            };
+            match op {
+                0..=2 => {
+                    let got = emc.lookup(&keys[k], hash(k));
+                    let want = model.lookup(&keys[k], hash(k));
+                    prop_assert_eq!(got.is_some(), want.is_some(), "step {}", step);
+                    if let (Some(g), Some(w)) = (got, want) {
+                        prop_assert!(Rc::ptr_eq(&g, &w), "step {}: another flow", step);
+                    }
+                }
+                3 => {
+                    let e = entry();
+                    emc.insert(keys[k], hash(k), Rc::clone(&e));
+                    model.insert(keys[k], hash(k), e);
+                }
+                4 => {
+                    let e = entry();
+                    let got = emc.maybe_insert(keys[k], hash(k), Rc::clone(&e));
+                    prop_assert_eq!(got, model.maybe_insert(keys[k], hash(k), e));
+                }
+                5 => {
+                    if let Some(e) = &entries[k] {
+                        e.dead.set(true);
+                    }
+                }
+                6 => {
+                    emc.flush();
+                    model.flush();
+                }
+                _ => prop_assert_eq!(emc.purge_dead(), model.purge_dead()),
+            }
+            prop_assert_eq!(
+                (emc.hits, emc.misses, emc.len()),
+                (model.hits, model.misses, model.occupied),
+                "step {}", step
+            );
         }
     }
 

@@ -1117,27 +1117,6 @@ pub fn apply_rewrite(frame: &mut [u8], rw: &NatRewrite) -> bool {
     true
 }
 
-/// The TCP flag byte of an Ethernet/IPv4/TCP frame, if it is one — both
-/// datapaths pass it to conntrack with each packet so the state machine
-/// can see SYN/FIN/RST.
-pub fn tcp_flags_of(frame: &[u8]) -> Option<u8> {
-    use ovs_packet::ethernet::{self, EthernetFrame};
-    use ovs_packet::ipv4::{self, Ipv4Packet};
-    use ovs_packet::{tcp, EtherType};
-
-    let eth = EthernetFrame::new_checked(frame).ok()?;
-    if eth.ethertype() != EtherType::Ipv4 {
-        return None;
-    }
-    let l3 = ethernet::HEADER_LEN;
-    let ip = Ipv4Packet::new_checked(&frame[l3..]).ok()?;
-    if ip.protocol() != ipv4::protocol::TCP {
-        return None;
-    }
-    let t = tcp::TcpSegment::new_checked(ip.payload()).ok()?;
-    Some(t.flags())
-}
-
 fn ip_str(ip: [u8; 4]) -> String {
     format!("{}.{}.{}.{}", ip[0], ip[1], ip[2], ip[3])
 }

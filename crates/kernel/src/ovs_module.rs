@@ -10,13 +10,14 @@
 
 use crate::neigh::NeighTable;
 use crate::route::RouteTable;
-use ovs_ct::{apply_rewrite, tcp_flags_of, ConnKey, CtAction, CtTable, NatSpec};
+use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatSpec};
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
 use ovs_packet::flow::extract_flow_key;
 use ovs_packet::{builder, geneve, ipv4, udp, DpPacket, EthernetFrame, FlowKey, FlowMask, MacAddr};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// Maximum recirculations before the module drops a packet (loop guard,
 /// as in the real datapath).
@@ -139,10 +140,11 @@ pub struct ModStats {
     pub ct_drops: u64,
 }
 
-/// One megaflow.
+/// One megaflow. A hit hands out its actions by pointer, so a lookup
+/// copies nothing.
 #[derive(Debug, Clone)]
 struct Megaflow {
-    actions: Vec<KAction>,
+    actions: Rc<[KAction]>,
     /// Packet hit counter (visible via `ovs-dpctl dump-flows` analogues).
     hits: u64,
     /// Bytes forwarded.
@@ -231,7 +233,7 @@ impl OvsModule {
         let old = self.flows.insert(
             (mask_idx, key.masked(mask)),
             Megaflow {
-                actions,
+                actions: actions.into(),
                 hits: 0,
                 bytes: 0,
                 used_ns: now_ns,
@@ -311,7 +313,7 @@ impl OvsModule {
 
     /// Megaflow lookup: probe each live mask's table. Returns the
     /// actions; `len`/`now_ns` feed the hit flow's counters.
-    fn lookup(&mut self, key: &FlowKey, len: usize, now_ns: u64) -> Option<Vec<KAction>> {
+    fn lookup(&mut self, key: &FlowKey, len: usize, now_ns: u64) -> Option<Rc<[KAction]>> {
         self.stats.lookups += 1;
         coverage!("kmod_flow_lookup");
         for (i, mask) in self.masks.iter().enumerate() {
@@ -326,7 +328,7 @@ impl OvsModule {
                 flow.used_ns = now_ns;
                 self.stats.hits += 1;
                 coverage!("kmod_megaflow_hit");
-                return Some(flow.actions.clone());
+                return Some(Rc::clone(&flow.actions));
             }
         }
         self.stats.misses += 1;
@@ -480,15 +482,16 @@ impl OvsModule {
                     mark,
                     nat,
                 } => {
+                    let parse = *pkt.parse();
                     let v = env.conntrack.process_full(
-                        ConnKey::from_parse(*zone, pkt.parse()),
+                        ConnKey::from_parse(*zone, &parse),
                         CtAction {
                             zone: *zone,
                             commit: *commit,
                             mark: *mark,
                             nat: *nat,
                         },
-                        tcp_flags_of(pkt.data()),
+                        parse.tcp_flags(pkt.data()),
                         None,
                         env.now_ns,
                     );

@@ -1051,6 +1051,32 @@ impl FrameParse {
     pub fn rss_hash(&self) -> u32 {
         rss_hash_words(self.words[2..].try_into().expect("words 3-7"))
     }
+
+    /// The TCP flag byte of `frame`, the bytes this parse was taken of,
+    /// when `nw_proto` is TCP and a whole TCP header lies at the L4
+    /// offset inside the IP payload — the length check extraction made.
+    /// A later fragment carries no TCP header, so it has no flags.
+    pub fn tcp_flags(&self, frame: &[u8]) -> Option<u8> {
+        let later = (self.word(7) >> W7_FRAG_SHIFT) as u8 & nw_frag::LATER != 0;
+        if self.nw_proto() != ipv4::protocol::TCP || later {
+            return None;
+        }
+        let (l3, l4) = (usize::from(self.l3_ofs?), usize::from(self.l4_ofs?));
+        let be16 = |at: usize| {
+            frame
+                .get(at..at + 2)
+                .map(|b| u16::from_be_bytes([b[0], b[1]]))
+        };
+        // Where the IP payload ends: IPv4's total length counts from
+        // L3, IPv6's payload length from L4.
+        let end = match EtherType::from_u16(self.word(1) as u16) {
+            EtherType::Ipv4 => l3 + usize::from(be16(l3 + 2)?),
+            EtherType::Ipv6 => l4 + usize::from(be16(l3 + 4)?),
+            _ => return None,
+        };
+        let segment = tcp::TcpSegment::new_checked(frame.get(l4..end)?).ok()?;
+        Some(segment.flags())
+    }
 }
 
 /// Extract a [`Miniflow`] from a packet, recording L3/L4 offsets in the

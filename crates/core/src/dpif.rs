@@ -31,13 +31,15 @@ use crate::tunnel::{self, TunnelConfig};
 use ovs_afxdp::AfxdpPort;
 use ovs_ct::{ConnKey, CtAction, CtPacket, CtTable, CtVerdict};
 use ovs_dpdk::{AfPacketDev, EthDev, VhostUserDev};
+pub use ovs_kernel::action::{DpAction, PortNo};
+use ovs_kernel::ovs_module::MAX_RECIRC;
 use ovs_kernel::rtnetlink::RtnlCache;
 use ovs_kernel::Kernel;
 use ovs_obs::latency::LatencySummary;
 use ovs_obs::perf::STAGES;
 use ovs_obs::{coverage, LatencyTracker, PmdPerf, Stage, StageTimer, TraceCtx};
 use ovs_packet::flow::{extract_miniflow, FlowKey, FlowMask, Miniflow, WORDS};
-use ovs_packet::{DpPacket, MacAddr};
+use ovs_packet::DpPacket;
 use ovs_ring::{DpPacketPool, PacketBatch};
 use ovs_sim::Context;
 use std::collections::BTreeMap;
@@ -141,9 +143,6 @@ impl MiniflowStats {
     }
 }
 
-/// A datapath port number.
-pub type PortNo = u32;
-
 /// A shared reference to a datapath flow, as the caches hand it out.
 type FlowRef = Rc<MegaflowEntry<Vec<DpAction>>>;
 
@@ -153,9 +152,6 @@ type FlowRef = Rc<MegaflowEntry<Vec<DpAction>>>;
 /// pmd-auto-lb rebalances hot NFs across cores with no scheduler
 /// changes. `pmd_poll` dispatches it to [`DpifNetdev::nf_poll`].
 pub const NF_WORK_PORT: PortNo = PortNo::MAX;
-
-/// Maximum recirculations per packet.
-const MAX_RECIRC: usize = 8;
 
 /// Packet room of a fresh descriptor: a 2 KB umem frame's worth.
 const PKT_DATA_CAPACITY: usize = 2048;
@@ -255,31 +251,6 @@ impl TxAccum {
     }
 }
 
-/// Datapath actions — the output language of translation and the payload
-/// of megaflow entries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DpAction {
-    Output(PortNo),
-    SetTunnel {
-        id: u64,
-        dst: [u8; 4],
-    },
-    SetEthSrc(MacAddr),
-    SetEthDst(MacAddr),
-    PushVlan(u16),
-    PopVlan,
-    Ct {
-        zone: u16,
-        commit: bool,
-        nat: Option<ovs_ct::NatSpec>,
-    },
-    Recirc(u32),
-    Meter(u32),
-    /// Hand the packet to the NF service chain `chain_id` (ovs-nfv).
-    /// Terminal: the chain's verdicts decide where the packet goes next.
-    NfChain(u32),
-}
-
 /// The I/O backend behind a datapath port.
 pub enum PortType {
     /// AF_XDP sockets on a kernel-managed NIC (the paper's design).
@@ -352,6 +323,8 @@ pub struct DpifStats {
     pub tunnel_decaps: u64,
     pub tso_segments: u64,
     pub meter_drops: u64,
+    /// Packets still recirculating after [`MAX_RECIRC`] passes.
+    pub recirc_limit_drops: u64,
     /// Megaflows installed into the datapath over its lifetime.
     pub flows_installed: u64,
     /// Megaflows removed (expired, changed, evicted, or flushed).
@@ -444,6 +417,7 @@ macro_rules! dpif_stats_fields {
             tunnel_decaps,
             tso_segments,
             meter_drops,
+            recirc_limit_drops,
             flows_installed,
             flows_deleted,
             flow_limit_hits,
@@ -1083,10 +1057,7 @@ impl DpifNetdev {
                 counters: e.counters(),
                 ukey: &mut e.ukey.borrow_mut(),
             },
-            |k| {
-                let t = ofproto.translate(k);
-                (t.actions, t.mask, t.rules)
-            },
+            ofproto,
         )
     }
 
@@ -1756,6 +1727,7 @@ megaflows installed: {}
         for mut bp in s.burst.drain(..) {
             if bp.pass == MAX_RECIRC {
                 // Recirculation limit exceeded.
+                self.stats.recirc_limit_drops += 1;
                 self.stats.dropped += 1;
                 coverage!("dpif_recirc_limit");
                 if let Some(t) = self.trace.as_mut() {
@@ -2691,11 +2663,10 @@ megaflows installed: {}
 /// Driver for the in-kernel datapath (`dpif-netlink`): handles kernel
 /// upcalls by translating through `ofproto` and installing kernel
 /// megaflows.
+#[derive(Default)]
 pub struct DpifNetlink {
     /// The OpenFlow pipeline.
     pub ofproto: Ofproto,
-    /// Local endpoint of the kernel Geneve vport, for SetTunnel mapping.
-    pub tunnel_local_ip: [u8; 4],
     /// Upcalls handled.
     pub upcalls_handled: u64,
     /// Upcalls that skipped installation at the dynamic flow limit.
@@ -2717,23 +2688,16 @@ pub struct DpifNetlink {
 struct KernelFlow {
     key: FlowKey,
     mask: FlowMask,
-    actions: Vec<ovs_kernel::KAction>,
+    actions: Vec<DpAction>,
     ukey: Ukey,
 }
 
 impl DpifNetlink {
-    /// A handler for a kernel datapath whose Geneve vport (if any) uses
-    /// `tunnel_local_ip` as its endpoint.
-    pub fn new(tunnel_local_ip: [u8; 4]) -> Self {
-        Self {
-            ofproto: Ofproto::new(),
-            tunnel_local_ip,
-            upcalls_handled: 0,
-            flow_limit_hits: 0,
-            flows_deleted: 0,
-            revalidator: Revalidator::new(),
-            flows: UfidMap::default(),
-        }
+    /// A handler for a kernel datapath. The kernel module runs the
+    /// translated actions as they are: a tunnel output takes its source
+    /// address from the Geneve vport.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Flows this dpif installed and tracks. The kernel table may also
@@ -2759,7 +2723,6 @@ impl DpifNetlink {
             for r in &t.rules {
                 r.credit(1, u.frame.len() as u64);
             }
-            let kactions = Self::map_actions(&t.actions, self.tunnel_local_ip);
             let key = u.key.masked(&t.mask);
             let ufid = Ufid::of(&Miniflow::from_key(&key));
             // One flow per masked key, as in the userspace datapath: the
@@ -2770,11 +2733,11 @@ impl DpifNetlink {
                 let now = kernel.sim.clock.now_ns();
                 kernel
                     .ovs
-                    .install_flow_at(&u.key, &t.mask, kactions.clone(), now);
+                    .install_flow_at(&u.key, &t.mask, t.actions.clone(), now);
                 let flow = KernelFlow {
                     key,
                     mask: t.mask,
-                    actions: kactions.clone(),
+                    actions: t.actions.clone(),
                     ukey: Ukey::new(t.rules, version),
                 };
                 self.flows.insert(ufid, flow);
@@ -2786,7 +2749,7 @@ impl DpifNetlink {
             pkt.in_port = u.in_port;
             pkt.tunnel = u.tunnel;
             pkt.recirc_id = u.key.recirc_id();
-            kernel.ovs_execute(pkt, &kactions, core);
+            kernel.ovs_execute(pkt, &t.actions, u.pass, core);
         }
         handled
     }
@@ -2834,7 +2797,6 @@ impl DpifNetlink {
                 self.delete_flow(kernel, ufid);
                 continue;
             };
-            let (ofproto, local_ip) = (&mut self.ofproto, self.tunnel_local_ip);
             let flow = DumpedFlow {
                 key: &f.key,
                 mask: &f.mask,
@@ -2842,10 +2804,9 @@ impl DpifNetlink {
                 counters,
                 ukey: &mut f.ukey,
             };
-            let verdict = self.revalidator.revalidate_flow(&mut sweep, flow, |k| {
-                let t = ofproto.translate(k);
-                (Self::map_actions(&t.actions, local_ip), t.mask, t.rules)
-            });
+            let verdict = self
+                .revalidator
+                .revalidate_flow(&mut sweep, flow, &mut self.ofproto);
             if verdict == Verdict::Delete {
                 self.delete_flow(kernel, ufid);
             }
@@ -2875,43 +2836,6 @@ impl DpifNetlink {
         out.push_str(&format!("  queue full    : {}\n", kernel.upcall_drops));
         out
     }
-
-    fn map_actions(actions: &[DpAction], tunnel_local_ip: [u8; 4]) -> Vec<ovs_kernel::KAction> {
-        use ovs_kernel::KAction;
-        if actions.is_empty() {
-            return vec![KAction::Drop];
-        }
-        actions
-            .iter()
-            .map(|a| match a {
-                DpAction::Output(p) => KAction::Output(*p),
-                DpAction::SetTunnel { id, dst } => KAction::SetTunnel(ovs_kernel::TunnelSpec {
-                    id: *id,
-                    src: tunnel_local_ip,
-                    dst: *dst,
-                    tos: 0,
-                    ttl: 64,
-                }),
-                DpAction::SetEthSrc(m) => KAction::SetEthSrc(*m),
-                DpAction::SetEthDst(m) => KAction::SetEthDst(*m),
-                DpAction::PushVlan(t) => KAction::PushVlan(*t),
-                DpAction::PopVlan => KAction::PopVlan,
-                DpAction::Ct { zone, commit, nat } => KAction::Ct {
-                    zone: *zone,
-                    commit: *commit,
-                    mark: None,
-                    nat: *nat,
-                },
-                DpAction::Recirc(r) => KAction::Recirc(*r),
-                // The kernel module has no meters here; policing is a
-                // userspace feature in this reproduction (§6).
-                DpAction::Meter(_) => KAction::Recirc(0),
-                // NF chains are likewise userspace-only: the kernel
-                // datapath cannot reach the NF manager's rings.
-                DpAction::NfChain(_) => KAction::Recirc(0),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -2921,9 +2845,9 @@ mod tests {
     use ovs_afxdp::OptLevel;
     use ovs_kernel::dev::{DeviceKind, NetDevice};
     use ovs_kernel::guest::{Guest, GuestRole, VirtioBackend};
-    use ovs_packet::builder;
     use ovs_packet::ethernet::EtherType;
     use ovs_packet::flow::{fields, FlowKey, FlowMask};
+    use ovs_packet::{builder, MacAddr};
 
     const M1: MacAddr = MacAddr([2, 0, 0, 0, 0, 1]);
     const M2: MacAddr = MacAddr([2, 0, 0, 0, 0, 2]);
@@ -3501,7 +3425,7 @@ mod tests {
         k.dev_mut(eth0).attachment = ovs_kernel::Attachment::OvsBridge { port: p0 };
         k.dev_mut(eth1).attachment = ovs_kernel::Attachment::OvsBridge { port: p1 };
 
-        let mut dpif = DpifNetlink::new([0, 0, 0, 0]);
+        let mut dpif = DpifNetlink::new();
         dpif.ofproto.add_rule(port_forward_rule(p0, p1));
 
         // First packet misses in the kernel and upcalls.

@@ -17,7 +17,8 @@
 //! * [`dpif`] — the datapath interface: `dpif-netdev`, the userspace
 //!   datapath with PMD-style per-queue processing over AF_XDP / DPDK /
 //!   tap / vhostuser ports, and `dpif-netlink`, the driver for the
-//!   in-kernel datapath module (the baseline).
+//!   in-kernel datapath module (the baseline). Both run one action set,
+//!   [`DpAction`] (re-exported from `ovs-kernel`, whose module runs it).
 //! * [`ct`] — sharded connection tracking (re-exported from `ovs-ct`):
 //!   zones with per-zone limits, a bounded table with early-drop
 //!   eviction, a TCP-lite state machine, NAT, and rotating expiry
@@ -25,7 +26,8 @@
 //! * [`tunnel`] — userspace Geneve/VXLAN encap/decap routed through the
 //!   Netlink replica caches of §4.
 //! * [`meter`] — token-bucket meters, the rate-limiting substitute the
-//!   paper mentions under "Some features must be reimplemented".
+//!   paper mentions under "Some features must be reimplemented"
+//!   (re-exported from `ovs-kernel`: both datapaths police with them).
 //! * [`mirror`] — ERSPAN port mirroring (the §2.1.1 backporting example).
 //! * [`ofctl`] — the `ovs-ofctl add-flow` text syntax.
 //! * [`tso`] — software segmentation for egress devices without TSO.
@@ -46,6 +48,7 @@
 //!   `dpif-netdev/pmd-perf-show`, `ofproto/trace`, and friends.
 
 pub use ovs_ct as ct;
+pub use ovs_kernel::meter;
 pub use ovs_nfv as nfv;
 
 pub mod appctl;
@@ -54,7 +57,6 @@ pub mod classifier;
 pub mod controller;
 pub mod dpif;
 pub mod health;
-pub mod meter;
 pub mod mirror;
 pub mod ofctl;
 pub mod ofproto;

@@ -31,7 +31,8 @@
 //! ([`Revalidator::evict`], which returns its victims) and
 //! [`Revalidator::end_sweep`]. Each driver deletes through its own one
 //! delete function, which pushes the flow's residual stats. Three drivers
-//! run the pass over their own flows with their own re-translation:
+//! run the pass over their own flows, re-translating through their own
+//! `ofproto` into the one datapath action set:
 //! [`DpifNetdev::revalidate`](crate::dpif::DpifNetdev::revalidate) (the
 //! megaflow cache, plus restore reconciliation, cache purge, conntrack
 //! expiry and the virtual-clock charges),
@@ -40,7 +41,8 @@
 //! and [`DpifNetlink::revalidate`](crate::dpif::DpifNetlink::revalidate)
 //! (the kernel flow table, over the flows the dpif installed).
 
-use crate::ofproto::RuleEntry;
+use crate::dpif::DpAction;
+use crate::ofproto::{Ofproto, RuleEntry};
 use ovs_obs::coverage;
 use ovs_packet::{FlowKey, FlowMask, Miniflow};
 use std::collections::HashMap;
@@ -325,13 +327,16 @@ pub type FlowCounters = (u64, u64, u64, u64);
 /// masked key, mask, actions and counters the per-flow step reads, and
 /// the ukey kept in the flow's record.
 #[derive(Debug)]
-pub struct DumpedFlow<'a, A> {
+pub struct DumpedFlow<'a> {
     /// Masked key, which a re-translation translates.
     pub key: &'a FlowKey,
     /// The wildcard mask the flow was installed under.
     pub mask: &'a FlowMask,
-    /// The actions installed.
-    pub actions: &'a A,
+    /// The actions installed. A reference to the flow's `Vec`, not a
+    /// slice: making a slice reads the `Vec` inside the flow's record, a
+    /// cold load per flow on a large table, and only a re-translation
+    /// reads the actions.
+    pub actions: &'a Vec<DpAction>,
     /// The flow's counters, as the datapath reports them.
     pub counters: FlowCounters,
     /// The flow's ukey, from the flow's record.
@@ -391,8 +396,7 @@ impl Sweep {
 
 /// Per-dpif revalidator policy and counters: the dynamic flow limit and
 /// sweep statistics. It keeps nothing per flow. Both `DpifNetdev` and
-/// `DpifNetlink` embed one; the per-flow step is generic over their
-/// action languages.
+/// `DpifNetlink` embed one.
 #[derive(Debug)]
 pub struct Revalidator {
     pub cfg: RevalidatorConfig,
@@ -487,18 +491,18 @@ impl Revalidator {
     /// dump returns it, with its ukey. Count the dump, push the flow's
     /// stats, then delete the flow (kill-all, else idle, else hard) or
     /// keep it. A flow already checked at the pass's table version is
-    /// kept without re-translating; any other is re-translated by `xlate`
-    /// (into the dump's action language) and deleted if its actions or
-    /// mask differ from the dumped ones, else its rule refs are refreshed
+    /// kept without re-translating; any other is re-translated through
+    /// `ofproto` and deleted if its actions or mask differ from the
+    /// dumped ones, else its rule refs are refreshed
     /// — the rules backing an unchanged flow may still have changed — and
     /// it is marked checked. A restored flow is only counted: it has no
     /// rule refs to push to, so it waits for the dpif's reconciliation.
     /// A deletion is counted here; the driver deletes the flow.
-    pub fn revalidate_flow<A: PartialEq>(
+    pub fn revalidate_flow(
         &mut self,
         sweep: &mut Sweep,
-        flow: DumpedFlow<'_, A>,
-        xlate: impl FnOnce(&FlowKey) -> (A, FlowMask, Vec<Rc<RuleEntry>>),
+        flow: DumpedFlow<'_>,
+        ofproto: &mut Ofproto,
     ) -> Verdict {
         coverage!("revalidate_flow");
         sweep.summary.dumped += 1;
@@ -519,9 +523,9 @@ impl Revalidator {
             // Checked against these very tables: nothing to re-translate.
             return Verdict::Keep;
         } else {
-            let (actions, mask, rules) = xlate(flow.key);
-            if actions == *flow.actions && mask == *flow.mask {
-                uk.rules = rules;
+            let t = ofproto.translate(flow.key);
+            if t.actions == *flow.actions && t.mask == *flow.mask {
+                uk.rules = t.rules;
                 uk.version = Some(sweep.version);
                 return Verdict::Keep;
             }

@@ -476,7 +476,7 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
     let (mut k, nics) = kernel_bridge(2);
     let (eth0, eth1, p0, p1) = (nics[0], nics[1], 0, 1);
 
-    let mut dpif = DpifNetlink::new([0, 0, 0, 0]);
+    let mut dpif = DpifNetlink::new();
     dpif.ofproto.add_rule(fwd_rule(p0, p1, 10));
 
     // One miss plus two kernel fast-path hits.
@@ -569,7 +569,7 @@ fn kernel_dpif_sweep_expires_flows_and_pushes_stats() {
 #[test]
 fn narrower_mask_over_the_same_masked_key_replaces_the_kernel_flow() {
     let (mut k, nics) = kernel_bridge(3);
-    let mut dpif = DpifNetlink::new([0, 0, 0, 0]);
+    let mut dpif = DpifNetlink::new();
     let rules = ovs_core::ofctl::parse_flows(
         "table=0, priority=20, udp, tp_dst=80, actions=output:2\n\
          table=0, priority=10, udp, actions=output:1",

@@ -6,6 +6,7 @@
 //! [`Kernel::receive`] and [`Kernel::transmit`]; every modelled operation
 //! charges the cost model through `self.sim`.
 
+use crate::action::DpAction;
 use crate::dev::{Attachment, DeviceKind, NetDevice, Owner, XdpAttachment, XdpMode};
 use crate::guest::{Guest, GuestRole, VirtioBackend};
 use crate::namespace::{reflect_frame, ContainerRole, Namespace};
@@ -632,7 +633,11 @@ impl Kernel {
         }
 
         match attachment {
-            Attachment::OvsBridge { .. } => self.bridge_input(ifindex, frame, core, depth),
+            Attachment::OvsBridge { .. } => {
+                self.run_ovs_module(core, depth, ifindex, |ovs, env| {
+                    ovs.receive(frame, ifindex, env)
+                })
+            }
             Attachment::Namespace { ns } => self.namespace_input(ifindex, ns, frame, core, depth),
             Attachment::HostStack => {
                 self.stack_deliver(ifindex, frame, core, depth);
@@ -641,33 +646,33 @@ impl Kernel {
         }
     }
 
-    /// Run a frame through the OVS kernel datapath and apply the verdicts.
-    fn bridge_input(
+    /// One call into the OVS kernel module (`run`: its `receive` or
+    /// `execute`): charge its work to `core` in softirq context from the
+    /// module's and conntrack's stats deltas, then apply its verdicts.
+    /// Emitted frames leave at hop `depth + 1`; frames for the host stack
+    /// enter it on `host_ifindex` at hop `depth`.
+    fn run_ovs_module(
         &mut self,
-        ifindex: u32,
-        frame: Vec<u8>,
         core: usize,
         depth: usize,
+        host_ifindex: u32,
+        run: impl FnOnce(&mut OvsModule, &mut DpEnv<'_>) -> Vec<DpVerdict>,
     ) -> RxOutcome {
         let dev_macs = self.dev_macs();
-        let now = self.sim.clock.now_ns();
         let (lookups0, enc0, dec0, ct0) = (
             self.ovs.stats.lookups,
             self.ovs.stats.tunnel_encaps,
             self.ovs.stats.tunnel_decaps,
             self.conntrack.stats.ops,
         );
-        let verdicts = {
-            let mut env = DpEnv {
-                routes: &self.routes,
-                neighbors: &self.neighbors,
-                conntrack: &mut self.conntrack,
-                dev_macs: &dev_macs,
-                now_ns: now,
-            };
-            self.ovs.receive(frame, ifindex, &mut env)
+        let mut env = DpEnv {
+            routes: &self.routes,
+            neighbors: &self.neighbors,
+            conntrack: &mut self.conntrack,
+            dev_macs: &dev_macs,
+            now_ns: self.sim.clock.now_ns(),
         };
-        // Charge datapath work from the stats deltas.
+        let verdicts = run(&mut self.ovs, &mut env);
         let c = (self.ovs.stats.lookups - lookups0) as f64 * self.sim.costs.kernel_ovs_flow_ns
             + (self.ovs.stats.tunnel_encaps - enc0 + self.ovs.stats.tunnel_decaps - dec0) as f64
                 * self.sim.costs.kernel_tunnel_ns
@@ -677,14 +682,11 @@ impl Kernel {
         let mut outcome = RxOutcome::Bridged;
         for v in verdicts {
             match v {
-                DpVerdict::Emit {
-                    ifindex: out_if,
-                    frame,
-                } => {
-                    self.transmit_at(out_if, frame, core, depth + 1);
+                DpVerdict::Emit { ifindex, frame } => {
+                    self.transmit_at(ifindex, frame, core, depth + 1);
                 }
                 DpVerdict::ToHost { frame } => {
-                    self.stack_deliver(ifindex, frame, core, depth);
+                    self.stack_deliver(host_ifindex, frame, core, depth);
                 }
                 DpVerdict::Upcall(u) => {
                     if self.upcalls.len() < MAX_UPCALLS {
@@ -958,57 +960,19 @@ impl Kernel {
         processed
     }
 
-    /// Execute a datapath action list on a packet (the userspace side of
-    /// `OVS_PACKET_CMD_EXECUTE`, used after an upcall). Charges datapath
-    /// work to `core` in softirq context and applies the resulting
-    /// verdicts.
+    /// Execute a datapath action list on a packet as its pipeline pass
+    /// `pass` (the userspace side of `OVS_PACKET_CMD_EXECUTE`, used after
+    /// an upcall). Charges datapath work to `core` in softirq context and
+    /// applies the resulting verdicts; frames for the host stack enter it
+    /// on ifindex 1.
     pub fn ovs_execute(
         &mut self,
         pkt: ovs_packet::DpPacket,
-        actions: &[crate::ovs_module::KAction],
+        actions: &[DpAction],
+        pass: usize,
         core: usize,
     ) {
-        let dev_macs = self.dev_macs();
-        let now = self.sim.clock.now_ns();
-        let (lookups0, enc0, dec0, ct0) = (
-            self.ovs.stats.lookups,
-            self.ovs.stats.tunnel_encaps,
-            self.ovs.stats.tunnel_decaps,
-            self.conntrack.stats.ops,
-        );
-        let verdicts = {
-            let mut env = DpEnv {
-                routes: &self.routes,
-                neighbors: &self.neighbors,
-                conntrack: &mut self.conntrack,
-                dev_macs: &dev_macs,
-                now_ns: now,
-            };
-            self.ovs.execute(pkt, actions, &mut env)
-        };
-        let c = (self.ovs.stats.lookups - lookups0) as f64 * self.sim.costs.kernel_ovs_flow_ns
-            + (self.ovs.stats.tunnel_encaps - enc0 + self.ovs.stats.tunnel_decaps - dec0) as f64
-                * self.sim.costs.kernel_tunnel_ns
-            + (self.conntrack.stats.ops - ct0) as f64 * self.sim.costs.kernel_conntrack_ns;
-        self.charge_softirq(core, c);
-        for v in verdicts {
-            match v {
-                DpVerdict::Emit { ifindex, frame } => self.transmit_at(ifindex, frame, core, 1),
-                DpVerdict::ToHost { frame } => {
-                    let ifindex = 1;
-                    self.stack_deliver(ifindex, frame, core, 1);
-                }
-                DpVerdict::Upcall(u) => {
-                    if self.upcalls.len() < MAX_UPCALLS {
-                        self.upcalls.push_back(u);
-                    } else {
-                        self.upcall_drops += 1;
-                        coverage!("upcall_queue_full");
-                    }
-                }
-                DpVerdict::Drop => {}
-            }
-        }
+        self.run_ovs_module(core, 0, 1, |ovs, env| ovs.execute(pkt, actions, pass, env));
     }
 
     // ------------------------------------------------------------------
@@ -1224,7 +1188,7 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ovs_module::{KAction, Vport};
+    use crate::ovs_module::Vport;
     use crate::xsk::XskBinding;
     use ovs_ebpf::maps::{Map, XskMap};
     use ovs_packet::flow::{fields, FlowKey, FlowMask};
@@ -1360,7 +1324,7 @@ mod tests {
         k.ovs.install_flow(
             &key,
             &FlowMask::of_fields(&[&fields::IN_PORT]),
-            vec![KAction::Output(p1)],
+            vec![DpAction::Output(p1)],
         );
         let f = udp64();
         assert_eq!(k.receive(eth0, 0, f.clone()), RxOutcome::Bridged);

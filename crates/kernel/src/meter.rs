@@ -3,7 +3,11 @@
 //! "Traffic shaping and policing is still missing, so we currently use
 //! the OpenFlow meter action to support rate limiting, which is not fully
 //! equivalent" (§6). This is that substitute: a policer that drops over-
-//! rate packets, with no queueing/shaping.
+//! rate packets, with no queueing/shaping. Both datapaths run it: the
+//! kernel module's `meters` and ovs-core's `DpifNetdev::meters` are each
+//! a [`MeterSet`], offered every packet that reaches a `Meter` action, as
+//! the kernel's `OVS_ACTION_ATTR_METER` (Linux 4.15+) and userspace
+//! meters are in OVS.
 
 /// One token-bucket meter.
 #[derive(Debug, Clone)]

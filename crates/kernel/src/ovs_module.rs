@@ -5,12 +5,15 @@
 //! (netdev ports, Geneve tunnel vports, the internal port), a **megaflow
 //! table** (a list of masks, each with a hash table of masked keys —
 //! lookup probes every mask until one hits), **upcalls** to userspace on
-//! miss, and an action set including output, VLAN push/pop, tunnel
-//! set/encap/decap, connection tracking, and recirculation.
+//! miss, and the datapath action set ([`DpAction`]) the userspace
+//! datapath runs too: output, VLAN push/pop, tunnel set/encap/decap,
+//! connection tracking, meters and recirculation.
 
+use crate::action::DpAction;
+use crate::meter::MeterSet;
 use crate::neigh::NeighTable;
 use crate::route::RouteTable;
-use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable, NatSpec};
+use ovs_ct::{apply_rewrite, ConnKey, CtAction, CtTable};
 use ovs_obs::coverage;
 use ovs_packet::dp_packet::TunnelMetadata;
 use ovs_packet::flow::extract_flow_key;
@@ -19,55 +22,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-/// Maximum recirculations before the module drops a packet (loop guard,
-/// as in the real datapath).
-pub const MAX_RECIRC: u32 = 8;
-
-/// Tunnel parameters set by [`KAction::SetTunnel`] and consumed by output
-/// to a tunnel vport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TunnelSpec {
-    /// VNI / tunnel key.
-    pub id: u64,
-    /// Local (source) endpoint address.
-    pub src: [u8; 4],
-    /// Remote (destination) endpoint address.
-    pub dst: [u8; 4],
-    /// Outer TOS.
-    pub tos: u8,
-    /// Outer TTL.
-    pub ttl: u8,
-}
-
-/// Kernel datapath actions (subset of the upstream action set).
-#[derive(Debug, Clone, PartialEq)]
-pub enum KAction {
-    /// Output to a datapath port.
-    Output(u32),
-    /// Send to userspace (explicit upcall action).
-    Userspace,
-    /// Drop.
-    Drop,
-    /// Set tunnel metadata for a later tunnel-vport output.
-    SetTunnel(TunnelSpec),
-    /// Push an 802.1Q tag.
-    PushVlan(u16),
-    /// Pop the outer 802.1Q tag.
-    PopVlan,
-    /// Run conntrack.
-    Ct {
-        zone: u16,
-        commit: bool,
-        mark: Option<u32>,
-        nat: Option<NatSpec>,
-    },
-    /// Recirculate with a new recirc id (re-extract, re-lookup).
-    Recirc(u32),
-    /// Rewrite the Ethernet source.
-    SetEthSrc(MacAddr),
-    /// Rewrite the Ethernet destination.
-    SetEthDst(MacAddr),
-}
+/// Maximum pipeline passes before a datapath drops a packet (loop guard,
+/// as in the real datapath). Both datapaths enforce it.
+pub const MAX_RECIRC: usize = 8;
 
 /// A datapath port.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,13 +44,13 @@ pub enum DpVerdict {
     Emit { ifindex: u32, frame: Vec<u8> },
     /// Deliver to the host stack via the internal port.
     ToHost { frame: Vec<u8> },
-    /// Queue an upcall to userspace (flow miss or explicit action).
+    /// Queue an upcall to userspace (a flow miss).
     Upcall(Upcall),
     /// Dropped (by action or by error); the reason is recorded in stats.
     Drop,
 }
 
-/// A miss or action upcall to userspace.
+/// A miss upcall to userspace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Upcall {
     /// Datapath port the packet arrived on.
@@ -104,6 +61,11 @@ pub struct Upcall {
     pub frame: Vec<u8>,
     /// Tunnel metadata if the packet was decapsulated.
     pub tunnel: Option<TunnelMetadata>,
+    /// The pipeline pass that missed, counting from 0: the execute after
+    /// the upcall resumes the count, so an upcall does not reset the
+    /// [`MAX_RECIRC`] guard (the userspace datapath keeps a packet's
+    /// passes across its upcalls too).
+    pub pass: usize,
 }
 
 /// Tables the datapath consults that live elsewhere in the kernel.
@@ -126,9 +88,9 @@ pub struct ModStats {
     pub recirculations: u64,
     pub tunnel_encaps: u64,
     pub tunnel_decaps: u64,
-    /// Packets a `Drop` action dropped (coverage `kmod_drop`).
+    /// Packets an empty action list dropped (coverage `kmod_drop`).
     pub action_drops: u64,
-    /// Tunnel outputs with no tunnel spec (`kmod_tunnel_no_md`).
+    /// Tunnel outputs with no tunnel metadata (`kmod_tunnel_no_md`).
     pub tunnel_no_md: u64,
     /// Tunnel outputs with no route, neighbour or source MAC
     /// (`kmod_tunnel_encap_fail`).
@@ -138,13 +100,21 @@ pub struct ModStats {
     /// Packets conntrack refused — zone limit, table full or invalid
     /// (`kmod_ct_drop`).
     pub ct_drops: u64,
+    /// Packets a meter found over its rate (`kmod_meter_drop`).
+    pub meter_drops: u64,
+    /// Packets whose actions reach what the kernel cannot: an `NfChain`,
+    /// whose NF manager lives in userspace (`kmod_unsupported_action`).
+    pub unsupported_action_drops: u64,
+    /// Packets still recirculating after [`MAX_RECIRC`] passes
+    /// (`kmod_recirc_limit`).
+    pub recirc_limit_drops: u64,
 }
 
 /// One megaflow. A hit hands out its actions by pointer, so a lookup
 /// copies nothing.
 #[derive(Debug, Clone)]
 struct Megaflow {
-    actions: Rc<[KAction]>,
+    actions: Rc<[DpAction]>,
     /// Packet hit counter (visible via `ovs-dpctl dump-flows` analogues).
     hits: u64,
     /// Bytes forwarded.
@@ -169,6 +139,9 @@ pub struct OvsModule {
     /// The descriptor of the last frame, kept for the next one: a frame
     /// runs to completion before the next arrives, so one spare serves.
     spare: Option<DpPacket>,
+    /// The meter table `Meter` actions offer packets to. An unknown
+    /// meter passes, as in userspace.
+    pub meters: MeterSet,
     /// Statistics.
     pub stats: ModStats,
 }
@@ -203,7 +176,7 @@ impl OvsModule {
 
     /// Install a megaflow with creation time 0 (pre-warmed static flows;
     /// the upcall path uses [`install_flow_at`](Self::install_flow_at)).
-    pub fn install_flow(&mut self, key: &FlowKey, mask: &FlowMask, actions: Vec<KAction>) {
+    pub fn install_flow(&mut self, key: &FlowKey, mask: &FlowMask, actions: Vec<DpAction>) {
         self.install_flow_at(key, mask, actions, 0);
     }
 
@@ -213,7 +186,7 @@ impl OvsModule {
         &mut self,
         key: &FlowKey,
         mask: &FlowMask,
-        actions: Vec<KAction>,
+        actions: Vec<DpAction>,
         now_ns: u64,
     ) {
         let mask_idx = match self.masks.iter().position(|m| m == mask) {
@@ -313,7 +286,7 @@ impl OvsModule {
 
     /// Megaflow lookup: probe each live mask's table. Returns the
     /// actions; `len`/`now_ns` feed the hit flow's counters.
-    fn lookup(&mut self, key: &FlowKey, len: usize, now_ns: u64) -> Option<Rc<[KAction]>> {
+    fn lookup(&mut self, key: &FlowKey, len: usize, now_ns: u64) -> Option<Rc<[DpAction]>> {
         self.stats.lookups += 1;
         coverage!("kmod_flow_lookup");
         for (i, mask) in self.masks.iter().enumerate() {
@@ -371,45 +344,43 @@ impl OvsModule {
         }
         pkt.in_port = in_port;
 
-        self.run_pipeline(pkt, env)
+        let mut out = Vec::new();
+        self.lookup_loop(&mut pkt, 0, env, &mut out);
+        self.spare = Some(pkt);
+        out
     }
 
     /// Execute a specific action list on a packet (used by userspace
-    /// `OVS_PACKET_CMD_EXECUTE` after an upcall).
+    /// `OVS_PACKET_CMD_EXECUTE` after an upcall) as its pipeline pass
+    /// `pass`, the upcall's.
     pub fn execute(
         &mut self,
         mut pkt: DpPacket,
-        actions: &[KAction],
+        actions: &[DpAction],
+        pass: usize,
         env: &mut DpEnv<'_>,
     ) -> Vec<DpVerdict> {
         let mut out = Vec::new();
-        let mut tunnel_out: Option<TunnelSpec> = None;
-        let recirc = self.apply_actions(&mut pkt, actions, &mut tunnel_out, env, &mut out);
-        if let Some(rid) = recirc {
+        if let Some(rid) = self.apply_actions(&mut pkt, actions, env, &mut out) {
             pkt.recirc_id = rid;
-            self.lookup_loop(&mut pkt, env, &mut out);
+            self.lookup_loop(&mut pkt, pass + 1, env, &mut out);
         }
         self.spare = Some(pkt);
         out
     }
 
-    /// Run the lookup/recirculation loop, then keep the descriptor as
-    /// the next frame's.
-    fn run_pipeline(&mut self, mut pkt: DpPacket, env: &mut DpEnv<'_>) -> Vec<DpVerdict> {
-        let mut out = Vec::new();
-        self.lookup_loop(&mut pkt, env, &mut out);
-        self.spare = Some(pkt);
-        out
-    }
-
-    /// Look the packet up, apply the actions, and again for each
-    /// recirculation.
-    fn lookup_loop(&mut self, pkt: &mut DpPacket, env: &mut DpEnv<'_>, out: &mut Vec<DpVerdict>) {
-        let mut rounds = 0;
-        loop {
-            rounds += 1;
-            if rounds > MAX_RECIRC {
-                self.stats.recirculations += 1;
+    /// Look the packet up as pass `first`, apply the actions, and again
+    /// for each recirculation, until [`MAX_RECIRC`] passes.
+    fn lookup_loop(
+        &mut self,
+        pkt: &mut DpPacket,
+        first: usize,
+        env: &mut DpEnv<'_>,
+        out: &mut Vec<DpVerdict>,
+    ) {
+        for pass in first.. {
+            if pass >= MAX_RECIRC {
+                self.stats.recirc_limit_drops += 1;
                 coverage!("kmod_recirc_limit");
                 out.push(DpVerdict::Drop);
                 return;
@@ -421,11 +392,11 @@ impl OvsModule {
                     key,
                     frame: pkt.data().to_vec(),
                     tunnel: pkt.tunnel,
+                    pass,
                 }));
                 return;
             };
-            let mut tunnel_out = None;
-            match self.apply_actions(pkt, &actions, &mut tunnel_out, env, out) {
+            match self.apply_actions(pkt, &actions, env, out) {
                 Some(recirc_id) => {
                     self.stats.recirculations += 1;
                     coverage!("kmod_recirc");
@@ -438,57 +409,44 @@ impl OvsModule {
     }
 
     /// Apply an action list. Returns `Some(recirc_id)` if a `Recirc`
-    /// action requests another pipeline pass.
+    /// action requests another pipeline pass. An empty list, a meter over
+    /// its rate, a conntrack refusal and an `NfChain` end the list with a
+    /// counted drop.
     fn apply_actions(
         &mut self,
         pkt: &mut DpPacket,
-        actions: &[KAction],
-        tunnel_out: &mut Option<TunnelSpec>,
+        actions: &[DpAction],
         env: &mut DpEnv<'_>,
         out: &mut Vec<DpVerdict>,
     ) -> Option<u32> {
+        if actions.is_empty() {
+            self.stats.action_drops += 1;
+            coverage!("kmod_drop");
+            out.push(DpVerdict::Drop);
+            return None;
+        }
         for act in actions {
             match act {
-                KAction::Drop => {
-                    self.stats.action_drops += 1;
-                    coverage!("kmod_drop");
-                    out.push(DpVerdict::Drop);
-                    return None;
-                }
-                KAction::Userspace => {
-                    let key = extract_flow_key(pkt);
-                    out.push(DpVerdict::Upcall(Upcall {
-                        in_port: pkt.in_port,
-                        key,
-                        frame: pkt.data().to_vec(),
-                        tunnel: pkt.tunnel,
-                    }));
-                }
-                KAction::SetTunnel(spec) => {
-                    *tunnel_out = Some(*spec);
+                DpAction::SetTunnel { id, dst } => {
+                    // The source is the tunnel vport's, filled at output.
                     pkt.tunnel = Some(TunnelMetadata {
-                        tun_id: spec.id,
-                        src: spec.src,
-                        dst: spec.dst,
-                        tos: spec.tos,
-                        ttl: spec.ttl,
+                        tun_id: *id,
+                        src: [0, 0, 0, 0],
+                        dst: *dst,
+                        tos: 0,
+                        ttl: 64,
                     });
                 }
-                KAction::PushVlan(tci) => pkt.push_vlan(*tci),
-                KAction::PopVlan => pkt.pop_vlan(),
-                KAction::Ct {
-                    zone,
-                    commit,
-                    mark,
-                    nat,
-                } => {
+                DpAction::PushVlan(tci) => pkt.push_vlan(*tci),
+                DpAction::PopVlan => pkt.pop_vlan(),
+                DpAction::Ct { zone, commit, nat } => {
                     let parse = *pkt.parse();
                     let v = env.conntrack.process_full(
                         ConnKey::from_parse(*zone, &parse),
                         CtAction {
                             zone: *zone,
                             commit: *commit,
-                            mark: *mark,
+                            mark: None,
                             nat: *nat,
                         },
                         parse.tcp_flags(pkt.data()),
@@ -508,20 +466,36 @@ impl OvsModule {
                         apply_rewrite(pkt.data_mut(), &rw);
                     }
                 }
-                KAction::Recirc(id) => return Some(*id),
-                KAction::SetEthSrc(mac) => {
+                DpAction::Recirc(id) => return Some(*id),
+                DpAction::Meter(id) => {
+                    if !self.meters.offer(*id, env.now_ns, pkt.len()) {
+                        self.stats.meter_drops += 1;
+                        coverage!("kmod_meter_drop");
+                        out.push(DpVerdict::Drop);
+                        return None;
+                    }
+                }
+                DpAction::NfChain(_) => {
+                    // The NF manager's rings live in userspace: no kernel
+                    // path reaches them.
+                    self.stats.unsupported_action_drops += 1;
+                    coverage!("kmod_unsupported_action");
+                    out.push(DpVerdict::Drop);
+                    return None;
+                }
+                DpAction::SetEthSrc(mac) => {
                     if pkt.len() >= 14 {
                         let mut f = EthernetFrame::new_unchecked(pkt.data_mut());
                         f.set_src(*mac);
                     }
                 }
-                KAction::SetEthDst(mac) => {
+                DpAction::SetEthDst(mac) => {
                     if pkt.len() >= 14 {
                         let mut f = EthernetFrame::new_unchecked(pkt.data_mut());
                         f.set_dst(*mac);
                     }
                 }
-                KAction::Output(port) => match self.vports.get(*port as usize).cloned() {
+                DpAction::Output(port) => match self.vports.get(*port as usize).cloned() {
                     Some(Vport::Netdev { ifindex }) => out.push(DpVerdict::Emit {
                         ifindex,
                         frame: pkt.data().to_vec(),
@@ -529,22 +503,15 @@ impl OvsModule {
                     Some(Vport::Internal) => out.push(DpVerdict::ToHost {
                         frame: pkt.data().to_vec(),
                     }),
-                    Some(Vport::Geneve { .. }) => {
-                        let Some(spec) = tunnel_out.or_else(|| {
-                            pkt.tunnel.map(|t| TunnelSpec {
-                                id: t.tun_id,
-                                src: t.src,
-                                dst: t.dst,
-                                tos: t.tos,
-                                ttl: t.ttl,
-                            })
-                        }) else {
+                    Some(Vport::Geneve { local_ip }) => {
+                        let Some(mut meta) = pkt.tunnel else {
                             self.stats.tunnel_no_md += 1;
                             coverage!("kmod_tunnel_no_md");
                             out.push(DpVerdict::Drop);
                             continue;
                         };
-                        match Self::geneve_encap_out(pkt, spec, env) {
+                        meta.src = local_ip;
+                        match Self::geneve_encap_out(pkt, &meta, env) {
                             Some(v) => {
                                 self.stats.tunnel_encaps += 1;
                                 coverage!("kmod_tunnel_encap");
@@ -571,11 +538,11 @@ impl OvsModule {
     /// Encapsulate and route a tunnel output.
     fn geneve_encap_out(
         pkt: &mut DpPacket,
-        spec: TunnelSpec,
+        meta: &TunnelMetadata,
         env: &DpEnv<'_>,
     ) -> Option<DpVerdict> {
-        let route = env.routes.lookup(spec.dst)?;
-        let nexthop = route.gateway.unwrap_or(spec.dst);
+        let route = env.routes.lookup(meta.dst)?;
+        let nexthop = route.gateway.unwrap_or(meta.dst);
         let dst_mac = env.neighbors.lookup(nexthop)?.mac;
         let src_mac = env
             .dev_macs
@@ -588,10 +555,10 @@ impl OvsModule {
         let outer = builder::geneve_encap(
             src_mac,
             dst_mac,
-            spec.src,
-            spec.dst,
+            meta.src,
+            meta.dst,
             sport,
-            (spec.id & 0x00ff_ffff) as u32,
+            (meta.tun_id & 0x00ff_ffff) as u32,
             pkt.data(),
         );
         Some(DpVerdict::Emit {
@@ -694,7 +661,7 @@ mod tests {
         let mut key = FlowKey::default();
         key.set_in_port(p0);
         let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
-        m.install_flow(&key, &mask, vec![KAction::Output(1)]);
+        m.install_flow(&key, &mask, vec![DpAction::Output(1)]);
 
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
@@ -729,18 +696,17 @@ mod tests {
             &k0,
             &mask,
             vec![
-                KAction::Ct {
+                DpAction::Ct {
                     zone: 5,
                     commit: true,
-                    mark: None,
                     nat: None,
                 },
-                KAction::Recirc(1),
+                DpAction::Recirc(1),
             ],
         );
         let mut k1 = k0;
         k1.set_recirc_id(1);
-        m.install_flow(&k1, &mask, vec![KAction::Output(1)]);
+        m.install_flow(&k1, &mask, vec![DpAction::Output(1)]);
 
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
@@ -770,14 +736,11 @@ mod tests {
             &key,
             &mask,
             vec![
-                KAction::SetTunnel(TunnelSpec {
+                DpAction::SetTunnel {
                     id: 5001,
-                    src: [172, 16, 0, 1],
                     dst: [172, 16, 0, 2],
-                    tos: 0,
-                    ttl: 64,
-                }),
-                KAction::Output(1),
+                },
+                DpAction::Output(1),
             ],
         );
 
@@ -824,7 +787,7 @@ mod tests {
         gkey.set_in_port(gport);
         gkey.set_tun_id(5001);
         let gmask = FlowMask::of_fields(&[&fields::IN_PORT, &fields::TUN_ID]);
-        m2.install_flow(&gkey, &gmask, vec![KAction::Output(2)]);
+        m2.install_flow(&gkey, &gmask, vec![DpAction::Output(2)]);
 
         let routes2 = RouteTable::new();
         let neigh2 = NeighTable::new();
@@ -858,7 +821,7 @@ mod tests {
         m.install_flow(
             &key,
             &mask,
-            vec![KAction::PushVlan(100), KAction::Output(1)],
+            vec![DpAction::PushVlan(100), DpAction::Output(1)],
         );
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
@@ -885,7 +848,7 @@ mod tests {
         m.install_flow(
             &key,
             &mask,
-            vec![KAction::PushVlan(100), KAction::Output(1)],
+            vec![DpAction::PushVlan(100), DpAction::Output(1)],
         );
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
@@ -906,7 +869,7 @@ mod tests {
     /// Receive one frame on port 0 (ifindex 1) of a module with a Geneve
     /// vport as port 1 whose only flow runs `actions`, with no routes,
     /// neighbours or device MACs, and return its verdicts and stats.
-    fn drop_case(actions: Vec<KAction>) -> (Vec<DpVerdict>, ModStats) {
+    fn drop_case(actions: Vec<DpAction>) -> (Vec<DpVerdict>, ModStats) {
         let mut m = OvsModule::new();
         let p0 = m.add_vport(Vport::Netdev { ifindex: 1 });
         m.add_vport(Vport::Geneve {
@@ -927,7 +890,7 @@ mod tests {
 
     #[test]
     fn unknown_output_port_drops() {
-        let (v, stats) = drop_case(vec![KAction::Output(42)]);
+        let (v, stats) = drop_case(vec![DpAction::Output(42)]);
         assert_eq!(v, vec![DpVerdict::Drop]);
         assert_eq!(stats.tx_no_port, 1);
         assert_eq!(ovs_obs::coverage::total("kmod_tx_no_port"), 1);
@@ -935,15 +898,15 @@ mod tests {
 
     #[test]
     fn drop_action_is_counted() {
-        let (v, stats) = drop_case(vec![KAction::Drop]);
+        let (v, stats) = drop_case(vec![]);
         assert_eq!(v, vec![DpVerdict::Drop]);
         assert_eq!(stats.action_drops, 1);
         assert_eq!(ovs_obs::coverage::total("kmod_drop"), 1);
     }
 
     #[test]
-    fn tunnel_output_without_a_spec_drops() {
-        let (v, stats) = drop_case(vec![KAction::Output(1)]);
+    fn tunnel_output_without_metadata_drops() {
+        let (v, stats) = drop_case(vec![DpAction::Output(1)]);
         assert_eq!(v, vec![DpVerdict::Drop]);
         assert_eq!((stats.tunnel_no_md, stats.tunnel_encaps), (1, 0));
         assert_eq!(ovs_obs::coverage::total("kmod_tunnel_no_md"), 1);
@@ -951,14 +914,11 @@ mod tests {
 
     #[test]
     fn tunnel_output_without_a_route_drops() {
-        let spec = TunnelSpec {
+        let set_tunnel = DpAction::SetTunnel {
             id: 5001,
-            src: [172, 16, 0, 1],
             dst: [172, 16, 0, 2],
-            tos: 0,
-            ttl: 64,
         };
-        let (v, stats) = drop_case(vec![KAction::SetTunnel(spec), KAction::Output(1)]);
+        let (v, stats) = drop_case(vec![set_tunnel, DpAction::Output(1)]);
         assert_eq!(v, vec![DpVerdict::Drop]);
         assert_eq!((stats.tunnel_encap_fails, stats.tunnel_encaps), (1, 0));
         assert_eq!(ovs_obs::coverage::total("kmod_tunnel_encap_fail"), 1);
@@ -966,21 +926,57 @@ mod tests {
 
     #[test]
     fn recirc_loop_guard() {
+        // A flow that matches any recirc id and always recirculates to 7:
+        // infinite loop, cut off after MAX_RECIRC passes and counted as
+        // a limit drop, not as one more recirculation.
+        let (v, stats) = drop_case(vec![DpAction::Recirc(7)]);
+        assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!(stats.lookups, MAX_RECIRC as u64);
+        assert_eq!(stats.recirculations, MAX_RECIRC as u64);
+        assert_eq!(stats.recirc_limit_drops, 1);
+        assert_eq!(ovs_obs::coverage::total("kmod_recirc_limit"), 1);
+    }
+
+    #[test]
+    fn an_nf_chain_drops_by_name_after_one_lookup() {
+        let (v, stats) = drop_case(vec![DpAction::NfChain(1), DpAction::Output(0)]);
+        assert_eq!(v, vec![DpVerdict::Drop]);
+        assert_eq!(stats.unsupported_action_drops, 1);
+        assert_eq!((stats.lookups, stats.recirculations), (1, 0));
+        assert_eq!(ovs_obs::coverage::total("kmod_unsupported_action"), 1);
+    }
+
+    #[test]
+    fn meters_police_and_an_unknown_meter_passes() {
+        // Meter 1's bucket holds one frame and never refills (the clock
+        // stands still); meter 2 is not configured.
         let mut m = OvsModule::new();
         let p0 = m.add_vport(Vport::Netdev { ifindex: 1 });
-        // A flow that matches any recirc id and always recirculates to 7:
-        // infinite loop, must be cut off.
+        m.add_vport(Vport::Netdev { ifindex: 2 });
+        let f = frame([10, 0, 0, 2]);
+        m.meters
+            .set(1, crate::meter::Meter::new(1_000, f.len() as u64 * 8));
         let mut key = FlowKey::default();
         key.set_in_port(p0);
         let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
-        m.install_flow(&key, &mask, vec![KAction::Recirc(7)]);
+        let actions = vec![DpAction::Meter(2), DpAction::Meter(1), DpAction::Output(1)];
+        m.install_flow(&key, &mask, actions);
         let routes = RouteTable::new();
         let neigh = NeighTable::new();
         let mut ct = CtTable::new();
         let macs = [];
         let mut env = test_env(&routes, &neigh, &mut ct, &macs);
-        let v = m.receive(frame([1, 1, 1, 1]), 1, &mut env);
-        assert_eq!(v.last(), Some(&DpVerdict::Drop));
+        let first = m.receive(f.clone(), 1, &mut env);
+        assert_eq!(
+            first,
+            vec![DpVerdict::Emit {
+                ifindex: 2,
+                frame: f.clone()
+            }]
+        );
+        assert_eq!(m.receive(f, 1, &mut env), vec![DpVerdict::Drop]);
+        assert_eq!(m.stats.meter_drops, 1);
+        assert_eq!(ovs_obs::coverage::total("kmod_meter_drop"), 1);
     }
 
     #[test]
@@ -990,7 +986,7 @@ mod tests {
         for i in 0..10u8 {
             let mut k = FlowKey::default();
             k.set_nw_dst_v4([10, 0, 0, i]);
-            m.install_flow(&k, &mask, vec![KAction::Drop]);
+            m.install_flow(&k, &mask, vec![]);
         }
         assert_eq!(m.flow_count(), 10);
         assert_eq!(m.mask_count(), 1, "identical masks are shared");

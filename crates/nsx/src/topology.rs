@@ -295,7 +295,7 @@ impl Host {
                     assert_eq!(p, ports.vifs[i]);
                     kernel.dev_mut(t).attachment = Attachment::OvsBridge { port: p };
                 }
-                let mut nl = DpifNetlink::new(cfg.vtep_ip);
+                let mut nl = DpifNetlink::new();
                 let stats =
                     ruleset::install(&cfg.nsx, &ports, cfg.id, cfg.remote_id, &mut nl.ofproto);
                 (None, Some(nl), stats, None)

@@ -222,7 +222,8 @@ pub fn fig8c_containers(mode: CcMode, offloads: Offloads) -> TcpThroughput {
     use ovs_core::ofproto::{OfAction, OfRule};
     use ovs_ebpf::maps::{DevMap, Map};
     use ovs_kernel::dev::{Attachment, XdpMode};
-    use ovs_kernel::ovs_module::{KAction, Vport};
+    use ovs_kernel::ovs_module::Vport;
+    use ovs_kernel::DpAction;
     use ovs_packet::flow::{fields, FlowKey, FlowMask};
 
     let mut k = Kernel::new(16);
@@ -277,10 +278,10 @@ pub fn fig8c_containers(mode: CcMode, offloads: Offloads) -> TcpThroughput {
             let mask = FlowMask::of_fields(&[&fields::IN_PORT]);
             let mut ka = FlowKey::default();
             ka.set_in_port(va);
-            k.ovs.install_flow(&ka, &mask, vec![KAction::Output(vb)]);
+            k.ovs.install_flow(&ka, &mask, vec![DpAction::Output(vb)]);
             let mut kb = FlowKey::default();
             kb.set_in_port(vb);
-            k.ovs.install_flow(&kb, &mask, vec![KAction::Output(va)]);
+            k.ovs.install_flow(&kb, &mask, vec![DpAction::Output(va)]);
         }
         CcMode::XdpRedirect => {
             // Attaching XDP to a veth disables GRO, so the containers'

@@ -25,7 +25,8 @@ use ovs_ebpf::programs;
 use ovs_kernel::dev::{Attachment, DeviceKind, NetDevice, XdpMode};
 use ovs_kernel::guest::{Guest, GuestRole, VirtioBackend};
 use ovs_kernel::namespace::ContainerRole;
-use ovs_kernel::ovs_module::{KAction, Vport};
+use ovs_kernel::ovs_module::Vport;
+use ovs_kernel::DpAction;
 use ovs_kernel::Kernel;
 use ovs_nsx::ruleset::{self as nsx_ruleset, vm_udp_frame};
 use ovs_nsx::topology::{DatapathKind, Host, HostConfig, HostPair, VmAttachment};
@@ -194,7 +195,7 @@ fn run_kernel(cfg: &ScenarioConfig) -> RateMeasurement {
     let mut guest = None;
     match cfg.path {
         PathKind::P2p => {
-            k.ovs.install_flow(&key, &mask, vec![KAction::Output(p1)]);
+            k.ovs.install_flow(&key, &mask, vec![DpAction::Output(p1)]);
         }
         PathKind::Pvp(_) => {
             // Kernel mode always attaches VMs over tap + vhost-net.
@@ -215,10 +216,10 @@ fn run_kernel(cfg: &ScenarioConfig) -> RateMeasurement {
                 GUEST_CORE,
             ));
             guest = Some(g);
-            k.ovs.install_flow(&key, &mask, vec![KAction::Output(pt)]);
+            k.ovs.install_flow(&key, &mask, vec![DpAction::Output(pt)]);
             let mut kt = FlowKey::default();
             kt.set_in_port(pt);
-            k.ovs.install_flow(&kt, &mask, vec![KAction::Output(p1)]);
+            k.ovs.install_flow(&kt, &mask, vec![DpAction::Output(p1)]);
         }
         PathKind::Pcp => {
             let (host_if, _inner, _ns) = k.add_container(
@@ -229,10 +230,10 @@ fn run_kernel(cfg: &ScenarioConfig) -> RateMeasurement {
             );
             let pc = k.ovs.add_vport(Vport::Netdev { ifindex: host_if });
             k.dev_mut(host_if).attachment = Attachment::OvsBridge { port: pc };
-            k.ovs.install_flow(&key, &mask, vec![KAction::Output(pc)]);
+            k.ovs.install_flow(&key, &mask, vec![DpAction::Output(pc)]);
             let mut kc = FlowKey::default();
             kc.set_in_port(pc);
-            k.ovs.install_flow(&kc, &mask, vec![KAction::Output(p1)]);
+            k.ovs.install_flow(&kc, &mask, vec![DpAction::Output(p1)]);
         }
     }
 

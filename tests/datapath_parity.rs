@@ -9,7 +9,9 @@ use ovs_afxdp_repro::kernel::dev::{Attachment, DeviceKind, NetDevice};
 use ovs_afxdp_repro::kernel::ovs_module::Vport;
 use ovs_afxdp_repro::kernel::Kernel;
 use ovs_afxdp_repro::ovs::dpif::{DpifNetdev, DpifNetlink, PortType};
+use ovs_afxdp_repro::ovs::ofctl;
 use ovs_afxdp_repro::ovs::ofproto::{OfAction, OfRule, Ofproto};
+use ovs_afxdp_repro::ovs::Meter;
 use ovs_afxdp_repro::packet::flow::{fields, FlowKey, FlowMask};
 use ovs_afxdp_repro::packet::tcp::flags;
 use ovs_afxdp_repro::packet::{builder, MacAddr};
@@ -81,17 +83,31 @@ fn probe_frames() -> Vec<Vec<u8>> {
     frames
 }
 
-/// Per-frame delivery: the egress port and frame, or `None` if dropped.
-type Delivered = Vec<Option<(u32, Vec<u8>)>>;
+/// Per input frame, every frame it put on a wire as `(port, bytes)`, in
+/// port order; empty if it was dropped.
+type Delivered = Vec<Vec<(u32, Vec<u8>)>>;
 
-/// Run through the userspace datapath; returns per-frame delivery port
-/// (None = dropped) and the delivered frame.
-fn run_userspace(frames: &[Vec<u8>]) -> Delivered {
-    run_userspace_with(pipeline(), frames).0
+/// Take every frame the NICs transmitted, in port order.
+fn drain_wires(k: &mut Kernel, nics: &[u32]) -> Vec<(u32, Vec<u8>)> {
+    let mut out = Vec::new();
+    for (p, &nic) in nics.iter().enumerate() {
+        out.extend(k.dev_mut(nic).tx_wire.drain(..).map(|f| (p as u32, f)));
+    }
+    out
 }
 
-/// [`run_userspace`] under `of`, also returning the datapath.
-fn run_userspace_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, DpifNetdev) {
+/// Run through the userspace datapath.
+fn run_userspace(frames: &[Vec<u8>]) -> Delivered {
+    run_userspace_with(pipeline(), &[], frames).0
+}
+
+/// [`run_userspace`] under `of`, with `meters` installed, also returning
+/// the datapath.
+fn run_userspace_with(
+    of: Ofproto,
+    meters: &[(u32, Meter)],
+    frames: &[Vec<u8>],
+) -> (Delivered, DpifNetdev) {
     let mut k = Kernel::new(8);
     let mut dp = DpifNetdev::new();
     let mut nics = Vec::new();
@@ -110,29 +126,31 @@ fn run_userspace_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, DpifNetdev
         nics.push(nic);
     }
     dp.ofproto = of;
+    for (id, m) in meters {
+        dp.meters.set(*id, m.clone());
+    }
 
     let mut out = Vec::new();
     for f in frames {
         k.receive(nics[0], 0, f.clone());
         dp.pmd_poll(&mut k, 0, 0, 1);
-        let mut delivered = None;
-        for (p, &nic) in nics.iter().enumerate() {
-            if let Some(frame) = k.dev_mut(nic).tx_wire.pop_front() {
-                delivered = Some((p as u32, frame));
-            }
-        }
-        out.push(delivered);
+        out.push(drain_wires(&mut k, &nics));
     }
     (out, dp)
 }
 
 /// Run through the kernel datapath driven by dpif-netlink.
 fn run_kernel_dp(frames: &[Vec<u8>]) -> Delivered {
-    run_kernel_dp_with(pipeline(), frames).0
+    run_kernel_dp_with(pipeline(), &[], frames).0
 }
 
-/// [`run_kernel_dp`] under `of`, also returning the kernel.
-fn run_kernel_dp_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, Kernel) {
+/// [`run_kernel_dp`] under `of`, with `meters` installed, also returning
+/// the kernel.
+fn run_kernel_dp_with(
+    of: Ofproto,
+    meters: &[(u32, Meter)],
+    frames: &[Vec<u8>],
+) -> (Delivered, Kernel) {
     let mut k = Kernel::new(8);
     let mut nics = Vec::new();
     for p in 0..N_PORTS {
@@ -147,20 +165,17 @@ fn run_kernel_dp_with(of: Ofproto, frames: &[Vec<u8>]) -> (Delivered, Kernel) {
         k.dev_mut(nic).attachment = Attachment::OvsBridge { port: vport };
         nics.push(nic);
     }
-    let mut nl = DpifNetlink::new([0, 0, 0, 0]);
+    for (id, m) in meters {
+        k.ovs.meters.set(*id, m.clone());
+    }
+    let mut nl = DpifNetlink::new();
     nl.ofproto = of;
 
     let mut out = Vec::new();
     for f in frames {
         k.receive(nics[0], 0, f.clone());
         nl.handle_upcalls(&mut k, 1);
-        let mut delivered = None;
-        for (p, &nic) in nics.iter().enumerate() {
-            if let Some(frame) = k.dev_mut(nic).tx_wire.pop_front() {
-                delivered = Some((p as u32, frame));
-            }
-        }
-        out.push(delivered);
+        out.push(drain_wires(&mut k, &nics));
     }
     (out, k)
 }
@@ -174,14 +189,13 @@ fn both_datapaths_agree_on_every_packet() {
     let mut delivered = 0;
     let mut dropped = 0;
     for (i, (u, n)) in user.iter().zip(kern.iter()).enumerate() {
-        match (u, n) {
-            (Some((pu, fu)), Some((pn, fn_))) => {
-                assert_eq!(pu, pn, "frame {i}: same egress port");
-                assert_eq!(fu, fn_, "frame {i}: identical bytes (incl. VLAN tag)");
-                delivered += 1;
-            }
-            (None, None) => dropped += 1,
-            other => panic!("frame {i}: datapaths disagree: {other:?}"),
+        assert_eq!(
+            u, n,
+            "frame {i}: same port, identical bytes (incl. VLAN tag)"
+        );
+        match u.len() {
+            0 => dropped += 1,
+            _ => delivered += 1,
         }
     }
     // The probe distribution hits both outcomes.
@@ -193,8 +207,7 @@ fn both_datapaths_agree_on_every_packet() {
 fn vlan_tag_applied_identically() {
     let frames = probe_frames();
     let user = run_userspace(&frames);
-    for d in user.into_iter().flatten() {
-        let (_, frame) = d;
+    for (_, frame) in user.into_iter().flatten() {
         assert_eq!(&frame[12..14], &[0x81, 0x00], "VLAN pushed");
         let vid = u16::from_be_bytes([frame[14], frame[15]]) & 0x0fff;
         assert_eq!(vid, 100);
@@ -216,8 +229,8 @@ fn more_specific_higher_priority_rule_wins_in_both() {
     );
     let u = run_userspace(std::slice::from_ref(&frame));
     let n = run_kernel_dp(std::slice::from_ref(&frame));
-    assert_eq!(u[0].as_ref().unwrap().0, 3);
-    assert_eq!(n[0].as_ref().unwrap().0, 3);
+    assert_eq!(u[0][0].0, 3);
+    assert_eq!(n[0][0].0, 3);
 }
 
 /// Everything from port 0 goes through `ct(commit,zone=1)` and out port 1.
@@ -276,12 +289,12 @@ fn tcp_flags_and_ct_refusals_agree_in_both() {
         seg(b, a, 80, 1000, flags::FIN | flags::ACK),
         seg(c, b, 2000, 80, flags::RST),
     ];
-    let (user, dp) = run_userspace_with(ct_commit_pipeline(), &frames);
-    let (kern, k) = run_kernel_dp_with(ct_commit_pipeline(), &frames);
+    let (user, dp) = run_userspace_with(ct_commit_pipeline(), &[], &frames);
+    let (kern, k) = run_kernel_dp_with(ct_commit_pipeline(), &[], &frames);
 
     let ports = |d: &Delivered| {
         d.iter()
-            .map(|o| o.as_ref().map(|(p, _)| *p))
+            .map(|o| o.first().map(|(p, _)| *p))
             .collect::<Vec<_>>()
     };
     assert_eq!(ports(&user), [Some(1), Some(1), Some(1), Some(1), None]);
@@ -297,4 +310,236 @@ fn tcp_flags_and_ct_refusals_agree_in_both() {
     assert_eq!(dp.stats.ct_invalid_drops, 1);
     assert_eq!(k.ovs.stats.ct_drops, 1);
     assert_eq!(k.conntrack.stats.invalid_drops, 1);
+}
+
+/// A one-table pipeline: everything from port 0 runs `actions`.
+fn one_rule(actions: &str) -> Ofproto {
+    let mut of = Ofproto::new();
+    of.add_rule(ofctl::parse_flow(&format!("in_port=0, actions={actions}")).unwrap());
+    of
+}
+
+/// Frames one or more ports received.
+fn forwarded(d: &Delivered) -> usize {
+    d.iter().filter(|o| !o.is_empty()).count()
+}
+
+#[test]
+fn meters_police_alike_in_both() {
+    let frames = &probe_frames()[..20];
+    // Meter 1 unconfigured: a meter that does not exist passes everything.
+    let (user, _) = run_userspace_with(one_rule("meter:1,output:1"), &[], frames);
+    let (kern, _) = run_kernel_dp_with(one_rule("meter:1,output:1"), &[], frames);
+    assert_eq!(forwarded(&user), 20);
+    assert_eq!(kern, user);
+
+    // A bucket of five frames that never refills (the clock stands still)
+    // passes the same five frames on both, and both count the rest.
+    let bucket_bits = 5 * frames[0].len() as u64 * 8;
+    let meters = [(1, Meter::new(1_000, bucket_bits))];
+    let (user, dp) = run_userspace_with(one_rule("meter:1,output:1"), &meters, frames);
+    let (kern, k) = run_kernel_dp_with(one_rule("meter:1,output:1"), &meters, frames);
+    assert_eq!(forwarded(&user), 5);
+    assert_eq!(kern, user);
+    assert_eq!(dp.stats.meter_drops, 15);
+    assert_eq!(k.ovs.stats.meter_drops, 15);
+}
+
+#[test]
+fn an_nf_chain_drops_by_name_in_the_kernel_after_one_lookup() {
+    let frames = &probe_frames()[..20];
+    let (user, dp) = run_userspace_with(one_rule("nf_chain:1"), &[], frames);
+    let (kern, k) = run_kernel_dp_with(one_rule("nf_chain:1"), &[], frames);
+    assert_eq!((forwarded(&user), forwarded(&kern)), (0, 0));
+    // The userspace datapath has no chain 1 and fails closed.
+    assert_eq!(dp.stats.nf_fail_closed_drops, 20);
+    let s = k.ovs.stats;
+    assert_eq!((s.lookups, s.recirculations), (20, 0));
+    assert_eq!(s.unsupported_action_drops, 20);
+}
+
+#[test]
+fn a_pipeline_that_recirculates_forever_drops_each_frame_once_in_both() {
+    // Every pass resumes at table 0 through conntrack: each frame makes
+    // MAX_RECIRC passes on either datapath, upcalls included, and is
+    // then dropped at the limit. With an output in the loop, each pass
+    // puts one copy on port 2 first.
+    let passes = ovs_afxdp_repro::kernel::ovs_module::MAX_RECIRC;
+    let frames = &probe_frames()[..20];
+    for (actions, copies) in [
+        ("ct(zone=1,table=0)", 0),
+        ("output:2,ct(zone=1,table=0)", passes),
+    ] {
+        let (user, dp) = run_userspace_with(one_rule(actions), &[], frames);
+        let (kern, k) = run_kernel_dp_with(one_rule(actions), &[], frames);
+        assert_eq!(kern, user, "{actions}");
+        assert!(
+            user.iter()
+                .all(|o| o.len() == copies && o.iter().all(|(p, _)| *p == 2)),
+            "{actions}"
+        );
+        assert_eq!(dp.stats.recirc_limit_drops, 20, "{actions}");
+        assert_eq!(k.ovs.stats.recirc_limit_drops, 20, "{actions}");
+    }
+}
+
+/// A random pipeline over tables 0–3, in `ovs-ofctl` text, drawn from
+/// every `OfAction` but a tunnel output; gotos and `ct(table=…)` may
+/// loop. Meter 1 is small, meter 2 large, meter 3 unconfigured; port 4
+/// does not exist; no NF chain is configured. Each table ends in a
+/// catch-all rule.
+fn random_pipeline(rng: &mut SimRng) -> String {
+    let mut lines = Vec::new();
+    for table in 0..4 {
+        let actions = random_actions(rng);
+        lines.push(format!("table={table}, priority=0, actions={actions}"));
+        for _ in 0..1 + rng.below(3) {
+            let mut m = vec![
+                format!("table={table}"),
+                format!("priority={}", 10 * (1 + rng.below(4))),
+            ];
+            if rng.below(3) == 0 {
+                m.push(rng.pick(&["ip", "udp", "tcp"]).to_string());
+            }
+            if rng.below(3) == 0 {
+                m.push(format!("nw_dst=10.{}.0.0/16", rng.below(3)));
+            }
+            if rng.below(4) == 0 {
+                m.push(format!("tp_dst={}", rng.pick(&[53, 80])));
+            }
+            if rng.below(3) == 0 {
+                m.push(format!("metadata={}", rng.below(3)));
+            }
+            if rng.below(3) == 0 {
+                let states = ["+trk+new", "+trk+est", "-trk", "+trk+inv", "+trk+rpl"];
+                m.push(format!("ct_state={}", rng.pick(&states)));
+            }
+            if rng.below(5) == 0 {
+                m.push("vlan_vid=100".to_string());
+            }
+            m.push(format!("actions={}", random_actions(rng)));
+            lines.push(m.join(", "));
+        }
+    }
+    lines.join("\n")
+}
+
+/// One to four random actions, comma-separated.
+fn random_actions(rng: &mut SimRng) -> String {
+    let acts: Vec<String> = (0..1 + rng.below(4)).map(|_| random_action(rng)).collect();
+    acts.join(",")
+}
+
+fn random_action(rng: &mut SimRng) -> String {
+    let mac = |rng: &mut SimRng| format!("02:00:00:00:0{}:{:02x}", rng.below(2), rng.below(256));
+    match rng.below(15) {
+        0..=2 => format!("output:{}", rng.below(5)),
+        3 => format!("goto_table:{}", rng.below(4)),
+        4 => format!("write_metadata:{}", rng.below(3)),
+        5 => format!("mod_dl_src:{}", mac(rng)),
+        6 => format!("mod_dl_dst:{}", mac(rng)),
+        7 => format!("push_vlan:{}", rng.pick(&[100, 200])),
+        8 => "pop_vlan".to_string(),
+        9 | 10 => {
+            let zone = 1 + rng.below(2);
+            let table = rng.below(4);
+            match rng.below(4) {
+                0 => format!("ct(zone={zone},table={table})"),
+                1 => format!("ct(commit,zone={zone},nat(dst=10.9.0.1:8080),table={table})"),
+                2 => format!("ct(commit,zone={zone},nat(src=192.168.0.1),table={table})"),
+                _ => format!("ct(commit,zone={zone},table={table})"),
+            }
+        }
+        11 => format!("meter:{}", 1 + rng.below(3)),
+        12 => "nf_chain:1".to_string(),
+        13 => "drop".to_string(),
+        _ => format!("set_tunnel:{}->172.16.0.2", 5000 + rng.below(2)),
+    }
+}
+
+/// A random frame of a few UDP and TCP flows, either direction, some
+/// VLAN-tagged, TCP with random flags.
+fn random_frame(rng: &mut SimRng) -> Vec<u8> {
+    let (mut src, mut dst) = (
+        [172, 16, 9, 1 + rng.below(2) as u8],
+        [10, rng.below(3) as u8, 0, 5],
+    );
+    let (mut sport, mut dport) = (1000 + rng.below(3) as u16, *rng.pick(&[53, 80]));
+    if rng.below(3) == 0 {
+        (src, dst, sport, dport) = (dst, src, dport, sport);
+    }
+    let (a, b) = (
+        MacAddr::new(2, 0, 0, 0, 9, 9),
+        MacAddr::new(2, 0, 0, 0, 0, 1),
+    );
+    let mut f = if rng.below(2) == 0 {
+        builder::udp_ipv4_frame(a, b, src, dst, sport, dport, 64 + 8 * rng.below(4) as usize)
+    } else {
+        let f = *rng.pick(&[
+            flags::SYN,
+            flags::SYN | flags::ACK,
+            flags::ACK,
+            flags::FIN | flags::ACK,
+            flags::RST,
+        ]);
+        builder::tcp_ipv4(a, b, src, dst, sport, dport, 1, 1, f, b"")
+    };
+    if rng.below(5) == 0 {
+        f.splice(12..12, [0x81, 0x00, 0x00, 100]);
+    }
+    f
+}
+
+#[test]
+fn random_pipelines_forward_alike_in_both() {
+    let meters = [
+        (1, Meter::new(1_000, 3 * 90 * 8)),
+        (2, Meter::new(1_000, 1_000_000)),
+    ];
+    let mut rng = SimRng::new(0x5eed);
+    let (mut delivered, mut dropped) = (0, 0);
+    let mut drops = [0u64; 6];
+    for case in 0..100 {
+        let text = random_pipeline(&mut rng);
+        let rules = ofctl::parse_flows(&text).unwrap();
+        let of = || {
+            let mut of = Ofproto::new();
+            for r in &rules {
+                of.add_rule(r.clone());
+            }
+            of
+        };
+        let frames: Vec<Vec<u8>> = (0..24).map(|_| random_frame(&mut rng)).collect();
+        let (user, _) = run_userspace_with(of(), &meters, &frames);
+        let (kern, k) = run_kernel_dp_with(of(), &meters, &frames);
+        for (i, (u, n)) in user.iter().zip(&kern).enumerate() {
+            let sizes =
+                |d: &[(u32, Vec<u8>)]| d.iter().map(|(p, f)| (*p, f.len())).collect::<Vec<_>>();
+            assert!(
+                u == n,
+                "case {case}, frame {i}: the datapaths disagree\n\
+                 (port, bytes) in userspace: {:?}, in the kernel: {:?}\npipeline:\n{}",
+                sizes(u),
+                sizes(n),
+                ofctl::dump_flows(&of())
+            );
+        }
+        delivered += forwarded(&user);
+        dropped += frames.len() - forwarded(&user);
+        let s = k.ovs.stats;
+        let case_drops = [
+            s.action_drops,
+            s.meter_drops,
+            s.ct_drops,
+            s.unsupported_action_drops,
+            s.recirc_limit_drops,
+            s.tx_no_port,
+        ];
+        for (d, c) in drops.iter_mut().zip(case_drops) {
+            *d += c;
+        }
+    }
+    // The draws reach both outcomes, and every way the kernel drops.
+    assert!(delivered > 100 && dropped > 100, "{delivered} / {dropped}");
+    assert!(drops.iter().all(|&d| d > 0), "{drops:?}");
 }

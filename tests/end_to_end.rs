@@ -159,3 +159,52 @@ fn intra_host_traffic_never_touches_the_tunnel() {
     assert_eq!(h1.dp.as_ref().unwrap().stats.tunnel_encaps, 0);
     assert!(h1.wire_take().is_empty(), "nothing left the host");
 }
+
+/// Send `requests` requests from VM 0 on host 1 to VM 0 on host 2, one
+/// at a time, carrying the wire by hand until it is quiet. Returns every
+/// outer frame each direction put on the wire (host 1 → host 2, then
+/// host 2 → host 1) and the replies the sender received.
+fn wire_frames(mut pair: HostPair, requests: u16) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, u64) {
+    let sender = pair.h1.guest_of_vif[0];
+    let (mut there, mut back) = (Vec::new(), Vec::new());
+    for seq in 0..requests {
+        pair.h1.kernel.guests[sender]
+            .tx_ring
+            .push_back(request(seq));
+        for _ in 0..32 {
+            pair.h1.pump();
+            let sent = pair.h1.wire_take();
+            for f in &sent {
+                pair.h2.wire_inject(f.clone());
+            }
+            pair.h2.pump();
+            let replied = pair.h2.wire_take();
+            for f in &replied {
+                pair.h1.wire_inject(f.clone());
+            }
+            if sent.is_empty() && replied.is_empty() {
+                break;
+            }
+            there.extend(sent);
+            back.extend(replied);
+        }
+    }
+    (there, back, pair.h1.kernel.guests[sender].rx_count)
+}
+
+#[test]
+fn both_datapaths_put_the_same_outer_frames_on_the_wire() {
+    // The NSX pipeline (firewall, conntrack, Geneve) over AF_XDP with
+    // vhostuser VMs, and over the kernel module with tap VMs: the
+    // control plane and the wire cannot tell them apart.
+    let afxdp = DatapathKind::UserspaceAfxdp {
+        opt: OptLevel::O5,
+        interrupt_mode: false,
+    };
+    let user = wire_frames(pair(afxdp, VmAttachment::VhostUser), 5);
+    let kern = wire_frames(pair(DatapathKind::Kernel, VmAttachment::Tap), 5);
+    assert_eq!((user.0.len(), user.1.len(), user.2), (5, 5, 5));
+    assert_eq!(kern.0, user.0, "host 1 → host 2 outer frames");
+    assert_eq!(kern.1, user.1, "host 2 → host 1 outer frames");
+    assert_eq!(kern.2, 5, "every reply delivered");
+}
